@@ -17,7 +17,7 @@ p_{alpha + lam.w_0} w_0.
 from __future__ import annotations
 
 from .hecke import HeckeElt
-from .laurent import LaurentPoly
+from .laurent import LaurentCombination, LaurentPoly, accumulate, peel
 from .lowestcell import BoundExceeded, LowestCell
 from .weyl import GroupElement
 
@@ -25,95 +25,31 @@ _ZERO = LaurentPoly.zero()
 _ONE = LaurentPoly.one()
 
 
-class MonoidAlgebraElt:
+class MonoidAlgebraElt(LaurentCombination):
     """Element of A[P+]: finite map from dominant weights to LaurentPoly."""
 
-    __slots__ = ("_d",)
-
-    def __init__(self, d=None):
-        self._d = {t: c for t, c in (d or {}).items() if c}
-
-    def items(self):
-        return self._d.items()
+    __slots__ = ()
 
     def coeff(self, tau) -> LaurentPoly:
         return self._d.get(tuple(tau), _ZERO)
-
-    def is_zero(self) -> bool:
-        return not self._d
-
-    def __add__(self, other):
-        d = dict(self._d)
-        for t, c in other._d.items():
-            nc = d.get(t, _ZERO) + c
-            if nc:
-                d[t] = nc
-            elif t in d:
-                del d[t]
-        return MonoidAlgebraElt(d)
 
     def __mul__(self, other):
         d = {}
         for t1, c1 in self._d.items():
             for t2, c2 in other._d.items():
-                t = tuple(a + b for a, b in zip(t1, t2))
-                nc = d.get(t, _ZERO) + c1 * c2
-                if nc:
-                    d[t] = nc
-                elif t in d:
-                    del d[t]
+                accumulate(d, tuple(a + b for a, b in zip(t1, t2)), c1 * c2)
         return MonoidAlgebraElt(d)
 
-    def scale(self, a: LaurentPoly):
-        return MonoidAlgebraElt({t: c * a for t, c in self._d.items()})
 
-    def __eq__(self, other):
-        return isinstance(other, MonoidAlgebraElt) and self._d == other._d
-
-    def __hash__(self):
-        return hash(frozenset(self._d.items()))
-
-    def __repr__(self):
-        return f"MonoidAlgebraElt({self._d!r})"
-
-
-class CellularElt:
+class CellularElt(LaurentCombination):
     """Element of the twisted matrix algebra: finite map
     (z, tau, z') -> LaurentPoly over basis v_z (x) e^tau (x) v_{z'}."""
 
-    __slots__ = ("_d",)
-
-    def __init__(self, d=None):
-        self._d = {k: c for k, c in (d or {}).items() if c}
+    __slots__ = ()
 
     @staticmethod
     def basis(z: GroupElement, tau, zprime: GroupElement) -> "CellularElt":
         return CellularElt({(z, tuple(tau), zprime): _ONE})
-
-    def items(self):
-        return self._d.items()
-
-    def is_zero(self) -> bool:
-        return not self._d
-
-    def __add__(self, other):
-        d = dict(self._d)
-        for k, c in other._d.items():
-            nc = d.get(k, _ZERO) + c
-            if nc:
-                d[k] = nc
-            elif k in d:
-                del d[k]
-        return CellularElt(d)
-
-    def scale(self, a: LaurentPoly):
-        return CellularElt({k: c * a for k, c in self._d.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, CellularElt) and self._d == other._d
-
-    def __repr__(self):
-        return f"CellularElt({len(self._d)} terms)"
 
 
 class CellularStructure:
@@ -161,22 +97,16 @@ class CellularStructure:
             hecke.kl_basis(w0 * z.inverse()),
             hecke.kl_basis(zprime * w0),
         )
-        coords = hecke.kl_expand(prod)
-        out = {}
-        while coords:
-            top = max(coords, key=weyl.sort_key)
-            tau = self.lowest.in_m_plus_index(top)
+        in_m_plus = self.lowest.in_m_plus_index
+
+        def expand(top):
+            tau = in_m_plus(top)
             if tau is None:
                 raise AssertionError(f"product left M_+ at {top!r}")
-            c = coords[top]
-            out[tau] = c
-            for w, pc in self._ptau_kl(tau).items():
-                nc = coords.get(w, _ZERO) - c * pc
-                if nc:
-                    coords[w] = nc
-                elif w in coords:
-                    del coords[w]
-        result = MonoidAlgebraElt(out)
+            return self._ptau_kl(tau)
+
+        coords = peel(hecke.kl_expand(prod), expand, weyl.sort_key)
+        result = MonoidAlgebraElt({in_m_plus(top): c for top, c in coords.items()})
         self._phi_cache[key] = result
         return result
 
@@ -191,27 +121,17 @@ class CellularStructure:
             self._ptau_kl_cache[tau] = hit
         return hit
 
-    def phi_matrix(self) -> dict:
-        """The full matrix of phi over the B_0 basis."""
-        b0 = self.lowest.box_elements()
-        return {(z, zp): self.phi_form(z, zp) for z in b0 for zp in b0}
-
     # -- the twisted product and the isomorphism ------------------------------------
 
     def cellular_mul(self, a: CellularElt, b: CellularElt) -> CellularElt:
-        out = CellularElt()
+        d = {}
         for (zi, tau, zj), ca in a.items():
             for (zk, tau2, zl), cb in b.items():
-                mid = self.phi_form(zj, zk)
-                if mid.is_zero():
-                    continue
                 c = ca * cb
-                terms = {}
-                for sigma, cphi in mid.items():
+                for sigma, cphi in self.phi_form(zj, zk).items():
                     t = tuple(x + y + z for x, y, z in zip(tau, sigma, tau2))
-                    terms[(zi, t, zl)] = cphi * c
-                out = out + CellularElt(terms)
-        return out
+                    accumulate(d, (zi, t, zl), cphi * c)
+        return CellularElt(d)
 
     def phi_image_basis(self, z: GroupElement, tau, zprime: GroupElement) -> HeckeElt:
         """Phi(v_z (x) e^tau (x) v_{z'}) = P(z) P(tau) C_{w_0} P_R(z'^-1)."""
@@ -239,21 +159,15 @@ class CellularStructure:
         the basis triple, and subtracts that basis image; unitriangularity
         makes this terminate exactly.  Raises if h is not in the span.
         """
-        out = {}
-        coords = self.hecke.kl_expand(h)
-        while coords:
-            top = max(coords, key=self.weyl.sort_key)
+        keys = {}
+
+        def expand(top):
             f = self.lowest.factorize(top)
-            key = (f.z, f.tau, f.zprime)
-            c = coords[top]
-            out[key] = out.get(key, _ZERO) + c
-            for w, pc in self._phi_image_kl(key).items():
-                nc = coords.get(w, _ZERO) - c * pc
-                if nc:
-                    coords[w] = nc
-                elif w in coords:
-                    del coords[w]
-        return CellularElt(out)
+            keys[top] = (f.z, f.tau, f.zprime)
+            return self._phi_image_kl(keys[top])
+
+        coords = peel(self.hecke.kl_expand(h), expand, self.weyl.sort_key)
+        return CellularElt({keys[top]: c for top, c in coords.items()})
 
     def _phi_image_kl(self, key) -> dict:
         hit = self._phi_image_kl_cache.get(key)
@@ -333,7 +247,10 @@ class CellularStructure:
             if not c.is_integer():
                 raise AssertionError(f"non-integer coefficient {c} at {w!r}")
             out[g.translation] = c.as_integer()
-        assert out.get(tuple(omega)) == 1
+        if out.get(tuple(omega)) != 1:
+            raise AssertionError(
+                f"leading coefficient of P(omega)C_{{w_0 p_lam}} at alpha = omega is "
+                f"{out.get(tuple(omega))}, not 1")
         return out
 
     def decompose_P_tau(self, tau) -> dict:
@@ -374,7 +291,7 @@ class CellularStructure:
         for x in weyl.bruhat_interval(p):
             for u in range(ws.w0_size):
                 g = x * weyl.finite_element(u)
-                c = weyl.element_pairing_interval(g, root)
+                c = weyl._root_shift(g, root)
                 val = c if c >= 1 else (-(c + 1) if c <= -1 else 0)
                 if val > best:
                     best = val

@@ -14,66 +14,19 @@ from __future__ import annotations
 import threading
 from itertools import combinations
 
-from .laurent import LaurentPoly, xi
+from .laurent import LaurentCombination, LaurentPoly, accumulate, peel, solve_unitriangular, xi
 from .weyl import GroupElement, Weyl
 
-_ZERO = LaurentPoly.zero()
 _ONE = LaurentPoly.one()
 
 
-class HeckeElt:
+class HeckeElt(LaurentCombination):
     """Finitely supported map GroupElement -> LaurentPoly, no zero values."""
 
-    __slots__ = ("_d",)
-
-    def __init__(self, d=None):
-        self._d = {w: c for w, c in (d or {}).items() if c}
-
-    def items(self):
-        return self._d.items()
+    __slots__ = ()
 
     def support(self):
         return self._d.keys()
-
-    def coeff(self, w: GroupElement) -> LaurentPoly:
-        return self._d.get(w, _ZERO)
-
-    def is_zero(self) -> bool:
-        return not self._d
-
-    def __eq__(self, other):
-        return isinstance(other, HeckeElt) and self._d == other._d
-
-    def __hash__(self):
-        return hash(frozenset(self._d.items()))
-
-    def __add__(self, other: "HeckeElt") -> "HeckeElt":
-        d = dict(self._d)
-        for w, c in other._d.items():
-            nc = d.get(w, _ZERO) + c
-            if nc:
-                d[w] = nc
-            elif w in d:
-                del d[w]
-        out = HeckeElt.__new__(HeckeElt)
-        out._d = d
-        return out
-
-    def __sub__(self, other: "HeckeElt") -> "HeckeElt":
-        return self + other.scale(LaurentPoly.const(-1))
-
-    def scale(self, a: LaurentPoly) -> "HeckeElt":
-        if not a:
-            return HeckeElt()
-        out = HeckeElt.__new__(HeckeElt)
-        out._d = {w: c * a for w, c in self._d.items()}
-        return out
-
-    def __len__(self):
-        return len(self._d)
-
-    def __repr__(self):
-        return f"HeckeElt({len(self._d)} terms)"
 
 
 class Hecke:
@@ -109,10 +62,10 @@ class Hecke:
         for w, c in h.items():
             sw = weyl.gen_mul_left(i, w) if left else weyl.gen_mul_right(w, i)
             if sw.length() > w.length():
-                _acc(d, sw, c)
+                accumulate(d, sw, c)
             else:
-                _acc(d, sw, c)
-                _acc(d, w, c * xi_s)
+                accumulate(d, sw, c)
+                accumulate(d, w, c * xi_s)
         return HeckeElt(d)
 
     def mul_pi(self, side: str, pi: GroupElement, h: HeckeElt) -> HeckeElt:
@@ -132,20 +85,11 @@ class Hecke:
             h = self.mul_pi("left", pi, h)
         return h
 
-    def mul_t_right(self, h: HeckeElt, x: GroupElement) -> HeckeElt:
-        pi_idx, word = self.weyl.reduced_word(x)
-        pi = self.weyl.pi_elements[pi_idx]
-        if not pi.is_identity():
-            h = self.mul_pi("right", pi, h)
-        for i in word:
-            h = self.mul_gen("right", i, h)
-        return h
-
     def mul(self, h1: HeckeElt, h2: HeckeElt) -> HeckeElt:
         acc = {}
         for x, c in h1.items():
             for w, cc in self.mul_t_left(x, h2).items():
-                _acc(acc, w, cc * c)
+                accumulate(acc, w, cc * c)
         return HeckeElt(acc)
 
     # -- involutions ---------------------------------------------------------------
@@ -179,7 +123,7 @@ class Hecke:
         for w, c in h.items():
             cb = c.bar()
             for y, cc in self.bar_t(w).items():
-                _acc(acc, y, cc * cb)
+                accumulate(acc, y, cc * cb)
         return HeckeElt(acc)
 
     def flat(self, h: HeckeElt) -> HeckeElt:
@@ -211,24 +155,9 @@ class Hecke:
                 self._kl_cache[w] = out
                 return out
             interval = sorted(self.weyl.bruhat_interval(w), key=self.weyl.sort_key)
-            index = {y: j for j, y in enumerate(interval)}
-            bar_rows = [self.bar_t(y) for y in interval]
-            m = len(interval) - 1
-            assert interval[m] == w
-            coeffs = [_ZERO] * m + [_ONE]
-            bars = [_ZERO] * m + [_ONE]
-            for j in range(m - 1, -1, -1):
-                d = _ZERO
-                for i in range(j + 1, m + 1):
-                    if bars[i]:
-                        r = bar_rows[i].coeff(interval[j])
-                        if r:
-                            d = d + bars[i] * r
-                # solve c - bar(c) = d with c strictly negative
-                assert d.coeff(0) == 0, "bar matrix lost unitriangularity"
-                coeffs[j] = d.negative_part()
-                bars[j] = coeffs[j].bar()
-            out = HeckeElt({y: c for y, c in zip(interval, coeffs) if c})
+            d = solve_unitriangular(w, interval, [self.bar_t(y) for y in interval])
+            d[w] = _ONE
+            out = HeckeElt(d)
             self._kl_cache[w] = out
             return out
 
@@ -240,27 +169,7 @@ class Hecke:
 
     def kl_expand(self, h: HeckeElt) -> dict:
         """Coordinates of h in the KL basis, by descending elimination."""
-        out = {}
-        rest = dict(h.items())
-        while rest:
-            top = max(rest, key=self.weyl.sort_key)
-            c = rest.pop(top)
-            out[top] = c
-            for w, pc in self.kl_basis(top).items():
-                if w == top:
-                    continue
-                nc = rest.get(w, _ZERO) - c * pc
-                if nc:
-                    rest[w] = nc
-                elif w in rest:
-                    del rest[w]
-        return out
-
-    def from_kl(self, coords: dict) -> HeckeElt:
-        out = HeckeElt()
-        for w, c in coords.items():
-            out = out + self.kl_basis(w).scale(c)
-        return out
+        return peel(dict(h.items()), self.kl_basis, self.weyl.sort_key)
 
     # -- structure constants --------------------------------------------------------
 
@@ -301,7 +210,7 @@ class Hecke:
                     else:
                         cur = s * cur
                 if ok:
-                    _acc(out, pi * cur, factor)
+                    accumulate(out, pi * cur, factor)
         return {w: c for w, c in out.items() if c}
 
     def same_profile(self, x: GroupElement, y1: GroupElement, y2: GroupElement) -> bool:
@@ -405,10 +314,3 @@ class PreorderGraph:
         both = {w: self.left.get(w, set()) | self.right.get(w, set()) for w in self.nodes}
         return z in self._reach(y, both)
 
-
-def _acc(d: dict, w, c):
-    nc = d.get(w, _ZERO) + c
-    if nc:
-        d[w] = nc
-    elif w in d:
-        del d[w]

@@ -1,11 +1,18 @@
-"""Exact Laurent polynomials in one variable q with integer coefficients.
+"""Exact Laurent polynomials in one variable q with integer coefficients,
+and the sparse linear algebra over them that every layer shares.
 
-The scalar ring for everything else in this package.  Values are immutable;
-all operations return fresh objects.  Coefficients are Python ints, so they
-never overflow, and storage is sparse (exponent -> nonzero coefficient).
+LaurentPoly is the scalar ring for everything else in this package.  Values
+are immutable; all operations return fresh objects.  Coefficients are Python
+ints, so they never overflow, and storage is sparse (exponent -> nonzero
+coefficient).  LaurentCombination is the one sparse linear-combination type
+(key -> nonzero LaurentPoly); solve_unitriangular and peel are the two
+algorithms run on it: the bar-invariant lift of a basis element, and the
+expansion of an element in a basis that is unitriangular over it.
 """
 
 from __future__ import annotations
+
+from heapq import heapify, heappop, heappush
 
 NEG_INF = float("-inf")
 
@@ -214,3 +221,149 @@ def xi(weight: int) -> LaurentPoly:
     if weight < 1:
         raise ValueError(f"generator weight must be >= 1, got {weight}")
     return LaurentPoly({weight: 1, -weight: -1})
+
+
+def accumulate(d: dict, key, c: LaurentPoly) -> None:
+    """d[key] += c in place, keeping d free of zero values."""
+    nc = d.get(key, _ZERO) + c
+    if nc:
+        d[key] = nc
+    elif key in d:
+        del d[key]
+
+
+class LaurentCombination:
+    """Finitely supported map key -> LaurentPoly, no zero values.
+
+    Immutable.  Subclasses fix what the keys are; values of different
+    concrete types never compare equal.
+    """
+
+    __slots__ = ("_d",)
+
+    def __init__(self, d=None):
+        self._d = {k: c for k, c in (d or {}).items() if c}
+
+    def _new(self, d: dict):
+        out = type(self).__new__(type(self))
+        out._d = d
+        return out
+
+    def items(self):
+        return self._d.items()
+
+    def coeff(self, key) -> LaurentPoly:
+        return self._d.get(key, _ZERO)
+
+    def is_zero(self) -> bool:
+        return not self._d
+
+    def __len__(self):
+        return len(self._d)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._d == other._d
+
+    def __hash__(self):
+        return hash(frozenset(self._d.items()))
+
+    def __add__(self, other):
+        d = dict(self._d)
+        for k, c in other._d.items():
+            accumulate(d, k, c)
+        return self._new(d)
+
+    def __sub__(self, other):
+        return self + other.scale(LaurentPoly.const(-1))
+
+    def scale(self, a: LaurentPoly):
+        if not a:
+            return type(self)()
+        return self._new({k: c * a for k, c in self._d.items()})
+
+    def __repr__(self):
+        return f"{type(self).__name__}({len(self._d)} terms)"
+
+
+def solve_unitriangular(top, basis, rows) -> dict:
+    """The bar-invariant lift of `top`: the coefficients p_b in q^-1 Z[q^-1]
+    making top + sum p_b b bar-invariant (Lusztig, Hecke algebras with
+    unequal parameters, Thm 5.2).
+
+    basis lists the keys at or below top in an order refining the Bruhat
+    order, so top comes last; rows[i] is bar(basis[i]) expanded in basis.  Returns the
+    nonzero p_b in basis order, top excluded.  Raises AssertionError when
+    the bar matrix is not unitriangular, so that no unique lift exists.
+    """
+    m = len(basis) - 1
+    if basis[m] != top:
+        raise AssertionError(f"{top!r} is not the maximum of its basis")
+    for b, row in zip(basis, rows):
+        if row.coeff(b) != _ONE:
+            raise AssertionError(
+                f"bar matrix is not unitriangular: diagonal {row.coeff(b)} at {b!r}")
+    coeffs = [_ZERO] * m + [_ONE]
+    bars = [_ZERO] * m + [_ONE]
+    for j in range(m - 1, -1, -1):
+        x = basis[j]
+        d = _ZERO
+        for i in range(j + 1, m + 1):
+            if bars[i]:
+                r = rows[i].coeff(x)
+                if r:
+                    d = d + bars[i] * r
+        # solve c - bar(c) = d with c strictly negative
+        if d.coeff(0):
+            raise AssertionError(
+                f"bar matrix lost unitriangularity: c - bar(c) = {d} at {x!r}")
+        coeffs[j] = d.negative_part()
+        bars[j] = coeffs[j].bar()
+    return {b: c for b, c in zip(basis, coeffs[:m]) if c}
+
+
+class _Top:
+    """Heap entry that pops the largest sort key first."""
+
+    __slots__ = ("k", "w")
+
+    def __init__(self, k, w):
+        self.k = k
+        self.w = w
+
+    def __lt__(self, other):
+        return self.k > other.k
+
+
+def peel(coords: dict, expand, key, stop=None) -> dict:
+    """Coordinates of `coords` in a basis unitriangular over its keys.
+
+    Repeatedly takes the top key under `key`, records its coefficient c and
+    subtracts c * expand(top); expand(top) must carry coefficient 1 on top.
+    When stop(top) is true the peel ends with top still in `coords`.
+    `coords` is consumed in place: on return it holds the residual, empty
+    unless stop fired.  Returns top -> c in descending key order.
+    """
+    heap = [_Top(key(w), w) for w in coords]
+    heapify(heap)
+    out = {}
+    while heap:
+        top = heappop(heap).w
+        c = coords.get(top)
+        if c is None:
+            continue  # the term cancelled after it was queued
+        if stop is not None and stop(top):
+            break
+        del coords[top]
+        out[top] = c
+        neg = -c
+        monic = False
+        for w, pc in expand(top).items():
+            if w == top:
+                monic = pc == _ONE
+                continue
+            if w not in coords:
+                heappush(heap, _Top(key(w), w))
+            accumulate(coords, w, neg * pc)
+        if not monic:
+            raise AssertionError(f"expansion of {top!r} does not carry coefficient 1 on it")
+    return out

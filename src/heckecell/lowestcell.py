@@ -7,19 +7,20 @@ box is found by a wall-crossing search; membership and factorization run a
 finite search over B_0 so that uniqueness is an observable fact rather
 than an assumption.
 
-Relative KL polynomials are computed on the abstract module with basis
-indexed by the minimal coset representatives X_0, using the three-case
-generator action; no C_{w_0 y} is ever expanded, which is also what makes
-the y-independence of the construction meaningful to test.
+Relative KL polynomials are computed on the module with basis indexed by
+the minimal coset representatives X_0.  Its bar involution comes from the
+T-basis: bar(T_x) is expanded and each term T_{x' v} (x' in X_0, v in W_0)
+is projected to q^{L(v)} T_{x'}, since T_v C_{w_0 y} = q^{L(v)} C_{w_0 y}.
+No C_{w_0 y} is expanded and no y enters, which is what makes the
+y-independence of the construction meaningful to test.
 """
 
 from __future__ import annotations
 
-from .hecke import Hecke, HeckeElt, _acc
-from .laurent import LaurentPoly
+from .hecke import Hecke, HeckeElt
+from .laurent import LaurentCombination, LaurentPoly, accumulate, peel, solve_unitriangular
 from .weyl import GroupElement
 
-_ZERO = LaurentPoly.zero()
 _ONE = LaurentPoly.one()
 
 
@@ -140,12 +141,6 @@ class LowestCell:
             else:
                 return w, v
 
-    def x0_elements_below(self, x: GroupElement):
-        """{x' in X_0 : x' <= x}, sorted."""
-        out = [y for y in self.weyl.bruhat_interval(x) if self.is_in_x0(y)]
-        out.sort(key=self.weyl.sort_key)
-        return out
-
     # -- membership and factorization ----------------------------------------------
 
     def descend_to_lowest(self, z: GroupElement) -> GroupElement:
@@ -215,76 +210,38 @@ class LowestCell:
         """The family x' -> p_{x',x} over x' in X_0 making
         T_x C_{w_0 y} + sum p_{x',x} T_{x'} C_{w_0 y} bar-invariant.
 
-        Runs on the abstract module with basis X_0; the three generator
-        cases are the transition rules, so no y enters anywhere.
+        Solved on the X_0 module (see the module docstring), so no y enters
+        anywhere.  Strictly lower part only; the leading coefficient 1 is
+        implicit.
         """
-        hit = self._relkl_cache.get(x)
-        if hit is not None:
-            return hit
-        if not self.is_in_x0(x):
-            raise ValueError(f"{x!r} is not a minimal coset representative")
-        basis = self.x0_elements_below(x)
-        rows = [self._module_bar(y) for y in basis]
-        m = len(basis) - 1
-        assert basis[m] == x
-        coeffs = [_ZERO] * m + [_ONE]
-        for j in range(m - 1, -1, -1):
-            d = _ZERO
-            for i in range(j + 1, m + 1):
-                if coeffs[i]:
-                    r = rows[i].get(basis[j])
-                    if r:
-                        d = d + coeffs[i].bar() * r
-            assert d.coeff(0) == 0
-            coeffs[j] = d.negative_part()
-        # strictly lower part only; the leading coefficient 1 is implicit
-        out = {y: c for y, c in zip(basis[:-1], coeffs[:-1]) if c}
-        self._relkl_cache[x] = out
-        return out
-
-    def _module_bar(self, y: GroupElement) -> dict:
-        """bar(T_y C) projected to the X_0 module: expand bar(T_y) and push
-        each T_{x v} to q^{L(v)} T_x."""
-        ws = self.ws
-        out = {}
-        for w, c in self.hecke.bar_t(y).items():
-            x, v = self.x0_part(w)
-            _acc(out, x, c * LaurentPoly.q_power(ws.finite_weight(v.finite)))
-        return out
+        return self._relative_kl(x, self.is_in_x0, self.x0_part, self._relkl_cache)
 
     def relative_kl_right(self, x: GroupElement) -> dict:
         """Right-handed family x' -> p^r_{x',x} over x' in X_0^-1 (the
         mirrored module C_{z w_0} T_x), computed independently of flat."""
-        hit = self._relkl_cache_r.get(x)
+        return self._relative_kl(x, self.is_in_x0_inv, self._right_coset_part,
+                                 self._relkl_cache_r)
+
+    def _relative_kl(self, x: GroupElement, in_module, coset_part, cache) -> dict:
+        """Solve on the module whose basis is the representatives below x:
+        bar(T_y) is expanded and each term T_w, w = (x', v) by coset_part,
+        is pushed to q^{L(v)} T_{x'}."""
+        hit = cache.get(x)
         if hit is not None:
             return hit
-        if not self.is_in_x0_inv(x):
-            raise ValueError(f"{x!r} is not a minimal right-coset representative")
-        basis = [y for y in self.weyl.bruhat_interval(x) if self.is_in_x0_inv(y)]
-        basis.sort(key=self.weyl.sort_key)
+        if not in_module(x):
+            raise ValueError(f"{x!r} is not a minimal coset representative")
         ws = self.ws
+        basis = [y for y in self.weyl.bruhat_interval(x) if in_module(y)]
+        basis.sort(key=self.weyl.sort_key)
         rows = []
         for y in basis:
             row = {}
             for w, c in self.hecke.bar_t(y).items():
-                # mirrored projection: w = v . x' with v finite
-                x_part, v = self._right_coset_part(w)
-                _acc(row, x_part, c * LaurentPoly.q_power(ws.finite_weight(v.finite)))
-            rows.append(row)
-        m = len(basis) - 1
-        assert basis[m] == x
-        coeffs = [_ZERO] * m + [_ONE]
-        for j in range(m - 1, -1, -1):
-            d = _ZERO
-            for i in range(j + 1, m + 1):
-                if coeffs[i]:
-                    r = rows[i].get(basis[j])
-                    if r:
-                        d = d + coeffs[i].bar() * r
-            assert d.coeff(0) == 0
-            coeffs[j] = d.negative_part()
-        out = {y: c for y, c in zip(basis[:-1], coeffs[:-1]) if c}
-        self._relkl_cache_r[x] = out
+                rep, v = coset_part(w)
+                accumulate(row, rep, c * LaurentPoly.q_power(ws.finite_weight(v.finite)))
+            rows.append(LaurentCombination(row))
+        cache[x] = out = solve_unitriangular(x, basis, rows)
         return out
 
     def _right_coset_part(self, w: GroupElement):
@@ -317,15 +274,11 @@ class LowestCell:
         return self._p_from(self.weyl.translation(omega))
 
     def _p_from(self, x: GroupElement) -> HeckeElt:
-        d = {y: c for y, c in self.relative_kl(x).items()}
-        d[x] = _ONE
-        return HeckeElt(d)
+        return HeckeElt({**self.relative_kl(x), x: _ONE})
 
     def p_element_right(self, x: GroupElement) -> HeckeElt:
         """P_R(x) for x in B_0^-1 or x = p_omega^-1, right-handed route."""
-        d = {y: c for y, c in self.relative_kl_right(x).items()}
-        d[x] = _ONE
-        return HeckeElt(d)
+        return HeckeElt({**self.relative_kl_right(x), x: _ONE})
 
     def p_element_tau(self, tau) -> HeckeElt:
         """P(tau): ordered product of the P(omega_i), ascending index."""
@@ -396,13 +349,8 @@ class LowestCell:
             if over > length_bound:
                 raise BoundExceeded(f"support length {over} exceeds bound {length_bound}")
         test = tests[which]
-        coords = {}
-        rest = h
-        while not rest.is_zero():
-            top = max(rest.support(), key=self.weyl.sort_key)
-            if not test(top):
-                return False, rest
-            c = rest.coeff(top)
-            coords[top] = c
-            rest = rest - self.hecke.kl_basis(top).scale(c)
+        rest = dict(h.items())
+        coords = peel(rest, self.hecke.kl_basis, self.weyl.sort_key, stop=lambda w: not test(w))
+        if rest:
+            return False, HeckeElt(rest)
         return True, coords

@@ -43,9 +43,6 @@ class PosRoot:
         self.even_weight = even_weight
         self.odd_weight = odd_weight
 
-    def max_weight(self) -> int:
-        return max(self.even_weight, self.odd_weight)
-
     def level_weight(self, k: int) -> int:
         return self.even_weight if k % 2 == 0 else self.odd_weight
 
@@ -353,17 +350,6 @@ class WeightSystem:
     def finite_weight(self, u: int) -> int:
         """L(u) for u in W_0, summed over any reduced word."""
         return sum(self.params[self.simple_to_gen[i]] for i in self.w0_words[u])
-
-    def describe(self) -> dict:
-        return {
-            "type": self.cartan_type,
-            "rank": self.rank,
-            "params": list(self.params),
-            "b": list(self.b),
-            "pi_order": self.pi_order,
-            "nu_L": self.nu_L,
-            "w0_size": self.w0_size,
-        }
 
     @staticmethod
     def from_config(cfg: dict) -> "WeightSystem":

@@ -89,8 +89,3 @@ def hecke_text(weyl: Weyl, h: HeckeElt) -> str:
 
 def weight_text(lam) -> str:
     return "(" + ",".join(str(x) for x in lam) + ")"
-
-
-def parse_weight(text: str):
-    text = text.strip().strip("()[]")
-    return tuple(int(t) for t in text.split(",")) if text else ()

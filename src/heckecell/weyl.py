@@ -435,11 +435,6 @@ class Weyl:
             _floor(self.point_pairing(point, r)) for r in self.ws.positive_roots
         )
 
-    def element_pairing_interval(self, w: GroupElement, root):
-        """The open unit interval (c, c+1) of pairings of w's alcove."""
-        c = self._root_shift(w, root)
-        return c
-
     def alcove_walk(self, word, pi_idx: int = 0) -> Alcove:
         """Walk the faces named by the word, starting from A_0.
 

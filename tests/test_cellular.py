@@ -3,7 +3,7 @@ import random
 import pytest
 
 from heckecell.cellular import CellularElt, CellularStructure, MonoidAlgebraElt
-from heckecell.hecke import Hecke
+from heckecell.hecke import Hecke, HeckeElt
 from heckecell.laurent import LaurentPoly
 from heckecell.lowestcell import LowestCell
 from heckecell.rootdata import WeightSystem
@@ -26,6 +26,8 @@ def test_monoid_algebra():
     prod = a * b
     assert prod.coeff((1, 1)) == one
     assert prod.coeff((2, 0)) == LaurentPoly.q_power(1)
+    # one sparse type underneath, but elements of different algebras never compare equal
+    assert MonoidAlgebraElt() != CellularElt() and HeckeElt() != CellularElt()
 
 
 def test_phi_rank1():

@@ -1,6 +1,14 @@
 import json
+import pathlib
+
+import pytest
 
 from heckecell.cli import main
+
+# stdout of `cellular-basis --type C --rank 2 --params P --length-bound 12
+# --output json`, keyed by P, as recorded before the sparse-algebra merge
+GOLDEN_C2 = json.loads(
+    (pathlib.Path(__file__).parent / "golden_cellular_basis_c2.json").read_text())
 
 
 def run(capsys, *argv):
@@ -117,3 +125,12 @@ def test_verify_suite_passes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "type-a-paths")
     assert code == 0
     assert "3/3 checks passed" in out
+
+
+@pytest.mark.parametrize("params", sorted(GOLDEN_C2))
+def test_cellular_basis_c2_golden(capsys, params):
+    # unequal parameters: pins phi_form's peel and decompose_P_tau in C2
+    code, out, _ = run(capsys, "cellular-basis", "--type", "C", "--rank", "2",
+                       "--params", params, "--length-bound", "12", "--output", "json")
+    assert code == 0
+    assert out == json.dumps(GOLDEN_C2[params], indent=2, sort_keys=True) + "\n"

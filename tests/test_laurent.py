@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from heckecell.laurent import NEG_INF, LaurentPoly, xi
+from heckecell.laurent import (
+    NEG_INF, LaurentCombination, LaurentPoly, peel, solve_unitriangular, xi,
+)
 
 
 def P(d):
@@ -98,3 +100,31 @@ def test_text_and_json_forms():
     assert LaurentPoly.from_json(p.to_json()) == p
     assert str(LaurentPoly.zero()) == "0"
     assert str(P({-3: -4})) == "-4*q^-3"
+
+
+def test_solve_unitriangular_rejects_non_unitriangular_rows():
+    one, L = LaurentPoly.one(), LaurentCombination
+    # bar(b) = b + (q - q^-1) a: the lift is b - q^-1 a
+    rows = [L({"a": one}), L({"b": one, "a": P({1: 1, -1: -1})})]
+    assert solve_unitriangular("b", ["a", "b"], rows) == {"a": P({-1: -1})}
+    for bad in (
+        [L({"a": one}), L({"b": one, "a": one})],  # c - bar(c) = 1 has no solution
+        [L({"a": P({0: 2})}), rows[1]],  # diagonal entry 2
+    ):
+        with pytest.raises(AssertionError, match="unitriangular"):
+            solve_unitriangular("b", ["a", "b"], bad)
+    with pytest.raises(AssertionError, match="maximum"):
+        solve_unitriangular("a", ["a", "b"], rows)
+
+
+def test_peel_rejects_non_monic_expansion():
+    one = LaurentPoly.one()
+    basis = {"b": {"b": one, "a": one}, "a": {"a": one}}
+    coords = {"a": P({0: 3}), "b": one}
+    assert list(peel(coords, basis.get, str).items()) == [("b", one), ("a", P({0: 2}))]
+    assert coords == {}
+    coords = {"a": P({0: 3}), "b": one}
+    assert peel(coords, basis.get, str, stop=lambda w: w == "a") == {"b": one}
+    assert coords == {"a": P({0: 2})}
+    with pytest.raises(AssertionError, match="coefficient 1"):
+        peel({"b": one}, {"b": {"b": P({0: 2}), "a": one}}.get, str)

@@ -244,6 +244,10 @@ def test_ideal_membership_negative():
     hecke, weyl = LA2.hecke, LA2.weyl
     ok, residual = LA2.ideal_membership(hecke.unit(), "M_0")
     assert not ok and not residual.is_zero()
+    # the peel stops at T_e, after taking C_{w_0} off the mixed input
+    ok, residual = LA2.ideal_membership(hecke.kl_basis(weyl.longest_finite) + hecke.unit(),
+                                        "M_plus")
+    assert not ok and residual == hecke.unit()
     with pytest.raises(ValueError):
         LA2.ideal_membership(hecke.unit(), "M_wrong")
 
