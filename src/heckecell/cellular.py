@@ -285,13 +285,12 @@ class CellularStructure:
         """max over x <= p_omega and v in W_0 of the deepest level of a
         hyperplane of the given direction separating A_0 from x v A_0."""
         ws, weyl = self.ws, self.weyl
-        root = ws.positive_roots[root_index]
         p = weyl.translation(tuple(omega))
         best = 0
         for x in weyl.bruhat_interval(p):
             for u in range(ws.w0_size):
                 g = x * weyl.finite_element(u)
-                c = weyl._root_shift(g, root)
+                c = weyl.root_shifts(g)[root_index]
                 val = c if c >= 1 else (-(c + 1) if c <= -1 else 0)
                 if val > best:
                     best = val

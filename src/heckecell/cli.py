@@ -20,33 +20,18 @@ from . import paths, serialize, verification
 USAGE_ERROR = 2
 
 
-class RunConfig:
-    """Validated run parameters shared by every subcommand."""
-
-    def __init__(self, cartan_type, rank, params, length_bound, output, seed):
-        if params is None:
-            params = [1] * (rank + 1)
-        self.ws = WeightSystem(cartan_type, rank, params)
-        self.length_bound = length_bound
-        self.output = output
-        self.seed = seed
-
-    @staticmethod
-    def from_args(args) -> "RunConfig":
-        return RunConfig(
-            args.type, args.rank, args.params,
-            args.length_bound, args.output, args.seed,
-        )
-
-
-def _add_common(p):
+def _add_weights(p):
+    """The weight-system and output flags of every subcommand but verify."""
     p.add_argument("--type", choices=["A", "C"], default="A")
     p.add_argument("--rank", type=int, default=2)
     p.add_argument("--params", type=_int_list, default=None,
                    help="generator weights L(s_0),...,L(s_n), comma separated")
-    p.add_argument("--length-bound", type=int, default=12)
     p.add_argument("--output", choices=["json", "text"], default="text")
-    p.add_argument("--seed", type=int, default=0)
+
+
+def _weight_system(args) -> WeightSystem:
+    params = args.params if args.params is not None else [1] * (args.rank + 1)
+    return WeightSystem(args.type, args.rank, params)
 
 
 def _int_list(text):
@@ -62,35 +47,37 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("kl", help="Kazhdan-Lusztig basis element C_w")
-    _add_common(p)
+    _add_weights(p)
     p.add_argument("--w", required=True, help="element: [i,...], pi^k*[i,...] or JSON")
 
     p = sub.add_parser("cell-factor", help="factor w as z p_tau w_0 z'^-1")
-    _add_common(p)
+    _add_weights(p)
     p.add_argument("--w", required=True)
 
     p = sub.add_parser("cellular-basis", help="phi matrix and KL decompositions")
-    _add_common(p)
+    _add_weights(p)
+    p.add_argument("--length-bound", type=int, default=12,
+                   help="decompose P(tau) for l(p_tau w_0) up to this length")
 
     p = sub.add_parser("paths", help="type-A path profile")
-    _add_common(p)
+    _add_weights(p)
     p.add_argument("--m", type=_int_list, required=True,
                    help="path type: fundamental weight indices, e.g. 1,1,2,2")
     p.add_argument("--witnesses", action="store_true")
 
     p = sub.add_parser("verify", help="run an acceptance suite")
-    _add_common(p)
     p.add_argument("--suite", required=True,
                    help=f"one of: {', '.join(sorted(verification.SUITES))}")
+    p.add_argument("--seed", type=int, default=0)
     return ap
 
 
-def cmd_kl(cfg: RunConfig, args) -> int:
-    weyl = Weyl(cfg.ws)
+def cmd_kl(args) -> int:
+    weyl = Weyl(_weight_system(args))
     hecke = Hecke(weyl)
     w = serialize.parse_element(weyl, args.w)
     cw = hecke.kl_basis(w)
-    if cfg.output == "json":
+    if args.output == "json":
         print(json.dumps({
             "w": serialize.element_json(weyl, w),
             "C_w": serialize.hecke_json(weyl, cw),
@@ -101,14 +88,14 @@ def cmd_kl(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_cell_factor(cfg: RunConfig, args) -> int:
-    weyl = Weyl(cfg.ws)
+def cmd_cell_factor(args) -> int:
+    weyl = Weyl(_weight_system(args))
     lowest = LowestCell(Hecke(weyl))
     w = serialize.parse_element(weyl, args.w)
     try:
         f = lowest.factorize(w)
     except NotInLowestCell:
-        if cfg.output == "json":
+        if args.output == "json":
             print(json.dumps({"member": False}))
         else:
             print("not in c_0")
@@ -119,7 +106,7 @@ def cmd_cell_factor(cfg: RunConfig, args) -> int:
         "tau": list(f.tau),
         "zprime": serialize.element_json(weyl, f.zprime),
     }
-    if cfg.output == "json":
+    if args.output == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(f"z      = {serialize.element_text(weyl, f.z)}")
@@ -128,8 +115,8 @@ def cmd_cell_factor(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_cellular_basis(cfg: RunConfig, args) -> int:
-    weyl = Weyl(cfg.ws)
+def cmd_cellular_basis(args) -> int:
+    weyl = Weyl(_weight_system(args))
     lowest = LowestCell(Hecke(weyl))
     cs = CellularStructure(lowest)
     b0 = lowest.box_elements()
@@ -141,7 +128,7 @@ def cmd_cellular_basis(cfg: RunConfig, args) -> int:
                 serialize.weight_text(t): str(c)
                 for t, c in sorted(cs.phi_form(z, zp).items())
             }
-    budget = max(cfg.length_bound - weyl.longest_finite.length(), 0)
+    budget = max(args.length_bound - weyl.longest_finite.length(), 0)
     decomps = {}
     for tau in sorted(cs.dominant_weights_up_to(budget)):
         prof = cs.decompose_P_tau(tau)
@@ -149,7 +136,7 @@ def cmd_cellular_basis(cfg: RunConfig, args) -> int:
             serialize.weight_text(lam): m for lam, m in sorted(prof.items())
         }
     payload = {"phi": phi, "decompositions": decomps}
-    if cfg.output == "json":
+    if args.output == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print("phi matrix:")
@@ -161,12 +148,13 @@ def cmd_cellular_basis(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_paths(cfg: RunConfig, args) -> int:
-    if cfg.ws.cartan_type != "A":
+def cmd_paths(args) -> int:
+    ws = _weight_system(args)
+    if ws.cartan_type != "A":
         raise ValueError("path profiles are a type-A feature")
     m = paths.PathType(args.m)
-    m.validate(cfg.ws)
-    profile = paths.full_profile(cfg.ws, m)
+    m.validate(ws)
+    profile = paths.full_profile(ws, m)
     payload = {
         "m": list(m.steps),
         "profile": {
@@ -176,11 +164,11 @@ def cmd_paths(cfg: RunConfig, args) -> int:
     if args.witnesses:
         payload["witnesses"] = {
             serialize.weight_text(g): [
-                [list(step) for step in p] for p in paths.enumerate_paths(cfg.ws, m, g)
+                [list(step) for step in p] for p in paths.enumerate_paths(ws, m, g)
             ]
             for g in sorted(profile)
         }
-    if cfg.output == "json":
+    if args.output == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(f"profile for type {payload['m']}:")
@@ -194,9 +182,9 @@ def cmd_paths(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig, args) -> int:
+def cmd_verify(args) -> int:
     try:
-        checks = verification.run_suite(args.suite, seed=cfg.seed)
+        checks = verification.run_suite(args.suite, seed=args.seed)
     except KeyError:
         print(f"unknown suite {args.suite!r}; choose from "
               f"{', '.join(sorted(verification.SUITES))}", file=sys.stderr)
@@ -226,8 +214,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return USAGE_ERROR if e.code not in (0, None) else 0
     try:
-        cfg = RunConfig.from_args(args)
-        return COMMANDS[args.command](cfg, args)
+        return COMMANDS[args.command](args)
     except (ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR

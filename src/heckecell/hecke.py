@@ -37,7 +37,7 @@ class Hecke:
         self.ws = weyl.ws
         self.xi = tuple(xi(p) for p in self.ws.params)
         self._lock = threading.RLock()
-        self._bar_cache = {}
+        self._bar_cache = {weyl.identity: self.t(weyl.identity)}
         self._kl_cache = {}
 
     # -- basic constructors ---------------------------------------------------
@@ -95,27 +95,35 @@ class Hecke:
     # -- involutions ---------------------------------------------------------------
 
     def bar_t(self, w: GroupElement) -> HeckeElt:
-        """bar(T_w) = (T_{w^-1})^-1, cached and computed along a reduced word."""
+        """bar(T_w) = (T_{w^-1})^-1, cached and computed along a reduced word.
+
+        Walks down the chain w -> tail (strip pi, then the first letter) to
+        a cached element (at worst e), then builds back up, caching each link.
+        """
         hit = self._bar_cache.get(w)
         if hit is not None:
             return hit
         with self._lock:
-            hit = self._bar_cache.get(w)
-            if hit is not None:
-                return hit
-            pi_idx, word = self.weyl.reduced_word(w)
-            if pi_idx:
-                # bar(T_pi T_w') = T_pi bar(T_w')
-                pi = self.weyl.pi_elements[pi_idx]
-                out = self.mul_pi("left", pi, self.bar_t(pi.inverse() * w))
-            elif not word:
-                out = self.t(w)
-            else:
-                # bar(T_s T_rest) = (T_s - xi_s) bar(T_rest)
-                i = word[0]
-                tail = self.bar_t(self.weyl.from_word(0, word[1:]))
-                out = self.mul_gen("left", i, tail) - tail.scale(self.xi[i])
-            self._bar_cache[w] = out
+            weyl = self.weyl
+            chain = []
+            while w not in self._bar_cache:
+                chain.append(w)
+                pi_idx, word = weyl.reduced_word(w)
+                if pi_idx:
+                    w = weyl.pi_elements[pi_idx].inverse() * w
+                else:
+                    w = weyl.gen_mul_left(word[0], w)
+            out = self._bar_cache[w]
+            for w in reversed(chain):
+                pi_idx, word = weyl.reduced_word(w)
+                if pi_idx:
+                    # bar(T_pi T_w') = T_pi bar(T_w')
+                    out = self.mul_pi("left", weyl.pi_elements[pi_idx], out)
+                else:
+                    # bar(T_s T_rest) = (T_s - xi_s) bar(T_rest)
+                    i = word[0]
+                    out = self.mul_gen("left", i, out) - out.scale(self.xi[i])
+                self._bar_cache[w] = out
             return out
 
     def bar(self, h: HeckeElt) -> HeckeElt:
@@ -228,10 +236,8 @@ class Hecke:
         """The separating-hyperplane sets H_{x,y}, I_{x,y} and the degree
         bound c_{x,y} = sum over directions of the max weight in H_{x,y}."""
         weyl = self.weyl
-        a0 = weyl.alcove_of(weyl.identity)
-        ay = weyl.alcove_of(y)
-        axy = weyl.alcove_of(x * y)
-        h_set = weyl.separating_hyperplanes(a0, ay) & weyl.separating_hyperplanes(ay, axy)
+        h_set = (weyl.separating_hyperplanes(weyl.identity, y)
+                 & weyl.separating_hyperplanes(y, x * y))
         c_per = {}
         for r_idx, k in h_set:
             root = self.ws.positive_roots[r_idx]

@@ -128,9 +128,6 @@ class LaurentPoly:
         """Max exponent, or -inf for the zero polynomial."""
         return max(self._c) if self._c else NEG_INF
 
-    def valuation(self):
-        return min(self._c) if self._c else NEG_INF
-
     def in_strictly_negative(self) -> bool:
         """True iff the polynomial lies in q^-1 Z[q^-1]."""
         return all(e < 0 for e in self._c)

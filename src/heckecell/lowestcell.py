@@ -68,14 +68,6 @@ class LowestCell:
 
     # -- the box B_0 -----------------------------------------------------------
 
-    def _in_box(self, point) -> bool:
-        ws = self.ws
-        for k in range(ws.rank):
-            v = self.weyl.point_pairing(point, ws.simple_roots[k])
-            if not (0 < v < ws.b[k]):
-                return False
-        return True
-
     def box_elements(self):
         """B_0: all extended elements whose alcove lies in the b-box."""
         if self._b0 is not None:
@@ -92,7 +84,7 @@ class LowestCell:
                     if g in seen:
                         continue
                     seen.add(g)
-                    if self._in_box(weyl.alcove_of(g).point):
+                    if self.in_box(g):
                         found.append(g)
                         nxt.append(g)
             frontier = nxt
@@ -104,9 +96,10 @@ class LowestCell:
         return self._b0
 
     def in_box(self, z: GroupElement) -> bool:
-        pi = self.weyl.pi_part(z)
-        wa = pi.inverse() * z
-        return self._in_box(self.weyl.alcove_of(wa).point)
+        """0 < <x, alpha_k^v> < b_k on the alcove of z, per simple root k
+        (simple roots come first among the root shifts)."""
+        shifts = self.weyl.root_shifts(z)
+        return all(0 <= shifts[k] < b for k, b in enumerate(self.ws.b))
 
     # -- coset representatives ---------------------------------------------------
 

@@ -199,6 +199,7 @@ class WeightSystem:
         self.w0_index = index
         self.w0_size = size
         self.w0_words = words  # a reduced word per element, in simple indices
+        self.w0_simple_index = tuple(index[m] for m in simple_mats)
         self.w0_mult = [
             [index[matmul(mats[a], mats[b])] for b in range(size)] for a in range(size)
         ]
@@ -230,7 +231,8 @@ class WeightSystem:
             lengths.append(neg)
         self.w0_length = lengths
         self.longest_index = max(range(size), key=lambda u: lengths[u])
-        assert lengths[self.longest_index] == len(self.positive_roots)
+        if lengths[self.longest_index] != len(self.positive_roots):
+            raise AssertionError("the longest element of W_0 must negate every positive root")
 
     def _build_lattices(self):
         n = self.rank
@@ -342,7 +344,8 @@ class WeightSystem:
         for lam in _cartesian(range(-bound, bound + 1), repeat=self.rank):
             if self.point_weight(lam) == self.nu_L:
                 out.add(lam)
-        assert (0,) * self.rank in out
+        if (0,) * self.rank not in out:
+            raise AssertionError("the origin must be a special point")
         return out
 
     # -- misc ----------------------------------------------------------------

@@ -6,9 +6,12 @@ map w |-> (its alcove A_0.w) identifies the group with the set of extended
 alcoves, and length, descent sets and reduced words all come from the
 closed-form hyperplane count on the normal form.
 
-An independent alcove-walk oracle (exact rational base points, walking the
-fixed generator reflections) is provided for cross-validation; production
-code never depends on it.
+Alcove position is integer throughout: root_shifts gives, per positive
+root, the strip between consecutive hyperplanes that holds the alcove of w,
+and length, weight, Pi and the separating hyperplanes are read from it.
+An independent alcove-walk oracle (exact Fraction points, walking the fixed
+generator reflections, locating points and weighing hyperplanes) is kept
+for cross-validation only; production code never depends on it.
 """
 
 from __future__ import annotations
@@ -113,28 +116,17 @@ class Weyl:
         # Generators indexed by the user labels 0..n.
         gens = [None] * ws.num_gens
         for k in range(n):
-            mat_idx = ws.w0_index[self._simple_matrix(k)]
-            gens[ws.simple_to_gen[k]] = self.element(mat_idx, zero)
+            gens[ws.simple_to_gen[k]] = self.element(ws.w0_simple_index[k], zero)
         hcr = ws.highest_coroot_root
         aff_mat = self._reflection_matrix(hcr)
         gens[ws.affine_gen] = self.element(ws.w0_index[aff_mat], hcr.vector)
         self.gens = tuple(gens)
 
         self.base_point = self._fundamental_point()
-        self._base_pairings = self._precompute_base_pairings()
         self._build_pi()
         self._leq_cache = {}
 
     # -- raw construction helpers -------------------------------------------
-
-    def _simple_matrix(self, k):
-        ws = self.ws
-        n = ws.rank
-        alpha = ws.simple_roots[k].vector
-        return tuple(
-            tuple((1 if r == c else 0) - (1 if r == k else 0) * alpha[c] for c in range(n))
-            for r in range(n)
-        )
 
     def _reflection_matrix(self, root):
         ws = self.ws
@@ -151,38 +143,25 @@ class Weyl:
         n = ws.rank
         return tuple(Fraction(1, m[j] * (n + 1)) for j in range(n))
 
-    def _precompute_base_pairings(self):
-        ws = self.ws
-        out = []
-        for u in range(ws.w0_size):
-            mat = ws.w0_mats[u]
-            pt = tuple(
-                sum(self.base_point[k] * mat[k][c] for k in range(ws.rank))
-                for c in range(ws.rank)
-            )
-            out.append(tuple(
-                sum(pt[i] * r.covector[i] for i in range(ws.rank))
-                for r in ws.positive_roots
-            ))
-        return out
-
     def _build_pi(self):
-        """Length-zero elements: the stabilizer of A_0, isomorphic to P/Q."""
+        """Length-zero elements: the stabilizer of A_0, isomorphic to P/Q.
+
+        pi = (u, lam) has shift lam_k - [alpha_k . u^-1 < 0] at the simple
+        root alpha_k, so all simple shifts vanish exactly for the lam below.
+        """
         ws = self.ws
-        pts = self.base_point
         candidates = []
         for u in range(ws.w0_size):
-            img = tuple(
-                sum(pts[k] * ws.w0_mats[u][k][c] for k in range(ws.rank))
-                for c in range(ws.rank)
-            )
-            lam = tuple(p - q for p, q in zip(pts, img))
-            if all(x.denominator == 1 for x in lam):
-                lam_i = tuple(int(x) for x in lam)
-                if ws.in_lattice(lam_i):
-                    candidates.append(self.element(u, lam_i))
+            signs = ws.w0_root_action[ws.w0_inv[u]]
+            lam = tuple(int(signs[k][1] < 0) for k in range(ws.rank))
+            if ws.in_lattice(lam):
+                g = self.element(u, lam)
+                if g.length() == 0:
+                    candidates.append(g)
         candidates.sort(key=lambda g: g.translation)
-        assert len(candidates) == ws.pi_order, "Pi does not match P/Q"
+        if len(candidates) != ws.pi_order:
+            raise AssertionError(
+                f"{len(candidates)} length-zero elements, but |P/Q| = {ws.pi_order}")
         self.pi_elements = tuple(candidates)
         self._pi_by_class = {
             ws.coset_key(g.translation): i for i, g in enumerate(self.pi_elements)
@@ -274,27 +253,33 @@ class Weyl:
     def longest_finite(self) -> GroupElement:
         return self.finite_element(self.ws.longest_index)
 
-    # -- length and weight ----------------------------------------------------
+    # -- alcove position: length, weight, separating hyperplanes ---------------
 
-    def _root_shift(self, w: GroupElement, root):
-        """c such that the alcove of w has pairings in (c, c+1) with root."""
+    def root_shifts(self, w: GroupElement) -> tuple:
+        """Per positive root alpha, the integer c with <x, alpha^v> in
+        (c, c+1) for every x in the alcove of w: its position in closed form."""
         ws = self.ws
-        c = ws.pairing(w.translation, root)
-        ui = ws.w0_inv[w.finite]
-        _, sign = ws.w0_root_action[ui][root.index]
-        return c - (1 if sign < 0 else 0)
+        signs = ws.w0_root_action[ws.w0_inv[w.finite]]
+        lam = w.translation
+        return tuple(
+            ws.pairing(lam, r) - (signs[r.index][1] < 0) for r in ws.positive_roots
+        )
 
     def length(self, w: GroupElement) -> int:
+        """Number of hyperplanes between A_0 and the alcove of w: the sum of
+        |root_shifts(w)|, summed here without building the tuple."""
+        ws = self.ws
+        signs = ws.w0_root_action[ws.w0_inv[w.finite]]
+        lam = w.translation
         total = 0
-        for root in self.ws.positive_roots:
-            total += abs(self._root_shift(w, root))
+        for r in ws.positive_roots:
+            total += abs(ws.pairing(lam, r) - (signs[r.index][1] < 0))
         return total
 
     def weight_length(self, w: GroupElement) -> int:
         """L(w): sum of hyperplane weights over all walls crossed."""
         total = 0
-        for root in self.ws.positive_roots:
-            c = self._root_shift(w, root)
+        for root, c in zip(self.ws.positive_roots, self.root_shifts(w)):
             if c >= 1:
                 lo, hi = 1, c
             elif c <= -1:
@@ -304,6 +289,16 @@ class Weyl:
             evens = hi // 2 - (lo - 1) // 2
             total += evens * root.even_weight + (hi - lo + 1 - evens) * root.odd_weight
         return total
+
+    def separating_hyperplanes(self, x: GroupElement, y: GroupElement):
+        """All (root index, level k) with H_{alpha,k} strictly between the
+        alcoves of x and y."""
+        out = set()
+        shifts = zip(self.ws.positive_roots, self.root_shifts(x), self.root_shifts(y))
+        for r, cx, cy in shifts:
+            lo, hi = (cx, cy) if cx < cy else (cy, cx)
+            out.update((r.index, k) for k in range(lo + 1, hi + 1))
+        return out
 
     def gen_weight(self, i: int) -> int:
         return self.ws.params[i]
@@ -364,23 +359,36 @@ class Weyl:
         return self._leq(pi_inv * x, pi_inv * y)
 
     def _leq(self, x: GroupElement, y: GroupElement) -> bool:
-        if x == y:
-            return True
-        lx, ly = x.length(), y.length()
-        if lx >= ly:
-            return False
-        key = (x, y)
-        hit = self._leq_cache.get(key)
-        if hit is not None:
-            return hit
-        for i in range(self.ws.num_gens):
-            ys = self.gen_mul_right(y, i)
-            if ys.length() < ly:
-                xs = self.gen_mul_right(x, i)
-                res = self._leq(xs, ys) if xs.length() < lx else self._leq(x, ys)
-                self._leq_cache[key] = res
-                return res
-        raise AssertionError("unreachable")
+        """Walk down a right descent s of y (and of x, when x has it too)
+        until the pair is decided; every pair passed gets the verdict."""
+        cache = self._leq_cache
+        passed = []
+        while True:
+            if x == y:
+                res = True
+                break
+            lx, ly = x.length(), y.length()
+            if lx >= ly:
+                res = False
+                break
+            key = (x, y)
+            res = cache.get(key)
+            if res is not None:
+                break
+            passed.append(key)
+            for i in range(self.ws.num_gens):
+                ys = self.gen_mul_right(y, i)
+                if ys.length() < ly:
+                    xs = self.gen_mul_right(x, i)
+                    if xs.length() < lx:
+                        x = xs
+                    y = ys
+                    break
+            else:
+                raise AssertionError("no right descent found below nonzero length")
+        for key in passed:
+            cache[key] = res
+        return res
 
     def bruhat_interval(self, w: GroupElement):
         """All y <= w, via subword products of one reduced word of w."""
@@ -413,18 +421,7 @@ class Weyl:
         for w in out:
             yield w
 
-    # -- alcoves and the walk oracle --------------------------------------------
-
-    def alcove_of(self, w: GroupElement) -> Alcove:
-        ws = self.ws
-        pi_idx = self.pi_index(w)
-        wa = self.multiply(self.inverse(self.pi_elements[pi_idx]), w)
-        mat = ws.w0_mats[wa.finite]
-        pt = tuple(
-            sum(self.base_point[k] * mat[k][c] for k in range(ws.rank)) + wa.translation[c]
-            for c in range(ws.rank)
-        )
-        return Alcove(self, pt, pi_idx)
+    # -- the rational walk oracle (cross-validation only) -------------------------
 
     def point_pairing(self, point, root) -> Fraction:
         return sum(Fraction(point[i]) * root.covector[i] for i in range(self.ws.rank))
@@ -450,23 +447,6 @@ class Weyl:
                 for c in range(self.ws.rank)
             )
         return Alcove(self, pt, pi_idx)
-
-    def separating_hyperplanes(self, a: Alcove, b: Alcove):
-        """All (root index, level) strictly separating the two alcoves."""
-        out = set()
-        for r in self.ws.positive_roots:
-            pa = self.point_pairing(a.point, r)
-            pb = self.point_pairing(b.point, r)
-            lo, hi = (pa, pb) if pa < pb else (pb, pa)
-            k = _floor(lo) + 1
-            while k < hi:
-                if k > lo:
-                    out.add((r.index, k))
-                k += 1
-        return out
-
-    def separating_count(self, a: Alcove, b: Alcove) -> int:
-        return len(self.separating_hyperplanes(a, b))
 
     # -- hyperplane weight via face-type transport --------------------------------
 

@@ -105,7 +105,7 @@ def test_verify_unknown_suite(capsys):
 
 def test_output_determinism(capsys):
     args = ("cellular-basis", "--type", "A", "--rank", "1",
-            "--length-bound", "6", "--output", "json", "--seed", "3")
+            "--length-bound", "6", "--output", "json")
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
@@ -134,3 +134,30 @@ def test_cellular_basis_c2_golden(capsys, params):
                        "--params", params, "--length-bound", "12", "--output", "json")
     assert code == 0
     assert out == json.dumps(GOLDEN_C2[params], indent=2, sort_keys=True) + "\n"
+
+
+# A minimal valid invocation per subcommand, and the flags it does not honour.
+MINIMAL = {
+    "kl": ("kl", "--w", "[]"),
+    "cell-factor": ("cell-factor", "--w", "[]"),
+    "cellular-basis": ("cellular-basis", "--rank", "1"),
+    "paths": ("paths", "--rank", "1", "--m", "1"),
+    "verify": ("verify", "--suite", "type-a-paths"),
+}
+UNHONOURED = [
+    ("kl", "--length-bound"), ("kl", "--seed"),
+    ("cell-factor", "--length-bound"), ("cell-factor", "--seed"),
+    ("cellular-basis", "--seed"),
+    ("paths", "--length-bound"), ("paths", "--seed"),
+    ("verify", "--type"), ("verify", "--rank"), ("verify", "--params"),
+    ("verify", "--length-bound"), ("verify", "--output"),
+]
+FLAG_VALUES = {"--type": "A", "--params": "1,1,1", "--output": "json"}
+
+
+@pytest.mark.parametrize("command,flag", UNHONOURED)
+def test_unhonoured_flag_rejected(capsys, command, flag):
+    code, out, err = run(capsys, *MINIMAL[command], flag, FLAG_VALUES.get(flag, "3"))
+    assert code == 2
+    assert "unrecognized arguments" in err and flag in err
+    assert out == ""

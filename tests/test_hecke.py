@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 
 from heckecell.hecke import Hecke
 from heckecell.laurent import LaurentPoly, xi
@@ -323,3 +325,26 @@ def test_golden_kl_records():
         w = serialize.element_from_json(W, rec["w"])
         assert serialize.element_json(W, w) == rec["w"]
         assert serialize.hecke_json(W, H.kl_basis(w)) == rec["C_w"]
+
+
+def test_long_elements_need_no_recursion():
+    # bruhat_leq and bar_t walk a reduced word of any length within a few
+    # frames of their caller, so long A1 elements stay far from the limit
+    H = make(("A", 1, (1, 1)))
+    W = H.weyl
+    y = W.from_word(0, (0, 1) * 1000)
+    x = W.from_word(0, (0, 1) * 40)
+    w = W.from_word(0, (1, 0) * 75)
+    depth = len(inspect.stack(0))
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        assert W.bruhat_leq(W.identity, y) and W.bruhat_leq(x, y)
+        assert not W.bruhat_leq(y, x)
+        bar = H.bar_t(w)
+    finally:
+        sys.setrecursionlimit(old)
+    assert y.length() == 2000 and w.length() == 150
+    # bar(T_w) is supported on [e, w] and leads with T_w
+    assert set(bar.support()) == W.bruhat_interval(w)
+    assert bar.coeff(w) == LaurentPoly.one()

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from heckecell.hecke import Hecke
+from heckecell.lowestcell import LowestCell
 from heckecell.rootdata import WeightSystem
 from heckecell.weyl import Weyl
 
@@ -200,29 +202,63 @@ def test_enumerate_sorted_and_unique():
     assert keys == sorted(keys)
 
 
+# Every shipped weight system, with the length up to which the rational
+# walk oracle is checked against the integer root shifts.
+ORACLE_CONFIGS = [
+    (("A", 1, (1, 1)), 16),
+    (("A", 1, (2, 1)), 16),
+    (("A", 2, (1, 1, 1)), 8),
+    (("A", 3, (1, 1, 1, 1)), 6),
+    (("C", 2, (1, 1, 1)), 8),
+    (("C", 2, (2, 1, 1)), 8),
+    (("C", 2, (3, 2, 1)), 8),
+]
+
+
 def test_alcove_walk_oracle():
-    assert WA2.alcove_walk(()) == WA2.alcove_of(WA2.identity)
-    # a length-4 walk crossing the marked face types lands on the alcove of
-    # the corresponding group element
-    word = (1, 0, 2, 1)
-    g = WA2.from_word(0, word)
-    assert WA2.alcove_walk(word) == WA2.alcove_of(g)
-    assert g.length() == 4
-    rng = random.Random(6)
-    for w in rng.sample(list(WA2.enumerate_elements(6)), 60):
-        pi, word = WA2.reduced_word(w)
-        assert WA2.alcove_walk(word, pi) == WA2.alcove_of(w)
+    # the rational point reached by walking a reduced word lies in the
+    # alcove named by the integer root shifts, and the rational box test
+    # 0 < <x, alpha_k^v> < b_k agrees with LowestCell.in_box
+    for cfg, bound in ORACLE_CONFIGS:
+        weyl = make(cfg)
+        ws = weyl.ws
+        lowest = LowestCell(Hecke(weyl))
+        e = weyl.identity
+        assert weyl.alcove_floors(weyl.alcove_walk(()).point) == weyl.root_shifts(e)
+        boxed = 0
+        for w in weyl.enumerate_elements(bound):
+            pi, word = weyl.reduced_word(w)
+            point = weyl.alcove_walk(word, pi).point
+            assert weyl.alcove_floors(point) == weyl.root_shifts(w), (cfg, w)
+            rational_box = all(
+                0 < weyl.point_pairing(point, ws.simple_roots[k]) < ws.b[k]
+                for k in range(ws.rank)
+            )
+            assert lowest.in_box(w) == rational_box, (cfg, w)
+            boxed += rational_box
+        assert boxed == len(lowest.box_elements()), cfg
 
 
 def test_separating_hyperplanes():
-    a0 = WA2.alcove_of(WA2.identity)
-    assert WA2.separating_hyperplanes(a0, a0) == set()
+    e = WA2.identity
+    assert WA2.separating_hyperplanes(e, e) == set()
     s0 = WA2.gens[0]  # affine generator in type A
     theta = WA2.ws.highest_coroot_root
-    assert WA2.separating_hyperplanes(a0, WA2.alcove_of(s0)) == {(theta.index, 1)}
+    assert WA2.separating_hyperplanes(e, s0) == {(theta.index, 1)}
     rng = random.Random(7)
-    for w in rng.sample(list(WA2.enumerate_elements(6)), 50):
-        assert WA2.separating_count(a0, WA2.alcove_of(w)) == w.length()
+    els = list(WA2.enumerate_elements(6))
+    for w in rng.sample(els, 50):
+        assert len(WA2.separating_hyperplanes(e, w)) == w.length()
+    # against the rational oracle: integer levels strictly between the
+    # pairings of the two walked points
+    for _ in range(50):
+        x, y = rng.choice(els), rng.choice(els)
+        px, py = (WA2.alcove_walk(WA2.reduced_word(g)[1]).point for g in (x, y))
+        expected = set()
+        for r in WA2.ws.positive_roots:
+            a, b = sorted((WA2.point_pairing(px, r), WA2.point_pairing(py, r)))
+            expected.update((r.index, k) for k in range(-20, 21) if a < k < b)
+        assert WA2.separating_hyperplanes(x, y) == expected
 
 
 def test_commuting_left_right_actions():
@@ -231,9 +267,10 @@ def test_commuting_left_right_actions():
     els = list(WC2.enumerate_elements(3))
     for _ in range(40):
         g, u, h = rng.choice(els), rng.choice(els), rng.choice(els)
-        left_then_right = WC2.alcove_of((g * u) * h)
-        right_then_left = WC2.alcove_of(g * (u * h))
-        assert left_then_right == right_then_left
+        left_then_right = (g * u) * h
+        right_then_left = g * (u * h)
+        assert WC2.pi_index(left_then_right) == WC2.pi_index(right_then_left)
+        assert WC2.root_shifts(left_then_right) == WC2.root_shifts(right_then_left)
 
 
 def test_hyperplane_weight_oracle_matches_families():
