@@ -284,20 +284,22 @@ class CellularStructure:
     def m_alpha(self, omega, root_index: int) -> int:
         """max over x <= p_omega and v in W_0 of the deepest level of a
         hyperplane of the given direction separating A_0 from x v A_0."""
-        ws, weyl = self.ws, self.weyl
-        p = weyl.translation(tuple(omega))
-        best = 0
-        for x in weyl.bruhat_interval(p):
-            for u in range(ws.w0_size):
-                g = x * weyl.finite_element(u)
-                c = weyl.root_shifts(g)[root_index]
-                val = c if c >= 1 else (-(c + 1) if c <= -1 else 0)
-                if val > best:
-                    best = val
-        return best
+        return self._m_alpha_per_root(omega)[root_index]
 
     def m_alpha_bound(self, omega) -> int:
-        return max(self.m_alpha(omega, r.index) for r in self.ws.positive_roots)
+        return max(self._m_alpha_per_root(omega))
+
+    def _m_alpha_per_root(self, omega) -> list:
+        """m_alpha(omega, r) for every positive root r, in one pass over the
+        interval: root shift c puts the alcove past the hyperplanes of levels
+        1..c (c >= 1) or c+1..0 (c <= -1), the deepest at max(c, -1 - c)."""
+        ws, weyl = self.ws, self.weyl
+        best = [0] * len(ws.positive_roots)
+        for x in weyl.bruhat_interval(weyl.translation(tuple(omega))):
+            for u in range(ws.w0_size):
+                for k, c in enumerate(weyl.root_shifts(x * weyl.finite_element(u))):
+                    best[k] = max(best[k], c, -1 - c)
+        return best
 
     def reduce_lambda(self, lam, omega) -> tuple:
         """A lattice antidominant lam' in the small box, agreeing with lam

@@ -4,9 +4,17 @@ T-basis arithmetic, the bar involution, the flat antiautomorphism, the
 Kazhdan-Lusztig basis with its polynomials, structure constants in both
 bases, and the degree bookkeeping of the separating-hyperplane bound.
 
+Every left T-action goes through one generator step, mul_gen (the
+three-case rule for T_s T_w), and one chain walker, _left_chain, which
+builds a value at w from the value at its tail (w with the pi-part, a
+support relabel, or else the first letter of the reduced word stripped).
+bar_t walks it on the bar cache with T_s^-1 = T_s - xi_s; mul(h1, h2) walks
+it on a cache seeded with h2, so T_x h2 costs one generator step for every
+x of a support closed under tails (KL elements, P-elements).
+
 The KL cache and the bar cache are the only shared mutable structures; a
 single lock makes get-or-compute linearizable so sweeps may run from
-threads.
+threads.  mul's chain cache lives for one call only and needs no lock.
 """
 
 from __future__ import annotations
@@ -53,78 +61,75 @@ class Hecke:
 
     # -- multiplication ---------------------------------------------------------
 
-    def mul_gen(self, side: str, i: int, h: HeckeElt) -> HeckeElt:
-        """Multiply by T_{s_i} on the given side, term by term."""
-        weyl = self.weyl
+    def mul_gen(self, i: int, h: HeckeElt) -> HeckeElt:
+        """T_{s_i} h by the three-case rule: T_s T_w = T_{sw} when sw > w,
+        and T_{sw} + xi_s T_w when sw < w."""
+        gen_mul_left = self.weyl.gen_mul_left
         xi_s = self.xi[i]
         d = {}
-        left = side == "left"
         for w, c in h.items():
-            sw = weyl.gen_mul_left(i, w) if left else weyl.gen_mul_right(w, i)
-            if sw.length() > w.length():
-                accumulate(d, sw, c)
-            else:
-                accumulate(d, sw, c)
+            sw = gen_mul_left(i, w)
+            accumulate(d, sw, c)
+            if sw.length() < w.length():
                 accumulate(d, w, c * xi_s)
-        return HeckeElt(d)
+        return h._new(d)
 
-    def mul_pi(self, side: str, pi: GroupElement, h: HeckeElt) -> HeckeElt:
+    def _pi_shift(self, pi_idx: int, h: HeckeElt) -> HeckeElt:
+        """T_pi h for the length-zero element pi_elements[pi_idx]: a relabel."""
+        pi_mul_left = self.weyl.pi_mul_left
+        return h._new({pi_mul_left(pi_idx, w): c for w, c in h.items()})
+
+    def _left_chain(self, w: GroupElement, cache: dict, step) -> HeckeElt:
+        """cache[w] for a cache of left T-actions, filled along w's chain.
+
+        Walks down w -> tail (strip pi, then the first letter of the reduced
+        word) to a cached element, then back up: a pi link is a relabel and
+        a letter s is step(s, value at the tail).  Every link is stored.
+        """
         weyl = self.weyl
-        idx = weyl.pi_elements.index(pi)
-        if side == "left":
-            return HeckeElt({weyl.pi_mul_left(idx, w): c for w, c in h.items()})
-        return HeckeElt({weyl.pi_mul_right(w, idx): c for w, c in h.items()})
-
-    def mul_t_left(self, x: GroupElement, h: HeckeElt) -> HeckeElt:
-        """T_x * h via a reduced word of x."""
-        pi_idx, word = self.weyl.reduced_word(x)
-        for i in reversed(word):
-            h = self.mul_gen("left", i, h)
-        pi = self.weyl.pi_elements[pi_idx]
-        if not pi.is_identity():
-            h = self.mul_pi("left", pi, h)
-        return h
+        chain = []
+        while w not in cache:
+            chain.append(w)
+            pi_idx, word = weyl.reduced_word(w)
+            if pi_idx:
+                w = weyl.pi_elements[pi_idx].inverse() * w
+            else:
+                w = weyl.gen_mul_left(word[0], w)
+        out = cache[w]
+        for w in reversed(chain):
+            pi_idx, word = weyl.reduced_word(w)
+            out = self._pi_shift(pi_idx, out) if pi_idx else step(word[0], out)
+            cache[w] = out
+        return out
 
     def mul(self, h1: HeckeElt, h2: HeckeElt) -> HeckeElt:
+        """h1 h2, with T_x h2 for every x in the support of h1 built along
+        x's chain from a cache that lives for this call only."""
+        cache = {self.weyl.identity: h2}
         acc = {}
         for x, c in h1.items():
-            for w, cc in self.mul_t_left(x, h2).items():
+            for w, cc in self._left_chain(x, cache, self.mul_gen).items():
                 accumulate(acc, w, cc * c)
-        return HeckeElt(acc)
+        return h2._new(acc)
 
     # -- involutions ---------------------------------------------------------------
 
     def bar_t(self, w: GroupElement) -> HeckeElt:
-        """bar(T_w) = (T_{w^-1})^-1, cached and computed along a reduced word.
-
-        Walks down the chain w -> tail (strip pi, then the first letter) to
-        a cached element (at worst e), then builds back up, caching each link.
-        """
+        """bar(T_w) = (T_{w^-1})^-1, cached and built along w's chain:
+        bar(T_pi T_w') = T_pi bar(T_w') and bar(T_s T_w') = (T_s - xi_s) bar(T_w')."""
         hit = self._bar_cache.get(w)
         if hit is not None:
             return hit
         with self._lock:
-            weyl = self.weyl
-            chain = []
-            while w not in self._bar_cache:
-                chain.append(w)
-                pi_idx, word = weyl.reduced_word(w)
-                if pi_idx:
-                    w = weyl.pi_elements[pi_idx].inverse() * w
-                else:
-                    w = weyl.gen_mul_left(word[0], w)
-            out = self._bar_cache[w]
-            for w in reversed(chain):
-                pi_idx, word = weyl.reduced_word(w)
-                if pi_idx:
-                    # bar(T_pi T_w') = T_pi bar(T_w')
-                    out = self.mul_pi("left", weyl.pi_elements[pi_idx], out)
-                else:
-                    # bar(T_s T_rest) = (T_s - xi_s) bar(T_rest)
-                    i = word[0]
-                    out = self.mul_gen("left", i, out) - out.scale(self.xi[i])
-                self._bar_cache[w] = out
-            return out
+            return self._left_chain(w, self._bar_cache, self._mul_gen_inverse)
+
+    def _mul_gen_inverse(self, i: int, h: HeckeElt) -> HeckeElt:
+        """T_{s_i}^-1 h = T_{s_i} h - xi_s h."""
+        out = self.mul_gen(i, h)
+        neg_xi = -self.xi[i]
+        for w, c in h.items():
+            accumulate(out._d, w, c * neg_xi)
+        return out
 
     def bar(self, h: HeckeElt) -> HeckeElt:
         acc = {}
@@ -157,9 +162,8 @@ class Hecke:
             # C_{pi w'} = T_pi C_{w'}: strip pi and shift afterwards.
             pi_idx = self.weyl.pi_index(w)
             if pi_idx:
-                pi = self.weyl.pi_elements[pi_idx]
-                base = self.kl_basis(pi.inverse() * w)
-                out = self.mul_pi("left", pi, base)
+                base = self.kl_basis(self.weyl.pi_elements[pi_idx].inverse() * w)
+                out = self._pi_shift(pi_idx, base)
                 self._kl_cache[w] = out
                 return out
             interval = sorted(self.weyl.bruhat_interval(w), key=self.weyl.sort_key)
@@ -168,12 +172,6 @@ class Hecke:
             out = HeckeElt(d)
             self._kl_cache[w] = out
             return out
-
-    def kl_polynomial(self, y: GroupElement, w: GroupElement) -> LaurentPoly:
-        """P_{y,w}, with P_{w,w} = 1 and P = 0 unless y <= w."""
-        if y == w:
-            return _ONE
-        return self.kl_basis(w).coeff(y)
 
     def kl_expand(self, h: HeckeElt) -> dict:
         """Coordinates of h in the KL basis, by descending elimination."""
@@ -187,8 +185,8 @@ class Hecke:
         return self.kl_expand(prod)
 
     def f_constants(self, x: GroupElement, y: GroupElement) -> dict:
-        """T_x T_y = sum f_{x,y,z} T_z, by iterated generator multiplication."""
-        return dict(self.mul_t_left(x, self.t(y)).items())
+        """T_x T_y = sum f_{x,y,z} T_z."""
+        return dict(self.mul(self.t(x), self.t(y)).items())
 
     def f_constants_subsets(self, x: GroupElement, y: GroupElement) -> dict:
         """The same constants by brute-force enumeration of the subset

@@ -103,50 +103,36 @@ class LowestCell:
 
     # -- coset representatives ---------------------------------------------------
 
+    def _finite_descent(self, w: GroupElement, side: str):
+        """The first finite simple generator that is a descent of w on the
+        given side, or None."""
+        for k in range(self.ws.rank):
+            i = self.ws.simple_to_gen[k]
+            if self.weyl.descent(w, i, side):
+                return i
+        return None
+
     def is_in_x0(self, x: GroupElement) -> bool:
         """Minimal-length representative of x W_0: no finite right descent."""
-        lx = x.length()
-        for k in range(self.ws.rank):
-            s = self.weyl.gens[self.ws.simple_to_gen[k]]
-            if (x * s).length() < lx:
-                return False
-        return True
+        return self._finite_descent(x, "right") is None
 
     def is_in_x0_inv(self, y: GroupElement) -> bool:
-        ly = y.length()
-        for k in range(self.ws.rank):
-            s = self.weyl.gens[self.ws.simple_to_gen[k]]
-            if (s * y).length() < ly:
-                return False
-        return True
+        return self._finite_descent(y, "left") is None
 
     def x0_part(self, w: GroupElement):
         """(x, v) with w = x . v, x in X_0, v in W_0, lengths additive."""
-        v = self.weyl.identity
-        while True:
-            lw = w.length()
-            for k in range(self.ws.rank):
-                s = self.weyl.gens[self.ws.simple_to_gen[k]]
-                if (w * s).length() < lw:
-                    w = w * s
-                    v = s * v
-                    break
-            else:
-                return w, v
+        weyl = self.weyl
+        v = weyl.identity
+        while (i := self._finite_descent(w, "right")) is not None:
+            w = weyl.gen_mul_right(w, i)
+            v = weyl.gen_mul_left(i, v)
+        return w, v
 
     # -- membership and factorization ----------------------------------------------
 
     def descend_to_lowest(self, z: GroupElement) -> GroupElement:
-        """w_0 . z, reached by the left-multiplication ascent."""
-        while True:
-            lz = z.length()
-            for k in range(self.ws.rank):
-                s = self.weyl.gens[self.ws.simple_to_gen[k]]
-                if (s * z).length() > lz:
-                    z = s * z
-                    break
-            else:
-                return z
+        """The longest element w_0 . y of the coset W_0 z (y minimal in it)."""
+        return self.weyl.longest_finite * self._right_coset_part(z)[0]
 
     def _factorizations(self, w: GroupElement):
         weyl = self.weyl
@@ -239,17 +225,12 @@ class LowestCell:
 
     def _right_coset_part(self, w: GroupElement):
         """(y, v) with w = v . y, v in W_0, y minimal in W_0 w."""
-        v = self.weyl.identity
-        while True:
-            lw = w.length()
-            for k in range(self.ws.rank):
-                s = self.weyl.gens[self.ws.simple_to_gen[k]]
-                if (s * w).length() < lw:
-                    w = s * w
-                    v = v * s
-                    break
-            else:
-                return w, v
+        weyl = self.weyl
+        v = weyl.identity
+        while (i := self._finite_descent(w, "left")) is not None:
+            w = weyl.gen_mul_left(i, w)
+            v = weyl.gen_mul_right(v, i)
+        return w, v
 
     # -- the P elements -------------------------------------------------------------
 

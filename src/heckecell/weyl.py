@@ -42,7 +42,7 @@ class GroupElement:
         self._wlen = None
         self._word = None
         self._gl = None  # cache: generator/Pi products on the left
-        self._gr = None  # cache: generator/Pi products on the right
+        self._gr = None  # cache: generator products on the right
 
     def __eq__(self, other):
         return (
@@ -69,9 +69,6 @@ class GroupElement:
         if self._wlen is None:
             self._wlen = self.weyl.weight_length(self)
         return self._wlen
-
-    def is_identity(self) -> bool:
-        return self.finite == 0 and not any(self.translation)
 
     def __repr__(self):
         pi, word = self.weyl.reduced_word(self)
@@ -232,16 +229,6 @@ class Weyl:
             g = d[key] = self.multiply(self.pi_elements[pi_idx], w)
         return g
 
-    def pi_mul_right(self, w: GroupElement, pi_idx: int) -> GroupElement:
-        d = w._gr
-        if d is None:
-            d = w._gr = {}
-        key = -1 - pi_idx
-        g = d.get(key)
-        if g is None:
-            g = d[key] = self.multiply(w, self.pi_elements[pi_idx])
-        return g
-
     def translation(self, lam) -> GroupElement:
         """The element p_lam, for lam in the L-weight lattice."""
         return self.element(0, self.ws.check_lattice(lam))
@@ -299,9 +286,6 @@ class Weyl:
             lo, hi = (cx, cy) if cx < cy else (cy, cx)
             out.update((r.index, k) for k in range(lo + 1, hi + 1))
         return out
-
-    def gen_weight(self, i: int) -> int:
-        return self.ws.params[i]
 
     # -- descents and words ----------------------------------------------------
 

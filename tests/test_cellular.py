@@ -200,10 +200,10 @@ def test_bimodule_structure_within_span():
     for t in triples:
         img = CA2.phi_iso(CellularElt.basis(*t))
         for i in range(CA2.ws.num_gens):
-            h = hecke.mul_gen("left", i, img)
+            h = hecke.mul_gen(i, img)
             back = CA2.phi_inverse(h)
             assert CA2.phi_iso(back) == h
-            h = hecke.mul_gen("right", i, img)
+            h = hecke.mul(img, hecke.t(hecke.weyl.gens[i]))
             back = CA2.phi_inverse(h)
             assert CA2.phi_iso(back) == h
 

@@ -161,3 +161,12 @@ def test_unhonoured_flag_rejected(capsys, command, flag):
     assert code == 2
     assert "unrecognized arguments" in err and flag in err
     assert out == ""
+
+
+@pytest.mark.parametrize("suite", ["kl-axioms", "lowest-cell", "cellular", "type-a-paths"])
+def test_verify_seed_rejected_for_unsampled_suites(capsys, suite):
+    # only degree-bounds samples its checks; any other suite would ignore a seed
+    code, out, err = run(capsys, "verify", "--suite", suite, "--seed", "3")
+    assert code == 2
+    assert "--seed" in err and "degree-bounds" in err
+    assert out == ""

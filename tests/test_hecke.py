@@ -2,10 +2,13 @@ import inspect
 import random
 import sys
 
-from heckecell.hecke import Hecke
+import pytest
+
+from heckecell.hecke import Hecke, HeckeElt
 from heckecell.laurent import LaurentPoly, xi
 from heckecell.lowestcell import LowestCell
 from heckecell.rootdata import WeightSystem
+from heckecell.verification import KL_AXIOM_CONFIGS
 from heckecell.weyl import Weyl
 
 
@@ -34,7 +37,7 @@ def test_mul_gen_length_additive():
         i = rng.randrange(3)
         s = W.gens[i]
         if (s * w).length() > w.length():
-            assert H.mul_gen("left", i, H.t(w)) == H.t(s * w)
+            assert H.mul_gen(i, H.t(w)) == H.t(s * w)
             done += 1
 
 
@@ -46,8 +49,8 @@ def test_mul_gen_operator_identity():
     for _ in range(20):
         h = H.t(rng.choice(els)) + H.t(rng.choice(els)).scale(LaurentPoly.q_power(rng.randint(-2, 2)))
         for i in range(3):
-            once = H.mul_gen("left", i, h)
-            twice = H.mul_gen("left", i, once)
+            once = H.mul_gen(i, h)
+            twice = H.mul_gen(i, once)
             assert twice == once.scale(H.xi[i]) + h
 
 
@@ -77,6 +80,50 @@ def test_mul_associative():
     for _ in range(30):
         a, b, c = rand_elt(), rand_elt(), rand_elt()
         assert H.mul(H.mul(a, b), c) == H.mul(a, H.mul(b, c))
+
+
+def _word_replay(H, x, h):
+    """T_x h letter by letter along a reduced word of x, then T_pi as the
+    group product pi * w on the support: no chain cache involved."""
+    W = H.weyl
+    pi_idx, word = W.reduced_word(x)
+    for i in reversed(word):
+        h = H.mul_gen(i, h)
+    pi = W.pi_elements[pi_idx]
+    return HeckeElt({pi * w: c for w, c in h.items()})
+
+
+KL_CONFIGS = [cfg for cfg, _ in KL_AXIOM_CONFIGS]
+KL_CONFIG_IDS = [f"{t}{n}-{','.join(map(str, p))}" for t, n, p in KL_CONFIGS]
+
+
+@pytest.mark.parametrize("cfg", KL_CONFIGS, ids=KL_CONFIG_IDS)
+def test_bar_t_inverts_t_of_inverse(cfg):
+    # bar(T_w) = T_{w^-1}^-1, on every element to length 5 (pi-parts included)
+    H = make(cfg)
+    for w in H.weyl.enumerate_elements(5):
+        assert H.mul(H.bar_t(w), H.t(w.inverse())) == H.unit()
+
+
+@pytest.mark.parametrize("cfg", KL_CONFIGS, ids=KL_CONFIG_IDS)
+def test_mul_is_sum_of_term_products(cfg):
+    # a KL element's support is closed under the chain walk, so mul reuses
+    # T_y h2 across its terms; the sum of the single-term products (each also
+    # checked against the word replay) must agree with it
+    H = make(cfg)
+    rng = random.Random(14)
+    els = list(H.weyl.enumerate_elements(5))
+    for w in els:
+        h1 = H.kl_basis(w)
+        h2 = H.zero()
+        for _ in range(3):
+            h2 = h2 + H.t(rng.choice(els)).scale(LaurentPoly.q_power(rng.randint(-2, 2)))
+        expected = H.zero()
+        for x, c in h1.items():
+            tx = H.mul(H.t(x), h2)
+            assert tx == _word_replay(H, x, h2)
+            expected = expected + tx.scale(c)
+        assert H.mul(h1, h2) == expected
 
 
 def test_bar_examples():
@@ -117,7 +164,7 @@ def test_kl_basis_small():
     for i in range(3):
         s = W.gens[i]
         c = H.kl_basis(s)
-        expected = H.t(s) + H.unit().scale(LaurentPoly.q_power(-W.gen_weight(i)))
+        expected = H.t(s) + H.unit().scale(LaurentPoly.q_power(-H.ws.params[i]))
         assert c == expected
         assert H.bar(expected) == expected
 
@@ -225,7 +272,7 @@ def test_t_times_c_scalar_action():
         v = rng.choice(els)
         for i in range(H.ws.num_gens):
             if W.descent(v, i, "left"):
-                lhs = H.mul_gen("left", i, H.kl_basis(v))
+                lhs = H.mul_gen(i, H.kl_basis(v))
                 assert lhs == H.kl_basis(v).scale(LaurentPoly.q_power(H.ws.params[i]))
                 done += 1
                 break
