@@ -10,7 +10,9 @@ builds a value at w from the value at its tail (w with the pi-part, a
 support relabel, or else the first letter of the reduced word stripped).
 bar_t walks it on the bar cache with T_s^-1 = T_s - xi_s; mul(h1, h2) walks
 it on a cache seeded with h2, so T_x h2 costs one generator step for every
-x of a support closed under tails (KL elements, P-elements).
+x of a support closed under tails (KL elements, P-elements); kl_basis walks
+it on the KL cache from C_e = T_e by the descent recursion (Lusztig, Hecke
+algebras with unequal parameters, Thm 6.6), with no bar_t and no solve.
 
 The KL cache and the bar cache are the only shared mutable structures; a
 single lock makes get-or-compute linearizable so sweeps may run from
@@ -22,7 +24,7 @@ from __future__ import annotations
 import threading
 from itertools import combinations
 
-from .laurent import LaurentCombination, LaurentPoly, accumulate, peel, solve_unitriangular, xi
+from .laurent import LaurentCombination, LaurentPoly, accumulate, peel, xi
 from .weyl import GroupElement, Weyl
 
 _ONE = LaurentPoly.one()
@@ -37,6 +39,10 @@ class HeckeElt(LaurentCombination):
         return self._d.keys()
 
 
+class _Uncached(Exception):
+    """A KL link needs the cached element args[0], which is not built yet."""
+
+
 class Hecke:
     """Algebra operations bound to one extended Weyl group."""
 
@@ -46,7 +52,7 @@ class Hecke:
         self.xi = tuple(xi(p) for p in self.ws.params)
         self._lock = threading.RLock()
         self._bar_cache = {weyl.identity: self.t(weyl.identity)}
-        self._kl_cache = {}
+        self._kl_cache = {weyl.identity: self.t(weyl.identity)}
 
     # -- basic constructors ---------------------------------------------------
 
@@ -82,33 +88,73 @@ class Hecke:
     def _left_chain(self, w: GroupElement, cache: dict, step) -> HeckeElt:
         """cache[w] for a cache of left T-actions, filled along w's chain.
 
-        Walks down w -> tail (strip pi, then the first letter of the reduced
-        word) to a cached element, then back up: a pi link is a relabel and
-        a letter s is step(s, value at the tail).  Every link is stored.
+        The value at x is built from the value at its tail (strip pi, then
+        the first letter of the reduced word): a pi link is a relabel and a
+        letter s is step(s, value at the tail, x).  A step that raises
+        _Uncached(y) is retried once y is built.  Pending elements sit on an
+        explicit stack, never on the call stack.  Every value is stored.
         """
         weyl = self.weyl
-        chain = []
-        while w not in cache:
-            chain.append(w)
-            pi_idx, word = weyl.reduced_word(w)
+        todo = [w]
+        while todo:
+            x = todo[-1]
+            if x in cache:
+                todo.pop()
+                continue
+            pi_idx, word = weyl.reduced_word(x)
             if pi_idx:
-                w = weyl.pi_elements[pi_idx].inverse() * w
+                tail = weyl.pi_elements[pi_idx].inverse() * x
             else:
-                w = weyl.gen_mul_left(word[0], w)
-        out = cache[w]
-        for w in reversed(chain):
-            pi_idx, word = weyl.reduced_word(w)
-            out = self._pi_shift(pi_idx, out) if pi_idx else step(word[0], out)
-            cache[w] = out
-        return out
+                tail = weyl.gen_mul_left(word[0], x)
+            c = cache.get(tail)
+            if c is None:
+                todo.append(tail)
+                continue
+            try:
+                cache[x] = self._pi_shift(pi_idx, c) if pi_idx else step(word[0], c, x)
+            except _Uncached as miss:
+                todo.append(miss.args[0])
+                continue
+            todo.pop()
+        return cache[w]
+
+    def _kl_link(self, gen_step, cache: dict):
+        """The link of a KL chain over the left action gen_step(i, h) of T_s:
+        C_s c = gen_step(s, c) + q^-L(s) c for the cached value c at the tail
+        is bar-invariant and leads with x; the rest is peeled against the
+        cached lower elements by the bar-invariant part of each coefficient,
+        which leaves x plus q^-1 Z[q^-1] terms: the KL element at x."""
+        sort_key = self.weyl.sort_key
+        q_neg = [LaurentPoly.q_power(-p) for p in self.ws.params]
+        bar_invariant_part = LaurentPoly.bar_invariant_part
+
+        def expand(y):
+            hit = cache.get(y)
+            if hit is None:
+                raise _Uncached(y)
+            return hit
+
+        def link(i: int, c: HeckeElt, x: GroupElement) -> HeckeElt:
+            d = gen_step(i, c)._d
+            q = q_neg[i]
+            for y, cy in c.items():
+                accumulate(d, y, cy * q)
+            if d.pop(x, None) != _ONE:
+                raise AssertionError(f"C_s times the element below {x!r} does not lead with it")
+            peel(d, expand, sort_key, part=bar_invariant_part)
+            d[x] = _ONE
+            return c._new(d)
+
+        return link
 
     def mul(self, h1: HeckeElt, h2: HeckeElt) -> HeckeElt:
         """h1 h2, with T_x h2 for every x in the support of h1 built along
         x's chain from a cache that lives for this call only."""
         cache = {self.weyl.identity: h2}
+        step = lambda i, h, _x: self.mul_gen(i, h)
         acc = {}
         for x, c in h1.items():
-            for w, cc in self._left_chain(x, cache, self.mul_gen).items():
+            for w, cc in self._left_chain(x, cache, step).items():
                 accumulate(acc, w, cc * c)
         return h2._new(acc)
 
@@ -123,8 +169,8 @@ class Hecke:
         with self._lock:
             return self._left_chain(w, self._bar_cache, self._mul_gen_inverse)
 
-    def _mul_gen_inverse(self, i: int, h: HeckeElt) -> HeckeElt:
-        """T_{s_i}^-1 h = T_{s_i} h - xi_s h."""
+    def _mul_gen_inverse(self, i: int, h: HeckeElt, _x) -> HeckeElt:
+        """T_{s_i}^-1 h = T_{s_i} h - xi_s h (a chain step; x is unused)."""
         out = self.mul_gen(i, h)
         neg_xi = -self.xi[i]
         for w, c in h.items():
@@ -148,30 +194,15 @@ class Hecke:
     def kl_basis(self, w: GroupElement) -> HeckeElt:
         """C_w: the unique bar-invariant element with C_w = T_w mod H_{<0}.
 
-        Computed on the Bruhat interval below w: expand bar on the interval
-        and solve the unitriangular system that pushes every coefficient
-        below w into strictly negative degrees.
+        Built along w's chain from C_e = T_e: C_{pi w'} = T_pi C_{w'}, and
+        for a left descent s, C_w = C_s C_{sw} minus the mu C_y that the peel
+        of _kl_link finds.
         """
         hit = self._kl_cache.get(w)
         if hit is not None:
             return hit
         with self._lock:
-            hit = self._kl_cache.get(w)
-            if hit is not None:
-                return hit
-            # C_{pi w'} = T_pi C_{w'}: strip pi and shift afterwards.
-            pi_idx = self.weyl.pi_index(w)
-            if pi_idx:
-                base = self.kl_basis(self.weyl.pi_elements[pi_idx].inverse() * w)
-                out = self._pi_shift(pi_idx, base)
-                self._kl_cache[w] = out
-                return out
-            interval = sorted(self.weyl.bruhat_interval(w), key=self.weyl.sort_key)
-            d = solve_unitriangular(w, interval, [self.bar_t(y) for y in interval])
-            d[w] = _ONE
-            out = HeckeElt(d)
-            self._kl_cache[w] = out
-            return out
+            return self._left_chain(w, self._kl_cache, self._kl_link(self.mul_gen, self._kl_cache))
 
     def kl_expand(self, h: HeckeElt) -> dict:
         """Coordinates of h in the KL basis, by descending elimination."""

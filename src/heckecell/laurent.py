@@ -5,9 +5,10 @@ LaurentPoly is the scalar ring for everything else in this package.  Values
 are immutable; all operations return fresh objects.  Coefficients are Python
 ints, so they never overflow, and storage is sparse (exponent -> nonzero
 coefficient).  LaurentCombination is the one sparse linear-combination type
-(key -> nonzero LaurentPoly); solve_unitriangular and peel are the two
-algorithms run on it: the bar-invariant lift of a basis element, and the
-expansion of an element in a basis that is unitriangular over it.
+(key -> nonzero LaurentPoly), and peel is the one elimination run on it: the
+expansion of an element in a basis that is unitriangular over it, or, with
+part=LaurentPoly.bar_invariant_part, the step that pushes a bar-invariant
+element into T_top + sum q^-1 Z[q^-1] T_y (the KL lift).
 """
 
 from __future__ import annotations
@@ -132,13 +133,19 @@ class LaurentPoly:
         """True iff the polynomial lies in q^-1 Z[q^-1]."""
         return all(e < 0 for e in self._c)
 
-    def in_nonpositive(self) -> bool:
-        """True iff the polynomial lies in Z[q^-1]."""
-        return all(e <= 0 for e in self._c)
-
-    def negative_part(self) -> "LaurentPoly":
-        """The sum of all terms with strictly negative exponent."""
-        return LaurentPoly({e: v for e, v in self._c.items() if e < 0})
+    def bar_invariant_part(self) -> "LaurentPoly":
+        """The bar-invariant mu with self - mu in q^-1 Z[q^-1]: the constant
+        term plus c_e (q^e + q^-e) for every term c_e q^e with e > 0."""
+        c = {}
+        for e, v in self._c.items():
+            if e >= 0:
+                c[e] = c[-e] = v
+        if not c:
+            return _ZERO
+        out = LaurentPoly.__new__(LaurentPoly)
+        out._c = c
+        out._hash = None
+        return out
 
     # -- inspection --------------------------------------------------------
 
@@ -282,42 +289,6 @@ class LaurentCombination:
         return f"{type(self).__name__}({len(self._d)} terms)"
 
 
-def solve_unitriangular(top, basis, rows) -> dict:
-    """The bar-invariant lift of `top`: the coefficients p_b in q^-1 Z[q^-1]
-    making top + sum p_b b bar-invariant (Lusztig, Hecke algebras with
-    unequal parameters, Thm 5.2).
-
-    basis lists the keys at or below top in an order refining the Bruhat
-    order, so top comes last; rows[i] is bar(basis[i]) expanded in basis.  Returns the
-    nonzero p_b in basis order, top excluded.  Raises AssertionError when
-    the bar matrix is not unitriangular, so that no unique lift exists.
-    """
-    m = len(basis) - 1
-    if basis[m] != top:
-        raise AssertionError(f"{top!r} is not the maximum of its basis")
-    for b, row in zip(basis, rows):
-        if row.coeff(b) != _ONE:
-            raise AssertionError(
-                f"bar matrix is not unitriangular: diagonal {row.coeff(b)} at {b!r}")
-    coeffs = [_ZERO] * m + [_ONE]
-    bars = [_ZERO] * m + [_ONE]
-    for j in range(m - 1, -1, -1):
-        x = basis[j]
-        d = _ZERO
-        for i in range(j + 1, m + 1):
-            if bars[i]:
-                r = rows[i].coeff(x)
-                if r:
-                    d = d + bars[i] * r
-        # solve c - bar(c) = d with c strictly negative
-        if d.coeff(0):
-            raise AssertionError(
-                f"bar matrix lost unitriangularity: c - bar(c) = {d} at {x!r}")
-        coeffs[j] = d.negative_part()
-        bars[j] = coeffs[j].bar()
-    return {b: c for b, c in zip(basis, coeffs[:m]) if c}
-
-
 class _Top:
     """Heap entry that pops the largest sort key first."""
 
@@ -331,14 +302,17 @@ class _Top:
         return self.k > other.k
 
 
-def peel(coords: dict, expand, key, stop=None) -> dict:
+def peel(coords: dict, expand, key, stop=None, part=None) -> dict:
     """Coordinates of `coords` in a basis unitriangular over its keys.
 
     Repeatedly takes the top key under `key`, records its coefficient c and
     subtracts c * expand(top); expand(top) must carry coefficient 1 on top.
     When stop(top) is true the peel ends with top still in `coords`.
-    `coords` is consumed in place: on return it holds the residual, empty
-    unless stop fired.  Returns top -> c in descending key order.
+    With part, only part(c) is recorded and subtracted (nothing when it is
+    zero), and c - part(c) stays in `coords` at top.  `coords` is consumed
+    in place: on return it holds the residual, empty unless stop fired or
+    part was given.  Returns top -> recorded coefficient in descending key
+    order.
     """
     heap = [_Top(key(w), w) for w in coords]
     heapify(heap)
@@ -350,7 +324,14 @@ def peel(coords: dict, expand, key, stop=None) -> dict:
             continue  # the term cancelled after it was queued
         if stop is not None and stop(top):
             break
-        del coords[top]
+        if part is not None:
+            mu = part(c)
+            if not mu:
+                continue
+            accumulate(coords, top, -mu)
+            c = mu
+        else:
+            del coords[top]
         out[top] = c
         neg = -c
         monic = False

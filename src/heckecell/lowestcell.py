@@ -7,21 +7,20 @@ box is found by a wall-crossing search; membership and factorization run a
 finite search over B_0 so that uniqueness is an observable fact rather
 than an assumption.
 
-Relative KL polynomials are computed on the module with basis indexed by
-the minimal coset representatives X_0.  Its bar involution comes from the
-T-basis: bar(T_x) is expanded and each term T_{x' v} (x' in X_0, v in W_0)
-is projected to q^{L(v)} T_{x'}, since T_v C_{w_0 y} = q^{L(v)} C_{w_0 y}.
-No C_{w_0 y} is expanded and no y enters, which is what makes the
-y-independence of the construction meaningful to test.
+Relative KL polynomials live on the module with basis m_x = T_x C_{w_0 y},
+x in the minimal coset representatives X_0.  T_s acts by three cases:
+m_{sx} + xi_s m_x when sx < x; m_{sx} when sx > x is in X_0; else sx = x t
+with t in W_0 and T_t C_{w_0 y} = q^{L(s)} C_{w_0 y}, so q^{L(s)} m_x.  The
+P(x) are built along x's chain from P(e) = m_e by the Hecke layer's KL link
+(the parabolic descent recursion, Deodhar 1987).  No C_{w_0 y} is expanded
+and no y enters, which is what makes the y-independence meaningful to test.
 """
 
 from __future__ import annotations
 
 from .hecke import Hecke, HeckeElt
-from .laurent import LaurentCombination, LaurentPoly, accumulate, peel, solve_unitriangular
+from .laurent import LaurentPoly, accumulate, peel
 from .weyl import GroupElement
-
-_ONE = LaurentPoly.one()
 
 
 class CellFactorization:
@@ -63,8 +62,7 @@ class LowestCell:
         self.weyl = hecke.weyl
         self.ws = hecke.ws
         self._b0 = None
-        self._relkl_cache = {}
-        self._relkl_cache_r = {}
+        self._p_cache = {self.weyl.identity: hecke.unit()}
 
     # -- the box B_0 -----------------------------------------------------------
 
@@ -118,15 +116,6 @@ class LowestCell:
 
     def is_in_x0_inv(self, y: GroupElement) -> bool:
         return self._finite_descent(y, "left") is None
-
-    def x0_part(self, w: GroupElement):
-        """(x, v) with w = x . v, x in X_0, v in W_0, lengths additive."""
-        weyl = self.weyl
-        v = weyl.identity
-        while (i := self._finite_descent(w, "right")) is not None:
-            w = weyl.gen_mul_right(w, i)
-            v = weyl.gen_mul_left(i, v)
-        return w, v
 
     # -- membership and factorization ----------------------------------------------
 
@@ -189,39 +178,29 @@ class LowestCell:
         """The family x' -> p_{x',x} over x' in X_0 making
         T_x C_{w_0 y} + sum p_{x',x} T_{x'} C_{w_0 y} bar-invariant.
 
-        Solved on the X_0 module (see the module docstring), so no y enters
+        Built on the X_0 module (see the module docstring), so no y enters
         anywhere.  Strictly lower part only; the leading coefficient 1 is
         implicit.
         """
-        return self._relative_kl(x, self.is_in_x0, self.x0_part, self._relkl_cache)
+        p = self._p_from(x)
+        return {y: c for y, c in p.items() if y != x}
 
-    def relative_kl_right(self, x: GroupElement) -> dict:
-        """Right-handed family x' -> p^r_{x',x} over x' in X_0^-1 (the
-        mirrored module C_{z w_0} T_x), computed independently of flat."""
-        return self._relative_kl(x, self.is_in_x0_inv, self._right_coset_part,
-                                 self._relkl_cache_r)
-
-    def _relative_kl(self, x: GroupElement, in_module, coset_part, cache) -> dict:
-        """Solve on the module whose basis is the representatives below x:
-        bar(T_y) is expanded and each term T_w, w = (x', v) by coset_part,
-        is pushed to q^{L(v)} T_{x'}."""
-        hit = cache.get(x)
-        if hit is not None:
-            return hit
-        if not in_module(x):
-            raise ValueError(f"{x!r} is not a minimal coset representative")
-        ws = self.ws
-        basis = [y for y in self.weyl.bruhat_interval(x) if in_module(y)]
-        basis.sort(key=self.weyl.sort_key)
-        rows = []
-        for y in basis:
-            row = {}
-            for w, c in self.hecke.bar_t(y).items():
-                rep, v = coset_part(w)
-                accumulate(row, rep, c * LaurentPoly.q_power(ws.finite_weight(v.finite)))
-            rows.append(LaurentCombination(row))
-        cache[x] = out = solve_unitriangular(x, basis, rows)
-        return out
+    def _module_gen(self, i: int, h: HeckeElt) -> HeckeElt:
+        """T_{s_i} h on the X_0 module, h a combination of the m_x."""
+        gen_mul_left = self.weyl.gen_mul_left
+        xi_s = self.hecke.xi[i]
+        q_s = LaurentPoly.q_power(self.ws.params[i])
+        d = {}
+        for x, c in h.items():
+            sx = gen_mul_left(i, x)
+            if sx.length() < x.length():
+                accumulate(d, sx, c)
+                accumulate(d, x, c * xi_s)
+            elif self.is_in_x0(sx):
+                accumulate(d, sx, c)
+            else:
+                accumulate(d, x, c * q_s)
+        return h._new(d)
 
     def _right_coset_part(self, w: GroupElement):
         """(y, v) with w = v . y, v in W_0, y minimal in W_0 w."""
@@ -248,11 +227,14 @@ class LowestCell:
         return self._p_from(self.weyl.translation(omega))
 
     def _p_from(self, x: GroupElement) -> HeckeElt:
-        return HeckeElt({**self.relative_kl(x), x: _ONE})
-
-    def p_element_right(self, x: GroupElement) -> HeckeElt:
-        """P_R(x) for x in B_0^-1 or x = p_omega^-1, right-handed route."""
-        return HeckeElt({**self.relative_kl_right(x), x: _ONE})
+        """P(x) for x in X_0, built along x's chain and cached."""
+        cache = self._p_cache
+        hit = cache.get(x)
+        if hit is not None:
+            return hit
+        if not self.is_in_x0(x):
+            raise ValueError(f"{x!r} is not a minimal coset representative")
+        return self.hecke._left_chain(x, cache, self.hecke._kl_link(self._module_gen, cache))
 
     def p_element_tau(self, tau) -> HeckeElt:
         """P(tau): ordered product of the P(omega_i), ascending index."""

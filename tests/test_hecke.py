@@ -374,14 +374,62 @@ def test_golden_kl_records():
         assert serialize.hecke_json(W, H.kl_basis(w)) == rec["C_w"]
 
 
+# Unequal-parameter C_w records: per config, w0 p_lam for two antidominant
+# lam and one dominant translation p_mu, all of length >= 12 (Pi is trivial
+# in these three configs, so no element has a nonzero Pi part).
+UNEQUAL_GOLDEN = (
+    (("C", 2, (2, 1, 1)), ((0, -2), (-2, -1)), (4, 0)),
+    (("C", 2, (3, 2, 1)), ((0, -2), (-2, -1)), (4, 0)),
+    (("A", 1, (2, 1)), ((-12,), (-16,)), (12,)),
+)
+
+
+def unequal_golden_text():
+    """The text of golden_kl_unequal.json as the current kl_basis writes it:
+    golden_kl_a2.json's record format plus the config, one record per line."""
+    import json
+    from heckecell import serialize
+    records = {}
+    for cfg, antidominant, dominant in UNEQUAL_GOLDEN:
+        H = make(cfg)
+        W = H.weyl
+        name = f"{cfg[0]}{cfg[1]}-{','.join(map(str, cfg[2]))}"
+        elements = {f"w0_p({','.join(map(str, lam))})": W.longest_finite * W.translation(lam)
+                    for lam in antidominant}
+        elements[f"p({','.join(map(str, dominant))})"] = W.translation(dominant)
+        for label, w in elements.items():
+            records[f"{name} {label}"] = {
+                "cfg": [cfg[0], cfg[1], list(cfg[2])],
+                "w": serialize.element_json(W, w),
+                "C_w": serialize.hecke_json(W, H.kl_basis(w)),
+            }
+    lines = [f"{json.dumps(k)}: {json.dumps(v, sort_keys=True, separators=(',', ':'))}"
+             for k, v in sorted(records.items())]
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+def test_golden_kl_unequal_records():
+    # byte for byte against records frozen from the bar-matrix engine
+    import pathlib
+    path = pathlib.Path(__file__).parent / "golden_kl_unequal.json"
+    assert unequal_golden_text() == path.read_text()
+
+
 def test_long_elements_need_no_recursion():
-    # bruhat_leq and bar_t walk a reduced word of any length within a few
-    # frames of their caller, so long A1 elements stay far from the limit
+    # bruhat_leq, bar_t, kl_basis and relative_kl walk a reduced word of any
+    # length within a few frames of their caller, so long elements stay far
+    # from the limit; a KL link that needs a lower element not yet built
+    # builds it on the chain walker's stack instead of calling itself
     H = make(("A", 1, (1, 1)))
     W = H.weyl
     y = W.from_word(0, (0, 1) * 1000)
     x = W.from_word(0, (0, 1) * 40)
     w = W.from_word(0, (1, 0) * 75)
+    H2 = make(("A", 2, (1, 1, 1)))
+    L2 = LowestCell(H2)
+    W2 = H2.weyl
+    w2 = W2.longest_finite * W2.translation((-8, -8))
+    p2 = W2.translation((8, 8))
     depth = len(inspect.stack(0))
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 60)
@@ -389,9 +437,18 @@ def test_long_elements_need_no_recursion():
         assert W.bruhat_leq(W.identity, y) and W.bruhat_leq(x, y)
         assert not W.bruhat_leq(y, x)
         bar = H.bar_t(w)
+        cw = H.kl_basis(w)
+        cw2 = H2.kl_basis(w2)
+        rel = L2.relative_kl(p2)
     finally:
         sys.setrecursionlimit(old)
     assert y.length() == 2000 and w.length() == 150
+    assert w2.length() == 35 and p2.length() == 32
     # bar(T_w) is supported on [e, w] and leads with T_w
     assert set(bar.support()) == W.bruhat_interval(w)
     assert bar.coeff(w) == LaurentPoly.one()
+    # in A1 every y <= w has p_{y,w} = q^(l(y) - l(w))
+    assert cw == HeckeElt({v: LaurentPoly.q_power(v.length() - 150) for v in W.bruhat_interval(w)})
+    assert cw2.coeff(w2) == LaurentPoly.one()
+    assert all(c.in_strictly_negative() for v, c in cw2.items() if v != w2)
+    assert rel and all(c.in_strictly_negative() and L2.is_in_x0(v) for v, c in rel.items())

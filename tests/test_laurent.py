@@ -2,9 +2,7 @@ import random
 
 import pytest
 
-from heckecell.laurent import (
-    NEG_INF, LaurentCombination, LaurentPoly, peel, solve_unitriangular, xi,
-)
+from heckecell.laurent import NEG_INF, LaurentPoly, peel, xi
 
 
 def P(d):
@@ -52,13 +50,23 @@ def test_xi():
 
 
 def test_filtration_membership():
-    p = P({-1: 1, -3: 2})
-    assert p.in_strictly_negative() and p.in_nonpositive()
-    q = P({0: 1, -1: 1})
-    assert not q.in_strictly_negative() and q.in_nonpositive()
-    r = P({1: 1})
-    assert not r.in_strictly_negative() and not r.in_nonpositive()
+    assert P({-1: 1, -3: 2}).in_strictly_negative()
+    assert not P({0: 1, -1: 1}).in_strictly_negative()
+    assert not P({1: 1}).in_strictly_negative()
     assert LaurentPoly.zero().in_strictly_negative()
+
+
+def test_bar_invariant_part():
+    p = P({3: 2, 1: -1, 0: 4, -1: 5, -4: 1})
+    mu = p.bar_invariant_part()
+    assert mu == P({3: 2, 1: -1, 0: 4, -1: -1, -3: 2})
+    assert mu.bar() == mu and (p - mu).in_strictly_negative()
+    assert P({-1: 1, -2: 3}).bar_invariant_part().is_zero()
+    rng = random.Random(3)
+    for _ in range(60):
+        r = rand_poly(rng)
+        mu = r.bar_invariant_part()
+        assert mu.bar() == mu and (r - mu).in_strictly_negative()
 
 
 def test_degree():
@@ -102,21 +110,6 @@ def test_text_and_json_forms():
     assert str(P({-3: -4})) == "-4*q^-3"
 
 
-def test_solve_unitriangular_rejects_non_unitriangular_rows():
-    one, L = LaurentPoly.one(), LaurentCombination
-    # bar(b) = b + (q - q^-1) a: the lift is b - q^-1 a
-    rows = [L({"a": one}), L({"b": one, "a": P({1: 1, -1: -1})})]
-    assert solve_unitriangular("b", ["a", "b"], rows) == {"a": P({-1: -1})}
-    for bad in (
-        [L({"a": one}), L({"b": one, "a": one})],  # c - bar(c) = 1 has no solution
-        [L({"a": P({0: 2})}), rows[1]],  # diagonal entry 2
-    ):
-        with pytest.raises(AssertionError, match="unitriangular"):
-            solve_unitriangular("b", ["a", "b"], bad)
-    with pytest.raises(AssertionError, match="maximum"):
-        solve_unitriangular("a", ["a", "b"], rows)
-
-
 def test_peel_rejects_non_monic_expansion():
     one = LaurentPoly.one()
     basis = {"b": {"b": one, "a": one}, "a": {"a": one}}
@@ -128,3 +121,19 @@ def test_peel_rejects_non_monic_expansion():
     assert coords == {"a": P({0: 2})}
     with pytest.raises(AssertionError, match="coefficient 1"):
         peel({"b": one}, {"b": {"b": P({0: 2}), "a": one}}.get, str)
+
+
+def test_peel_part_subtracts_only_the_bar_invariant_part():
+    # over the basis b = b + q^-1 a + c, a = a + c, c = c, d = d (b > a > c > d)
+    # the peel with part takes off the bar-invariant part of each coefficient
+    # and leaves the q^-1 Z[q^-1] rest in place; d has nothing to take off
+    one = LaurentPoly.one()
+    basis = {"b": {"b": one, "a": P({-1: 1}), "c": one}, "a": {"a": one, "c": one},
+             "c": {"c": one}, "d": {"d": one}}
+    rank = {"d": 0, "c": 1, "a": 2, "b": 3}.get
+    coords = {"b": P({1: 1}), "a": P({1: 1, 0: 2, -1: 1}), "c": P({-2: 1}), "d": P({-3: -1})}
+    out = peel(coords, basis.get, rank, part=LaurentPoly.bar_invariant_part)
+    assert list(out.items()) == [
+        ("b", P({1: 1, -1: 1})), ("a", P({1: 1, 0: 1, -1: 1})), ("c", P({1: -2, 0: -1, -1: -2})),
+    ]
+    assert coords == {"b": P({-1: -1}), "a": P({-2: -1}), "c": P({-2: 1}), "d": P({-3: -1})}
