@@ -8,15 +8,18 @@ Every left T-action goes through one generator step, mul_gen (the
 three-case rule for T_s T_w), and one chain walker, _left_chain, which
 builds a value at w from the value at its tail (w with the pi-part, a
 support relabel, or else the first letter of the reduced word stripped).
-bar_t walks it on the bar cache with T_s^-1 = T_s - xi_s; mul(h1, h2) walks
-it on a cache seeded with h2, so T_x h2 costs one generator step for every
-x of a support closed under tails (KL elements, P-elements); kl_basis walks
-it on the KL cache from C_e = T_e by the descent recursion (Lusztig, Hecke
-algebras with unequal parameters, Thm 6.6), with no bar_t and no solve.
+bar_t walks it on the bar cache with T_s^-1 = T_s - xi_s; right_mul(h2)
+walks it on a cache seeded with h2 that it owns, so T_x h2 costs one
+generator step for every x of a support closed under tails (KL elements,
+P-elements) over all its left factors; kl_basis walks it on the KL cache
+from C_e = T_e by the descent recursion (Lusztig, Hecke algebras with
+unequal parameters, Thm 6.6), with no bar_t and no solve.  A KL link that
+misses a lower element resumes its peel, so each link steps once.
 
 The KL cache and the bar cache are the only shared mutable structures; a
 single lock makes get-or-compute linearizable so sweeps may run from
-threads.  mul's chain cache lives for one call only and needs no lock.
+threads.  A right_mul chain cache and a walk's partly peeled links are
+local to their call and need no lock.
 """
 
 from __future__ import annotations
@@ -91,8 +94,9 @@ class Hecke:
         The value at x is built from the value at its tail (strip pi, then
         the first letter of the reduced word): a pi link is a relabel and a
         letter s is step(s, value at the tail, x).  A step that raises
-        _Uncached(y) is retried once y is built.  Pending elements sit on an
-        explicit stack, never on the call stack.  Every value is stored.
+        _Uncached(y) is retried once y is built; a KL link resumes its peel
+        there (see _kl_link).  Pending elements sit on an explicit stack,
+        never on the call stack.  Every value is stored.
         """
         weyl = self.weyl
         todo = [w]
@@ -123,10 +127,13 @@ class Hecke:
         C_s c = gen_step(s, c) + q^-L(s) c for the cached value c at the tail
         is bar-invariant and leads with x; the rest is peeled against the
         cached lower elements by the bar-invariant part of each coefficient,
-        which leaves x plus q^-1 Z[q^-1] terms: the KL element at x."""
+        which leaves x plus q^-1 Z[q^-1] terms: the KL element at x.  After a
+        miss the retry resumes the peel on the partly peeled dict kept under
+        x; the tops it already took hold q^-1 Z[q^-1] residuals it skips."""
         sort_key = self.weyl.sort_key
         q_neg = [LaurentPoly.q_power(-p) for p in self.ws.params]
         bar_invariant_part = LaurentPoly.bar_invariant_part
+        pending = {}
 
         def expand(y):
             hit = cache.get(y)
@@ -135,28 +142,40 @@ class Hecke:
             return hit
 
         def link(i: int, c: HeckeElt, x: GroupElement) -> HeckeElt:
-            d = gen_step(i, c)._d
-            q = q_neg[i]
-            for y, cy in c.items():
-                accumulate(d, y, cy * q)
-            if d.pop(x, None) != _ONE:
-                raise AssertionError(f"C_s times the element below {x!r} does not lead with it")
+            d = pending.get(x)
+            if d is None:
+                d = pending[x] = gen_step(i, c)._d
+                q = q_neg[i]
+                for y, cy in c.items():
+                    accumulate(d, y, cy * q)
+                if d.pop(x, None) != _ONE:
+                    raise AssertionError(f"C_s times the element below {x!r} does not lead with it")
             peel(d, expand, sort_key, part=bar_invariant_part)
+            del pending[x]
             d[x] = _ONE
             return c._new(d)
 
         return link
 
-    def mul(self, h1: HeckeElt, h2: HeckeElt) -> HeckeElt:
-        """h1 h2, with T_x h2 for every x in the support of h1 built along
-        x's chain from a cache that lives for this call only."""
+    def right_mul(self, h2: HeckeElt):
+        """h1 -> h1 h2, with T_x h2 for every x in the support of h1 built
+        along x's chain from one cache {e: h2} that the returned function
+        owns, so a sweep over left factors builds each T_x h2 once."""
         cache = {self.weyl.identity: h2}
         step = lambda i, h, _x: self.mul_gen(i, h)
-        acc = {}
-        for x, c in h1.items():
-            for w, cc in self._left_chain(x, cache, step).items():
-                accumulate(acc, w, cc * c)
-        return h2._new(acc)
+
+        def times_h2(h1: HeckeElt) -> HeckeElt:
+            acc = {}
+            for x, c in h1.items():
+                for w, cc in self._left_chain(x, cache, step).items():
+                    accumulate(acc, w, cc * c)
+            return h2._new(acc)
+
+        return times_h2
+
+    def mul(self, h1: HeckeElt, h2: HeckeElt) -> HeckeElt:
+        """h1 h2 through a right multiplier that lives for this call only."""
+        return self.right_mul(h2)(h1)
 
     # -- involutions ---------------------------------------------------------------
 

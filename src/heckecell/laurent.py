@@ -311,8 +311,9 @@ def peel(coords: dict, expand, key, stop=None, part=None) -> dict:
     With part, only part(c) is recorded and subtracted (nothing when it is
     zero), and c - part(c) stays in `coords` at top.  `coords` is consumed
     in place: on return it holds the residual, empty unless stop fired or
-    part was given.  Returns top -> recorded coefficient in descending key
-    order.
+    part was given.  expand(top) runs before `coords` changes, so an
+    exception from it leaves `coords` as it was before that top.  Returns
+    top -> recorded coefficient in descending key order.
     """
     heap = [_Top(key(w), w) for w in coords]
     heapify(heap)
@@ -324,18 +325,18 @@ def peel(coords: dict, expand, key, stop=None, part=None) -> dict:
             continue  # the term cancelled after it was queued
         if stop is not None and stop(top):
             break
-        if part is not None:
-            mu = part(c)
-            if not mu:
-                continue
-            accumulate(coords, top, -mu)
-            c = mu
-        else:
+        mu = c if part is None else part(c)
+        if not mu:
+            continue
+        basis = expand(top)
+        if part is None:
             del coords[top]
-        out[top] = c
-        neg = -c
+        else:
+            accumulate(coords, top, -mu)
+        out[top] = mu
+        neg = -mu
         monic = False
-        for w, pc in expand(top).items():
+        for w, pc in basis.items():
             if w == top:
                 monic = pc == _ONE
                 continue

@@ -245,9 +245,9 @@ class LowestCell:
         for i, fw in enumerate(self.ws.fundamental_weights):
             count = tau[i] // self.ws.b[i]
             if count:
-                p = self.p_element_omega(fw)
+                times_p = self.hecke.right_mul(self.p_element_omega(fw))
                 for _ in range(count):
-                    out = self.hecke.mul(out, p)
+                    out = times_p(out)
         return out
 
     # -- the ideals -----------------------------------------------------------------

@@ -178,7 +178,10 @@ def lowest_cell_suite():
     return out
 
 
-CELLULAR_BOUNDS = ((("A", 1, (1, 1)), 12), (("A", 2, (1, 1, 1)), 10))
+CELLULAR_BOUNDS = (
+    (("A", 1, (1, 1)), 12), (("A", 2, (1, 1, 1)), 10),
+    (("A", 1, (2, 1)), 20), (("C", 2, (2, 1, 1)), 14), (("C", 2, (3, 2, 1)), 14),
+)
 
 
 def cellular_suite():
@@ -187,15 +190,16 @@ def cellular_suite():
         ws, weyl, hecke, lowest, cs = stack(cfg)
         triples = cs.basis_triples(bound)
         images = {t: cs.phi_iso(CellularElt.basis(*t)) for t in triples}
+        lens = {t: lowest.assemble(*t).length() for t in triples}
         hom_bad = 0
         pair_count = 0
-        for a in triples:
-            la = lowest.assemble(*a).length()
-            for b in triples:
-                if la + lowest.assemble(*b).length() > bound:
+        for b in triples:
+            times_b = hecke.right_mul(images[b])
+            for a in triples:
+                if lens[a] + lens[b] > bound:
                     continue
                 pair_count += 1
-                prod = hecke.mul(images[a], images[b])
+                prod = times_b(images[a])
                 cell = cs.cellular_mul(CellularElt.basis(*a), CellularElt.basis(*b))
                 if prod != cs.phi_iso(cell):
                     hom_bad += 1

@@ -47,8 +47,9 @@ def test_criterion_5_lowest_cell():
 
 def test_criterion_6_cellular():
     # Phi homomorphism over all basis-triple pairs with total reassembled
-    # length <= 12 (A1) / <= 10 (A2); involution identity and
-    # unitriangularity on the same triples
+    # length <= 12 (A1) / <= 10 (A2) at equal parameters, and at unequal
+    # ones <= 20 (A1 (2,1)) / <= 14 (C2 (2,1,1) and (3,2,1)); involution
+    # identity and unitriangularity on the same triples
     report(verification.cellular_suite())
 
 

@@ -126,6 +126,59 @@ def test_mul_is_sum_of_term_products(cfg):
         assert H.mul(h1, h2) == expected
 
 
+@pytest.mark.parametrize("cfg", KL_CONFIGS, ids=KL_CONFIG_IDS)
+def test_right_mul_reused_agrees_with_mul(cfg):
+    # one right multiplier serves a whole sweep of left factors from its own
+    # chain cache; two multipliers applied in turn never see each other's
+    # cache, so each agrees with a fresh mul on every left factor
+    H = make(cfg)
+    rng = random.Random(6)
+    els = list(H.weyl.enumerate_elements(4))
+    h2 = H.kl_basis(rng.choice(els))
+    h3 = H.t(rng.choice(els)) + H.t(rng.choice(els)).scale(LaurentPoly.q_power(-1))
+    times_h2, times_h3 = H.right_mul(h2), H.right_mul(h3)
+    for w in els:
+        for h1 in (H.kl_basis(w), H.t(w)):
+            assert times_h2(h1) == H.mul(h1, h2)
+            assert times_h3(h1) == H.mul(h1, h3)
+
+
+def _count_calls(monkeypatch, cls, name):
+    calls = [0]
+    orig = getattr(cls, name)
+
+    def counted(self, *args):
+        calls[0] += 1
+        return orig(self, *args)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def _new_letter_entries(W, cache, before):
+    return sum(1 for x in cache if x not in before and not W.reduced_word(x)[0])
+
+
+def test_one_generator_step_per_link(monkeypatch):
+    # a KL link that misses a lower element resumes its peel once that
+    # element is built, so a cold walk runs the generator step once for each
+    # element it stores under a letter (pi links are relabels); links that
+    # restarted after each miss ran 681 steps for the 498 KL elements here
+    H = make(("A", 2, (1, 1, 1)))
+    L = LowestCell(H)
+    W = H.weyl
+    steps = _count_calls(monkeypatch, Hecke, "mul_gen")
+    before = set(H._kl_cache)
+    H.kl_basis(W.longest_finite * W.translation((-8, -8)))
+    assert steps[0] == _new_letter_entries(W, H._kl_cache, before) == 498
+    steps = _count_calls(monkeypatch, LowestCell, "_module_gen")
+    before = set(L._p_cache)
+    for z in L.box_elements():
+        L.p_element(z)
+    L.relative_kl(W.translation((8, 8)))
+    assert steps[0] == _new_letter_entries(W, L._p_cache, before) == 161
+
+
 def test_bar_examples():
     H, W = HA2, HA2.weyl
     assert H.bar(H.unit()) == H.unit()

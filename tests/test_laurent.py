@@ -123,6 +123,28 @@ def test_peel_rejects_non_monic_expansion():
         peel({"b": one}, {"b": {"b": P({0: 2}), "a": one}}.get, str)
 
 
+def test_peel_leaves_coords_untouched_by_a_failed_expand():
+    # expand runs before coords changes: when it raises on the second top,
+    # coords hold their state after the first top, and a second peel on them
+    # finishes the job (this is how a KL link resumes after a miss)
+    one = LaurentPoly.one()
+    basis = {"b": {"b": one, "a": one}, "a": {"a": one}}
+    tops = []
+
+    def expand(w):
+        tops.append(w)
+        if len(tops) == 2:
+            raise LookupError(w)
+        return basis[w]
+
+    coords = {"a": P({0: 3}), "b": one}
+    with pytest.raises(LookupError):
+        peel(coords, expand, str)
+    assert tops == ["b", "a"] and coords == {"a": P({0: 2})}
+    assert peel(coords, basis.get, str) == {"a": P({0: 2})}
+    assert coords == {}
+
+
 def test_peel_part_subtracts_only_the_bar_invariant_part():
     # over the basis b = b + q^-1 a + c, a = a + c, c = c, d = d (b > a > c > d)
     # the peel with part takes off the bar-invariant part of each coefficient
