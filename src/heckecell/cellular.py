@@ -147,10 +147,11 @@ class CellularStructure:
         return hit
 
     def phi_iso(self, a: CellularElt) -> HeckeElt:
-        out = self.hecke.zero()
+        d = {}
         for (z, tau, zp), c in a.items():
-            out = out + self.phi_image_basis(z, tau, zp).scale(c)
-        return out
+            for w, cw in self.phi_image_basis(z, tau, zp).items():
+                accumulate(d, w, cw * c)
+        return HeckeElt(d)
 
     def phi_inverse(self, h: HeckeElt) -> CellularElt:
         """Inverse of the isomorphism on elements of the lowest ideal.

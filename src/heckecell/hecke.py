@@ -361,9 +361,6 @@ class PreorderGraph:
         """z <=_L y on the truncated graph."""
         return z in self._reach(y, self.left)
 
-    def leq_right(self, z, y) -> bool:
-        return z in self._reach(y, self.right)
-
     def leq_two_sided(self, z, y) -> bool:
         both = {w: self.left.get(w, set()) | self.right.get(w, set()) for w in self.nodes}
         return z in self._reach(y, both)

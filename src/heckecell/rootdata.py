@@ -4,24 +4,33 @@ Everything is realized in exact integer coordinates over the basis of
 classical fundamental weights, so that the pairing of a weight with any
 coroot is a dot product with a precomputed integer vector.
 
-Shipped Cartan types: A1, A2, A3 and C2.  Unequal parameters occur for C2
-and for A1 (which is the rank-1 member of the C-family); in type A_n with
-n >= 2 all generators are conjugate and the parameters must agree.
+Each shipped Cartan type (A1, A2, A3 and C2) is one row: its Cartan matrix
+and the label of the affine generator.  Everything else is derived from it:
 
-Convention for the C-family, with params = (L(s_0), ..., L(s_n)) and
-L(s_0) >= L(s_n) enforced: the hyperplane family whose even levels pass
-through the origin carries the weight L(s_0), the odd levels carry L(s_n),
-and the intermediate (axis) families carry the middle parameters.  This is
-the orientation in which 0 is always a special point and the lattice of
-special points is an index-2 sublattice of the classical weight lattice
-when L(s_0) > L(s_n).  Generator index i always has weight params[i]; in
-the C-family the generator carrying the affine reflection is the one
-indexed n.
+- The positive roots and their coroots, by closing each simple pair
+  (alpha_i, alpha_i^v) under the simple reflections, ordered by height and
+  then by descending simple-root coefficients.  The root alpha_0 whose
+  coroot is the highest coroot carries the affine wall H_{alpha_0,1}.
+- The weight L_H of each hyperplane H_{alpha,k}.  L_H is constant on the
+  orbits of the affine Weyl group (Bremke 1997), and the orbit of
+  H_{alpha,k} is the W_0-orbit of alpha together with k modulo
+  g_alpha = gcd_j <alpha_j, alpha^v>, which is 1 or 2.  Each orbit holds a
+  wall of A_0 and takes the weight of that wall's generator; two walls in
+  one orbit belong to conjugate generators, whose weights must agree.  So
+  in type A_n (n >= 2) all weights agree, while in the C-family (C2, and
+  A1 as its rank-1 member) the short roots split into even and odd levels.
+
+params = (L(s_0), ..., L(s_n)) by generator label: the affine generator
+has label affine_gen and the finite generators take the other labels in
+order.  Every root must satisfy even_weight >= odd_weight (in the C-family:
+L(s_0) >= L(s_n)).  This is the orientation in which 0 is always a special
+point, and the special points form an index-2 sublattice of the classical
+weight lattice when the two weights differ.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 from itertools import product as _cartesian
 
 
@@ -46,6 +55,15 @@ class PosRoot:
     def level_weight(self, k: int) -> int:
         return self.even_weight if k % 2 == 0 else self.odd_weight
 
+    def reflection_matrix(self) -> tuple:
+        """The reflection in this root as an integer matrix acting on row
+        vectors of weight coordinates: lam |-> lam - <lam, alpha^v> alpha."""
+        n = len(self.vector)
+        return tuple(
+            tuple(int(r == c) - self.covector[r] * self.vector[c] for c in range(n))
+            for r in range(n)
+        )
+
     def __repr__(self):
         return f"PosRoot({self.vector})"
 
@@ -54,42 +72,41 @@ def _dot(lam, cov):
     return sum(a * b for a, b in zip(lam, cov))
 
 
-# Simple root data per type: covectors of positive roots in the simple
-# coroot basis, and root coefficients in the simple root basis (these
-# differ outside the simply-laced types).  Simple roots come first, in
-# the order matching finite generator indices.
-_POSROOT_COVECTORS = {
-    "A1": [(1,)],
-    "A2": [(1, 0), (0, 1), (1, 1)],
-    "A3": [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1)],
-    # C2 (Bourbaki): alpha_1 = e1-e2 short, alpha_2 = 2e2 long;
-    # (e1+e2)^v = a1^v + 2 a2^v, (2e1)^v = a1^v + a2^v.
-    "C2": [(1, 0), (0, 1), (1, 2), (1, 1)],
+# Per type: the Cartan matrix, cartan[i][j] = <alpha_j, alpha_i^v> (Bourbaki
+# numbering: in C2, alpha_1 = e1-e2 is short and alpha_2 = 2e2 long), and the
+# label of the affine generator.
+_TYPES = {
+    "A1": (((2,),), 1),
+    "A2": (((2, -1), (-1, 2)), 0),
+    "A3": (((2, -1, 0), (-1, 2, -1), (0, -1, 2)), 0),
+    "C2": (((2, -2), (-1, 2)), 2),
 }
 
-_POSROOT_ROOTCOEFFS = {
-    "A1": [(1,)],
-    "A2": [(1, 0), (0, 1), (1, 1)],
-    "A3": [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1)],
-    # e1+e2 = a1 + a2, 2e1 = 2 a1 + a2.
-    "C2": [(1, 0), (0, 1), (1, 1), (2, 1)],
-}
 
-_CARTAN = {
-    # cartan[i][j] = <alpha_j, alpha_i^v>
-    "A1": [[2]],
-    "A2": [[2, -1], [-1, 2]],
-    "A3": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
-    "C2": [[2, -2], [-1, 2]],
-}
-
-# Index (into the positive-root list) of the root alpha_0 whose coroot is
-# the highest coroot; its hyperplane at level 1 carries the affine wall.
-_HIGHEST_COROOT_ROOT = {"A1": 0, "A2": 2, "A3": 5, "C2": 2}
-
-# Roots whose hyperplane levels alternate in weight in the C-family
-# (the "diagonal" families); everything else has a constant family weight.
-_PARITY_SPLIT_ROOTS = {"A1": {0}, "C2": {0, 2}}
+def _orbit(cartan, i) -> set:
+    """The W_0-orbit of (alpha_i, alpha_i^v) as pairs (root, coroot) in the
+    simple root and simple coroot bases.  s_j changes coordinate j only: by
+    <beta, alpha_j^v> = sum_k beta_k cartan[j][k] for a root beta, and by
+    the transpose for a coroot."""
+    n = len(cartan)
+    unit = tuple(int(k == i) for k in range(n))
+    seen = {(unit, unit)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for root, coroot in frontier:
+            for j in range(n):
+                a = sum(root[k] * cartan[j][k] for k in range(n))
+                b = sum(coroot[k] * cartan[k][j] for k in range(n))
+                img = (
+                    tuple(x - a * (k == j) for k, x in enumerate(root)),
+                    tuple(x - b * (k == j) for k, x in enumerate(coroot)),
+                )
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return seen
 
 
 class WeightSystem:
@@ -97,33 +114,21 @@ class WeightSystem:
 
     def __init__(self, cartan_type: str, rank: int, params):
         key = f"{cartan_type}{rank}"
-        if key not in _POSROOT_COVECTORS:
+        if key not in _TYPES:
             raise ValueError(f"unsupported Cartan data {cartan_type}_{rank}")
         params = tuple(int(p) for p in params)
         if len(params) != rank + 1:
             raise ValueError(f"need {rank + 1} generator weights, got {len(params)}")
         if any(p < 1 for p in params):
             raise ValueError("generator weights must be positive integers")
-        if cartan_type == "A" and rank >= 2 and len(set(params)) != 1:
-            raise ValueError("all generators of affine type A_n (n>=2) are conjugate; weights must agree")
-        if key in ("A1", "C2") and params[0] < params[rank]:
-            raise ValueError("C-family convention requires L(s_0) >= L(s_n)")
 
         self.cartan_type = cartan_type
         self.rank = rank
         self.key = key
         self.params = params
         self.num_gens = rank + 1
-        self.cartan = _CARTAN[key]
-        # Generator indices: in the C-family the finite generators are
-        # 0..n-1 and the affine one is n (keeping weight L(s_0) on the
-        # family through the origin); in type A the affine one is 0.
-        if key in ("A1", "C2"):
-            self.simple_to_gen = tuple(range(rank))
-            self.affine_gen = rank
-        else:
-            self.simple_to_gen = tuple(range(1, rank + 1))
-            self.affine_gen = 0
+        self.cartan, self.affine_gen = _TYPES[key]
+        self.simple_to_gen = tuple(g for g in range(rank + 1) if g != self.affine_gen)
 
         self._build_roots()
         self._build_w0()
@@ -134,26 +139,43 @@ class WeightSystem:
     def _build_roots(self):
         n = self.rank
         cart = self.cartan
-        covs = _POSROOT_COVECTORS[self.key]
-        rcs = _POSROOT_ROOTCOEFFS[self.key]
-        split = _PARITY_SPLIT_ROOTS.get(self.key, set())
+        # positive (root, coroot) pairs, each with the first simple root in
+        # its W_0-orbit as the orbit's name
+        orbit_of = {}
+        for i in range(n):
+            for pair in _orbit(cart, i):
+                if min(pair[0]) >= 0:
+                    orbit_of.setdefault(pair, i)
+        pairs = sorted(orbit_of, key=lambda p: (sum(p[0]), tuple(-c for c in p[0])))
+        # root vectors in weight coordinates: combinations of the
+        # simple-root columns of the Cartan matrix
+        vecs = [tuple(_dot(rc, cart[i]) for i in range(n)) for rc, _ in pairs]
+        # H_{alpha,k} lies in the orbit (orbit of alpha, k mod g_alpha), with
+        # g_alpha the gcd of the pairings of the simple roots with alpha^v
+        gcds = [math.gcd(*(_dot(vecs[j], cov) for j in range(n))) for _, cov in pairs]
+        orbit_class = lambda idx, k: (orbit_of[pairs[idx]], k % gcds[idx])
+        top = max(range(len(pairs)), key=lambda idx: sum(pairs[idx][1]))
+
+        walls = [(k, 0, self.simple_to_gen[k]) for k in range(n)]
+        walls.append((top, 1, self.affine_gen))
+        gen_of = {}
+        for idx, level, gen in walls:
+            other = gen_of.setdefault(orbit_class(idx, level), gen)
+            if self.params[other] != self.params[gen]:
+                raise ValueError(
+                    f"generators {min(other, gen)} and {max(other, gen)} are conjugate; "
+                    "weights must agree")
         roots = []
-        for idx, cov in enumerate(covs):
-            # root vector in weight coordinates: combination of simple-root
-            # columns of the Cartan matrix
-            rc = rcs[idx]
-            vec = tuple(sum(rc[j] * cart[i][j] for j in range(n)) for i in range(n))
-            if self.key in ("A1", "C2"):
-                if idx in split:
-                    even, odd = self.params[0], self.params[n]
-                else:
-                    even = odd = self.params[1]
-            else:
-                even = odd = self.params[0]
+        for idx, (vec, (_, cov)) in enumerate(zip(vecs, pairs)):
+            even, odd = (self.params[gen_of[orbit_class(idx, k)]] for k in (0, 1))
+            if even < odd:
+                raise ValueError(
+                    "the hyperplanes through the origin must not weigh less than "
+                    "their odd translates (L(s_0) >= L(s_n) in the C-family)")
             roots.append(PosRoot(idx, vec, cov, even, odd))
         self.positive_roots = roots
         self.simple_roots = roots[:n]
-        self.highest_coroot_root = roots[_HIGHEST_COROOT_ROOT[self.key]]
+        self.highest_coroot_root = roots[top]
         self._root_by_vector = {r.vector: (r, 1) for r in roots}
         self._root_by_vector.update(
             {tuple(-x for x in r.vector): (r, -1) for r in roots}
@@ -164,20 +186,13 @@ class WeightSystem:
         n = self.rank
         ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
-        def refl_matrix(i):
-            alpha = self.simple_roots[i].vector
-            return tuple(
-                tuple((1 if r == c else 0) - (1 if r == i else 0) * alpha[c] for c in range(n))
-                for r in range(n)
-            )
-
         def matmul(a, b):
             return tuple(
                 tuple(sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n))
                 for r in range(n)
             )
 
-        simple_mats = [refl_matrix(i) for i in range(n)]
+        simple_mats = [r.reflection_matrix() for r in self.simple_roots]
         mats = [ident]
         index = {ident: 0}
         words = {0: ()}
@@ -213,16 +228,13 @@ class WeightSystem:
 
         # Signed action on positive roots: root_action[u][r] = (r', sign)
         # with (positive root r) * u = sign * (positive root r').
-        def act(vec, m):
-            return tuple(sum(vec[k] * m[k][c] for k in range(n)) for c in range(len(vec)))
-
         self.w0_root_action = []
         lengths = []
-        for m in mats:
+        for u in range(size):
             row = []
             neg = 0
             for r in self.positive_roots:
-                img = act(r.vector, m)
+                img = self.act(r.vector, u)
                 tgt, sign = self._root_by_vector[img]
                 row.append((tgt.index, sign))
                 if sign < 0:
@@ -247,8 +259,9 @@ class WeightSystem:
         )
         # Root lattice basis (rows) in weight coordinates.
         self.q_basis = tuple(r.vector for r in self.simple_roots)
-        self._q_inv = _invert(self.q_basis)
-        self.pi_order = abs(_det(self.q_basis)) // _lattice_index_p(self.b)
+        self._q_index = abs(_det(self.q_basis))
+        self._q_cofactors = _cofactors(self.q_basis)
+        self.pi_order = self._q_index // math.prod(self.b)
         self.nu_L = sum(r.even_weight for r in self.positive_roots)
 
     # -- lattice membership and reduction -----------------------------------
@@ -263,18 +276,10 @@ class WeightSystem:
         return tuple(lam)
 
     def coset_key(self, lam) -> tuple:
-        """Canonical representative of lam modulo the root lattice Q."""
-        coeffs = [
-            sum(Fraction(lam[i]) * self._q_inv[i][j] for i in range(self.rank))
-            for j in range(self.rank)
-        ]
-        out = list(lam)
-        for j, c in enumerate(coeffs):
-            f = c.numerator // c.denominator  # floor
-            if f:
-                for i in range(self.rank):
-                    out[i] -= f * self.q_basis[j][i]
-        return tuple(out)
+        """The class of lam modulo the root lattice Q, as lam.adj(Q) mod
+        |det Q|: its simple-root coordinates times det Q, which are
+        integers, and are multiples of det Q exactly when lam is in Q."""
+        return tuple(_dot(lam, row) % self._q_index for row in self._q_cofactors)
 
     # -- pairings and the W_0 action ----------------------------------------
 
@@ -321,11 +326,6 @@ class WeightSystem:
         img = self.act(lam, self.longest_index)
         return tuple(-x for x in img)
 
-    def nu_on_w0(self, u: int) -> int:
-        """Conjugation by w_0, the group side of nu."""
-        w0 = self.longest_index
-        return self.w0_mult[self.w0_mult[w0][u]][w0]
-
     # -- L-weights -----------------------------------------------------------
 
     def point_weight(self, lam) -> int:
@@ -354,43 +354,25 @@ class WeightSystem:
         """L(u) for u in W_0, summed over any reduced word."""
         return sum(self.params[self.simple_to_gen[i]] for i in self.w0_words[u])
 
-    @staticmethod
-    def from_config(cfg: dict) -> "WeightSystem":
-        return WeightSystem(cfg["type"], int(cfg["rank"]), cfg["params"])
-
 
 def _det(rows):
+    """Determinant by cofactor expansion along the first row."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * x * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j, x in enumerate(rows[0])
+    )
+
+
+def _cofactors(rows):
+    """The cofactor matrix: entry (j, i) is (-1)^(i+j) times the minor that
+    drops row j and column i, so row j is column j of adj(rows)."""
     n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = 0
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        total += (-1) ** j * rows[0][j] * _det(minor)
-    return total
-
-
-def _invert(rows):
-    """Inverse of an integer matrix as Fractions (rows of the inverse)."""
-    n = len(rows)
-    aug = [[Fraction(rows[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def _lattice_index_p(b):
-    out = 1
-    for x in b:
-        out *= x
-    return out
+    return tuple(
+        tuple(
+            (-1) ** (i + j) * _det([r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j])
+            for i in range(n)
+        )
+        for j in range(n)
+    )

@@ -115,8 +115,7 @@ class Weyl:
         for k in range(n):
             gens[ws.simple_to_gen[k]] = self.element(ws.w0_simple_index[k], zero)
         hcr = ws.highest_coroot_root
-        aff_mat = self._reflection_matrix(hcr)
-        gens[ws.affine_gen] = self.element(ws.w0_index[aff_mat], hcr.vector)
+        gens[ws.affine_gen] = self.element(ws.w0_index[hcr.reflection_matrix()], hcr.vector)
         self.gens = tuple(gens)
 
         self.base_point = self._fundamental_point()
@@ -124,14 +123,6 @@ class Weyl:
         self._leq_cache = {}
 
     # -- raw construction helpers -------------------------------------------
-
-    def _reflection_matrix(self, root):
-        ws = self.ws
-        n = ws.rank
-        return tuple(
-            tuple((1 if r == c else 0) - root.covector[r] * root.vector[c] for c in range(n))
-            for r in range(n)
-        )
 
     def _fundamental_point(self):
         """Barycenter of A_0: exact rational interior point."""
@@ -163,6 +154,8 @@ class Weyl:
         self._pi_by_class = {
             ws.coset_key(g.translation): i for i, g in enumerate(self.pi_elements)
         }
+        if len(self._pi_by_class) != ws.pi_order:
+            raise AssertionError("two length-zero elements share a class modulo Q")
         # Permutation of generator indices induced by each pi.
         perms = []
         for g in self.pi_elements:
@@ -464,7 +457,7 @@ class Weyl:
                 cur[j] - c * r0.vector[j] for j in range(ws.rank)
             )
             refl = self.element(
-                ws.w0_index[self._reflection_matrix(r0)],
+                ws.w0_index[r0.reflection_matrix()],
                 tuple(k0 * v for v in r0.vector),
             )
             g = g * refl

@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from heckecell.rootdata import WeightSystem
+from heckecell.weyl import Weyl
 
 
 A2 = WeightSystem("A", 2, (1, 1, 1))
@@ -13,6 +15,8 @@ C2E = WeightSystem("C", 2, (1, 1, 1))
 def test_construction_validation():
     with pytest.raises(ValueError):
         WeightSystem("A", 2, (2, 1, 1))  # conjugate generators, unequal weights
+    with pytest.raises(ValueError):
+        WeightSystem("A", 3, (1, 1, 2, 1))
     with pytest.raises(ValueError):
         WeightSystem("C", 2, (1, 1, 2))  # violates L(s_0) >= L(s_n)
     with pytest.raises(ValueError):
@@ -25,9 +29,90 @@ def test_construction_validation():
         WeightSystem("A", 2, (0, 0, 0))
 
 
-def test_from_config():
-    ws = WeightSystem.from_config({"type": "C", "rank": 2, "params": [2, 1, 1]})
-    assert ws.key == "C2" and ws.params == (2, 1, 1)
+# Hand-written root data per type, kept here as an oracle for the data that
+# WeightSystem derives from the Cartan matrix: coroots in the simple coroot
+# basis, roots in the simple root basis, the index of the root whose coroot
+# is the highest coroot, and the roots whose hyperplane weights alternate
+# with the parity of the level (C-family short roots).
+POSROOT_COVECTORS = {
+    "A1": [(1,)],
+    "A2": [(1, 0), (0, 1), (1, 1)],
+    "A3": [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1)],
+    # C2 (Bourbaki): alpha_1 = e1-e2 short, alpha_2 = 2e2 long;
+    # (e1+e2)^v = a1^v + 2 a2^v, (2e1)^v = a1^v + a2^v.
+    "C2": [(1, 0), (0, 1), (1, 2), (1, 1)],
+}
+POSROOT_ROOTCOEFFS = {
+    "A1": [(1,)],
+    "A2": [(1, 0), (0, 1), (1, 1)],
+    "A3": [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1)],
+    # e1+e2 = a1 + a2, 2e1 = 2 a1 + a2.
+    "C2": [(1, 0), (0, 1), (1, 1), (2, 1)],
+}
+HIGHEST_COROOT_ROOT = {"A1": 0, "A2": 2, "A3": 5, "C2": 2}
+PARITY_SPLIT_ROOTS = {"A1": {0}, "C2": {0, 2}}
+
+SHIPPED_CONFIGS = [
+    ("A", 1, (1, 1)),
+    ("A", 1, (2, 1)),
+    ("A", 2, (1, 1, 1)),
+    ("A", 3, (1, 1, 1, 1)),
+    ("C", 2, (1, 1, 1)),
+    ("C", 2, (2, 1, 1)),
+    ("C", 2, (3, 2, 1)),
+]
+# The shipped configurations, extreme parameters of the C-family, and A2 at
+# a non-unit equal weight.
+DERIVATION_CONFIGS = SHIPPED_CONFIGS + [
+    ("C", 2, (1, 5, 1)),
+    ("C", 2, (4, 1, 3)),
+    ("A", 1, (5, 2)),
+    ("A", 2, (3, 3, 3)),
+]
+
+
+def expected_roots(ws):
+    """(vector, covector, even_weight, odd_weight) per root from the hand
+    tables: C-family split roots carry L(s_0) on even and L(s_n) on odd
+    levels, its other roots L(s_1); in type A_n every root carries L(s_0)."""
+    n, params = ws.rank, ws.params
+    c_family = ws.key in PARITY_SPLIT_ROOTS
+    out = []
+    for idx, (cov, rc) in enumerate(zip(POSROOT_COVECTORS[ws.key], POSROOT_ROOTCOEFFS[ws.key])):
+        vec = tuple(sum(rc[j] * ws.cartan[i][j] for j in range(n)) for i in range(n))
+        if not c_family:
+            weights = (params[0], params[0])
+        elif idx in PARITY_SPLIT_ROOTS[ws.key]:
+            weights = (params[0], params[n])
+        else:
+            weights = (params[1], params[1])
+        out.append((vec, cov) + weights)
+    return out
+
+
+@pytest.mark.parametrize("cfg", DERIVATION_CONFIGS, ids=str)
+def test_derived_root_data_matches_hand_tables(cfg):
+    ws = WeightSystem(*cfg)
+    derived = [(r.vector, r.covector, r.even_weight, r.odd_weight) for r in ws.positive_roots]
+    assert derived == expected_roots(ws)
+    assert [r.index for r in ws.positive_roots] == list(range(len(derived)))
+    assert ws.highest_coroot_root.index == HIGHEST_COROOT_ROOT[ws.key]
+    c_family = ws.key in PARITY_SPLIT_ROOTS
+    assert ws.affine_gen == (ws.rank if c_family else 0)
+    assert ws.simple_to_gen == (tuple(range(ws.rank)) if c_family else tuple(range(1, ws.rank + 1)))
+
+
+def test_coset_key_is_the_class_modulo_q():
+    for cfg in SHIPPED_CONFIGS:
+        ws = WeightSystem(*cfg)
+        box = itertools.product(range(-3, 4), repeat=ws.rank)
+        for lam in box:
+            for alpha in ws.simple_roots:
+                shifted = tuple(a + b for a, b in zip(lam, alpha.vector))
+                assert ws.coset_key(shifted) == ws.coset_key(lam), (cfg, lam)
+        weyl = Weyl(ws)
+        keys = {ws.coset_key(g.translation) for g in weyl.pi_elements}
+        assert len(keys) == len(weyl.pi_elements) == ws.pi_order, cfg
 
 
 def test_pairing_dual_basis():
@@ -107,14 +192,6 @@ def test_nu():
     for _ in range(50):
         lam = (rng.randint(-9, 9), rng.randint(-9, 9))
         assert A2.nu(A2.nu(lam)) == lam
-
-
-def test_nu_on_group_is_automorphism():
-    for ws in (A2, C2A):
-        for u in range(ws.w0_size):
-            for v in range(ws.w0_size):
-                uv = ws.w0_mult[u][v]
-                assert ws.nu_on_w0(uv) == ws.w0_mult[ws.nu_on_w0(u)][ws.nu_on_w0(v)]
 
 
 def test_dominance():

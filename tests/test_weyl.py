@@ -274,7 +274,8 @@ def test_commuting_left_right_actions():
 
 
 def test_hyperplane_weight_oracle_matches_families():
-    for weyl in (WA2, WC2, make(("A", 1, (2, 1)))):
+    for cfg, _ in ORACLE_CONFIGS:
+        weyl = make(cfg)
         for r in weyl.ws.positive_roots:
             for k in (-2, -1, 0, 1, 2, 3):
                 assert weyl.hyperplane_weight(r.index, k) == r.level_weight(k)
@@ -296,6 +297,15 @@ def test_hyperplane_weight_constant_on_orbits():
         shift = sum(g.translation[i] * cov[i] for i in range(ws.rank))
         k_img = sign * k + shift
         assert ws.positive_roots[tgt].level_weight(k_img) == r.level_weight(k)
+
+
+def test_pi_elements_need_distinct_classes(monkeypatch):
+    # a coset key that merges classes would let two length-zero elements
+    # overwrite each other in the class table
+    ws = WeightSystem("A", 2, (1, 1, 1))
+    monkeypatch.setattr(ws, "coset_key", lambda lam: ())
+    with pytest.raises(AssertionError, match="share a class"):
+        Weyl(ws)
 
 
 def test_pi_gen_permutation():
