@@ -4,13 +4,13 @@ cellular basis, and the type-A path model for its decomposition."""
 
 from .laurent import LaurentPoly, xi
 from .rootdata import WeightSystem
-from .weyl import Alcove, GroupElement, Weyl
+from .weyl import GroupElement, Weyl
 from .hecke import Hecke, HeckeElt
 from .lowestcell import BoundExceeded, CellFactorization, LowestCell, NotInLowestCell
 from .cellular import CellularElt, CellularStructure, MonoidAlgebraElt
 
 __all__ = [
-    "LaurentPoly", "xi", "WeightSystem", "Alcove", "GroupElement", "Weyl",
+    "LaurentPoly", "xi", "WeightSystem", "GroupElement", "Weyl",
     "Hecke", "HeckeElt", "BoundExceeded", "CellFactorization", "LowestCell",
     "NotInLowestCell",
     "CellularElt", "CellularStructure", "MonoidAlgebraElt",

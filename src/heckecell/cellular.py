@@ -2,6 +2,10 @@
 form phi, the isomorphism onto the lowest two-sided ideal, and the
 decomposition of the cellular basis in the Kazhdan-Lusztig basis.
 
+phi is read off the one expansion in the cellular basis, phi_inverse: the
+images P(tau) C_{w_0} of the triples (e, tau, e) are the basis of M_+, and
+every other image is P(z) times one of them times flat P(z').
+
 All universally quantified claims are exposed as bounded sweeps; callers
 name the length bound and the sweep is exact within it.
 
@@ -65,7 +69,6 @@ class CellularStructure:
         self._phi_cache = {}
         self._phi_image_cache = {}
         self._phi_image_kl_cache = {}
-        self._ptau_kl_cache = {}
 
     def _check_bound(self, w) -> None:
         if self.length_bound is not None and w.length() > self.length_bound:
@@ -76,7 +79,7 @@ class CellularStructure:
 
     def phi_form(self, z: GroupElement, zprime: GroupElement) -> MonoidAlgebraElt:
         """phi(v_z, v_{z'}): coefficients of C_{w_0 z^-1} C_{z' w_0} in the
-        basis {P(tau) C_{w_0}} of M_+.
+        basis {P(tau) C_{w_0}} of M_+, read off phi_inverse at (e, tau, e).
 
         Both subscripts are length-additive (z^-1 on the right of w_0, z'
         on the left), which is what keeps the product inside M_+ and what
@@ -97,29 +100,16 @@ class CellularStructure:
             hecke.kl_basis(w0 * z.inverse()),
             hecke.kl_basis(zprime * w0),
         )
-        in_m_plus = self.lowest.in_m_plus_index
-
-        def expand(top):
-            tau = in_m_plus(top)
-            if tau is None:
-                raise AssertionError(f"product left M_+ at {top!r}")
-            return self._ptau_kl(tau)
-
-        coords = peel(hecke.kl_expand(prod), expand, weyl.sort_key)
-        result = MonoidAlgebraElt({in_m_plus(top): c for top, c in coords.items()})
+        e = weyl.identity
+        d = {}
+        for (x, tau, xp), c in self.phi_inverse(prod).items():
+            if x != e or xp != e:
+                raise AssertionError(
+                    f"product left M_+ at {self.lowest.assemble(x, tau, xp)!r}")
+            d[tau] = c
+        result = MonoidAlgebraElt(d)
         self._phi_cache[key] = result
         return result
-
-    def _ptau_kl(self, tau) -> dict:
-        """KL coordinates of P(tau) C_{w_0}, cached per tau."""
-        tau = tuple(tau)
-        hit = self._ptau_kl_cache.get(tau)
-        if hit is None:
-            w0 = self.weyl.longest_finite
-            h = self.hecke.mul(self.lowest.p_element_tau(tau), self.hecke.kl_basis(w0))
-            hit = self.hecke.kl_expand(h)
-            self._ptau_kl_cache[tau] = hit
-        return hit
 
     # -- the twisted product and the isomorphism ------------------------------------
 
@@ -134,15 +124,19 @@ class CellularStructure:
         return CellularElt(d)
 
     def phi_image_basis(self, z: GroupElement, tau, zprime: GroupElement) -> HeckeElt:
-        """Phi(v_z (x) e^tau (x) v_{z'}) = P(z) P(tau) C_{w_0} P_R(z'^-1)."""
+        """Phi(v_z (x) e^tau (x) v_{z'}) = P(z) P(tau) C_{w_0} P_R(z'^-1),
+        built on the cached image P(tau) C_{w_0} of (e, tau, e)."""
         key = (z, tuple(tau), zprime)
         hit = self._phi_image_cache.get(key)
         if hit is None:
             hecke, lowest = self.hecke, self.lowest
-            w0 = self.weyl.longest_finite
-            h = hecke.mul(lowest.p_element_tau(key[1]), hecke.kl_basis(w0))
-            h = hecke.mul(lowest.p_element(z), h)
-            h = hecke.mul(h, hecke.flat(lowest.p_element(zprime)))
+            e = self.weyl.identity
+            if z == e and zprime == e:
+                w0 = self.weyl.longest_finite
+                h = hecke.mul(lowest.p_element_tau(key[1]), hecke.kl_basis(w0))
+            else:
+                h = hecke.mul(lowest.p_element(z), self.phi_image_basis(e, tau, e))
+                h = hecke.mul(h, hecke.flat(lowest.p_element(zprime)))
             self._phi_image_cache[key] = hit = h
         return hit
 
@@ -282,18 +276,12 @@ class CellularStructure:
 
     # -- interval geometry for the reduction ------------------------------------------
 
-    def m_alpha(self, omega, root_index: int) -> int:
-        """max over x <= p_omega and v in W_0 of the deepest level of a
-        hyperplane of the given direction separating A_0 from x v A_0."""
-        return self._m_alpha_per_root(omega)[root_index]
-
-    def m_alpha_bound(self, omega) -> int:
-        return max(self._m_alpha_per_root(omega))
-
-    def _m_alpha_per_root(self, omega) -> list:
-        """m_alpha(omega, r) for every positive root r, in one pass over the
-        interval: root shift c puts the alcove past the hyperplanes of levels
-        1..c (c >= 1) or c+1..0 (c <= -1), the deepest at max(c, -1 - c)."""
+    def m_alpha(self, omega) -> list:
+        """Per positive root r: max over x <= p_omega and v in W_0 of the
+        deepest level of a hyperplane of direction r separating A_0 from
+        x v A_0, in one pass over the interval: root shift c puts the
+        alcove past the hyperplanes of levels 1..c (c >= 1) or c+1..0
+        (c <= -1), the deepest at max(c, -1 - c)."""
         ws, weyl = self.ws, self.weyl
         best = [0] * len(ws.positive_roots)
         for x in weyl.bruhat_interval(weyl.translation(tuple(omega))):
@@ -317,5 +305,5 @@ class CellularStructure:
         lam = ws.check_lattice(lam)
         if not ws.is_antidominant(lam):
             raise ValueError(f"{lam} is not antidominant")
-        k = self.m_alpha_bound(omega)
+        k = max(self.m_alpha(omega))
         return tuple(max(c, -k * b) for c, b in zip(lam, ws.b))

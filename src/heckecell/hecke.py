@@ -281,7 +281,8 @@ class Hecke:
     # -- degree data -------------------------------------------------------------------
 
     def degree_data(self, x: GroupElement, y: GroupElement):
-        """The separating-hyperplane sets H_{x,y}, I_{x,y} and the degree
+        """The separating-hyperplane set H_{x,y}, the max weight per
+        direction (its keys are the directions I_{x,y}) and the degree
         bound c_{x,y} = sum over directions of the max weight in H_{x,y}."""
         weyl = self.weyl
         h_set = (weyl.separating_hyperplanes(weyl.identity, y)
@@ -292,7 +293,7 @@ class Hecke:
             w = root.level_weight(k)
             if c_per.get(r_idx, 0) < w:
                 c_per[r_idx] = w
-        return DegreeData(x, y, h_set, set(c_per), c_per, sum(c_per.values()))
+        return DegreeData(x, y, h_set, c_per, sum(c_per.values()))
 
     # -- cell preorder graphs --------------------------------------------------------------
 
@@ -325,13 +326,12 @@ class Hecke:
 
 
 class DegreeData:
-    __slots__ = ("x", "y", "h_set", "i_set", "c_per_alpha", "c")
+    __slots__ = ("x", "y", "h_set", "c_per_alpha", "c")
 
-    def __init__(self, x, y, h_set, i_set, c_per_alpha, c):
+    def __init__(self, x, y, h_set, c_per_alpha, c):
         self.x = x
         self.y = y
         self.h_set = h_set
-        self.i_set = i_set
         self.c_per_alpha = c_per_alpha
         self.c = c
 

@@ -148,15 +148,7 @@ def lowest_cell_suite():
             if lowest.assemble(f.z, f.tau, f.zprime) != w:
                 bad += 1
             seen.add((f.z, f.tau, f.zprime))
-        regenerated = set()
-        b0 = lowest.box_elements()
-        budget = bound - w0.length()
-        for z in b0:
-            for zp in b0:
-                for tau in cs.dominant_weights_up_to(budget):
-                    w = lowest.assemble(z, tau, zp)
-                    if w.length() <= bound:
-                        regenerated.add((z, tau, zp))
+        regenerated = set(cs.basis_triples(bound))
         bijective = seen == regenerated and len(seen) == len(cell) and bad == 0
         out.append(Check(
             f"lowest-cell factorization bijective {cfg} l<={bound}",
@@ -165,6 +157,7 @@ def lowest_cell_suite():
         ))
 
         ok = True
+        b0 = lowest.box_elements()
         for z in b0:
             pz = lowest.p_element(z)
             for zp in b0:
@@ -224,7 +217,7 @@ def cellular_suite():
                 tri_bad += 1
                 continue
             for w in coords:
-                if w != top and not (weyl.bruhat_leq(w, top) and w != top):
+                if w != top and not weyl.bruhat_leq(w, top):
                     tri_bad += 1
                     break
         out.append(Check(

@@ -76,30 +76,6 @@ class GroupElement:
         return f"<{head}{list(word)}>"
 
 
-class Alcove:
-    """An extended alcove, carried by an exact rational interior point."""
-
-    __slots__ = ("weyl", "point", "pi_index")
-
-    def __init__(self, weyl, point, pi_index=0):
-        self.weyl = weyl
-        self.point = tuple(point)
-        self.pi_index = pi_index
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Alcove)
-            and self.pi_index == other.pi_index
-            and self.weyl.alcove_floors(self.point) == other.weyl.alcove_floors(other.point)
-        )
-
-    def __hash__(self):
-        return hash((self.pi_index, self.weyl.alcove_floors(self.point)))
-
-    def __repr__(self):
-        return f"Alcove(pi={self.pi_index}, point={self.point})"
-
-
 class Weyl:
     """Group operations, generators, Pi, Bruhat order and the walk oracle."""
 
@@ -409,8 +385,9 @@ class Weyl:
             _floor(self.point_pairing(point, r)) for r in self.ws.positive_roots
         )
 
-    def alcove_walk(self, word, pi_idx: int = 0) -> Alcove:
-        """Walk the faces named by the word, starting from A_0.
+    def alcove_walk(self, word) -> tuple:
+        """The rational point reached by walking the faces named by the
+        word, starting from A_0 (Pi fixes A_0, so no Pi part enters).
 
         Cross-validation oracle only: applies the fixed generator
         reflections to the rational base point, in word order.
@@ -423,7 +400,7 @@ class Weyl:
                 sum(pt[k] * mat[k][c] for k in range(self.ws.rank)) + s.translation[c]
                 for c in range(self.ws.rank)
             )
-        return Alcove(self, pt, pi_idx)
+        return pt
 
     # -- hyperplane weight via face-type transport --------------------------------
 
