@@ -69,6 +69,10 @@ class CellularStructure:
         self._phi_cache = {}
         self._phi_image_cache = {}
         self._phi_image_kl_cache = {}
+        # (z', h -> h C_{z' w_0}) for the last z' of phi_form: one slot, so a
+        # column z' of the phi matrix shares its chain cache and memory stays
+        # bounded by one right factor
+        self._phi_right = None
 
     def _check_bound(self, w) -> None:
         if self.length_bound is not None and w.length() > self.length_bound:
@@ -80,6 +84,7 @@ class CellularStructure:
     def phi_form(self, z: GroupElement, zprime: GroupElement) -> MonoidAlgebraElt:
         """phi(v_z, v_{z'}): coefficients of C_{w_0 z^-1} C_{z' w_0} in the
         basis {P(tau) C_{w_0}} of M_+, read off phi_inverse at (e, tau, e).
+        Calls with the same z' in a row share one right multiplier.
 
         Both subscripts are length-additive (z^-1 on the right of w_0, z'
         on the left), which is what keeps the product inside M_+ and what
@@ -96,10 +101,9 @@ class CellularStructure:
             if total > self.length_bound:
                 raise BoundExceeded(
                     f"product support bound {total} exceeds {self.length_bound}")
-        prod = hecke.mul(
-            hecke.kl_basis(w0 * z.inverse()),
-            hecke.kl_basis(zprime * w0),
-        )
+        if self._phi_right is None or self._phi_right[0] != zprime:
+            self._phi_right = (zprime, hecke.right_mul(hecke.kl_basis(zprime * w0)))
+        prod = self._phi_right[1](hecke.kl_basis(w0 * z.inverse()))
         e = weyl.identity
         d = {}
         for (x, tau, xp), c in self.phi_inverse(prod).items():

@@ -122,13 +122,16 @@ def cmd_cellular_basis(args) -> int:
     lowest = LowestCell(Hecke(weyl))
     cs = CellularStructure(lowest)
     b0 = lowest.box_elements()
+    # column by column (phi_form keeps the right factor of the last z'),
+    # printed row by row
+    forms = {(z, zp): cs.phi_form(z, zp) for zp in b0 for z in b0}
     phi = {}
     for z in b0:
         for zp in b0:
             key = f"({serialize.element_text(weyl, z)},{serialize.element_text(weyl, zp)})"
             phi[key] = {
                 serialize.weight_text(t): str(c)
-                for t, c in sorted(cs.phi_form(z, zp).items())
+                for t, c in sorted(forms[z, zp].items())
             }
     budget = max(args.length_bound - weyl.longest_finite.length(), 0)
     decomps = {}

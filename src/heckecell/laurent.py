@@ -2,10 +2,18 @@
 and the sparse linear algebra over them that every layer shares.
 
 LaurentPoly is the scalar ring for everything else in this package.  Values
-are immutable; all operations return fresh objects.  Coefficients are Python
-ints, so they never overflow, and storage is sparse (exponent -> nonzero
-coefficient).  LaurentCombination is the one sparse linear-combination type
-(key -> nonzero LaurentPoly), and peel is the one elimination run on it: the
+are immutable; all operations return fresh objects.  A value is packed into
+one Python int: the coefficients c_0, c_1, ... of q^v, q^(v+1), ... are the
+balanced digits (|c_i| < 2^(W-1)) of n = sum c_i 2^(W i), where v is the
+lowest exponent with a nonzero coefficient.  A sum is a shift and an int
+add, a product is one int multiply.  Each value also carries m, an upper
+bound on its l1 norm sum |c_i|; since l1(ab) <= l1(a) l1(b),
+l1(a + b) <= l1(a) + l1(b) and max |c_i| <= l1, a result whose bound stays
+below 2^31 is exact in W = 32 bits.  Any other result is computed term by
+term, its bound set to the exact l1 norm, and packed in the least multiple
+of 32 bits that holds it, so coefficients of any size stay exact.
+LaurentCombination is the one sparse linear-combination type (key ->
+nonzero LaurentPoly), and peel is the one elimination run on it: the
 expansion of an element in a basis that is unitriangular over it, or, with
 part=LaurentPoly.bar_invariant_part, the step that pushes a bar-invariant
 element into T_top + sum q^-1 Z[q^-1] T_y (the KL lift).
@@ -17,24 +25,39 @@ from heapq import heapify, heappop, heappush
 
 NEG_INF = float("-inf")
 
+_W = 32  # digit width of every value whose l1 bound is below _LIMIT
+_LIMIT = 1 << (_W - 1)
+_MASK = (1 << _W) - 1
+
+
+def _width(m: int) -> int:
+    """The digit width of a value with l1 bound m: the least multiple of 32
+    above the bit length of m, so 32 for m < 2^31 and |c| <= m < 2^(width-1)."""
+    return _W * (m.bit_length() // _W + 1)
+
+
+def _encode(terms: dict) -> tuple:
+    """(v, n, m) of {exponent: coefficient}, with m the exact l1 norm."""
+    terms = {e: c for e, c in terms.items() if c}
+    if not terms:
+        return 0, 0, 0
+    m = sum(map(abs, terms.values()))
+    w = _width(m)
+    v = min(terms)
+    return v, sum(c << (w * (e - v)) for e, c in terms.items()), m
+
 
 class LaurentPoly:
     """A Laurent polynomial sum c_e * q^e with integer coefficients."""
 
-    __slots__ = ("_c", "_hash")
+    __slots__ = ("_v", "_n", "_m")
 
     def __init__(self, coeffs=None):
         c = {}
         if coeffs:
             for e, v in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
-                if v:
-                    ne = c.get(e, 0) + v
-                    if ne:
-                        c[e] = ne
-                    elif e in c:
-                        del c[e]
-        self._c = c
-        self._hash = None
+                c[e] = c.get(e, 0) + v
+        self._v, self._n, self._m = _encode(c)
 
     # -- constructors ------------------------------------------------------
 
@@ -57,135 +80,151 @@ class LaurentPoly:
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not self._c:
-            return other
-        if not other._c:
+        n2 = other._n
+        if not n2:
             return self
-        c = dict(self._c)
-        for e, v in other._c.items():
-            nv = c.get(e, 0) + v
-            if nv:
-                c[e] = nv
-            elif e in c:
-                del c[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = c
-        out._hash = None
+        n1 = self._n
+        if not n1:
+            return other
+        m = self._m + other._m
+        if m >= _LIMIT:
+            d = self._terms()
+            for e, c in other._terms().items():
+                d[e] = d.get(e, 0) + c
+            return _pack(d)
+        v, v2 = self._v, other._v
+        if v == v2:
+            n = n1 + n2
+            if not n:
+                return _ZERO
+            while not n & _MASK:
+                n >>= _W
+                v += 1
+        elif v < v2:
+            n = n1 + (n2 << (_W * (v2 - v)))
+        else:
+            n = n2 + (n1 << (_W * (v - v2)))
+            v = v2
+        out = _alloc(LaurentPoly)
+        out._v, out._n, out._m = v, n, m
         return out
 
     def __neg__(self) -> "LaurentPoly":
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {e: -v for e, v in self._c.items()}
-        out._hash = None
-        return out
+        return _new(self._v, -self._n, self._m)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not self._c or not other._c:
+        n1, n2 = self._n, other._n
+        if not n1 or not n2:
             return _ZERO
-        a, b = self._c, other._c
-        if len(a) > len(b):
-            a, b = b, a
-        if len(a) == 1:
-            ((e1, v1),) = a.items()
-            if e1 == 0 and v1 == 1:
-                return other if a is self._c else self
-            c = {e1 + e2: v1 * v2 for e2, v2 in b.items()}
-        else:
-            c = {}
-            for e1, v1 in a.items():
-                for e2, v2 in b.items():
-                    e = e1 + e2
-                    nv = c.get(e, 0) + v1 * v2
-                    if nv:
-                        c[e] = nv
-                    elif e in c:
-                        del c[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = c
-        out._hash = None
+        m = self._m * other._m
+        if m >= _LIMIT:
+            d = {}
+            b = other._terms()
+            for e1, c1 in self._terms().items():
+                for e2, c2 in b.items():
+                    d[e1 + e2] = d.get(e1 + e2, 0) + c1 * c2
+            return _pack(d)
+        out = _alloc(LaurentPoly)
+        out._v, out._n, out._m = self._v + other._v, n1 * n2, m
         return out
 
     def scale(self, n: int) -> "LaurentPoly":
-        if n == 0:
+        if not n or not self._n:
             return _ZERO
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {e: n * v for e, v in self._c.items()}
-        out._hash = None
-        return out
+        m = self._m * abs(n)
+        if m >= _LIMIT:
+            return _pack({e: c * n for e, c in self._terms().items()})
+        return _new(self._v, self._n * n, m)
 
     # -- involution and filtration ----------------------------------------
 
     def bar(self) -> "LaurentPoly":
         """The ring involution q -> q^-1."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {-e: v for e, v in self._c.items()}
-        out._hash = None
-        return out
+        return _pack({-e: c for e, c in self._terms().items()})
 
     def degree(self):
-        """Max exponent, or -inf for the zero polynomial."""
-        return max(self._c) if self._c else NEG_INF
+        """Max exponent, or -inf for the zero polynomial.  With |c| below
+        2^(width-1), the top digit at index k puts |n| in
+        (2^(width*k - 1), 2^(width*k + width - 1))."""
+        n = self._n
+        if not n:
+            return NEG_INF
+        return self._v + abs(n).bit_length() // _width(self._m)
 
     def in_strictly_negative(self) -> bool:
         """True iff the polynomial lies in q^-1 Z[q^-1]."""
-        return all(e < 0 for e in self._c)
+        return self.degree() < 0
 
     def bar_invariant_part(self) -> "LaurentPoly":
         """The bar-invariant mu with self - mu in q^-1 Z[q^-1]: the constant
         term plus c_e (q^e + q^-e) for every term c_e q^e with e > 0."""
+        if self.degree() < 0:
+            return _ZERO
         c = {}
-        for e, v in self._c.items():
+        for e, v in self._terms().items():
             if e >= 0:
                 c[e] = c[-e] = v
-        if not c:
-            return _ZERO
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = c
-        out._hash = None
-        return out
+        return _pack(c)
 
     # -- inspection --------------------------------------------------------
 
+    def _terms(self) -> dict:
+        """{exponent: nonzero coefficient} in ascending exponent order."""
+        n, e = self._n, self._v
+        w = _width(self._m)
+        mask, half = (1 << w) - 1, 1 << (w - 1)
+        out = {}
+        while n:
+            c = n & mask
+            n >>= w
+            if c >= half:  # a negative digit borrowed one from the rest
+                c -= mask + 1
+                n += 1
+            if c:
+                out[e] = c
+            e += 1
+        return out
+
     def coeff(self, e: int) -> int:
-        return self._c.get(e, 0)
+        return self._terms().get(e, 0)
 
     def items(self):
-        return self._c.items()
+        return self._terms().items()
 
     def is_zero(self) -> bool:
-        return not self._c
+        return not self._n
 
     def is_integer(self) -> bool:
         """True iff the polynomial is a constant (integer)."""
-        return not self._c or set(self._c) == {0}
+        return not self._n or (self._v == 0 and self.degree() == 0)
 
     def as_integer(self) -> int:
         if not self.is_integer():
             raise ValueError(f"not an integer: {self}")
-        return self._c.get(0, 0)
+        return self._n
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentPoly) and self._c == other._c
+        # equal (v, n) decode alike only at equal widths; the width is a
+        # function of the polynomial, since every bound from 2^31 up is exact
+        return (isinstance(other, LaurentPoly) and self._n == other._n and self._v == other._v
+                and (self._m == other._m or _width(self._m) == _width(other._m)))
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self._c.items()))
-        return self._hash
+        return hash((self._v, self._n))
 
     def __bool__(self) -> bool:
-        return bool(self._c)
+        return bool(self._n)
 
     # -- serialization -----------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._c:
+        if not self._n:
             return "0"
         parts = []
-        for e in sorted(self._c, reverse=True):
-            v = self._c[e]
+        for e, v in reversed(self._terms().items()):
             sign = "-" if v < 0 else "+"
             mag = abs(v)
             if e == 0:
@@ -201,15 +240,28 @@ class LaurentPoly:
         return text
 
     def __repr__(self) -> str:
-        return f"LaurentPoly({self._c!r})"
+        return f"LaurentPoly({self._terms()!r})"
 
     def to_json(self) -> dict:
         """JSON object mapping exponent strings to integer coefficients."""
-        return {str(e): v for e, v in sorted(self._c.items(), reverse=True)}
+        return {str(e): v for e, v in reversed(self._terms().items())}
 
     @staticmethod
     def from_json(obj: dict) -> "LaurentPoly":
         return LaurentPoly({int(e): int(v) for e, v in obj.items()})
+
+
+_alloc = object.__new__
+
+
+def _new(v: int, n: int, m: int) -> LaurentPoly:
+    out = _alloc(LaurentPoly)
+    out._v, out._n, out._m = v, n, m
+    return out
+
+
+def _pack(terms: dict) -> LaurentPoly:
+    return _new(*_encode(terms))
 
 
 _ZERO = LaurentPoly()

@@ -1,4 +1,8 @@
-"""Bar-matrix references for the KL engine, used only by the tests.
+"""References for the library, used only by the tests.
+
+DictLaurent is the sparse dict form of a Laurent polynomial (exponent ->
+nonzero coefficient) that the packed LaurentPoly replaced; the property
+sweep in test_laurent.py checks the packed arithmetic against it.
 
 The library builds C_w and P(x) along descent chains.  These references
 reach the same elements by the other classical route: expand the bar
@@ -15,6 +19,101 @@ from heckecell.laurent import LaurentCombination, LaurentPoly, accumulate
 
 _ZERO = LaurentPoly.zero()
 _ONE = LaurentPoly.one()
+
+
+class DictLaurent:
+    """sum c_e q^e stored as {e: c} with no zero values, with the API of
+    LaurentPoly; every operation works term by term."""
+
+    __slots__ = ("_c",)
+
+    def __init__(self, coeffs=None):
+        c = {}
+        for e, v in (coeffs or {}).items():
+            c[e] = c.get(e, 0) + v
+        self._c = {e: v for e, v in c.items() if v}
+
+    def __add__(self, other):
+        c = dict(self._c)
+        for e, v in other._c.items():
+            c[e] = c.get(e, 0) + v
+        return DictLaurent(c)
+
+    def __neg__(self):
+        return DictLaurent({e: -v for e, v in self._c.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        c = {}
+        for e1, v1 in self._c.items():
+            for e2, v2 in other._c.items():
+                c[e1 + e2] = c.get(e1 + e2, 0) + v1 * v2
+        return DictLaurent(c)
+
+    def scale(self, n):
+        return DictLaurent({e: n * v for e, v in self._c.items()})
+
+    def bar(self):
+        return DictLaurent({-e: v for e, v in self._c.items()})
+
+    def degree(self):
+        return max(self._c) if self._c else float("-inf")
+
+    def in_strictly_negative(self):
+        return all(e < 0 for e in self._c)
+
+    def bar_invariant_part(self):
+        c = {}
+        for e, v in self._c.items():
+            if e >= 0:
+                c[e] = c[-e] = v
+        return DictLaurent(c)
+
+    def coeff(self, e):
+        return self._c.get(e, 0)
+
+    def items(self):
+        return self._c.items()
+
+    def is_zero(self):
+        return not self._c
+
+    def is_integer(self):
+        return not self._c or set(self._c) == {0}
+
+    def as_integer(self):
+        if not self.is_integer():
+            raise ValueError(f"not an integer: {self}")
+        return self._c.get(0, 0)
+
+    def __eq__(self, other):
+        return isinstance(other, DictLaurent) and self._c == other._c
+
+    def __hash__(self):
+        return hash(frozenset(self._c.items()))
+
+    def __str__(self):
+        if not self._c:
+            return "0"
+        parts = []
+        for e in sorted(self._c, reverse=True):
+            v = self._c[e]
+            mag = abs(v)
+            if e == 0:
+                body = str(mag)
+            else:
+                qp = "q" if e == 1 else f"q^{e}"
+                body = qp if mag == 1 else f"{mag}*{qp}"
+            parts.append(("-" if v < 0 else "+", body))
+        text = ("-" if parts[0][0] == "-" else "") + parts[0][1]
+        for sign, body in parts[1:]:
+            text += f" {sign} {body}"
+        return text
+
+    def to_json(self):
+        return {str(e): v for e, v in sorted(self._c.items(), reverse=True)}
 
 
 def negative_part(p: LaurentPoly) -> LaurentPoly:

@@ -72,6 +72,24 @@ def test_phi_reconstructs_product():
             assert acc == direct
 
 
+def test_phi_form_shares_one_right_factor_per_column():
+    # a column z' of the phi matrix builds one right multiplier by C_{z' w_0}
+    # (counted for z' != e: the images P(tau) C_{w_0} multiply by C_{w_0}
+    # too); the forms equal those of a fresh structure filled row by row
+    cfg = ("C", 2, (3, 2, 1))
+    cols, rows = make(cfg), make(cfg)
+    hecke, weyl = cols.hecke, cols.weyl
+    b0 = cols.lowest.box_elements()
+    factors = {id(hecke.kl_basis(zp * weyl.longest_finite)) for zp in b0 if zp != weyl.identity}
+    built = []
+    right_mul = hecke.right_mul
+    hecke.right_mul = lambda h2: built.append(id(h2) in factors) or right_mul(h2)
+    by_column = {(z, zp): cols.phi_form(z, zp) for zp in b0 for z in b0}
+    assert sum(built) == len(b0) - 1
+    pairs = list(zip(b0, rows.lowest.box_elements()))
+    assert all(rows.phi_form(r, rp) == by_column[z, zp] for z, r in pairs for zp, rp in pairs)
+
+
 def test_cellular_mul_support_shape():
     # the product support is driven entirely by the middle phi factor
     rng = random.Random(2)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from heckecell.laurent import NEG_INF, LaurentPoly, peel, xi
+from oracles import DictLaurent
 
 
 def P(d):
@@ -159,3 +160,134 @@ def test_peel_part_subtracts_only_the_bar_invariant_part():
         ("b", P({1: 1, -1: 1})), ("a", P({1: 1, 0: 1, -1: 1})), ("c", P({1: -2, 0: -1, -1: -2})),
     ]
     assert coords == {"b": P({-1: -1}), "a": P({-2: -1}), "c": P({-2: 1}), "d": P({-3: -1})}
+
+
+# -- the packed form against the dict oracle ------------------------------------
+
+# coefficients at and around the 2^31 limit of the 32-bit digits, and far past it
+BOUNDARY = (2**31 - 1, 2**31, 2**31 + 1, 2**32, 2**63, 2**100)
+
+
+def rand_terms(rng):
+    terms = {}
+    for _ in range(rng.randint(0, 5)):
+        kind = rng.random()
+        if kind < 0.7:
+            c = rng.randint(-9, 9)
+        elif kind < 0.85:
+            c = rng.choice((-1, 1)) * rng.randint(2**15, 2**20)
+        else:
+            c = rng.choice((-1, 1)) * rng.choice(BOUNDARY)
+        terms[rng.randint(-6, 6)] = c
+    return terms
+
+
+def rand_pair(rng):
+    terms = rand_terms(rng)
+    return LaurentPoly(terms), DictLaurent(terms)
+
+
+def agrees(p, o):
+    """Every inspection of the packed p gives what the dict oracle o gives."""
+    assert dict(p.items()) == dict(o.items()) and len(p.items()) == len(o.items())
+    assert p.degree() == o.degree()
+    assert p.in_strictly_negative() == o.in_strictly_negative()
+    assert dict(p.bar().items()) == dict(o.bar().items())
+    assert dict(p.bar_invariant_part().items()) == dict(o.bar_invariant_part().items())
+    assert p.is_zero() == o.is_zero() and bool(p) == (not o.is_zero())
+    assert p.is_integer() == o.is_integer()
+    if o.is_integer():
+        assert p.as_integer() == o.as_integer()
+    else:
+        with pytest.raises(ValueError):
+            p.as_integer()
+    assert all(p.coeff(e) == o.coeff(e) for e in range(-14, 15))
+    assert p.to_json() == o.to_json() and str(p) == str(o)
+    for fresh in (LaurentPoly.from_json(p.to_json()), LaurentPoly(dict(o.items()))):
+        assert fresh == p and hash(fresh) == hash(p)
+
+
+def test_packed_arithmetic_matches_dict_oracle():
+    rng = random.Random(9)
+    for _ in range(300):
+        (a, oa), (b, ob), (c, oc) = rand_pair(rng), rand_pair(rng), rand_pair(rng)
+        k = rng.choice((0, 1, -1, 7, -(2**31), 2**40))
+        for p, o in ((a, oa), (a + b, oa + ob), (a - b, oa - ob), (a * b, oa * ob), (-a, -oa),
+                     (a.scale(k), oa.scale(k)), ((a + b) - b, oa), (a * b + c, oa * ob + oc),
+                     (a.bar_invariant_part() * b, oa.bar_invariant_part() * ob)):
+            agrees(p, o)
+        # equality and hashing agree with the oracle, also between values
+        # built by different routes, whose l1 bounds differ
+        for p, q, op, oq in ((a, b, oa, ob), (a, (a + b) - b, oa, oa), (a * b, b * a, oa * ob, oa * ob)):
+            assert (p == q) == (op == oq)
+            if p == q:
+                assert hash(p) == hash(q)
+
+
+def test_ring_axioms():
+    rng = random.Random(10)
+    zero, one = LaurentPoly.zero(), LaurentPoly.one()
+    for _ in range(200):
+        (a, _), (b, _), (c, _) = rand_pair(rng), rand_pair(rng), rand_pair(rng)
+        assert a + b == b + a and a * b == b * a
+        assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert a + zero == a and a * one == a and (a * zero).is_zero()
+        assert (a - a).is_zero() and a + (-a) == zero and -(-a) == a
+        assert (a * b).bar() == a.bar() * b.bar() and (a + b).bar() == a.bar() + b.bar()
+
+
+def test_boundary_coefficients_are_exact():
+    # every value with a coefficient at or past 2^31 takes the term-by-term
+    # path and is packed in wider digits; nothing overflows or loses a bit
+    small = {-2: 3, 1: -1}
+    t, ot = LaurentPoly(small), DictLaurent(small)
+    for big in BOUNDARY:
+        for sign in (1, -1):
+            terms = {0: sign * big, 2: -1, 3: sign * (big - 1)}
+            p, o = LaurentPoly(terms), DictLaurent(terms)
+            agrees(p, o)
+            for x, ox in ((p * p, o * o), (p * t, o * ot), (p + t, o + ot), (p - p.bar(), o - o.bar()),
+                          (p.scale(-3), o.scale(-3)), (p * p * p, o * o * o)):
+                agrees(x, ox)
+            assert (p * t).degree() == 4 and (p * t).coeff(-2) == 3 * sign * big
+    # 2^31 - 1 is the largest coefficient of one 32-bit digit; each result
+    # below has an l1 norm just past it, in [2^31, 2^32)
+    near = LaurentPoly({0: 2**31 - 1, 1: 1})
+    agrees(near + LaurentPoly.one(), DictLaurent({0: 2**31, 1: 1}))
+    agrees(near + near, DictLaurent({0: 2**32 - 2, 1: 2}))
+    a, b = {0: 2**16, 1: 1}, {0: 2**15, 1: 1}
+    agrees(LaurentPoly(a) * LaurentPoly(b), DictLaurent(a) * DictLaurent(b))
+    agrees(LaurentPoly(a).scale(2**15 + 1), DictLaurent(a).scale(2**15 + 1))
+
+
+@pytest.mark.parametrize("b", [2**15 - 2**13, 2**20])
+def test_product_bound_crosses_the_limit_with_small_coefficients(b):
+    # adding and taking away a term leaves the value but raises its bound by
+    # 2b, so the product of two such values passes 2^31 in its bound only:
+    # just past it (b = 24576) or far past it
+    big = LaurentPoly({5: b})
+    x = LaurentPoly({0: 1, 1: 1}) + big - big
+    y = LaurentPoly({0: 1, 1: -1}) + big - big
+    assert x == LaurentPoly({0: 1, 1: 1}) and y == LaurentPoly({0: 1, 1: -1})
+    assert x._m * y._m >= 2**31
+    xy = x * y
+    agrees(xy, DictLaurent({0: 1, 2: -1}))
+    assert xy._m == 2  # the term-by-term path recomputes the exact norm
+    agrees(xy * xy, DictLaurent({0: 1, 2: -2, 4: 1}))
+
+
+def test_sum_cancels_to_zero_across_widths():
+    wide = LaurentPoly({0: 2**100, 3: 1})
+    minus_wide = LaurentPoly({0: -(2**100)}) + LaurentPoly({3: -1})
+    assert (wide + minus_wide).is_zero() and wide + minus_wide == LaurentPoly.zero()
+    assert hash(wide + minus_wide) == hash(LaurentPoly.zero())
+    # a 64-bit value built from 32-bit ones, cancelled by one built directly
+    built = LaurentPoly({0: 2**31 - 1, 1: 1}) + LaurentPoly.one()
+    direct = LaurentPoly({0: 2**31, 1: 1})
+    assert built == direct and hash(built) == hash(direct)
+    assert (built - direct).is_zero() and (direct - built) == LaurentPoly.zero()
+    # a wide value whose big term cancels comes back to 32-bit digits
+    q = LaurentPoly({0: 2**40, 1: 1}) - LaurentPoly({0: 2**40})
+    assert q == LaurentPoly({1: 1}) and hash(q) == hash(LaurentPoly({1: 1}))
+    agrees(q * q, DictLaurent({2: 1}))
