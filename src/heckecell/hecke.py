@@ -1,8 +1,9 @@
 """The Hecke algebra of the extended affine Weyl group over Z[q, q^-1].
 
 T-basis arithmetic, the bar involution, the flat antiautomorphism, the
-Kazhdan-Lusztig basis with its polynomials, structure constants in both
-bases, and the degree bookkeeping of the separating-hyperplane bound.
+Kazhdan-Lusztig basis with its polynomials, coordinates in that basis,
+T-basis structure constants, and the degree bookkeeping of the
+separating-hyperplane bound.
 
 Every left T-action goes through one generator step, mul_gen (the
 three-case rule for T_s T_w), and one chain walker, _left_chain, which
@@ -25,7 +26,6 @@ local to their call and need no lock.
 from __future__ import annotations
 
 import threading
-from itertools import combinations
 
 from .laurent import LaurentCombination, LaurentPoly, accumulate, peel, xi
 from .weyl import GroupElement, Weyl
@@ -229,54 +229,9 @@ class Hecke:
 
     # -- structure constants --------------------------------------------------------
 
-    def h_constants(self, x: GroupElement, y: GroupElement) -> dict:
-        """C_x C_y = sum h_{x,y,z} C_z."""
-        prod = self.mul(self.kl_basis(x), self.kl_basis(y))
-        return self.kl_expand(prod)
-
     def f_constants(self, x: GroupElement, y: GroupElement) -> dict:
         """T_x T_y = sum f_{x,y,z} T_z."""
         return dict(self.mul(self.t(x), self.t(y)).items())
-
-    def f_constants_subsets(self, x: GroupElement, y: GroupElement) -> dict:
-        """The same constants by brute-force enumeration of the subset
-        formula: subsets I of positions of a reduced word of x, kept when
-        each deleted letter is a descent of the partial product, each
-        contributing the product of its xi factors on T_{x_I y}.
-        """
-        weyl = self.weyl
-        pi_idx, word = weyl.reduced_word(x)
-        n = len(word)
-        pi = weyl.pi_elements[pi_idx]
-        out = {}
-        for p in range(n + 1):
-            for subset in combinations(range(n), p):
-                omitted = set(subset)
-                ok = True
-                factor = _ONE
-                cur = y
-                # walk letters from the right end of the word
-                for pos in range(n - 1, -1, -1):
-                    s = weyl.gens[word[pos]]
-                    if pos in omitted:
-                        if (s * cur).length() >= cur.length():
-                            ok = False
-                            break
-                        factor = factor * self.xi[word[pos]]
-                    else:
-                        cur = s * cur
-                if ok:
-                    accumulate(out, pi * cur, factor)
-        return {w: c for w, c in out.items() if c}
-
-    def same_profile(self, x: GroupElement, y1: GroupElement, y2: GroupElement) -> bool:
-        """Whether T_x T_y1 and T_x T_y2 share the association z -> a_z
-        (z running over the left factors, terms T_{z y})."""
-        return self._left_profile(x, y1) == self._left_profile(x, y2)
-
-    def _left_profile(self, x: GroupElement, y: GroupElement) -> dict:
-        y_inv = y.inverse()
-        return {w * y_inv: c for w, c in self.f_constants(x, y).items()}
 
     # -- degree data -------------------------------------------------------------------
 
@@ -295,35 +250,6 @@ class Hecke:
                 c_per[r_idx] = w
         return DegreeData(x, y, h_set, c_per, sum(c_per.values()))
 
-    # -- cell preorder graphs --------------------------------------------------------------
-
-    def cell_preorder_graph(self, bound: int):
-        """Left/right/two-sided preorder edges among elements of length <=
-        bound.  Truncated: valid for confirming relations, never refuting."""
-        weyl = self.weyl
-        nodes = list(weyl.enumerate_elements(bound))
-        node_set = set(nodes)
-        left = {w: set() for w in nodes}
-        for y in nodes:
-            for pi in weyl.pi_elements:
-                z = pi * y
-                if z in node_set:
-                    left[y].add(z)
-            for i in range(self.ws.num_gens):
-                for z in self.h_constants(weyl.gens[i], y):
-                    if z in node_set:
-                        left[y].add(z)
-        right = {w: set() for w in nodes}
-        for y in nodes:
-            yi = y.inverse()
-            if yi not in node_set:
-                continue
-            for zi in left[yi]:
-                z = zi.inverse()
-                if z in node_set:
-                    right[y].add(z)
-        return PreorderGraph(nodes, left, right)
-
 
 class DegreeData:
     __slots__ = ("x", "y", "h_set", "c_per_alpha", "c")
@@ -334,34 +260,3 @@ class DegreeData:
         self.h_set = h_set
         self.c_per_alpha = c_per_alpha
         self.c = c
-
-
-class PreorderGraph:
-    """Bounded <=_L / <=_R edge sets with reachability queries."""
-
-    def __init__(self, nodes, left, right):
-        self.nodes = nodes
-        self.left = left
-        self.right = right
-
-    def _reach(self, start, edges):
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for z in edges.get(w, ()):
-                    if z not in seen:
-                        seen.add(z)
-                        nxt.append(z)
-            frontier = nxt
-        return seen
-
-    def leq_left(self, z, y) -> bool:
-        """z <=_L y on the truncated graph."""
-        return z in self._reach(y, self.left)
-
-    def leq_two_sided(self, z, y) -> bool:
-        both = {w: self.left.get(w, set()) | self.right.get(w, set()) for w in self.nodes}
-        return z in self._reach(y, both)
-

@@ -246,10 +246,6 @@ class LaurentPoly:
         """JSON object mapping exponent strings to integer coefficients."""
         return {str(e): v for e, v in reversed(self._terms().items())}
 
-    @staticmethod
-    def from_json(obj: dict) -> "LaurentPoly":
-        return LaurentPoly({int(e): int(v) for e, v in obj.items()})
-
 
 _alloc = object.__new__
 
@@ -354,18 +350,17 @@ class _Top:
         return self.k > other.k
 
 
-def peel(coords: dict, expand, key, stop=None, part=None) -> dict:
+def peel(coords: dict, expand, key, part=None) -> dict:
     """Coordinates of `coords` in a basis unitriangular over its keys.
 
     Repeatedly takes the top key under `key`, records its coefficient c and
     subtracts c * expand(top); expand(top) must carry coefficient 1 on top.
-    When stop(top) is true the peel ends with top still in `coords`.
     With part, only part(c) is recorded and subtracted (nothing when it is
     zero), and c - part(c) stays in `coords` at top.  `coords` is consumed
-    in place: on return it holds the residual, empty unless stop fired or
-    part was given.  expand(top) runs before `coords` changes, so an
-    exception from it leaves `coords` as it was before that top.  Returns
-    top -> recorded coefficient in descending key order.
+    in place: on return it holds the residual, empty unless part was given.
+    expand(top) runs before `coords` changes, so an exception from it
+    leaves `coords` as it was before that top.  Returns top -> recorded
+    coefficient in descending key order.
     """
     heap = [_Top(key(w), w) for w in coords]
     heapify(heap)
@@ -375,8 +370,6 @@ def peel(coords: dict, expand, key, stop=None, part=None) -> dict:
         c = coords.get(top)
         if c is None:
             continue  # the term cancelled after it was queued
-        if stop is not None and stop(top):
-            break
         mu = c if part is None else part(c)
         if not mu:
             continue

@@ -19,7 +19,7 @@ and no y enters, which is what makes the y-independence meaningful to test.
 from __future__ import annotations
 
 from .hecke import Hecke, HeckeElt
-from .laurent import LaurentPoly, accumulate, peel
+from .laurent import LaurentPoly, accumulate
 from .weyl import GroupElement
 
 
@@ -119,10 +119,6 @@ class LowestCell:
 
     # -- membership and factorization ----------------------------------------------
 
-    def descend_to_lowest(self, z: GroupElement) -> GroupElement:
-        """The longest element w_0 . y of the coset W_0 z (y minimal in it)."""
-        return self.weyl.longest_finite * self._right_coset_part(z)[0]
-
     def _factorizations(self, w: GroupElement):
         weyl = self.weyl
         ws = self.ws
@@ -202,15 +198,6 @@ class LowestCell:
                 accumulate(d, x, c * q_s)
         return h._new(d)
 
-    def _right_coset_part(self, w: GroupElement):
-        """(y, v) with w = v . y, v in W_0, y minimal in W_0 w."""
-        weyl = self.weyl
-        v = weyl.identity
-        while (i := self._finite_descent(w, "left")) is not None:
-            w = weyl.gen_mul_left(i, w)
-            v = weyl.gen_mul_right(v, i)
-        return w, v
-
     # -- the P elements -------------------------------------------------------------
 
     def p_element(self, z: GroupElement) -> HeckeElt:
@@ -249,64 +236,3 @@ class LowestCell:
                 for _ in range(count):
                     out = times_p(out)
         return out
-
-    # -- the ideals -----------------------------------------------------------------
-
-    def in_n_y(self, w: GroupElement, y: GroupElement) -> bool:
-        """w in N_y = {x . w_0 . y : x in X_0}."""
-        weyl = self.weyl
-        w0 = weyl.longest_finite
-        u = w * weyl.inverse(y)
-        if u.length() != w.length() - y.length():
-            return False
-        x = u * w0
-        return x.length() == u.length() - w0.length() and self.is_in_x0(x)
-
-    def in_n_r_z(self, w: GroupElement, z: GroupElement) -> bool:
-        """w in N^R_z = {z . w_0 . x : x in X_0^-1}."""
-        weyl = self.weyl
-        w0 = weyl.longest_finite
-        u = weyl.inverse(z) * w
-        if u.length() != w.length() - z.length():
-            return False
-        x = w0 * u
-        return x.length() == u.length() - w0.length() and self.is_in_x0_inv(x)
-
-    def in_m_plus_index(self, w: GroupElement):
-        """If w = p_tau . w_0 with tau dominant, return tau, else None."""
-        ws = self.ws
-        w0 = self.weyl.longest_finite
-        if w.finite != w0.finite:
-            return None
-        tau = ws.act(w.translation, ws.w0_inv[w0.finite])
-        if ws.in_lattice(tau) and ws.is_dominant(tau):
-            return tau
-        return None
-
-    def ideal_membership(self, h: HeckeElt, which: str, param=None, length_bound=None):
-        """Express h in the KL sub-basis of the named ideal.
-
-        which: "M_y" (param: y in B_0^-1), "M_R_z" (param: z in B_0),
-        "M_plus" or "M_0".  Returns (True, coefficients) or
-        (False, residual) where the residual is the first KL term whose
-        index falls outside the ideal.  Raises BoundExceeded when the
-        support leaves the stated length bound.
-        """
-        tests = {
-            "M_y": lambda w: self.in_n_y(w, param),
-            "M_R_z": lambda w: self.in_n_r_z(w, param),
-            "M_plus": lambda w: self.in_m_plus_index(w) is not None,
-            "M_0": self.membership,
-        }
-        if which not in tests:
-            raise ValueError(f"unknown ideal {which!r}")
-        if length_bound is not None:
-            over = max((w.length() for w in h.support()), default=0)
-            if over > length_bound:
-                raise BoundExceeded(f"support length {over} exceeds bound {length_bound}")
-        test = tests[which]
-        rest = dict(h.items())
-        coords = peel(rest, self.hecke.kl_basis, self.weyl.sort_key, stop=lambda w: not test(w))
-        if rest:
-            return False, HeckeElt(rest)
-        return True, coords

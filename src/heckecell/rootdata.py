@@ -31,7 +31,6 @@ weight lattice when the two weights differ.
 from __future__ import annotations
 
 import math
-from itertools import product as _cartesian
 
 
 class PosRoot:
@@ -262,7 +261,6 @@ class WeightSystem:
         self._q_index = abs(_det(self.q_basis))
         self._q_cofactors = _cofactors(self.q_basis)
         self.pi_order = self._q_index // math.prod(self.b)
-        self.nu_L = sum(r.even_weight for r in self.positive_roots)
 
     # -- lattice membership and reduction -----------------------------------
 
@@ -325,28 +323,6 @@ class WeightSystem:
         """nu(lam) = -(lam . w_0), the diagram involution on weights."""
         img = self.act(lam, self.longest_index)
         return tuple(-x for x in img)
-
-    # -- L-weights -----------------------------------------------------------
-
-    def point_weight(self, lam) -> int:
-        """L_lam: total weight of all hyperplanes through the point lam."""
-        total = 0
-        for r in self.positive_roots:
-            k = self.pairing(lam, r)
-            total += r.level_weight(k)
-        return total
-
-    def special_points(self, bound: int) -> set:
-        """All L-weights lam with |<lam, alpha_i^v>| <= bound per simple root."""
-        if bound < 1:
-            raise ValueError("bound must be >= 1")
-        out = set()
-        for lam in _cartesian(range(-bound, bound + 1), repeat=self.rank):
-            if self.point_weight(lam) == self.nu_L:
-                out.add(lam)
-        if (0,) * self.rank not in out:
-            raise AssertionError("the origin must be a special point")
-        return out
 
     # -- misc ----------------------------------------------------------------
 

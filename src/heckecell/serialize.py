@@ -43,28 +43,38 @@ def parse_element(weyl: Weyl, text: str) -> GroupElement:
     m = _WORD_RE.match(text)
     if not m:
         raise ValueError(f"cannot parse element {text!r}")
-    pi = int(m.group(1) or 0) % len(weyl.pi_elements)
     body = m.group(2).strip()
     word = [int(t) for t in body.split(",")] if body else []
-    for i in word:
-        if not 0 <= i < weyl.ws.num_gens:
-            raise ValueError(f"generator index {i} out of range")
+    return _from_word(weyl, int(m.group(1) or 0) % len(weyl.pi_elements), word)
+
+
+def _from_word(weyl: Weyl, pi, word) -> GroupElement:
+    """pi_pi * s_word, with pi an int in 0..|Pi|-1 and word a list of ints
+    in 0..num_gens-1 (the text form reduces its exponent k mod |Pi|)."""
+    if type(pi) is not int or not 0 <= pi < len(weyl.pi_elements):
+        raise ValueError(f"pi index {pi!r} out of range")
+    n = weyl.ws.num_gens
+    if not isinstance(word, list) or not all(type(i) is int and 0 <= i < n for i in word):
+        raise ValueError(f"a word is a list of generator indices 0..{n - 1}, not {word!r}")
     return weyl.from_word(pi, word)
+
+
+def _lambda(weyl: Weyl, obj: dict) -> tuple:
+    lam = obj["lambda"]
+    if not isinstance(lam, list) or len(lam) != weyl.ws.rank or any(type(x) is not int for x in lam):
+        raise ValueError(f"lambda must be {weyl.ws.rank} integers, not {lam!r}")
+    return tuple(lam)
 
 
 def element_from_json(weyl: Weyl, obj: dict) -> GroupElement:
     if "word" in obj or "pi" in obj:
-        w = weyl.from_word(int(obj.get("pi", 0)), obj.get("word", []))
-        if "lambda" in obj:
-            lam = tuple(int(x) for x in obj["lambda"])
-            if lam != w.translation:
-                raise ValueError("normal form does not match the word form")
+        w = _from_word(weyl, obj.get("pi", 0), obj.get("word", []))
+        if "lambda" in obj and _lambda(weyl, obj) != w.translation:
+            raise ValueError("normal form does not match the word form")
         return w
     if "lambda" in obj and "u" in obj:
-        lam = tuple(int(x) for x in obj["lambda"])
-        u = weyl.identity
-        for i in obj["u"]:
-            u = u * weyl.gens[int(i)]
+        lam = _lambda(weyl, obj)
+        u = _from_word(weyl, 0, obj["u"])
         if any(u.translation):
             raise ValueError("u is not a finite-part word")
         return weyl.element(u.finite, weyl.ws.check_lattice(lam))

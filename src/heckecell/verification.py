@@ -82,23 +82,24 @@ DEGREE_CONFIGS = (
     ("C", 2, (2, 1, 1)),
     ("C", 2, (3, 2, 1)),
 )
+DEGREE_PAIRS = 200  # sampled (x, y) pairs per configuration
 
 
-def degree_bounds_suite(seed: int = 0, pairs: int = 200):
+def degree_bounds_suite(seed: int = 0):
     out = []
     for cfg in DEGREE_CONFIGS:
         ws, weyl, hecke, lowest, _ = stack(cfg)
         rng = random.Random(seed + 11)
         pool = [w for w in weyl.enumerate_elements(5)]
         bad = []
-        for _ in range(pairs):
+        for _ in range(DEGREE_PAIRS):
             x, y = rng.choice(pool), rng.choice(pool)
             bound = hecke.degree_data(x, y).c
             for z, f in hecke.f_constants(x, y).items():
                 if f.degree() > bound:
                     bad.append((x, y, z))
         out.append(Check(
-            f"degree-bound deg(f) <= c_(x,y) {cfg} ({pairs} pairs)",
+            f"degree-bound deg(f) <= c_(x,y) {cfg} ({DEGREE_PAIRS} pairs)",
             not bad, f"{len(bad)} violations" if bad else "exact",
         ))
 
@@ -110,7 +111,7 @@ def degree_bounds_suite(seed: int = 0, pairs: int = 200):
         lw0 = w0.weight_length()
         strict_bad = []
         x0_pool = [y for y in weyl.enumerate_elements(4) if lowest.is_in_x0_inv(y)]
-        for _ in range(pairs // 4):
+        for _ in range(DEGREE_PAIRS // 4):
             x = rng.choice(lowest.box_elements())
             v = weyl.finite_element(rng.randrange(ws.w0_size))
             y = v * rng.choice(x0_pool)
@@ -131,6 +132,7 @@ LOWEST_CELL_CONFIGS = (
     ("A", 2, (1, 1, 1)),
     ("A", 1, (2, 1)),
     ("C", 2, (2, 1, 1)),
+    ("A", 3, (1, 1, 1, 1)),
 )
 
 
@@ -310,6 +312,14 @@ def type_a_paths_suite():
     out.append(Check(
         "A1 path-Hecke cross-check k<=4",
         not bad1, "exact profile equality" if not bad1 else f"failures {bad1}",
+    ))
+
+    _, _, _, _, cs3 = stack(("A", 3, (1, 1, 1, 1)))
+    taus3 = [(a1, a2, a3) for a1 in range(4) for a2 in range(4 - a1) for a3 in range(4 - a1 - a2)]
+    bad3 = [t for t in taus3 if not paths.cross_check(cs3, t)]
+    out.append(Check(
+        "A3 path-Hecke cross-check a1+a2+a3<=3",
+        not bad3, f"exact profile equality, {len(taus3)} tau" if not bad3 else f"failures {bad3}",
     ))
     return out
 

@@ -9,14 +9,9 @@ closed-form hyperplane count on the normal form.
 Alcove position is integer throughout: root_shifts gives, per positive
 root, the strip between consecutive hyperplanes that holds the alcove of w,
 and length, weight, Pi and the separating hyperplanes are read from it.
-An independent alcove-walk oracle (exact Fraction points, walking the fixed
-generator reflections, locating points and weighing hyperplanes) is kept
-for cross-validation only; production code never depends on it.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .rootdata import WeightSystem
 
@@ -77,7 +72,7 @@ class GroupElement:
 
 
 class Weyl:
-    """Group operations, generators, Pi, Bruhat order and the walk oracle."""
+    """Group operations, generators, Pi, Bruhat order and enumeration."""
 
     def __init__(self, ws: WeightSystem):
         self.ws = ws
@@ -94,18 +89,10 @@ class Weyl:
         gens[ws.affine_gen] = self.element(ws.w0_index[hcr.reflection_matrix()], hcr.vector)
         self.gens = tuple(gens)
 
-        self.base_point = self._fundamental_point()
         self._build_pi()
         self._leq_cache = {}
 
     # -- raw construction helpers -------------------------------------------
-
-    def _fundamental_point(self):
-        """Barycenter of A_0: exact rational interior point."""
-        ws = self.ws
-        m = ws.highest_coroot_root.covector
-        n = ws.rank
-        return tuple(Fraction(1, m[j] * (n + 1)) for j in range(n))
 
     def _build_pi(self):
         """Length-zero elements: the stabilizer of A_0, isomorphic to P/Q.
@@ -373,137 +360,3 @@ class Weyl:
         out.sort(key=self.sort_key)
         for w in out:
             yield w
-
-    # -- the rational walk oracle (cross-validation only) -------------------------
-
-    def point_pairing(self, point, root) -> Fraction:
-        return sum(Fraction(point[i]) * root.covector[i] for i in range(self.ws.rank))
-
-    def alcove_floors(self, point):
-        """Per-root floor of the pairing: identifies the alcove of the point."""
-        return tuple(
-            _floor(self.point_pairing(point, r)) for r in self.ws.positive_roots
-        )
-
-    def alcove_walk(self, word) -> tuple:
-        """The rational point reached by walking the faces named by the
-        word, starting from A_0 (Pi fixes A_0, so no Pi part enters).
-
-        Cross-validation oracle only: applies the fixed generator
-        reflections to the rational base point, in word order.
-        """
-        pt = self.base_point
-        for i in word:
-            s = self.gens[i]
-            mat = self.ws.w0_mats[s.finite]
-            pt = tuple(
-                sum(pt[k] * mat[k][c] for k in range(self.ws.rank)) + s.translation[c]
-                for c in range(self.ws.rank)
-            )
-        return pt
-
-    # -- hyperplane weight via face-type transport --------------------------------
-
-    def locate(self, target):
-        """The element g with target inside the alcove A_0.g (walk by walls)."""
-        ws = self.ws
-        cur = self.base_point
-        g = self.identity
-        target = tuple(Fraction(t) for t in target)
-        for _ in range(10000):
-            crossings = []
-            for r in ws.positive_roots:
-                a = self.point_pairing(cur, r)
-                b = self.point_pairing(target, r)
-                if b == a:
-                    continue
-                # first integer level crossed by the segment cur -> target;
-                # interior points never sit on a hyperplane, so a is not an
-                # integer and floor gives the adjacent levels on both sides
-                k = _floor(a) + 1 if b > a else _floor(a)
-                if not (min(a, b) < Fraction(k) < max(a, b)):
-                    continue
-                t = (Fraction(k) - a) / (b - a)
-                crossings.append((t, r, k))
-            if not crossings:
-                return g
-            t0, r0, k0 = min(crossings, key=lambda c: c[0])
-            # reflect the current point across H_{r0,k0}; track the element
-            c = self.point_pairing(cur, r0) - k0
-            cur = tuple(
-                cur[j] - c * r0.vector[j] for j in range(ws.rank)
-            )
-            refl = self.element(
-                ws.w0_index[r0.reflection_matrix()],
-                tuple(k0 * v for v in r0.vector),
-            )
-            g = g * refl
-        raise RuntimeError("alcove walk did not terminate")
-
-    def wall_images(self, g: GroupElement):
-        """Images of the walls of A_0 under g, each as (root index, level),
-        tagged with the generator index whose face they carry."""
-        ws = self.ws
-        walls = [(ws.simple_roots[k], 0, ws.simple_to_gen[k]) for k in range(ws.rank)]
-        walls.append((ws.highest_coroot_root, 1, ws.affine_gen))
-        out = []
-        for root, level, gen_idx in walls:
-            tgt, sign = ws.w0_root_action[g.finite][root.index]
-            cov = ws.positive_roots[tgt].covector
-            shift = sum(g.translation[i] * cov[i] for i in range(ws.rank))
-            out.append(((tgt, sign * level + shift), gen_idx))
-        return out
-
-    def hyperplane_weight(self, root_index: int, k: int) -> int:
-        """L_H for H_{alpha,k}, read from the face type of an adjacent alcove.
-
-        Picks a generic point on H, steps epsilon off it on either side,
-        locates those alcoves by an exact walk, and transports the shared
-        face back to a wall of A_0; the generator type found there gives
-        the weight.  Independent of the per-family weight table.
-        """
-        ws = self.ws
-        root = ws.positive_roots[root_index]
-        denom = ws.pairing(root.vector, root)
-        eps = Fraction(1, 2 * 997 * 1009 * max(denom, 1))
-        for jiggle in range(1, 40):
-            probe = tuple(jiggle * c for c in _generic_point(ws.rank))
-            shift = Fraction(k) - self.point_pairing(probe, root)
-            on_h = tuple(
-                p + shift * Fraction(v, denom) for p, v in zip(probe, root.vector)
-            )
-            # on_h must be generic on H: away from every other hyperplane
-            ok = True
-            for r in ws.positive_roots:
-                if r.index == root_index:
-                    continue
-                pr = self.point_pairing(on_h, r)
-                margin = eps * abs(ws.pairing(root.vector, r)) + eps
-                if abs(pr - Fraction(_round(pr))) <= margin:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for side in (-1, 1):
-                base = tuple(
-                    p + side * eps * Fraction(v, denom)
-                    for p, v in zip(on_h, root.vector)
-                )
-                g = self.locate(base)
-                for (tgt, lvl), gen_idx in self.wall_images(g):
-                    if tgt == root_index and lvl == k:
-                        return ws.params[gen_idx]
-        raise AssertionError("no adjacent alcove face found on the hyperplane")
-
-
-def _floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
-def _round(x: Fraction) -> int:
-    return _floor(x + Fraction(1, 2))
-
-
-def _generic_point(rank: int):
-    primes = (997, 1009, 1013, 1019)
-    return tuple(Fraction(1, primes[i]) for i in range(rank))

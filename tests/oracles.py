@@ -10,9 +10,15 @@ involution on the whole Bruhat interval and solve the unitriangular system
 that pushes every lower coefficient into q^-1 Z[q^-1] (Lusztig, Hecke
 algebras with unequal parameters, Thm 5.2).  They share no code with the
 chain walk beyond bar_t and the group layer.
+
+The rational alcove walk (exact Fraction points) checks the integer root
+shifts and hyperplane weights of the group layer and rootdata.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from itertools import combinations
 
 from heckecell.hecke import HeckeElt
 from heckecell.laurent import LaurentCombination, LaurentPoly, accumulate
@@ -179,7 +185,7 @@ def relative_kl_right(lowest, x) -> dict:
     for y in basis:
         row = {}
         for w, c in lowest.hecke.bar_t(y).items():
-            rep, v = lowest._right_coset_part(w)
+            rep, v = right_coset_part(lowest, w)
             accumulate(row, rep, c * LaurentPoly.q_power(ws.finite_weight(v.finite)))
         rows.append(LaurentCombination(row))
     return solve_unitriangular(x, basis, rows)
@@ -188,3 +194,230 @@ def relative_kl_right(lowest, x) -> dict:
 def p_element_right(lowest, x) -> HeckeElt:
     """P_R(x) = T_x + sum p^r_{x',x} T_{x'}, by the right-handed solve."""
     return HeckeElt({**relative_kl_right(lowest, x), x: _ONE})
+
+
+def right_coset_part(lowest, w):
+    """(y, v) with w = v . y, v in W_0, y minimal in W_0 w."""
+    weyl = lowest.weyl
+    v = weyl.identity
+    while (i := lowest._finite_descent(w, "left")) is not None:
+        w = weyl.gen_mul_left(i, w)
+        v = weyl.gen_mul_right(v, i)
+    return w, v
+
+
+def base_point(weyl):
+    """Barycenter of A_0: exact rational interior point."""
+    m = weyl.ws.highest_coroot_root.covector
+    return tuple(Fraction(1, c * (len(m) + 1)) for c in m)
+
+
+def point_pairing(point, root) -> Fraction:
+    return sum(Fraction(p) * c for p, c in zip(point, root.covector))
+
+
+def alcove_floors(weyl, point):
+    """Per-root floor of the pairing: identifies the alcove of the point."""
+    return tuple(_floor(point_pairing(point, r)) for r in weyl.ws.positive_roots)
+
+
+def alcove_walk(weyl, word) -> tuple:
+    """The rational point reached by walking the faces named by the word,
+    starting from A_0 (Pi fixes A_0, so no Pi part enters): the fixed
+    generator reflections applied to the base point, in word order."""
+    pt = base_point(weyl)
+    for i in word:
+        s = weyl.gens[i]
+        pt = tuple(a + b for a, b in zip(weyl.ws.act(pt, s.finite), s.translation))
+    return pt
+
+
+def locate(weyl, target):
+    """The element g with target inside the alcove A_0.g (walk by walls)."""
+    ws = weyl.ws
+    cur = base_point(weyl)
+    g = weyl.identity
+    target = tuple(Fraction(t) for t in target)
+    for _ in range(10000):
+        crossings = []
+        for r in ws.positive_roots:
+            a = point_pairing(cur, r)
+            b = point_pairing(target, r)
+            if b == a:
+                continue
+            # first integer level crossed by the segment cur -> target;
+            # interior points never sit on a hyperplane, so a is not an
+            # integer and floor gives the adjacent levels on both sides
+            k = _floor(a) + 1 if b > a else _floor(a)
+            if not (min(a, b) < Fraction(k) < max(a, b)):
+                continue
+            t = (Fraction(k) - a) / (b - a)
+            crossings.append((t, r, k))
+        if not crossings:
+            return g
+        t0, r0, k0 = min(crossings, key=lambda c: c[0])
+        # reflect the current point across H_{r0,k0}; track the element
+        c = point_pairing(cur, r0) - k0
+        cur = tuple(cur[j] - c * r0.vector[j] for j in range(ws.rank))
+        g = g * weyl.element(ws.w0_index[r0.reflection_matrix()], tuple(k0 * v for v in r0.vector))
+    raise RuntimeError("alcove walk did not terminate")
+
+
+def wall_images(weyl, g):
+    """Images of the walls of A_0 under g, each as (root index, level),
+    tagged with the generator index whose face they carry."""
+    ws = weyl.ws
+    walls = [(ws.simple_roots[k], 0, ws.simple_to_gen[k]) for k in range(ws.rank)]
+    walls.append((ws.highest_coroot_root, 1, ws.affine_gen))
+    out = []
+    for root, level, gen_idx in walls:
+        tgt, sign = ws.w0_root_action[g.finite][root.index]
+        cov = ws.positive_roots[tgt].covector
+        shift = sum(g.translation[i] * cov[i] for i in range(ws.rank))
+        out.append(((tgt, sign * level + shift), gen_idx))
+    return out
+
+
+def hyperplane_weight(weyl, root_index: int, k: int) -> int:
+    """L_H for H_{alpha,k}, read from the face type of an adjacent alcove.
+
+    Picks a generic point on H, steps epsilon off it on either side,
+    locates those alcoves by an exact walk, and transports the shared face
+    back to a wall of A_0; the generator type found there gives the weight.
+    Independent of the weights that rootdata derives.
+    """
+    ws = weyl.ws
+    root = ws.positive_roots[root_index]
+    denom = ws.pairing(root.vector, root)
+    eps = Fraction(1, 2 * 997 * 1009 * max(denom, 1))
+    for jiggle in range(1, 40):
+        probe = tuple(jiggle * c for c in _generic_point(ws.rank))
+        shift = Fraction(k) - point_pairing(probe, root)
+        on_h = tuple(p + shift * Fraction(v, denom) for p, v in zip(probe, root.vector))
+        # on_h must be generic on H: away from every other hyperplane
+        ok = True
+        for r in ws.positive_roots:
+            if r.index == root_index:
+                continue
+            pr = point_pairing(on_h, r)
+            margin = eps * abs(ws.pairing(root.vector, r)) + eps
+            if abs(pr - Fraction(_round(pr))) <= margin:
+                ok = False
+                break
+        if not ok:
+            continue
+        for side in (-1, 1):
+            base = tuple(p + side * eps * Fraction(v, denom) for p, v in zip(on_h, root.vector))
+            g = locate(weyl, base)
+            for (tgt, lvl), gen_idx in wall_images(weyl, g):
+                if tgt == root_index and lvl == k:
+                    return ws.params[gen_idx]
+    raise AssertionError("no adjacent alcove face found on the hyperplane")
+
+
+def _floor(x: Fraction) -> int:
+    return x.numerator // x.denominator
+
+
+def _round(x: Fraction) -> int:
+    return _floor(x + Fraction(1, 2))
+
+
+def _generic_point(rank: int):
+    primes = (997, 1009, 1013, 1019)
+    return tuple(Fraction(1, primes[i]) for i in range(rank))
+
+
+def f_constants_subsets(hecke, x, y) -> dict:
+    """T_x T_y = sum f_{x,y,z} T_z by brute-force enumeration of the subset
+    formula: subsets I of positions of a reduced word of x, kept when each
+    deleted letter is a descent of the partial product, each contributing
+    the product of its xi factors on T_{x_I y}.
+    """
+    weyl = hecke.weyl
+    pi_idx, word = weyl.reduced_word(x)
+    n = len(word)
+    pi = weyl.pi_elements[pi_idx]
+    out = {}
+    for p in range(n + 1):
+        for subset in combinations(range(n), p):
+            omitted = set(subset)
+            ok = True
+            factor = _ONE
+            cur = y
+            # walk letters from the right end of the word
+            for pos in range(n - 1, -1, -1):
+                s = weyl.gens[word[pos]]
+                if pos in omitted:
+                    if (s * cur).length() >= cur.length():
+                        ok = False
+                        break
+                    factor = factor * hecke.xi[word[pos]]
+                else:
+                    cur = s * cur
+            if ok:
+                accumulate(out, pi * cur, factor)
+    return {w: c for w, c in out.items() if c}
+
+
+def h_constants(hecke, x, y) -> dict:
+    """C_x C_y = sum h_{x,y,z} C_z."""
+    return hecke.kl_expand(hecke.mul(hecke.kl_basis(x), hecke.kl_basis(y)))
+
+
+def cell_preorder_graph(hecke, bound: int):
+    """Left/right/two-sided preorder edges among elements of length <=
+    bound.  Truncated: valid for confirming relations, never refuting."""
+    weyl = hecke.weyl
+    nodes = list(weyl.enumerate_elements(bound))
+    node_set = set(nodes)
+    left = {w: set() for w in nodes}
+    for y in nodes:
+        for pi in weyl.pi_elements:
+            z = pi * y
+            if z in node_set:
+                left[y].add(z)
+        for i in range(weyl.ws.num_gens):
+            for z in h_constants(hecke, weyl.gens[i], y):
+                if z in node_set:
+                    left[y].add(z)
+    right = {w: set() for w in nodes}
+    for y in nodes:
+        yi = y.inverse()
+        if yi not in node_set:
+            continue
+        for zi in left[yi]:
+            z = zi.inverse()
+            if z in node_set:
+                right[y].add(z)
+    return PreorderGraph(nodes, left, right)
+
+
+class PreorderGraph:
+    """Bounded <=_L / <=_R edge sets with reachability queries."""
+
+    def __init__(self, nodes, left, right):
+        self.nodes = nodes
+        self.left = left
+        self.right = right
+
+    def _reach(self, start, edges):
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for w in frontier:
+                for z in edges.get(w, ()):
+                    if z not in seen:
+                        seen.add(z)
+                        nxt.append(z)
+            frontier = nxt
+        return seen
+
+    def leq_left(self, z, y) -> bool:
+        """z <=_L y on the truncated graph."""
+        return z in self._reach(y, self.left)
+
+    def leq_two_sided(self, z, y) -> bool:
+        both = {w: self.left.get(w, set()) | self.right.get(w, set()) for w in self.nodes}
+        return z in self._reach(y, both)

@@ -22,7 +22,8 @@ def test_criterion_1_a2_flagship():
 
 
 def test_criterion_2_path_hecke_equivalence():
-    # all tau with a1 + a2 <= 4 in A2 and tau = k w1, k <= 4 in A1
+    # all tau with a1 + a2 <= 4 in A2, tau = k w1, k <= 4 in A1 and the
+    # 20 tau with a1 + a2 + a3 <= 3 in A3
     checks = verification.type_a_paths_suite()
     report(checks[1:])
 
@@ -40,8 +41,9 @@ def test_criterion_4_degree_bounds():
 
 
 def test_criterion_5_lowest_cell():
-    # factorization bijective on all cell members with l <= l(w_0) + 6,
-    # and P(z) C_{w_0 y} = C_{z w_0 y} over the full box
+    # factorization bijective on all cell members with l <= l(w_0) + 6 in
+    # A2, A1 (2,1), C2 (2,1,1) and A3 (1,152 members at l <= 12), and
+    # P(z) C_{w_0 y} = C_{z w_0 y} over the full box (24 x 24 pairs in A3)
     report(verification.lowest_cell_suite())
 
 

