@@ -165,7 +165,7 @@ class CellularStructure:
             keys[top] = (f.z, f.tau, f.zprime)
             return self._phi_image_kl(keys[top])
 
-        coords = peel(self.hecke.kl_expand(h), expand, self.weyl.sort_key)
+        coords = peel(self.hecke.kl_expand(h), expand)
         return CellularElt({keys[top]: c for top, c in coords.items()})
 
     def _phi_image_kl(self, key) -> dict:

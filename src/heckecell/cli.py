@@ -13,7 +13,7 @@ import sys
 from .cellular import CellularStructure
 from .hecke import Hecke
 from .lowestcell import LowestCell, NotInLowestCell
-from .rootdata import WeightSystem
+from .rootdata import _TYPES, WeightSystem
 from .weyl import Weyl
 from . import paths, serialize, verification
 
@@ -22,7 +22,7 @@ USAGE_ERROR = 2
 
 def _add_weights(p):
     """The weight-system and output flags of every subcommand but verify."""
-    p.add_argument("--type", choices=["A", "C"], default="A")
+    p.add_argument("--type", choices=sorted({key[0] for key in _TYPES}), default="A")
     p.add_argument("--rank", type=int, default=2)
     p.add_argument("--params", type=_int_list, default=None,
                    help="generator weights L(s_0),...,L(s_n), comma separated")

@@ -130,7 +130,6 @@ class Hecke:
         which leaves x plus q^-1 Z[q^-1] terms: the KL element at x.  After a
         miss the retry resumes the peel on the partly peeled dict kept under
         x; the tops it already took hold q^-1 Z[q^-1] residuals it skips."""
-        sort_key = self.weyl.sort_key
         q_neg = [LaurentPoly.q_power(-p) for p in self.ws.params]
         bar_invariant_part = LaurentPoly.bar_invariant_part
         pending = {}
@@ -150,7 +149,7 @@ class Hecke:
                     accumulate(d, y, cy * q)
                 if d.pop(x, None) != _ONE:
                     raise AssertionError(f"C_s times the element below {x!r} does not lead with it")
-            peel(d, expand, sort_key, part=bar_invariant_part)
+            peel(d, expand, part=bar_invariant_part)
             del pending[x]
             d[x] = _ONE
             return c._new(d)
@@ -224,8 +223,8 @@ class Hecke:
             return self._left_chain(w, self._kl_cache, self._kl_link(self.mul_gen, self._kl_cache))
 
     def kl_expand(self, h: HeckeElt) -> dict:
-        """Coordinates of h in the KL basis, by descending elimination."""
-        return peel(dict(h.items()), self.kl_basis, self.weyl.sort_key)
+        """Coordinates of h in the KL basis, peeled longest first."""
+        return peel(dict(h.items()), self.kl_basis)
 
     # -- structure constants --------------------------------------------------------
 

@@ -13,15 +13,14 @@ below 2^31 is exact in W = 32 bits.  Any other result is computed term by
 term, its bound set to the exact l1 norm, and packed in the least multiple
 of 32 bits that holds it, so coefficients of any size stay exact.
 LaurentCombination is the one sparse linear-combination type (key ->
-nonzero LaurentPoly), and peel is the one elimination run on it: the
-expansion of an element in a basis that is unitriangular over it, or, with
-part=LaurentPoly.bar_invariant_part, the step that pushes a bar-invariant
-element into T_top + sum q^-1 Z[q^-1] T_y (the KL lift).
+nonzero LaurentPoly), and peel is the one elimination run on it, longest
+key first: the expansion of an element in a basis that is unitriangular
+over it, or, with part=LaurentPoly.bar_invariant_part, the step that
+pushes a bar-invariant element into T_top + sum q^-1 Z[q^-1] T_y (the KL
+lift).
 """
 
 from __future__ import annotations
-
-from heapq import heapify, heappop, heappush
 
 NEG_INF = float("-inf")
 
@@ -337,57 +336,51 @@ class LaurentCombination:
         return f"{type(self).__name__}({len(self._d)} terms)"
 
 
-class _Top:
-    """Heap entry that pops the largest sort key first."""
-
-    __slots__ = ("k", "w")
-
-    def __init__(self, k, w):
-        self.k = k
-        self.w = w
-
-    def __lt__(self, other):
-        return self.k > other.k
-
-
-def peel(coords: dict, expand, key, part=None) -> dict:
+def peel(coords: dict, expand, part=None) -> dict:
     """Coordinates of `coords` in a basis unitriangular over its keys.
 
-    Repeatedly takes the top key under `key`, records its coefficient c and
-    subtracts c * expand(top); expand(top) must carry coefficient 1 on top.
+    Takes the keys longest first (key.length(); the order within one length
+    does not matter), records the coefficient c of each top and subtracts
+    c * expand(top); expand(top) must carry coefficient 1 on top and only
+    strictly shorter keys besides, as a Bruhat-triangular basis does.
     With part, only part(c) is recorded and subtracted (nothing when it is
     zero), and c - part(c) stays in `coords` at top.  `coords` is consumed
     in place: on return it holds the residual, empty unless part was given.
     expand(top) runs before `coords` changes, so an exception from it
     leaves `coords` as it was before that top.  Returns top -> recorded
-    coefficient in descending key order.
+    coefficient, longest first.
     """
-    heap = [_Top(key(w), w) for w in coords]
-    heapify(heap)
+    by_length = {}
+    for w in coords:
+        by_length.setdefault(w.length(), []).append(w)
     out = {}
-    while heap:
-        top = heappop(heap).w
-        c = coords.get(top)
-        if c is None:
-            continue  # the term cancelled after it was queued
-        mu = c if part is None else part(c)
-        if not mu:
-            continue
-        basis = expand(top)
-        if part is None:
-            del coords[top]
-        else:
-            accumulate(coords, top, -mu)
-        out[top] = mu
-        neg = -mu
-        monic = False
-        for w, pc in basis.items():
-            if w == top:
-                monic = pc == _ONE
+    while by_length:
+        n = max(by_length)
+        for top in by_length.pop(n):
+            c = coords.get(top)
+            if c is None:
+                continue  # the term cancelled after it was queued
+            mu = c if part is None else part(c)
+            if not mu:
                 continue
-            if w not in coords:
-                heappush(heap, _Top(key(w), w))
-            accumulate(coords, w, neg * pc)
-        if not monic:
-            raise AssertionError(f"expansion of {top!r} does not carry coefficient 1 on it")
+            basis = expand(top)
+            if part is None:
+                del coords[top]
+            else:
+                accumulate(coords, top, -mu)
+            out[top] = mu
+            neg = -mu
+            monic = False
+            for w, pc in basis.items():
+                if w == top:
+                    monic = pc == _ONE
+                    continue
+                m = w.length()
+                if m >= n:
+                    raise AssertionError(f"expansion of {top!r} holds {w!r}, which is not shorter")
+                if w not in coords:
+                    by_length.setdefault(m, []).append(w)
+                accumulate(coords, w, neg * pc)
+            if not monic:
+                raise AssertionError(f"expansion of {top!r} does not carry coefficient 1 on it")
     return out

@@ -4,6 +4,8 @@ Each test prints one PASS/FAIL line per named check (run pytest -s to see
 them); the same drivers back the `heckecell verify` subcommand.
 """
 
+import pytest
+
 from heckecell import verification
 
 
@@ -40,11 +42,17 @@ def test_criterion_4_degree_bounds():
     report(verification.degree_bounds_suite())
 
 
-def test_criterion_5_lowest_cell():
+@pytest.fixture(scope="module")
+def lowest_cell_checks():
+    """One run of the lowest-cell suite, shared by criteria 5 and 8."""
+    return verification.lowest_cell_suite()
+
+
+def test_criterion_5_lowest_cell(lowest_cell_checks):
     # factorization bijective on all cell members with l <= l(w_0) + 6 in
     # A2, A1 (2,1), C2 (2,1,1) and A3 (1,152 members at l <= 12), and
     # P(z) C_{w_0 y} = C_{z w_0 y} over the full box (24 x 24 pairs in A3)
-    report(verification.lowest_cell_suite())
+    report(lowest_cell_checks)
 
 
 def test_criterion_6_cellular():
@@ -61,12 +69,10 @@ def test_criterion_7_translation_invariance():
     report(verification.translation_invariance_suite())
 
 
-def test_criterion_8_bounded_substitutes_documented():
+def test_criterion_8_bounded_substitutes_documented(lowest_cell_checks):
     # the isomorphism statement quantifies over the infinite algebra;
     # criteria 5-7 are its bounded substitutes with every bound named
-    names = [c.name for c in (
-        verification.lowest_cell_suite()[:1]
-    )]
+    names = [c.name for c in lowest_cell_checks[:1]]
     assert any("l<=" in n for n in names)
     print("PASS  criterion-8: bounded substitutes stand in for the "
           "infinite-rank claims (bounds named per suite)")

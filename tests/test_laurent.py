@@ -116,14 +116,36 @@ def test_text_and_json_forms():
     assert str(P({-3: -4})) == "-4*q^-3"
 
 
+class Key(str):
+    """A peel key whose length is its rank in RANK."""
+
+    def length(self):
+        return RANK[self]
+
+
+RANK = {"d": 0, "c": 1, "a": 2, "e": 2, "b": 3}
+A, B, C, D, E = map(Key, "abcde")
+
+
 def test_peel_rejects_non_monic_expansion():
     one = LaurentPoly.one()
-    basis = {"b": {"b": one, "a": one}, "a": {"a": one}}
-    coords = {"a": P({0: 3}), "b": one}
-    assert list(peel(coords, basis.get, str).items()) == [("b", one), ("a", P({0: 2}))]
+    basis = {B: {B: one, A: one}, A: {A: one}}
+    coords = {A: P({0: 3}), B: one}
+    assert list(peel(coords, basis.get).items()) == [("b", one), ("a", P({0: 2}))]
     assert coords == {}
     with pytest.raises(AssertionError, match="coefficient 1"):
-        peel({"b": one}, {"b": {"b": P({0: 2}), "a": one}}.get, str)
+        peel({B: one}, {B: {B: P({0: 2}), A: one}}.get)
+
+
+def test_peel_rejects_a_second_key_as_long_as_top():
+    # longest first is a valid order only if expand(top) holds no other key
+    # of top's length or more: a and e both have length 2
+    one = LaurentPoly.one()
+    basis = {A: {A: one, E: one}, E: {E: one}}
+    with pytest.raises(AssertionError, match="not shorter"):
+        peel({A: one}, basis.get)
+    with pytest.raises(AssertionError, match="not shorter"):
+        peel({A: one}, {A: {A: one, B: one}}.get)
 
 
 def test_peel_leaves_coords_untouched_by_a_failed_expand():
@@ -131,7 +153,7 @@ def test_peel_leaves_coords_untouched_by_a_failed_expand():
     # coords hold their state after the first top, and a second peel on them
     # finishes the job (this is how a KL link resumes after a miss)
     one = LaurentPoly.one()
-    basis = {"b": {"b": one, "a": one}, "a": {"a": one}}
+    basis = {B: {B: one, A: one}, A: {A: one}}
     tops = []
 
     def expand(w):
@@ -140,11 +162,11 @@ def test_peel_leaves_coords_untouched_by_a_failed_expand():
             raise LookupError(w)
         return basis[w]
 
-    coords = {"a": P({0: 3}), "b": one}
+    coords = {A: P({0: 3}), B: one}
     with pytest.raises(LookupError):
-        peel(coords, expand, str)
+        peel(coords, expand)
     assert tops == ["b", "a"] and coords == {"a": P({0: 2})}
-    assert peel(coords, basis.get, str) == {"a": P({0: 2})}
+    assert peel(coords, basis.get) == {"a": P({0: 2})}
     assert coords == {}
 
 
@@ -153,11 +175,10 @@ def test_peel_part_subtracts_only_the_bar_invariant_part():
     # the peel with part takes off the bar-invariant part of each coefficient
     # and leaves the q^-1 Z[q^-1] rest in place; d has nothing to take off
     one = LaurentPoly.one()
-    basis = {"b": {"b": one, "a": P({-1: 1}), "c": one}, "a": {"a": one, "c": one},
-             "c": {"c": one}, "d": {"d": one}}
-    rank = {"d": 0, "c": 1, "a": 2, "b": 3}.get
-    coords = {"b": P({1: 1}), "a": P({1: 1, 0: 2, -1: 1}), "c": P({-2: 1}), "d": P({-3: -1})}
-    out = peel(coords, basis.get, rank, part=LaurentPoly.bar_invariant_part)
+    basis = {B: {B: one, A: P({-1: 1}), C: one}, A: {A: one, C: one},
+             C: {C: one}, D: {D: one}}
+    coords = {B: P({1: 1}), A: P({1: 1, 0: 2, -1: 1}), C: P({-2: 1}), D: P({-3: -1})}
+    out = peel(coords, basis.get, part=LaurentPoly.bar_invariant_part)
     assert list(out.items()) == [
         ("b", P({1: 1, -1: 1})), ("a", P({1: 1, 0: 1, -1: 1})), ("c", P({1: -2, 0: -1, -1: -2})),
     ]
