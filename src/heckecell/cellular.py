@@ -21,7 +21,7 @@ p_{alpha + lam.w_0} w_0.
 from __future__ import annotations
 
 from .hecke import HeckeElt
-from .laurent import LaurentCombination, LaurentPoly, accumulate, peel
+from .laurent import LaurentCombination, LaurentPoly, add_scaled, peel
 from .lowestcell import BoundExceeded, LowestCell
 from .weyl import GroupElement
 
@@ -40,8 +40,8 @@ class MonoidAlgebraElt(LaurentCombination):
     def __mul__(self, other):
         d = {}
         for t1, c1 in self._d.items():
-            for t2, c2 in other._d.items():
-                accumulate(d, tuple(a + b for a, b in zip(t1, t2)), c1 * c2)
+            add_scaled(d, c1, [(tuple(a + b for a, b in zip(t1, t2)), c2)
+                               for t2, c2 in other._d.items()])
         return MonoidAlgebraElt(d)
 
 
@@ -121,10 +121,9 @@ class CellularStructure:
         d = {}
         for (zi, tau, zj), ca in a.items():
             for (zk, tau2, zl), cb in b.items():
-                c = ca * cb
-                for sigma, cphi in self.phi_form(zj, zk).items():
-                    t = tuple(x + y + z for x, y, z in zip(tau, sigma, tau2))
-                    accumulate(d, (zi, t, zl), cphi * c)
+                add_scaled(d, ca * cb, [
+                    ((zi, tuple(x + y + z for x, y, z in zip(tau, sigma, tau2)), zl), cphi)
+                    for sigma, cphi in self.phi_form(zj, zk).items()])
         return CellularElt(d)
 
     def phi_image_basis(self, z: GroupElement, tau, zprime: GroupElement) -> HeckeElt:
@@ -147,8 +146,7 @@ class CellularStructure:
     def phi_iso(self, a: CellularElt) -> HeckeElt:
         d = {}
         for (z, tau, zp), c in a.items():
-            for w, cw in self.phi_image_basis(z, tau, zp).items():
-                accumulate(d, w, cw * c)
+            add_scaled(d, c, self.phi_image_basis(z, tau, zp).items())
         return HeckeElt(d)
 
     def phi_inverse(self, h: HeckeElt) -> CellularElt:

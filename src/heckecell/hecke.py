@@ -6,7 +6,8 @@ T-basis structure constants, and the degree bookkeeping of the
 separating-hyperplane bound.
 
 Every left T-action goes through one generator step, mul_gen (the
-three-case rule for T_s T_w), and one chain walker, _left_chain, which
+three-case rule for T_s T_w: the relabel w -> sw, a bijection, plus the
+xi_s T_w terms of the descents), and one chain walker, _left_chain, which
 builds a value at w from the value at its tail (w with the pi-part, a
 support relabel, or else the first letter of the reduced word stripped).
 bar_t walks it on the bar cache with T_s^-1 = T_s - xi_s; right_mul(h2)
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import threading
 
-from .laurent import LaurentCombination, LaurentPoly, accumulate, peel, xi
+from .laurent import LaurentCombination, LaurentPoly, add_scaled, peel, xi
 from .weyl import GroupElement, Weyl
 
 _ONE = LaurentPoly.one()
@@ -72,15 +73,18 @@ class Hecke:
 
     def mul_gen(self, i: int, h: HeckeElt) -> HeckeElt:
         """T_{s_i} h by the three-case rule: T_s T_w = T_{sw} when sw > w,
-        and T_{sw} + xi_s T_w when sw < w."""
+        and T_{sw} + xi_s T_w when sw < w.  The relabel w -> sw is a
+        bijection, so it fills a plain dict; the xi_s terms of the descents
+        are then added to it."""
         gen_mul_left = self.weyl.gen_mul_left
-        xi_s = self.xi[i]
         d = {}
+        down = []
         for w, c in h.items():
             sw = gen_mul_left(i, w)
-            accumulate(d, sw, c)
+            d[sw] = c
             if sw.length() < w.length():
-                accumulate(d, w, c * xi_s)
+                down.append((w, c))
+        add_scaled(d, self.xi[i], down)
         return h._new(d)
 
     def _pi_shift(self, pi_idx: int, h: HeckeElt) -> HeckeElt:
@@ -144,9 +148,7 @@ class Hecke:
             d = pending.get(x)
             if d is None:
                 d = pending[x] = gen_step(i, c)._d
-                q = q_neg[i]
-                for y, cy in c.items():
-                    accumulate(d, y, cy * q)
+                add_scaled(d, q_neg[i], c.items())
                 if d.pop(x, None) != _ONE:
                     raise AssertionError(f"C_s times the element below {x!r} does not lead with it")
             peel(d, expand, part=bar_invariant_part)
@@ -166,8 +168,7 @@ class Hecke:
         def times_h2(h1: HeckeElt) -> HeckeElt:
             acc = {}
             for x, c in h1.items():
-                for w, cc in self._left_chain(x, cache, step).items():
-                    accumulate(acc, w, cc * c)
+                add_scaled(acc, c, self._left_chain(x, cache, step).items())
             return h2._new(acc)
 
         return times_h2
@@ -190,17 +191,13 @@ class Hecke:
     def _mul_gen_inverse(self, i: int, h: HeckeElt, _x) -> HeckeElt:
         """T_{s_i}^-1 h = T_{s_i} h - xi_s h (a chain step; x is unused)."""
         out = self.mul_gen(i, h)
-        neg_xi = -self.xi[i]
-        for w, c in h.items():
-            accumulate(out._d, w, c * neg_xi)
+        add_scaled(out._d, -self.xi[i], h.items())
         return out
 
     def bar(self, h: HeckeElt) -> HeckeElt:
         acc = {}
         for w, c in h.items():
-            cb = c.bar()
-            for y, cc in self.bar_t(w).items():
-                accumulate(acc, y, cc * cb)
+            add_scaled(acc, c.bar(), self.bar_t(w).items())
         return HeckeElt(acc)
 
     def flat(self, h: HeckeElt) -> HeckeElt:

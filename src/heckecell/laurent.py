@@ -13,11 +13,13 @@ below 2^31 is exact in W = 32 bits.  Any other result is computed term by
 term, its bound set to the exact l1 norm, and packed in the least multiple
 of 32 bits that holds it, so coefficients of any size stay exact.
 LaurentCombination is the one sparse linear-combination type (key ->
-nonzero LaurentPoly), and peel is the one elimination run on it, longest
-key first: the expansion of an element in a basis that is unitriangular
-over it, or, with part=LaurentPoly.bar_invariant_part, the step that
-pushes a bar-invariant element into T_top + sum q^-1 Z[q^-1] T_y (the KL
-lift).
+nonzero LaurentPoly), add_scaled is the one multiply-accumulate on such
+dicts (d[k] += a * c over many terms, in one pass on the packed ints, each
+stored value the very triple the operators would give), and peel is the
+one elimination run on them, longest key first: the expansion of an
+element in a basis that is unitriangular over it, or, with
+part=LaurentPoly.bar_invariant_part, the step that pushes a bar-invariant
+element into T_top + sum q^-1 Z[q^-1] T_y (the KL lift).
 """
 
 from __future__ import annotations
@@ -261,6 +263,7 @@ def _pack(terms: dict) -> LaurentPoly:
 
 _ZERO = LaurentPoly()
 _ONE = LaurentPoly({0: 1})
+_MINUS_ONE = LaurentPoly({0: -1})
 
 
 def xi(weight: int) -> LaurentPoly:
@@ -274,13 +277,61 @@ def xi(weight: int) -> LaurentPoly:
     return LaurentPoly({weight: 1, -weight: -1})
 
 
-def accumulate(d: dict, key, c: LaurentPoly) -> None:
-    """d[key] += c in place, keeping d free of zero values."""
-    nc = d.get(key, _ZERO) + c
-    if nc:
-        d[key] = nc
-    elif key in d:
-        del d[key]
+def add_scaled(d: dict, a: LaurentPoly, items) -> None:
+    """d[k] += a * c for every (k, c) in items, in place, keeping d free of
+    zero values (d must hold none to begin with).
+
+    The one multiply-accumulate of the package.  It works on the packed
+    fields: the product is (v_a + v_c, n_a n_c) with bound m_a m_c, and the
+    merge with the old value is the shift, add and strip of __add__, so
+    each stored value is the very (v, n, m) of old + a * c.  When the
+    product bound, or the bound of the sum, reaches 2^31 it computes
+    old + a * c with the operators instead.
+    """
+    na = a._n
+    if not na:
+        return
+    va, ma = a._v, a._m
+    get = d.get
+    for k, c in items:
+        n2 = na * c._n
+        if not n2:
+            continue
+        m = ma * c._m
+        old = get(k, _ZERO)
+        n = old._n
+        if not n:
+            if m < _LIMIT:
+                out = _alloc(LaurentPoly)
+                out._v, out._n, out._m = va + c._v, n2, m
+                d[k] = out
+                continue
+        else:
+            m += old._m
+            if m < _LIMIT:
+                v, v2 = old._v, va + c._v
+                if v == v2:
+                    n += n2
+                    if not n:
+                        del d[k]
+                        continue
+                    while not n & _MASK:
+                        n >>= _W
+                        v += 1
+                elif v < v2:
+                    n += n2 << (_W * (v2 - v))
+                else:
+                    n = n2 + (n << (_W * (v - v2)))
+                    v = v2
+                out = _alloc(LaurentPoly)
+                out._v, out._n, out._m = v, n, m
+                d[k] = out
+                continue
+        total = old + a * c
+        if total:
+            d[k] = total
+        elif k in d:
+            del d[k]
 
 
 class LaurentCombination:
@@ -320,12 +371,13 @@ class LaurentCombination:
 
     def __add__(self, other):
         d = dict(self._d)
-        for k, c in other._d.items():
-            accumulate(d, k, c)
+        add_scaled(d, _ONE, other._d.items())
         return self._new(d)
 
     def __sub__(self, other):
-        return self + other.scale(LaurentPoly.const(-1))
+        d = dict(self._d)
+        add_scaled(d, _MINUS_ONE, other._d.items())
+        return self._new(d)
 
     def scale(self, a: LaurentPoly):
         if not a:
@@ -346,9 +398,10 @@ def peel(coords: dict, expand, part=None) -> dict:
     With part, only part(c) is recorded and subtracted (nothing when it is
     zero), and c - part(c) stays in `coords` at top.  `coords` is consumed
     in place: on return it holds the residual, empty unless part was given.
-    expand(top) runs before `coords` changes, so an exception from it
-    leaves `coords` as it was before that top.  Returns top -> recorded
-    coefficient, longest first.
+    expand(top) runs and is checked before `coords` changes, so an
+    exception from it, or an AssertionError on it, leaves `coords` as it
+    was before that top.  Returns top -> recorded coefficient, longest
+    first.
     """
     by_length = {}
     for w in coords:
@@ -364,23 +417,19 @@ def peel(coords: dict, expand, part=None) -> dict:
             if not mu:
                 continue
             basis = expand(top)
-            if part is None:
-                del coords[top]
-            else:
-                accumulate(coords, top, -mu)
-            out[top] = mu
-            neg = -mu
             monic = False
             for w, pc in basis.items():
-                if w == top:
-                    monic = pc == _ONE
-                    continue
                 m = w.length()
                 if m >= n:
+                    if w == top:
+                        monic = pc == _ONE
+                        continue
                     raise AssertionError(f"expansion of {top!r} holds {w!r}, which is not shorter")
                 if w not in coords:
                     by_length.setdefault(m, []).append(w)
-                accumulate(coords, w, neg * pc)
             if not monic:
                 raise AssertionError(f"expansion of {top!r} does not carry coefficient 1 on it")
+            out[top] = mu
+            # the 1 on top takes mu off it: all of c, or part(c)
+            add_scaled(coords, -mu, basis.items())
     return out

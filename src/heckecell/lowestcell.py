@@ -19,7 +19,7 @@ and no y enters, which is what makes the y-independence meaningful to test.
 from __future__ import annotations
 
 from .hecke import Hecke, HeckeElt
-from .laurent import LaurentPoly, accumulate
+from .laurent import LaurentPoly, add_scaled
 from .weyl import GroupElement
 
 
@@ -182,20 +182,24 @@ class LowestCell:
         return {y: c for y, c in p.items() if y != x}
 
     def _module_gen(self, i: int, h: HeckeElt) -> HeckeElt:
-        """T_{s_i} h on the X_0 module, h a combination of the m_x."""
+        """T_{s_i} h on the X_0 module, h a combination of the m_x.  As in
+        Hecke.mul_gen, m_x goes to m_{sx}, or stays at m_x times q^L(s) when
+        sx leaves X_0; no two terms meet, so this fills a plain dict, and
+        the xi_s terms of the descents are then added to it."""
         gen_mul_left = self.weyl.gen_mul_left
-        xi_s = self.hecke.xi[i]
         q_s = LaurentPoly.q_power(self.ws.params[i])
         d = {}
+        down = []
         for x, c in h.items():
             sx = gen_mul_left(i, x)
             if sx.length() < x.length():
-                accumulate(d, sx, c)
-                accumulate(d, x, c * xi_s)
+                d[sx] = c
+                down.append((x, c))
             elif self.is_in_x0(sx):
-                accumulate(d, sx, c)
+                d[sx] = c
             else:
-                accumulate(d, x, c * q_s)
+                d[x] = c * q_s
+        add_scaled(d, self.hecke.xi[i], down)
         return h._new(d)
 
     # -- the P elements -------------------------------------------------------------

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from heckecell.hecke import HeckeElt
-from heckecell.laurent import LaurentCombination, LaurentPoly, accumulate
+from heckecell.laurent import LaurentCombination, LaurentPoly, add_scaled
 
 _ZERO = LaurentPoly.zero()
 _ONE = LaurentPoly.one()
@@ -186,7 +186,7 @@ def relative_kl_right(lowest, x) -> dict:
         row = {}
         for w, c in lowest.hecke.bar_t(y).items():
             rep, v = right_coset_part(lowest, w)
-            accumulate(row, rep, c * LaurentPoly.q_power(ws.finite_weight(v.finite)))
+            add_scaled(row, LaurentPoly.q_power(ws.finite_weight(v.finite)), [(rep, c)])
         rows.append(LaurentCombination(row))
     return solve_unitriangular(x, basis, rows)
 
@@ -356,7 +356,7 @@ def f_constants_subsets(hecke, x, y) -> dict:
                 else:
                     cur = s * cur
             if ok:
-                accumulate(out, pi * cur, factor)
+                add_scaled(out, factor, [(pi * cur, _ONE)])
     return {w: c for w, c in out.items() if c}
 
 

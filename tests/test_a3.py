@@ -1,7 +1,8 @@
-"""Smoke coverage for the rank-3 tables; the heavy sweeps run in rank <= 2."""
+"""Rank-3 tables and the KL engine in A3; the heavy sweeps run in rank <= 2."""
 
 import random
 
+import oracles
 from heckecell.hecke import Hecke
 from heckecell.lowestcell import LowestCell
 from heckecell.rootdata import WeightSystem
@@ -35,10 +36,13 @@ def test_box_and_factorization():
         assert (f.z, f.tau, f.zprime) == (z, tau, zp)
 
 
-def test_kl_small():
-    rng = random.Random(1)
-    els = list(W.enumerate_elements(3))
-    for w in rng.sample(els, 10):
+def test_kl_basis_matches_oracle_to_length_6():
+    # the chain engine against the bar solve on every element up to l(w0)
+    els = list(W.enumerate_elements(6))
+    assert len(els) == 780
+    for w in els:
+        assert H.kl_basis(w) == oracles.kl_basis(H, w)
+    for w in random.Random(1).sample(els, 10):
         cw = H.kl_basis(w)
         assert H.bar(cw) == cw
         assert H.flat(cw) == H.kl_basis(w.inverse())

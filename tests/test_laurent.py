@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from heckecell.laurent import NEG_INF, LaurentPoly, peel, xi
+from heckecell.laurent import NEG_INF, LaurentPoly, add_scaled, peel, xi
 from oracles import DictLaurent
 
 
@@ -133,8 +133,20 @@ def test_peel_rejects_non_monic_expansion():
     coords = {A: P({0: 3}), B: one}
     assert list(peel(coords, basis.get).items()) == [("b", one), ("a", P({0: 2}))]
     assert coords == {}
+    # the check runs before coords change: a rejected top leaves them as
+    # they were before it, here before anything and after the first top
+    coords = {B: one}
     with pytest.raises(AssertionError, match="coefficient 1"):
-        peel({B: one}, {B: {B: P({0: 2}), A: one}}.get)
+        peel(coords, {B: {A: one, B: P({0: 2})}}.get)
+    assert coords == {B: one}
+    coords = {A: P({0: 3}), B: one}
+    with pytest.raises(AssertionError, match="coefficient 1"):
+        peel(coords, {B: {B: one, A: one}, A: {A: P({0: 2})}}.get)
+    assert coords == {A: P({0: 2})}
+    coords = {A: one}
+    with pytest.raises(AssertionError, match="coefficient 1"):
+        peel(coords, {A: {C: one}}.get, part=LaurentPoly.bar_invariant_part)
+    assert coords == {A: one}
 
 
 def test_peel_rejects_a_second_key_as_long_as_top():
@@ -142,10 +154,16 @@ def test_peel_rejects_a_second_key_as_long_as_top():
     # of top's length or more: a and e both have length 2
     one = LaurentPoly.one()
     basis = {A: {A: one, E: one}, E: {E: one}}
+    coords = {A: one}
     with pytest.raises(AssertionError, match="not shorter"):
-        peel({A: one}, basis.get)
+        peel(coords, basis.get)
+    assert coords == {A: one}
+    # the offending key comes after a valid one, which is not subtracted
+    # either: coords stay as they were before that top
+    coords = {A: P({0: 2}), C: one}
     with pytest.raises(AssertionError, match="not shorter"):
-        peel({A: one}, {A: {A: one, B: one}}.get)
+        peel(coords, {A: {C: one, A: one, B: one}}.get)
+    assert coords == {A: P({0: 2}), C: one}
 
 
 def test_peel_leaves_coords_untouched_by_a_failed_expand():
@@ -314,3 +332,110 @@ def test_sum_cancels_to_zero_across_widths():
     q = LaurentPoly({0: 2**40, 1: 1}) - LaurentPoly({0: 2**40})
     assert q == LaurentPoly({1: 1}) and hash(q) == hash(LaurentPoly({1: 1}))
     agrees(q * q, DictLaurent({2: 1}))
+
+
+# -- the multiply-accumulate kernel against the per-term operators --------------
+
+
+def triples(d: dict) -> dict:
+    return {k: (p._v, p._n, p._m) for k, p in d.items()}
+
+
+def add_scaled_per_term(d: dict, a, items) -> None:
+    """d[k] = d[k] + a * c term by term, dropping zeros: what the kernel does."""
+    for k, c in items:
+        total = d.get(k, LaurentPoly.zero()) + a * c
+        if total:
+            d[k] = total
+        elif k in d:
+            del d[k]
+
+
+def kernel_agrees(d: dict, a, items) -> None:
+    """add_scaled leaves d with the very (v, n, m) of the per-term sums."""
+    want, got = dict(d), dict(d)
+    add_scaled_per_term(want, a, items)
+    add_scaled(got, a, items)
+    assert triples(got) == triples(want) and list(got) == list(want)
+    assert all(got.values())
+
+
+def inflated(terms: dict, b: int) -> LaurentPoly:
+    """The polynomial of terms with its l1 bound raised by 2b: adding and
+    taking away b q^9 keeps the value and adds to the bound."""
+    big = LaurentPoly({9: b})
+    return LaurentPoly(terms) + big - big
+
+
+def test_add_scaled_edge_cases():
+    one = LaurentPoly.one()
+    # a key that is absent and one that is present
+    kernel_agrees({"x": P({0: 1})}, P({1: 2}), [("x", P({0: 3, 1: -1})), ("y", P({-2: 5}))])
+    # cancellation to zero at equal valuations deletes the key
+    d = {"x": P({0: 3, 1: 1}), "y": one}
+    kernel_agrees(d, P({0: -1}), [("x", P({0: 3, 1: 1}))])
+    add_scaled(d, P({0: -1}), [("x", P({0: 3, 1: 1}))])
+    assert d == {"y": one}
+    # cancellation of the low digits strips them: q^0 goes, q^2 leads
+    d = {"x": P({0: 1, 2: 1})}
+    kernel_agrees(d, P({-1: 1}), [("x", P({1: -1}))])
+    add_scaled(d, P({-1: 1}), [("x", P({1: -1}))])
+    assert triples(d) == {"x": (2, 1, 3)}
+    # two low digits of wider coefficients cancel
+    d = {"x": P({0: -5 * 2**10, 1: -(2**20), 2: 1})}
+    kernel_agrees(d, P({0: 2**10}), [("x", P({0: 5, 1: 2**10}))])
+    add_scaled(d, P({0: 2**10}), [("x", P({0: 5, 1: 2**10}))])
+    assert d == {"x": P({2: 1})} and d["x"]._v == 2
+    # a zero scalar leaves d alone
+    d = {"x": P({0: 1})}
+    add_scaled(d, LaurentPoly.zero(), [("x", P({0: -1})), ("y", one)])
+    assert triples(d) == {"x": (0, 1, 1)}
+    # a product bound that crosses 2^31: by the coefficients, and by the
+    # bounds alone while the coefficients stay small
+    kernel_agrees({"x": P({0: 1})}, P({0: 2**16}), [("x", P({0: 2**15})), ("y", P({3: -(2**15)}))])
+    x, y = inflated({0: 1, 1: 1}, 2**15), inflated({0: 1, 1: -1}, 2**15)
+    assert x._m * y._m >= 2**31
+    kernel_agrees({"x": one}, x, [("x", y), ("y", y)])
+    # a sum bound that crosses 2^31 with both bounds below it, also where
+    # the sum cancels down to a small value or to zero
+    half = 2**30
+    kernel_agrees({"x": P({0: half})}, P({0: 2**15}), [("x", P({0: 2**15}))])
+    kernel_agrees({"x": P({0: half, 1: 1})}, P({0: -(2**15)}), [("x", P({0: 2**15}))])
+    kernel_agrees({"x": P({0: half})}, P({0: -(2**15)}), [("x", P({0: 2**15}))])
+    kernel_agrees({"x": inflated({2: 1}, half)}, one, [("x", inflated({2: 1, 3: 1}, 2**29))])
+
+
+def test_add_scaled_matches_per_term_sums():
+    rng = random.Random(12)
+    keys = "abcdef"
+
+    def rand_value():
+        terms = rand_terms(rng)
+        kind = rng.random()
+        if kind < 0.15:
+            return inflated(terms, rng.choice((2**14, 2**29, 2**30)))
+        return LaurentPoly(terms)
+
+    for _ in range(400):
+        d = {k: p for k in rng.sample(keys, rng.randint(0, 4)) if (p := rand_value())}
+        kind = rng.random()
+        if kind < 0.05:
+            a = LaurentPoly.zero()
+        elif kind < 0.4:
+            a = LaurentPoly.const(rng.choice((1, -1)))
+        else:
+            a = rand_value()
+        items = []
+        for _ in range(rng.randint(0, 6)):
+            k = rng.choice(keys)
+            old = d.get(k)
+            kind = rng.random()
+            if old and a in (LaurentPoly.one(), LaurentPoly.const(-1)) and kind < 0.5:
+                # a * c takes away the old value, or only its lowest term
+                low = min(old.items())
+                c = -(a * (old if kind < 0.25 else LaurentPoly({low[0]: low[1]})))
+            else:
+                c = rand_value()
+            if c:
+                items.append((k, c))
+        kernel_agrees(d, a, items)
