@@ -6,6 +6,10 @@ map w |-> (its alcove A_0.w) identifies the group with the set of extended
 alcoves, and length, descent sets and reduced words all come from the
 closed-form hyperplane count on the normal form.
 
+Each Weyl interns its elements: one object per normal form, minted
+atomically, so elements compare and hash by identity and elements of two
+different Weyl objects never compare equal.
+
 Alcove position is integer throughout: root_shifts gives, per positive
 root, the strip between consecutive hyperplanes that holds the alcove of w,
 and length, weight, Pi and the separating hyperplanes are read from it.
@@ -21,33 +25,25 @@ class GroupElement:
 
     finite is the index of the W_0-part in the weight-system table and
     translation is the vector of the affine map x |-> x.finite + translation.
+    Build elements through Weyl.element (or the group operations), never
+    directly: Weyl interns one object per normal form, so == and hash are
+    the built-in identity ones.
     """
 
     __slots__ = (
         "weyl", "finite", "translation",
-        "_hash", "_len", "_wlen", "_word", "_gl", "_gr",
+        "_len", "_wlen", "_word", "_gl", "_gr",
     )
 
     def __init__(self, weyl, finite, translation):
         self.weyl = weyl
         self.finite = finite
         self.translation = translation
-        self._hash = hash((finite, translation))
         self._len = None
         self._wlen = None
         self._word = None
         self._gl = None  # cache: generator/Pi products on the left
         self._gr = None  # cache: generator products on the right
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroupElement)
-            and self.finite == other.finite
-            and self.translation == other.translation
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return self.weyl.multiply(self, other)
@@ -136,8 +132,8 @@ class Weyl:
         key = (finite, tuple(translation))
         g = self._intern.get(key)
         if g is None:
-            g = GroupElement(self, finite, key[1])
-            self._intern[key] = g
+            # setdefault is atomic: threads that miss together share one object
+            g = self._intern.setdefault(key, GroupElement(self, finite, key[1]))
         return g
 
     def multiply(self, a: GroupElement, b: GroupElement) -> GroupElement:

@@ -1,4 +1,5 @@
 import random
+import threading
 
 import pytest
 
@@ -6,7 +7,8 @@ import oracles
 from heckecell.hecke import Hecke
 from heckecell.lowestcell import LowestCell
 from heckecell.rootdata import WeightSystem
-from heckecell.weyl import Weyl
+from heckecell.serialize import element_text
+from heckecell.weyl import GroupElement, Weyl
 
 
 def make(cfg):
@@ -314,3 +316,86 @@ def test_pi_gen_permutation():
         for pi, perm in zip(weyl.pi_elements, weyl.pi_gen_permutations):
             for i, s in enumerate(weyl.gens):
                 assert pi * s * pi.inverse() == weyl.gens[perm[i]]
+
+
+def test_elements_are_interned():
+    u, lam = WA2.gens[2].finite, WA2.gens[2].translation
+    assert WA2.element(u, lam) is WA2.element(u, list(lam)) is WA2.gens[2]
+    assert WA2.gens[1] * WA2.gens[2] is WA2.gens[1] * WA2.gens[2]
+    assert WA2.gens[2].inverse() is WA2.gens[2]
+
+
+def test_equality_and_hash_are_identity():
+    # interning makes value equality identity equality; a Python-level
+    # override would only slow every dict of the library down
+    assert GroupElement.__eq__ is object.__eq__
+    assert GroupElement.__hash__ is object.__hash__
+
+
+def test_elements_of_two_groups_never_compare_equal():
+    # both identities have normal form (0, (0, 0))
+    assert (WA2.identity.finite, WA2.identity.translation) == (
+        WC2.identity.finite, WC2.identity.translation)
+    assert WA2.identity != WC2.identity
+    assert WA2.identity not in {WC2.identity}
+    assert make(("A", 2, (1, 1, 1))).identity != WA2.identity
+
+
+def test_interning_is_atomic_across_threads():
+    # two objects for one normal form would split one Hecke term into two
+    # keys.  The intern table below holds every thread that misses until
+    # all of them have missed the same key, so each new element is minted
+    # by all threads at once; they must still share one object.
+    nthreads = 8
+    barrier = threading.Barrier(nthreads)
+
+    class MissTogether(dict):
+        def get(self, key, default=None):
+            value = super().get(key, default)
+            if value is None:
+                barrier.wait(timeout=10)
+            return value
+
+    weyl = make(("A", 2, (1, 1, 1)))
+    weyl._intern = MissTogether(weyl._intern)
+    rng = random.Random(13)
+    words = [[rng.randrange(3) for _ in range(rng.randint(1, 9))] for _ in range(60)]
+    results = [None] * nthreads
+
+    def mint(t):
+        out = []
+        for word in words:
+            g = weyl.from_word(0, word)
+            out += [g, g.inverse()]
+        results[t] = out
+
+    threads = [threading.Thread(target=mint, args=(t,)) for t in range(nthreads)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=60)
+    assert not any(th.is_alive() for th in threads)
+    first = results[0]
+    assert first is not None and len(weyl._intern) > 20
+    for out in results[1:]:
+        assert out is not None and len(out) == len(first)
+        assert all(a is b for a, b in zip(first, out))
+    for g in first:
+        assert weyl.element(g.finite, g.translation) is g
+
+
+@pytest.mark.parametrize("cfg", [("A", 2, (1, 1, 1)), ("C", 2, (2, 1, 1))])
+def test_output_order_does_not_depend_on_object_addresses(cfg):
+    # elements hash by identity, so sets of them iterate in address order;
+    # every output must be sorted by sort_key before it is read
+    def texts(weyl):
+        w = max(weyl.enumerate_elements(7), key=weyl.sort_key)
+        assert w.length() >= 6
+        return [
+            [element_text(weyl, g) for g in weyl.enumerate_elements(6)],
+            [element_text(weyl, g) for g in LowestCell(Hecke(weyl)).box_elements()],
+            [element_text(weyl, g) for g in sorted(weyl.bruhat_interval(w), key=weyl.sort_key)],
+        ]
+
+    one, two = make(cfg), make(cfg)  # both alive: their elements sit at other addresses
+    assert texts(one) == texts(two)
