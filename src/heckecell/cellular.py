@@ -2,9 +2,11 @@
 form phi, the isomorphism onto the lowest two-sided ideal, and the
 decomposition of the cellular basis in the Kazhdan-Lusztig basis.
 
-phi is read off the one expansion in the cellular basis, phi_inverse: the
-images P(tau) C_{w_0} of the triples (e, tau, e) are the basis of M_+, and
-every other image is P(z) times one of them times flat P(z').
+phi is read off the one expansion in the cellular basis, phi_inverse, which
+peels T-coordinates: each basis image is T_w plus strictly shorter terms,
+with w the reassembled triple.  The images P(tau) C_{w_0} of the triples
+(e, tau, e) are the basis of M_+, and every other image is P(z) times one
+of them times flat P(z').
 
 All universally quantified claims are exposed as bounded sweeps; callers
 name the length bound and the sweep is exact within it.
@@ -68,7 +70,6 @@ class CellularStructure:
         self.length_bound = length_bound
         self._phi_cache = {}
         self._phi_image_cache = {}
-        self._phi_image_kl_cache = {}
         # (z', h -> h C_{z' w_0}) for the last z' of phi_form: one slot, so a
         # column z' of the phi matrix shares its chain cache and memory stays
         # bounded by one right factor
@@ -152,26 +153,20 @@ class CellularStructure:
     def phi_inverse(self, h: HeckeElt) -> CellularElt:
         """Inverse of the isomorphism on elements of the lowest ideal.
 
-        Peels the Bruhat-top KL coordinate, reads its cell factorization as
-        the basis triple, and subtracts that basis image; unitriangularity
-        makes this terminate exactly.  Raises if h is not in the span.
+        Peels h's T-coordinates: each image P(z) P(tau) C_{w_0} P(z')^flat
+        is T_top plus strictly shorter terms, with (z, tau, z') the cell
+        factorization of top, and the residual stays in the ideal, whose
+        longest T-terms are cell members.  Raises NotInLowestCell if h is
+        not in the span.
         """
         keys = {}
 
         def expand(top):
-            f = self.lowest.factorize(top)
-            keys[top] = (f.z, f.tau, f.zprime)
-            return self._phi_image_kl(keys[top])
+            keys[top] = f = self.lowest.factorize(top)
+            return self.phi_image_basis(*f)
 
-        coords = peel(self.hecke.kl_expand(h), expand)
+        coords = peel(dict(h.items()), expand)
         return CellularElt({keys[top]: c for top, c in coords.items()})
-
-    def _phi_image_kl(self, key) -> dict:
-        hit = self._phi_image_kl_cache.get(key)
-        if hit is None:
-            hit = self.hecke.kl_expand(self.phi_image_basis(*key))
-            self._phi_image_kl_cache[key] = hit
-        return hit
 
     def cell_involution(self, a: CellularElt) -> CellularElt:
         """v (x) b (x) w  |->  w (x) nu(b) (x) v."""

@@ -27,6 +27,7 @@ local to their call and need no lock.
 from __future__ import annotations
 
 import threading
+from typing import NamedTuple
 
 from .laurent import LaurentCombination, LaurentPoly, add_scaled, peel, xi
 from .weyl import GroupElement, Weyl
@@ -247,12 +248,9 @@ class Hecke:
         return DegreeData(x, y, h_set, c_per, sum(c_per.values()))
 
 
-class DegreeData:
-    __slots__ = ("x", "y", "h_set", "c_per_alpha", "c")
-
-    def __init__(self, x, y, h_set, c_per_alpha, c):
-        self.x = x
-        self.y = y
-        self.h_set = h_set
-        self.c_per_alpha = c_per_alpha
-        self.c = c
+class DegreeData(NamedTuple):
+    x: GroupElement
+    y: GroupElement
+    h_set: set
+    c_per_alpha: dict
+    c: int

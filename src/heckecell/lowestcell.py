@@ -18,34 +18,20 @@ and no y enters, which is what makes the y-independence meaningful to test.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .hecke import Hecke, HeckeElt
 from .laurent import LaurentPoly, add_scaled
 from .weyl import GroupElement
 
 
-class CellFactorization:
-    """The unique triple (z, tau, z') with w = z . p_tau . w_0 . z'^-1."""
+class CellFactorization(NamedTuple):
+    """The unique triple (z, tau, z') with w = z . p_tau . w_0 . z'^-1; it is
+    the key of the basis element v_z (x) e^tau (x) v_{z'} in CellularElt."""
 
-    __slots__ = ("z", "tau", "zprime")
-
-    def __init__(self, z: GroupElement, tau, zprime: GroupElement):
-        self.z = z
-        self.tau = tuple(tau)
-        self.zprime = zprime
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CellFactorization)
-            and self.z == other.z
-            and self.tau == other.tau
-            and self.zprime == other.zprime
-        )
-
-    def __hash__(self):
-        return hash((self.z, self.tau, self.zprime))
-
-    def __repr__(self):
-        return f"CellFactorization(z={self.z}, tau={self.tau}, zprime={self.zprime})"
+    z: GroupElement
+    tau: tuple
+    zprime: GroupElement
 
 
 class NotInLowestCell(ValueError):

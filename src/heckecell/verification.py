@@ -7,6 +7,7 @@ definition of every bound and tolerance.  All comparisons are exact.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -26,20 +27,13 @@ class Check:
     detail: str = ""
 
 
-def _stack(cfg):
+@functools.cache
+def stack(cfg):
     ws = WeightSystem(*cfg)
     weyl = Weyl(ws)
     hecke = Hecke(weyl)
     lowest = LowestCell(hecke)
     return ws, weyl, hecke, lowest, CellularStructure(lowest)
-
-_STACKS = {}
-
-
-def stack(cfg):
-    if cfg not in _STACKS:
-        _STACKS[cfg] = _stack(cfg)
-    return _STACKS[cfg]
 
 
 KL_AXIOM_CONFIGS = (
@@ -147,9 +141,9 @@ def lowest_cell_suite():
         bad = 0
         for w in cell:
             f = lowest.factorize(w)
-            if lowest.assemble(f.z, f.tau, f.zprime) != w:
+            if lowest.assemble(*f) != w:
                 bad += 1
-            seen.add((f.z, f.tau, f.zprime))
+            seen.add(f)
         regenerated = set(cs.basis_triples(bound))
         bijective = seen == regenerated and len(seen) == len(cell) and bad == 0
         out.append(Check(

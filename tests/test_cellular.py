@@ -5,7 +5,7 @@ import pytest
 from heckecell.cellular import CellularElt, CellularStructure, MonoidAlgebraElt
 from heckecell.hecke import Hecke, HeckeElt
 from heckecell.laurent import LaurentPoly
-from heckecell.lowestcell import LowestCell
+from heckecell.lowestcell import LowestCell, NotInLowestCell
 from heckecell.rootdata import WeightSystem
 from heckecell.weyl import Weyl
 
@@ -212,6 +212,39 @@ def test_phi_inverse_roundtrip():
     for t in rng.sample(triples, 12):
         a = CellularElt.basis(*t)
         assert CA2.phi_inverse(CA2.phi_iso(a)) == a
+    # the cell factorization is the key: it equals the plain triple
+    f = CA2.lowest.factorize(CA2.lowest.assemble(*t))
+    assert f == t
+    c = LaurentPoly.q_power(2)
+    assert CellularElt({f: c}) == CellularElt({tuple(f): c})
+
+
+@pytest.mark.parametrize("cfg", [("A", 2, (1, 1, 1)), ("C", 2, (2, 1, 1))])
+def test_phi_inverse_and_phi_form_make_no_kl_expansion(cfg):
+    # phi_inverse peels the T-coordinates against the images directly, and
+    # phi_form reads phi off phi_inverse, so neither expands in the KL basis
+    cs = make(cfg)
+    hecke, weyl = cs.hecke, cs.weyl
+    calls = []
+    kl_expand = hecke.kl_expand
+    hecke.kl_expand = lambda h: calls.append(h) or kl_expand(h)
+    t = cs.basis_triples(weyl.longest_finite.length() + 4)[-1]
+    a = CellularElt.basis(*t)
+    assert cs.phi_inverse(cs.phi_iso(a)) == a
+    b0 = cs.lowest.box_elements()
+    cs.phi_form(b0[-1], b0[-1])
+    assert calls == []
+
+
+@pytest.mark.parametrize("cs", [CA2, CC2], ids=["A2", "C2"])
+def test_phi_inverse_rejects_elements_outside_the_ideal(cs):
+    hecke, weyl = cs.hecke, cs.weyl
+    t = cs.basis_triples(weyl.longest_finite.length() + 2)[-1]
+    image = cs.phi_iso(CellularElt.basis(*t))
+    for h in (hecke.t(weyl.identity), image + hecke.t(weyl.identity),
+              image + hecke.t(weyl.gens[1])):
+        with pytest.raises(NotInLowestCell):
+            cs.phi_inverse(h)
 
 
 def test_bimodule_structure_within_span():

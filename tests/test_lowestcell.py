@@ -68,6 +68,9 @@ def test_factorize_examples():
     assert (f.z, f.tau, f.zprime) == (weyl.identity, (0, 0), weyl.identity)
     f = LA2.factorize(weyl.translation((1, 0)) * w0)
     assert (f.z, f.tau, f.zprime) == (weyl.identity, (1, 0), weyl.identity)
+    # a named tuple: equal to, and hashed as, the plain triple
+    assert f == (weyl.identity, (1, 0), weyl.identity)
+    assert hash(f) == hash((weyl.identity, (1, 0), weyl.identity))
     with pytest.raises(NotInLowestCell):
         LA2.factorize(weyl.identity)
 
