@@ -13,11 +13,12 @@ below 2^31 is exact in W = 32 bits.  Any other result is computed term by
 term, its bound set to the exact l1 norm, and packed in the least multiple
 of 32 bits that holds it, so coefficients of any size stay exact.
 LaurentCombination is the one sparse linear-combination type (key ->
-nonzero LaurentPoly), add_scaled is the one multiply-accumulate on such
-dicts (d[k] += a * c over many terms, in one pass on the packed ints, each
-stored value the very triple the operators would give), and peel is the
-one elimination run on them, longest key first: the expansion of an
-element in a basis that is unitriangular over it, or, with
+nonzero LaurentPoly).  add_scaled is the one multiply-accumulate on such
+dicts (d[k] += a * c over many terms) and the only code that does
+arithmetic on the packed ints or falls back to terms: the +, - and * of
+LaurentPoly, and the scaling of a LaurentCombination, are calls of it.
+peel is the one elimination run on them, longest key first: the expansion
+of an element in a basis that is unitriangular over it, or, with
 part=LaurentPoly.bar_invariant_part, the step that pushes a bar-invariant
 element into T_top + sum q^-1 Z[q^-1] T_y (the KL lift).
 """
@@ -81,34 +82,9 @@ class LaurentPoly:
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        n2 = other._n
-        if not n2:
-            return self
-        n1 = self._n
-        if not n1:
-            return other
-        m = self._m + other._m
-        if m >= _LIMIT:
-            d = self._terms()
-            for e, c in other._terms().items():
-                d[e] = d.get(e, 0) + c
-            return _pack(d)
-        v, v2 = self._v, other._v
-        if v == v2:
-            n = n1 + n2
-            if not n:
-                return _ZERO
-            while not n & _MASK:
-                n >>= _W
-                v += 1
-        elif v < v2:
-            n = n1 + (n2 << (_W * (v2 - v)))
-        else:
-            n = n2 + (n1 << (_W * (v - v2)))
-            v = v2
-        out = _alloc(LaurentPoly)
-        out._v, out._n, out._m = v, n, m
-        return out
+        d = {0: self} if self._n else {}
+        add_scaled(d, _ONE, ((0, other),))
+        return d.get(0, _ZERO)
 
     def __neg__(self) -> "LaurentPoly":
         return _new(self._v, -self._n, self._m)
@@ -117,28 +93,12 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        n1, n2 = self._n, other._n
-        if not n1 or not n2:
-            return _ZERO
-        m = self._m * other._m
-        if m >= _LIMIT:
-            d = {}
-            b = other._terms()
-            for e1, c1 in self._terms().items():
-                for e2, c2 in b.items():
-                    d[e1 + e2] = d.get(e1 + e2, 0) + c1 * c2
-            return _pack(d)
-        out = _alloc(LaurentPoly)
-        out._v, out._n, out._m = self._v + other._v, n1 * n2, m
-        return out
+        d = {}
+        add_scaled(d, self, ((0, other),))
+        return d.get(0, _ZERO)
 
     def scale(self, n: int) -> "LaurentPoly":
-        if not n or not self._n:
-            return _ZERO
-        m = self._m * abs(n)
-        if m >= _LIMIT:
-            return _pack({e: c * n for e, c in self._terms().items()})
-        return _new(self._v, self._n * n, m)
+        return self * LaurentPoly.const(n)
 
     # -- involution and filtration ----------------------------------------
 
@@ -281,12 +241,13 @@ def add_scaled(d: dict, a: LaurentPoly, items) -> None:
     """d[k] += a * c for every (k, c) in items, in place, keeping d free of
     zero values (d must hold none to begin with).
 
-    The one multiply-accumulate of the package.  It works on the packed
-    fields: the product is (v_a + v_c, n_a n_c) with bound m_a m_c, and the
-    merge with the old value is the shift, add and strip of __add__, so
-    each stored value is the very (v, n, m) of old + a * c.  When the
-    product bound, or the bound of the sum, reaches 2^31 it computes
-    old + a * c with the operators instead.
+    The one place that does arithmetic on the packed fields: +, - and *
+    of LaurentPoly are one-term calls of it.  The product is
+    (v_a + v_c, n_a n_c) with bound m_a m_c, and the merge with the old
+    value is a shift, an add and a strip of zero low digits.  When the
+    product bound, or the bound of the sum, reaches 2^31, the new value is
+    instead merged term by term from the decoded old, a and c and packed
+    with its exact l1 norm: the package's only term-by-term fallback.
     """
     na = a._n
     if not na:
@@ -327,7 +288,12 @@ def add_scaled(d: dict, a: LaurentPoly, items) -> None:
                 out._v, out._n, out._m = v, n, m
                 d[k] = out
                 continue
-        total = old + a * c
+        terms = old._terms()
+        tc = c._terms().items()
+        for e1, c1 in a._terms().items():
+            for e2, c2 in tc:
+                terms[e1 + e2] = terms.get(e1 + e2, 0) + c1 * c2
+        total = _pack(terms)
         if total:
             d[k] = total
         elif k in d:
@@ -380,9 +346,9 @@ class LaurentCombination:
         return self._new(d)
 
     def scale(self, a: LaurentPoly):
-        if not a:
-            return type(self)()
-        return self._new({k: c * a for k, c in self._d.items()})
+        d = {}
+        add_scaled(d, a, self._d.items())
+        return self._new(d)
 
     def __repr__(self):
         return f"{type(self).__name__}({len(self._d)} terms)"

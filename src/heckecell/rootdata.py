@@ -5,7 +5,12 @@ classical fundamental weights, so that the pairing of a weight with any
 coroot is a dot product with a precomputed integer vector.
 
 Each shipped Cartan type (A1, A2, A3 and C2) is one row: its Cartan matrix
-and the label of the affine generator.  Everything else is derived from it:
+and the label of the affine generator.  The walls are the hyperplanes
+H_{alpha,k} = {x : <x, alpha^v> = k}, cut out by the coroots, so each row
+holds the Cartan matrix of the root system *dual* to the affine group it
+produces.  The affine type C~n therefore needs the Bn row (the C3 matrix
+gives B~3).  C2 is self-dual, so its row gives C~2 either way, which hides
+the duality.  Everything else is derived from the row:
 
 - The positive roots and their coroots, by closing each simple pair
   (alpha_i, alpha_i^v) under the simple reflections, ordered by height and
@@ -73,7 +78,10 @@ def _dot(lam, cov):
 
 # Per type: the Cartan matrix, cartan[i][j] = <alpha_j, alpha_i^v> (Bourbaki
 # numbering: in C2, alpha_1 = e1-e2 is short and alpha_2 = 2e2 long), and the
-# label of the affine generator.
+# label of the affine generator.  The walls are H_{alpha,k} = {<x, alpha^v> = k},
+# so each row holds the Cartan matrix of the root system dual to the affine
+# group it produces: C~n needs the Bn row.  C2 is self-dual, which hides this.
+# The keys are the names the CLI --type and --rank select.
 _TYPES = {
     "A1": (((2,),), 1),
     "A2": (((2, -1), (-1, 2)), 0),

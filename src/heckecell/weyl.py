@@ -206,14 +206,9 @@ class Weyl:
 
     def length(self, w: GroupElement) -> int:
         """Number of hyperplanes between A_0 and the alcove of w: the sum of
-        |root_shifts(w)|, summed here without building the tuple."""
-        ws = self.ws
-        signs = ws.w0_root_action[ws.w0_inv[w.finite]]
-        lam = w.translation
-        total = 0
-        for r in ws.positive_roots:
-            total += abs(ws.pairing(lam, r) - (signs[r.index][1] < 0))
-        return total
+        |root_shifts(w)|.  GroupElement.length caches it, so it runs once
+        per element."""
+        return sum(map(abs, self.root_shifts(w)))
 
     def weight_length(self, w: GroupElement) -> int:
         """L(w): sum of hyperplane weights over all walls crossed."""

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from heckecell.laurent import NEG_INF, LaurentPoly, add_scaled, peel, xi
+from heckecell.laurent import NEG_INF, LaurentPoly, _width, add_scaled, peel, xi
 from oracles import DictLaurent
 
 
@@ -334,7 +334,7 @@ def test_sum_cancels_to_zero_across_widths():
     agrees(q * q, DictLaurent({2: 1}))
 
 
-# -- the multiply-accumulate kernel against the per-term operators --------------
+# -- the multiply-accumulate kernel against the per-term operators and the oracle -
 
 
 def triples(d: dict) -> dict:
@@ -352,12 +352,25 @@ def add_scaled_per_term(d: dict, a, items) -> None:
 
 
 def kernel_agrees(d: dict, a, items) -> None:
-    """add_scaled leaves d with the very (v, n, m) of the per-term sums."""
+    """add_scaled leaves d with the very (v, n, m) of the per-term sums, and
+    with the values of the term-by-term sums old + a * c of the dict oracle;
+    each stored bound is at least the exact l1 norm, and its digit width
+    holds every coefficient."""
     want, got = dict(d), dict(d)
     add_scaled_per_term(want, a, items)
     add_scaled(got, a, items)
     assert triples(got) == triples(want) and list(got) == list(want)
     assert all(got.values())
+    oracle = {k: DictLaurent(dict(p.items())) for k, p in d.items()}
+    oa = DictLaurent(dict(a.items()))
+    for k, c in items:
+        oracle[k] = oracle.get(k, DictLaurent()) + oa * DictLaurent(dict(c.items()))
+        if oracle[k].is_zero():
+            del oracle[k]
+    assert {k: dict(p.items()) for k, p in got.items()} == {k: dict(o.items()) for k, o in oracle.items()}
+    for p in got.values():
+        coeffs = [abs(x) for _, x in p.items()]
+        assert p._m >= sum(coeffs) and max(coeffs) < 2 ** (_width(p._m) - 1)
 
 
 def inflated(terms: dict, b: int) -> LaurentPoly:
@@ -400,6 +413,8 @@ def test_add_scaled_edge_cases():
     # the sum cancels down to a small value or to zero
     half = 2**30
     kernel_agrees({"x": P({0: half})}, P({0: 2**15}), [("x", P({0: 2**15}))])
+    # a sum bound of exactly 2^31 over two exponents must leave 32-bit digits
+    kernel_agrees({"x": P({0: half})}, P({0: 2**15}), [("x", P({1: 2**15}))])
     kernel_agrees({"x": P({0: half, 1: 1})}, P({0: -(2**15)}), [("x", P({0: 2**15}))])
     kernel_agrees({"x": P({0: half})}, P({0: -(2**15)}), [("x", P({0: 2**15}))])
     kernel_agrees({"x": inflated({2: 1}, half)}, one, [("x", inflated({2: 1, 3: 1}, 2**29))])

@@ -32,3 +32,16 @@ def test_library_imports_only_itself_and_the_standard_library():
             bad = {t for t in tops if t == "fractions" or t not in sys.stdlib_module_names}
             found += [f"{path.name}:{node.lineno} {t}" for t in sorted(bad - {"heckecell"})]
     assert not found, f"imports outside the package and the standard library: {found}"
+
+
+def test_packed_format_stays_inside_laurent():
+    # the packed fields of LaurentPoly (_v, _n, _m) are read and written in
+    # laurent.py only; every other module goes through its methods
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "laurent.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("_v", "_n", "_m"):
+                found.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert not found, f"packed Laurent fields used outside laurent.py: {found}"
