@@ -6,7 +6,8 @@ phi is read off the one expansion in the cellular basis, phi_inverse, which
 peels T-coordinates: each basis image is T_w plus strictly shorter terms,
 with w the reassembled triple.  The images P(tau) C_{w_0} of the triples
 (e, tau, e) are the basis of M_+, and every other image is P(z) times one
-of them times flat P(z').
+of them times flat P(z').  MonoidAlgebraElt holds elements of A[P+]; their
+product e^tau e^sigma = e^(tau + sigma) is taken inline in cellular_mul.
 
 All universally quantified claims are exposed as bounded sweeps; callers
 name the length bound and the sweep is exact within it.
@@ -27,7 +28,6 @@ from .laurent import LaurentCombination, LaurentPoly, add_scaled, peel
 from .lowestcell import BoundExceeded, LowestCell
 from .weyl import GroupElement
 
-_ZERO = LaurentPoly.zero()
 _ONE = LaurentPoly.one()
 
 
@@ -35,16 +35,6 @@ class MonoidAlgebraElt(LaurentCombination):
     """Element of A[P+]: finite map from dominant weights to LaurentPoly."""
 
     __slots__ = ()
-
-    def coeff(self, tau) -> LaurentPoly:
-        return self._d.get(tuple(tau), _ZERO)
-
-    def __mul__(self, other):
-        d = {}
-        for t1, c1 in self._d.items():
-            add_scaled(d, c1, [(tuple(a + b for a, b in zip(t1, t2)), c2)
-                               for t2, c2 in other._d.items()])
-        return MonoidAlgebraElt(d)
 
 
 class CellularElt(LaurentCombination):

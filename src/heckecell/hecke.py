@@ -40,9 +40,6 @@ class HeckeElt(LaurentCombination):
 
     __slots__ = ()
 
-    def support(self):
-        return self._d.keys()
-
 
 class _Uncached(Exception):
     """A KL link needs the cached element args[0], which is not built yet."""
@@ -60,9 +57,6 @@ class Hecke:
         self._kl_cache = {weyl.identity: self.t(weyl.identity)}
 
     # -- basic constructors ---------------------------------------------------
-
-    def zero(self) -> HeckeElt:
-        return HeckeElt()
 
     def unit(self) -> HeckeElt:
         return HeckeElt({self.weyl.identity: _ONE})

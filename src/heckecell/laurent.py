@@ -16,7 +16,7 @@ LaurentCombination is the one sparse linear-combination type (key ->
 nonzero LaurentPoly).  add_scaled is the one multiply-accumulate on such
 dicts (d[k] += a * c over many terms) and the only code that does
 arithmetic on the packed ints or falls back to terms: the +, - and * of
-LaurentPoly, and the scaling of a LaurentCombination, are calls of it.
+LaurentPoly are calls of it.
 peel is the one elimination run on them, longest key first: the expansion
 of an element in a basis that is unitriangular over it, or, with
 part=LaurentPoly.bar_invariant_part, the step that pushes a bar-invariant
@@ -55,11 +55,7 @@ class LaurentPoly:
     __slots__ = ("_v", "_n", "_m")
 
     def __init__(self, coeffs=None):
-        c = {}
-        if coeffs:
-            for e, v in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
-                c[e] = c.get(e, 0) + v
-        self._v, self._n, self._m = _encode(c)
+        self._v, self._n, self._m = _encode(coeffs or {})
 
     # -- constructors ------------------------------------------------------
 
@@ -70,10 +66,6 @@ class LaurentPoly:
     @staticmethod
     def one() -> "LaurentPoly":
         return _ONE
-
-    @staticmethod
-    def const(n: int) -> "LaurentPoly":
-        return LaurentPoly({0: n})
 
     @staticmethod
     def q_power(e: int, coeff: int = 1) -> "LaurentPoly":
@@ -96,9 +88,6 @@ class LaurentPoly:
         d = {}
         add_scaled(d, self, ((0, other),))
         return d.get(0, _ZERO)
-
-    def scale(self, n: int) -> "LaurentPoly":
-        return self * LaurentPoly.const(n)
 
     # -- involution and filtration ----------------------------------------
 
@@ -154,9 +143,6 @@ class LaurentPoly:
 
     def items(self):
         return self._terms().items()
-
-    def is_zero(self) -> bool:
-        return not self._n
 
     def is_integer(self) -> bool:
         """True iff the polynomial is a constant (integer)."""
@@ -323,9 +309,6 @@ class LaurentCombination:
     def coeff(self, key) -> LaurentPoly:
         return self._d.get(key, _ZERO)
 
-    def is_zero(self) -> bool:
-        return not self._d
-
     def __len__(self):
         return len(self._d)
 
@@ -343,11 +326,6 @@ class LaurentCombination:
     def __sub__(self, other):
         d = dict(self._d)
         add_scaled(d, _MINUS_ONE, other._d.items())
-        return self._new(d)
-
-    def scale(self, a: LaurentPoly):
-        d = {}
-        add_scaled(d, a, self._d.items())
         return self._new(d)
 
     def __repr__(self):

@@ -18,7 +18,9 @@ class PathType:
     __slots__ = ("steps",)
 
     def __init__(self, steps):
-        self.steps = tuple(int(s) for s in steps)
+        self.steps = tuple(steps)
+        if any(type(s) is not int for s in self.steps):
+            raise ValueError(f"step indices must be integers, got {self.steps}")
 
     def validate(self, ws: WeightSystem):
         for s in self.steps:
@@ -56,14 +58,6 @@ def full_profile(ws: WeightSystem, m: PathType) -> dict:
                     nxt[y] = nxt.get(y, 0) + cnt
         profile = nxt
     return profile
-
-
-def count(ws: WeightSystem, m: PathType, gamma) -> int:
-    """The number of paths of type m from 0 to gamma."""
-    gamma = tuple(gamma)
-    if not ws.is_antidominant(gamma):
-        raise ValueError(f"{gamma} is not antidominant")
-    return full_profile(ws, m).get(gamma, 0)
 
 
 def enumerate_paths(ws: WeightSystem, m: PathType, gamma=None):

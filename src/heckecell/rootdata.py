@@ -123,10 +123,10 @@ class WeightSystem:
         key = f"{cartan_type}{rank}"
         if key not in _TYPES:
             raise ValueError(f"unsupported Cartan data {cartan_type}_{rank}")
-        params = tuple(int(p) for p in params)
+        params = tuple(params)
         if len(params) != rank + 1:
             raise ValueError(f"need {rank + 1} generator weights, got {len(params)}")
-        if any(p < 1 for p in params):
+        if any(type(p) is not int or p < 1 for p in params):
             raise ValueError("generator weights must be positive integers")
 
         self.cartan_type = cartan_type
@@ -248,7 +248,6 @@ class WeightSystem:
                     neg += 1
             self.w0_root_action.append(row)
             lengths.append(neg)
-        self.w0_length = lengths
         self.longest_index = max(range(size), key=lambda u: lengths[u])
         if lengths[self.longest_index] != len(self.positive_roots):
             raise AssertionError("the longest element of W_0 must negate every positive root")
@@ -298,12 +297,6 @@ class WeightSystem:
         n = self.rank
         return tuple(sum(lam[k] * m[k][c] for k in range(n)) for c in range(n))
 
-    def reflect(self, lam, i: int) -> tuple:
-        """Reflection in the simple root alpha_i."""
-        c = _dot(lam, self.simple_roots[i].covector)
-        vec = self.simple_roots[i].vector
-        return tuple(x - c * v for x, v in zip(lam, vec))
-
     def is_dominant(self, lam) -> bool:
         return all(x >= 0 for x in lam)
 
@@ -311,19 +304,8 @@ class WeightSystem:
         return all(x <= 0 for x in lam)
 
     def orbit(self, lam) -> set:
-        """The W_0-orbit of a weight."""
-        seen = {tuple(lam)}
-        frontier = [tuple(lam)]
-        while frontier:
-            nxt = []
-            for mu in frontier:
-                for i in range(self.rank):
-                    img = self.reflect(mu, i)
-                    if img not in seen:
-                        seen.add(img)
-                        nxt.append(img)
-            frontier = nxt
-        return seen
+        """The W_0-orbit of a weight, read off the tabulated W_0."""
+        return {self.act(lam, u) for u in range(self.w0_size)}
 
     # -- the involution nu ---------------------------------------------------
 

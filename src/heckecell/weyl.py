@@ -115,16 +115,6 @@ class Weyl:
         }
         if len(self._pi_by_class) != ws.pi_order:
             raise AssertionError("two length-zero elements share a class modulo Q")
-        # Permutation of generator indices induced by each pi.
-        perms = []
-        for g in self.pi_elements:
-            gi = self.inverse(g)
-            perm = []
-            for s in self.gens:
-                img = self.multiply(self.multiply(g, s), gi)
-                perm.append(self.gens.index(img))
-            perms.append(tuple(perm))
-        self.pi_gen_permutations = tuple(perms)
 
     # -- group arithmetic ----------------------------------------------------
 

@@ -9,6 +9,9 @@ from heckecell.cli import main
 # --output json`, keyed by P, as recorded before the sparse-algebra merge
 GOLDEN_C2 = json.loads(
     (pathlib.Path(__file__).parent / "golden_cellular_basis_c2.json").read_text())
+# stdout of `paths ARGS --witnesses --output json`, keyed by ARGS
+GOLDEN_PATHS = json.loads(
+    (pathlib.Path(__file__).parent / "golden_paths.json").read_text())
 
 
 def run(capsys, *argv):
@@ -145,6 +148,14 @@ def test_cellular_basis_c2_golden(capsys, params):
                        "--params", params, "--length-bound", "12", "--output", "json")
     assert code == 0
     assert out == json.dumps(GOLDEN_C2[params], indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN_PATHS))
+def test_paths_golden(capsys, args):
+    # pins the orbit-driven profile and the witness listing, byte for byte
+    code, out, _ = run(capsys, "paths", *args.split(), "--witnesses", "--output", "json")
+    assert code == 0
+    assert out == json.dumps(GOLDEN_PATHS[args], indent=2, sort_keys=True) + "\n"
 
 
 # A minimal valid invocation per subcommand, and the flags it does not honour.

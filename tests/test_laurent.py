@@ -67,7 +67,7 @@ def test_bar_invariant_part():
     mu = p.bar_invariant_part()
     assert mu == P({3: 2, 1: -1, 0: 4, -1: -1, -3: 2})
     assert mu.bar() == mu and (p - mu).in_strictly_negative()
-    assert P({-1: 1, -2: 3}).bar_invariant_part().is_zero()
+    assert not P({-1: 1, -2: 3}).bar_invariant_part()
     rng = random.Random(3)
     for _ in range(60):
         r = rand_poly(rng)
@@ -92,7 +92,7 @@ def test_degree_additive_on_products():
     rng = random.Random(1)
     for _ in range(40):
         p, r = rand_poly(rng), rand_poly(rng)
-        if p.is_zero() or r.is_zero():
+        if not p or not r:
             continue
         assert (p * r).degree() == p.degree() + r.degree()
 
@@ -104,7 +104,7 @@ def test_strictly_negative_bar_fixed_is_zero():
         p = rand_poly(rng)
         sym = p + p.bar()  # bar-symmetric by construction
         if sym.in_strictly_negative():
-            assert sym.is_zero()
+            assert not sym
 
 
 def test_text_and_json_forms():
@@ -235,7 +235,7 @@ def agrees(p, o):
     assert p.in_strictly_negative() == o.in_strictly_negative()
     assert dict(p.bar().items()) == dict(o.bar().items())
     assert dict(p.bar_invariant_part().items()) == dict(o.bar_invariant_part().items())
-    assert p.is_zero() == o.is_zero() and bool(p) == (not o.is_zero())
+    assert bool(p) == (not o.is_zero())
     assert p.is_integer() == o.is_integer()
     if o.is_integer():
         assert p.as_integer() == o.as_integer()
@@ -254,7 +254,7 @@ def test_packed_arithmetic_matches_dict_oracle():
         (a, oa), (b, ob), (c, oc) = rand_pair(rng), rand_pair(rng), rand_pair(rng)
         k = rng.choice((0, 1, -1, 7, -(2**31), 2**40))
         for p, o in ((a, oa), (a + b, oa + ob), (a - b, oa - ob), (a * b, oa * ob), (-a, -oa),
-                     (a.scale(k), oa.scale(k)), ((a + b) - b, oa), (a * b + c, oa * ob + oc),
+                     (a * P({0: k}), oa.scale(k)), ((a + b) - b, oa), (a * b + c, oa * ob + oc),
                      (a.bar_invariant_part() * b, oa.bar_invariant_part() * ob)):
             agrees(p, o)
         # equality and hashing agree with the oracle, also between values
@@ -273,8 +273,8 @@ def test_ring_axioms():
         assert a + b == b + a and a * b == b * a
         assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
-        assert a + zero == a and a * one == a and (a * zero).is_zero()
-        assert (a - a).is_zero() and a + (-a) == zero and -(-a) == a
+        assert a + zero == a and a * one == a and not a * zero
+        assert not a - a and a + (-a) == zero and -(-a) == a
         assert (a * b).bar() == a.bar() * b.bar() and (a + b).bar() == a.bar() + b.bar()
 
 
@@ -289,7 +289,7 @@ def test_boundary_coefficients_are_exact():
             p, o = LaurentPoly(terms), DictLaurent(terms)
             agrees(p, o)
             for x, ox in ((p * p, o * o), (p * t, o * ot), (p + t, o + ot), (p - p.bar(), o - o.bar()),
-                          (p.scale(-3), o.scale(-3)), (p * p * p, o * o * o)):
+                          (p * P({0: -3}), o.scale(-3)), (p * p * p, o * o * o)):
                 agrees(x, ox)
             assert (p * t).degree() == 4 and (p * t).coeff(-2) == 3 * sign * big
     # 2^31 - 1 is the largest coefficient of one 32-bit digit; each result
@@ -299,7 +299,7 @@ def test_boundary_coefficients_are_exact():
     agrees(near + near, DictLaurent({0: 2**32 - 2, 1: 2}))
     a, b = {0: 2**16, 1: 1}, {0: 2**15, 1: 1}
     agrees(LaurentPoly(a) * LaurentPoly(b), DictLaurent(a) * DictLaurent(b))
-    agrees(LaurentPoly(a).scale(2**15 + 1), DictLaurent(a).scale(2**15 + 1))
+    agrees(LaurentPoly(a) * P({0: 2**15 + 1}), DictLaurent(a).scale(2**15 + 1))
 
 
 @pytest.mark.parametrize("b", [2**15 - 2**13, 2**20])
@@ -321,13 +321,13 @@ def test_product_bound_crosses_the_limit_with_small_coefficients(b):
 def test_sum_cancels_to_zero_across_widths():
     wide = LaurentPoly({0: 2**100, 3: 1})
     minus_wide = LaurentPoly({0: -(2**100)}) + LaurentPoly({3: -1})
-    assert (wide + minus_wide).is_zero() and wide + minus_wide == LaurentPoly.zero()
+    assert not wide + minus_wide and wide + minus_wide == LaurentPoly.zero()
     assert hash(wide + minus_wide) == hash(LaurentPoly.zero())
     # a 64-bit value built from 32-bit ones, cancelled by one built directly
     built = LaurentPoly({0: 2**31 - 1, 1: 1}) + LaurentPoly.one()
     direct = LaurentPoly({0: 2**31, 1: 1})
     assert built == direct and hash(built) == hash(direct)
-    assert (built - direct).is_zero() and (direct - built) == LaurentPoly.zero()
+    assert not built - direct and (direct - built) == LaurentPoly.zero()
     # a wide value whose big term cancels comes back to 32-bit digits
     q = LaurentPoly({0: 2**40, 1: 1}) - LaurentPoly({0: 2**40})
     assert q == LaurentPoly({1: 1}) and hash(q) == hash(LaurentPoly({1: 1}))
@@ -437,7 +437,7 @@ def test_add_scaled_matches_per_term_sums():
         if kind < 0.05:
             a = LaurentPoly.zero()
         elif kind < 0.4:
-            a = LaurentPoly.const(rng.choice((1, -1)))
+            a = P({0: rng.choice((1, -1))})
         else:
             a = rand_value()
         items = []
@@ -445,7 +445,7 @@ def test_add_scaled_matches_per_term_sums():
             k = rng.choice(keys)
             old = d.get(k)
             kind = rng.random()
-            if old and a in (LaurentPoly.one(), LaurentPoly.const(-1)) and kind < 0.5:
+            if old and a in (LaurentPoly.one(), P({0: -1})) and kind < 0.5:
                 # a * c takes away the old value, or only its lowest term
                 low = min(old.items())
                 c = -(a * (old if kind < 0.25 else LaurentPoly({low[0]: low[1]})))

@@ -18,26 +18,33 @@ def make_cs(ws):
 
 
 def test_count_base_cases():
-    assert paths.count(A2, paths.PathType(()), (0, 0)) == 1
-    assert paths.count(A2, paths.PathType((1,)), (-1, 0)) == 1
-    assert paths.count(A2, paths.PathType((2,)), (0, -1)) == 1
+    assert paths.full_profile(A2, paths.PathType(())) == {(0, 0): 1}
+    assert paths.full_profile(A2, paths.PathType((2,))) == {(0, -1): 1}
     assert paths.full_profile(A2, paths.PathType((1,))) == {(-1, 0): 1}
 
 
 def test_count_figure_example():
     # four paths of type (1,1,2,2) from 0 to -(w1+w2)
     m = paths.PathType((1, 1, 2, 2))
-    assert paths.count(A2, m, (-1, -1)) == 4
+    assert paths.full_profile(A2, m)[(-1, -1)] == 4
     witnesses = paths.enumerate_paths(A2, m, (-1, -1))
     assert len(witnesses) == 4
     assert len(set(witnesses)) == 4
 
 
 def test_count_rejects_non_antidominant():
-    with pytest.raises(ValueError):
-        paths.count(A2, paths.PathType((1,)), (1, 0))
+    # the profile holds antidominant endpoints only
+    assert all(A2.is_antidominant(g) for g in paths.full_profile(A2, paths.PathType((1, 2, 1))))
     with pytest.raises(ValueError):
         paths.PathType((3,)).validate(A2)
+
+
+@pytest.mark.parametrize("steps", [(1.5,), (1.0,), ("1",), (True,)],
+                         ids=["fraction", "float", "string", "bool"])
+def test_non_integer_steps_rejected(steps):
+    # a step index is an int: never truncated, parsed or read off a bool
+    with pytest.raises(ValueError, match="integers"):
+        paths.PathType(steps)
 
 
 def test_full_profile_flagship():

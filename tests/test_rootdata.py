@@ -45,6 +45,14 @@ def test_construction_validation():
         WeightSystem("A", 2, (0, 0, 0))
 
 
+@pytest.mark.parametrize("params", [(1.5, 1, 1), (1.0, 1, 1), ("2", "2", "2"), (True, True, True)],
+                         ids=["fraction", "float", "string", "bool"])
+def test_non_integer_weights_rejected(params):
+    # a weight is an int: never truncated, parsed or read off a bool
+    with pytest.raises(ValueError, match="positive integers"):
+        WeightSystem("A", 2, params)
+
+
 # Hand-written root data per type, kept here as an oracle for the data that
 # WeightSystem derives from the Cartan matrix: coroots in the simple coroot
 # basis, roots in the simple root basis, the index of the root whose coroot
@@ -187,11 +195,25 @@ def test_sublattice_index_two():
 
 
 def test_orbits():
-    # sizes by brute force over the tabulated W_0 action
-    def orbit_table(ws, lam):
-        return {ws.act(lam, u) for u in range(ws.w0_size)}
+    # the closure of a weight under the simple reflections
+    # lam -> lam - <lam, alpha_i^v> alpha_i, against the tabulated W_0 action
+    def reflection_closure(ws, lam):
+        seen, frontier = {lam}, [lam]
+        while frontier:
+            mu = frontier.pop()
+            for r in ws.simple_roots:
+                c = ws.pairing(mu, r)
+                img = tuple(x - c * v for x, v in zip(mu, r.vector))
+                if img not in seen:
+                    seen.add(img)
+                    frontier.append(img)
+        return seen
 
-    assert A2.orbit((1, 0)) == orbit_table(A2, (1, 0))
+    for cfg in [("A", 1, (1, 1)), ("A", 2, (1, 1, 1)), ("A", 3, (1, 1, 1, 1)),
+                ("C", 2, (2, 1, 1)), ("C", 2, (3, 2, 1))]:
+        ws = WeightSystem(*cfg)
+        for fw in ws.fundamental_weights:
+            assert ws.orbit(fw) == reflection_closure(ws, fw), (cfg, fw)
     assert len(A2.orbit((1, 0))) == 3
     assert len(A2.orbit((0, 1))) == 3
     assert A2.orbit((0, 1)) == {tuple(-x for x in v) for v in A2.orbit((1, 0))}
@@ -222,13 +244,14 @@ def test_reflections_are_involutions():
         for _ in range(100):
             lam = tuple(rng.randint(-9, 9) for _ in range(ws.rank))
             for i in range(ws.rank):
-                assert ws.reflect(ws.reflect(lam, i), i) == lam
+                s = ws.w0_simple_index[i]
+                assert ws.act(ws.act(lam, s), s) == lam
 
 
 def test_longest_element_negates_positive_roots():
     for ws in (A2, C2A, WeightSystem("A", 3, (1, 1, 1, 1))):
         w0 = ws.longest_index
-        assert ws.w0_length[w0] == len(ws.positive_roots)
+        assert sum(sign < 0 for _, sign in ws.w0_root_action[w0]) == len(ws.positive_roots)
         for r in ws.positive_roots:
             _, sign = ws.w0_root_action[w0][r.index]
             assert sign < 0

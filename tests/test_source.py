@@ -45,3 +45,45 @@ def test_packed_format_stays_inside_laurent():
             if isinstance(node, ast.Attribute) and node.attr in ("_v", "_n", "_m"):
                 found.append(f"{path.name}:{node.lineno} .{node.attr}")
     assert not found, f"packed Laurent fields used outside laurent.py: {found}"
+
+
+def _definitions(tree):
+    """(name, first line, last line) of every function and class, and of
+    every `self.<attr> =` assignment, in one parsed module."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno, node.end_lineno
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) \
+                and isinstance(node.value, ast.Name) and node.value.id == "self":
+            yield node.attr, node.lineno, node.lineno
+
+
+def _uses(tree):
+    """(name, line) of every name read, attribute read and string constant."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node.lineno
+
+
+def test_every_library_definition_has_a_use():
+    # code only the tests reach belongs beside the tests, not in the library.
+    # The check is by name: a definition counts as used when its name is read
+    # anywhere in src/ or bench/ outside its own definition, so a clash with
+    # another name (paths.count and list.count, say) hides a dead definition.
+    bench = pathlib.Path(__file__).resolve().parent.parent / "bench"
+    uses = {}
+    for path in sorted(SRC.glob("*.py")) + sorted(bench.glob("*.py")):
+        for name, line in _uses(ast.parse(path.read_text(), filename=str(path))):
+            uses.setdefault(name, []).append((path, line))
+    dead = []
+    for path in sorted(SRC.glob("*.py")):
+        for name, first, last in _definitions(ast.parse(path.read_text(), filename=str(path))):
+            if name.startswith("__") and name.endswith("__"):
+                continue  # called by the language, not by name
+            if not any(p != path or not first <= line <= last for p, line in uses.get(name, ())):
+                dead.append(f"{path.name}:{first} {name}")
+    assert not dead, f"library definitions nothing in src/ or bench/ uses: {dead}"

@@ -311,11 +311,15 @@ def test_pi_elements_need_distinct_classes(monkeypatch):
 
 
 def test_pi_gen_permutation():
-    # conjugation by pi permutes the generators
-    for weyl in (WA2, WA1):
-        for pi, perm in zip(weyl.pi_elements, weyl.pi_gen_permutations):
-            for i, s in enumerate(weyl.gens):
-                assert pi * s * pi.inverse() == weyl.gens[perm[i]]
+    # conjugation by a length-zero pi permutes the generators and keeps
+    # their weights, in every shipped weight system
+    for cfg, _ in ORACLE_CONFIGS:
+        weyl = make(cfg)
+        params = weyl.ws.params
+        for pi in weyl.pi_elements:
+            perm = [weyl.gens.index(pi * s * pi.inverse()) for s in weyl.gens]
+            assert sorted(perm) == list(range(len(weyl.gens))), (cfg, pi)
+            assert [params[j] for j in perm] == list(params), (cfg, pi)
 
 
 def test_elements_are_interned():
