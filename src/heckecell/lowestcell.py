@@ -2,10 +2,13 @@
 relative Kazhdan-Lusztig polynomials and the P-elements.
 
 The cell consists of the elements factoring as z . p_tau . w_0 . z'^-1 with
-z, z' in the finite box B_0 and tau dominant, all lengths additive.  The
-box is found by a wall-crossing search; membership and factorization run a
-finite search over B_0 so that uniqueness is an observable fact rather
-than an assumption.
+z, z' in the finite box B_0 and tau dominant, all lengths additive.  B_0 and
+X_0 are read off the integer root shifts in closed form: B_0 is one element
+(u, b . eps(u)) per u in W_0, eps_k(u) = [alpha_k . u^-1 < 0], and X_0 is
+the set of x whose alcove lies in the dominant chamber, with no negative
+simple-root shift (Bremke 1997).  Factorization reads z off the finite part
+of x = z p_tau but runs over every z' in B_0, so uniqueness is observed
+rather than assumed.
 
 Relative KL polynomials live on the module with basis m_x = T_x C_{w_0 y},
 x in the minimal coset representatives X_0.  T_s acts by three cases:
@@ -45,91 +48,64 @@ class BoundExceeded(RuntimeError):
 class LowestCell:
     def __init__(self, hecke: Hecke):
         self.hecke = hecke
-        self.weyl = hecke.weyl
-        self.ws = hecke.ws
-        self._b0 = None
-        self._p_cache = {self.weyl.identity: hecke.unit()}
+        weyl = self.weyl = hecke.weyl
+        ws = self.ws = hecke.ws
+        # indexed by u in W_0; see box_elements
+        self._box_over = tuple(
+            weyl.element(u, tuple(
+                b * (sign < 0) for b, (_, sign) in zip(ws.b, ws.w0_root_action[ws.w0_inv[u]])))
+            for u in range(ws.w0_size)
+        )
+        self._box = tuple(sorted(self._box_over, key=weyl.sort_key))
+        self._p_cache = {weyl.identity: hecke.unit()}
 
-    # -- the box B_0 -----------------------------------------------------------
+    # -- the box B_0 and the coset representatives X_0 --------------------------
 
     def box_elements(self):
-        """B_0: all extended elements whose alcove lies in the b-box."""
-        if self._b0 is not None:
-            return self._b0
-        weyl = self.weyl
-        seen = {weyl.identity}
-        frontier = [weyl.identity]
-        found = [weyl.identity]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for s in weyl.gens:
-                    g = s * w
-                    if g in seen:
-                        continue
-                    seen.add(g)
-                    if self.in_box(g):
-                        found.append(g)
-                        nxt.append(g)
-            frontier = nxt
-        out = []
-        for pi in weyl.pi_elements:
-            out.extend(pi * w for w in found)
-        out.sort(key=weyl.sort_key)
-        self._b0 = tuple(out)
-        return self._b0
+        """B_0, sorted by sort_key: one element per u in W_0.  The simple
+        shift lam_k - eps_k(u) lies in [0, b_k) and b_k divides lam_k, so
+        lam_k = b_k eps_k(u) is the only solution."""
+        return self._box
 
     def in_box(self, z: GroupElement) -> bool:
-        """0 < <x, alpha_k^v> < b_k on the alcove of z, per simple root k
-        (simple roots come first among the root shifts)."""
+        """The definition of B_0: 0 < <x, alpha_k^v> < b_k on the alcove of z,
+        per simple root k (simple roots come first among the root shifts)."""
         shifts = self.weyl.root_shifts(z)
         return all(0 <= shifts[k] < b for k, b in enumerate(self.ws.b))
 
-    # -- coset representatives ---------------------------------------------------
-
-    def _finite_descent(self, w: GroupElement, side: str):
-        """The first finite simple generator that is a descent of w on the
-        given side, or None."""
-        for k in range(self.ws.rank):
-            i = self.ws.simple_to_gen[k]
-            if self.weyl.descent(w, i, side):
-                return i
-        return None
-
     def is_in_x0(self, x: GroupElement) -> bool:
-        """Minimal-length representative of x W_0: no finite right descent."""
-        return self._finite_descent(x, "right") is None
+        """Minimal-length representative of x W_0: the alcove of x lies in
+        the dominant chamber, so no simple-root shift is negative."""
+        shifts = self.weyl.root_shifts(x)
+        return all(shifts[k] >= 0 for k in range(self.ws.rank))
 
     def is_in_x0_inv(self, y: GroupElement) -> bool:
-        return self._finite_descent(y, "left") is None
+        return self.is_in_x0(y.inverse())
 
     # -- membership and factorization ----------------------------------------------
 
     def _factorizations(self, w: GroupElement):
+        """Every (z, tau, z') for w.  z' runs over all of B_0, so uniqueness
+        is observed; z is then the box element over the finite part of x."""
         weyl = self.weyl
         ws = self.ws
         w0 = weyl.longest_finite
         lw, lw0 = w.length(), w0.length()
         out = []
-        for zp in self.box_elements():
+        for zp in self._box:
             u = w * zp
             if u.length() != lw - zp.length():
                 continue
             x = u * w0
             if x.length() != u.length() - lw0 or not self.is_in_x0(x):
                 continue
-            for z in self.box_elements():
-                if z.finite != x.finite:
-                    continue
-                p = weyl.inverse(z) * x
-                if p.finite != 0:
-                    continue
-                mu = p.translation
-                if not ws.in_lattice(mu) or not ws.is_dominant(mu):
-                    continue
-                if x.length() != z.length() + weyl.translation(mu).length():
-                    continue
-                out.append(CellFactorization(z, mu, zp))
+            z = self._box_over[x.finite]
+            mu = (weyl.inverse(z) * x).translation
+            if not ws.in_lattice(mu) or not ws.is_dominant(mu):
+                continue
+            if x.length() != z.length() + weyl.translation(mu).length():
+                continue
+            out.append(CellFactorization(z, mu, zp))
         return out
 
     def membership(self, w: GroupElement) -> bool:

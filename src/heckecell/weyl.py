@@ -224,14 +224,7 @@ class Weyl:
             out.update((r.index, k) for k in range(lo + 1, hi + 1))
         return out
 
-    # -- descents and words ----------------------------------------------------
-
-    def descent(self, w: GroupElement, i: int, side: str) -> bool:
-        if side == "left":
-            return self.gen_mul_left(i, w).length() < w.length()
-        if side == "right":
-            return self.gen_mul_right(w, i).length() < w.length()
-        raise ValueError(f"side must be 'left' or 'right', not {side!r}")
+    # -- Pi parts and words ----------------------------------------------------
 
     def pi_index(self, w: GroupElement) -> int:
         return self._pi_by_class[self.ws.coset_key(w.translation)]

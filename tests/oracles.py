@@ -12,7 +12,8 @@ algebras with unequal parameters, Thm 5.2).  They share no code with the
 chain walk beyond bar_t and the group layer.
 
 The rational alcove walk (exact Fraction points) checks the integer root
-shifts and hyperplane weights of the group layer and rootdata.
+shifts and hyperplane weights of the group layer and rootdata, and the
+descent scan finite_descent checks the closed-form coset representatives.
 """
 
 from __future__ import annotations
@@ -200,10 +201,21 @@ def right_coset_part(lowest, w):
     """(y, v) with w = v . y, v in W_0, y minimal in W_0 w."""
     weyl = lowest.weyl
     v = weyl.identity
-    while (i := lowest._finite_descent(w, "left")) is not None:
+    while (i := finite_descent(weyl, w, "left")) is not None:
         w = weyl.gen_mul_left(i, w)
         v = weyl.gen_mul_right(v, i)
     return w, v
+
+
+def finite_descent(weyl, w, side):
+    """The first finite simple generator s with l(sw) < l(w) (side "left")
+    or l(ws) < l(w) (side "right"), or None: w is minimal in W_0 w, or in
+    w W_0, exactly when there is none."""
+    for i in weyl.ws.simple_to_gen:
+        g = weyl.gen_mul_left(i, w) if side == "left" else weyl.gen_mul_right(w, i)
+        if g.length() < w.length():
+            return i
+    return None
 
 
 def base_point(weyl):

@@ -12,6 +12,10 @@ GOLDEN_C2 = json.loads(
 # stdout of `paths ARGS --witnesses --output json`, keyed by ARGS
 GOLDEN_PATHS = json.loads(
     (pathlib.Path(__file__).parent / "golden_paths.json").read_text())
+# stdout of `cell-factor ARGS --output json`, keyed by ARGS, as recorded
+# before B_0 and X_0 were read off the root shifts
+GOLDEN_CELL_FACTOR = json.loads(
+    (pathlib.Path(__file__).parent / "golden_cell_factor.json").read_text())
 
 
 def run(capsys, *argv):
@@ -81,8 +85,18 @@ def test_cell_factor_roundtrip_json(capsys):
                        "--w", "pi^1*[0,1,0,2,1]", "--output", "json")
     assert code == 0
     payload = json.loads(out)
-    if payload["member"]:
-        assert "z" in payload and "tau" in payload and "zprime" in payload
+    assert payload["member"] is True
+    assert payload["tau"] == [0, 1]
+    assert "z" in payload and "zprime" in payload
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN_CELL_FACTOR))
+def test_cell_factor_golden(capsys, args):
+    # pins membership and the (z, tau, z') triple, byte for byte, in A2,
+    # C2 (3,2,1) and A3, with z and z' off the identity and non-members
+    code, out, _ = run(capsys, "cell-factor", *args.split(), "--output", "json")
+    assert code == 0
+    assert out == GOLDEN_CELL_FACTOR[args]
 
 
 def test_paths_command(capsys):

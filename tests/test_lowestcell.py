@@ -83,6 +83,21 @@ def test_factorize_roundtrip_bounded():
             assert lc.assemble(f.z, f.tau, f.zprime) == w
             assert (f.z.length() + lc.weyl.translation(f.tau).length()
                     + w0.length() + f.zprime.length()) == w.length()
+    # beyond the walls: random triples with tau up to four fundamental
+    # weights deep, so x = z p_tau sits far out in the dominant chamber
+    rng = random.Random(17)
+    for cfg in (("A", 3, (1, 1, 1, 1)), ("C", 2, (3, 2, 1)), ("A", 1, (2, 1))):
+        lc = make(cfg)
+        ws, w0 = lc.ws, lc.weyl.longest_finite
+        b0 = lc.box_elements()
+        for _ in range(20):
+            omegas = [rng.choice(ws.fundamental_weights) for _ in range(rng.randrange(5))]
+            tau = tuple(sum(col) for col in zip((0,) * ws.rank, *omegas))
+            t = (rng.choice(b0), tau, rng.choice(b0))
+            w = lc.assemble(*t)
+            assert lc.factorize(w) == t, (cfg, t)
+            assert (t[0].length() + lc.weyl.translation(tau).length()
+                    + w0.length() + t[2].length()) == w.length(), (cfg, t)
 
 
 def descend_to_lowest(lowest, z):

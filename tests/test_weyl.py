@@ -131,14 +131,17 @@ def test_reduced_word_roundtrip():
 
 
 def test_descents():
+    def left_descent(w, i):
+        return WA2.gen_mul_left(i, w).length() < w.length()
+
     for i in range(3):
-        assert not WA2.descent(WA2.identity, i, "left")
+        assert not left_descent(WA2.identity, i)
     w0 = WA2.longest_finite
     for k in (1, 2):  # the finite generator labels in type A
-        assert WA2.descent(w0, k, "left")
+        assert left_descent(w0, k)
     s1 = WA2.gens[1]
-    assert WA2.descent(s1, 1, "left")
-    assert not WA2.descent(s1, 2, "left")
+    assert left_descent(s1, 1)
+    assert not left_descent(s1, 2)
 
 
 def test_bruhat_order():
@@ -220,15 +223,17 @@ ORACLE_CONFIGS = [
 
 def test_alcove_walk_oracle():
     # the rational point reached by walking a reduced word lies in the
-    # alcove named by the integer root shifts, and the rational box test
-    # 0 < <x, alpha_k^v> < b_k agrees with LowestCell.in_box
+    # alcove named by the integer root shifts; the rational box test
+    # 0 < <x, alpha_k^v> < b_k agrees with LowestCell.in_box, and the boxed
+    # elements are exactly the closed-form B_0; the closed-form X_0 and
+    # X_0^-1 are the elements with no finite right (left) descent
     for cfg, bound in ORACLE_CONFIGS:
         weyl = make(cfg)
         ws = weyl.ws
         lowest = LowestCell(Hecke(weyl))
         e = weyl.identity
         assert oracles.alcove_floors(weyl, oracles.alcove_walk(weyl, ())) == weyl.root_shifts(e)
-        boxed = 0
+        boxed = set()
         for w in weyl.enumerate_elements(bound):
             point = oracles.alcove_walk(weyl, weyl.reduced_word(w)[1])
             assert oracles.alcove_floors(weyl, point) == weyl.root_shifts(w), (cfg, w)
@@ -237,8 +242,11 @@ def test_alcove_walk_oracle():
                 for k in range(ws.rank)
             )
             assert lowest.in_box(w) == rational_box, (cfg, w)
-            boxed += rational_box
-        assert boxed == len(lowest.box_elements()), cfg
+            if rational_box:
+                boxed.add(w)
+            assert lowest.is_in_x0(w) == (oracles.finite_descent(weyl, w, "right") is None), (cfg, w)
+            assert lowest.is_in_x0_inv(w) == (oracles.finite_descent(weyl, w, "left") is None), (cfg, w)
+        assert boxed == set(lowest.box_elements()), cfg
 
 
 def test_separating_hyperplanes():
