@@ -9,6 +9,10 @@ with w the reassembled triple.  The images P(tau) C_{w_0} of the triples
 of them times flat P(z').  MonoidAlgebraElt holds elements of A[P+]; their
 product e^tau e^sigma = e^(tau + sigma) is taken inline in cellular_mul.
 
+The KL decompositions run on the X_0 coset module of lowestcell, about
+|W_0| times smaller than the algebra: C_{x w_0} = P(x) C_{w_0} for x in X_0
+(Deodhar 1987), and no C_w of the whole algebra is built.
+
 All universally quantified claims are exposed as bounded sweeps; callers
 name the length bound and the sweep is exact within it.
 
@@ -210,24 +214,29 @@ class CellularStructure:
     def decompose_P_omega(self, omega, lam) -> dict:
         """Coefficients a_alpha of P(omega) C_{w_0 p_lam} over the
         C_{p_alpha w_0 p_lam}; the leading alpha = omega has coefficient 1
-        and every coefficient is an integer."""
-        ws, weyl, hecke = self.ws, self.weyl, self.hecke
+        and every coefficient is an integer.
+
+        On the X_0 module: w_0 p_lam = x w_0 with x = w_0 p_lam w_0 in X_0,
+        P(omega) acts on P(x), and the product is peeled against the P(x'),
+        each standing for C_{x' w_0}."""
+        ws, weyl, lowest = self.ws, self.weyl, self.lowest
         lam = ws.check_lattice(lam)
         if not ws.is_antidominant(lam):
             raise ValueError(f"{lam} is not antidominant")
         w0 = weyl.longest_finite
         base = w0 * weyl.translation(lam)
         self._check_bound(weyl.translation(tuple(omega)) * base)
-        prod = hecke.mul(self.lowest.p_element_omega(omega), hecke.kl_basis(base))
-        coords = hecke.kl_expand(prod)
+        act = self.hecke._acting_on(lowest._p_from(base * w0), lowest._module_gen)
+        coords = peel(dict(act(lowest.p_element_omega(omega)).items()), lowest._p_from)
         out = {}
-        shift = weyl.translation(tuple(-x for x in lam))
-        for w, c in coords.items():
-            g = w * shift * w0
+        shift = w0 * weyl.translation(tuple(-a for a in lam)) * w0
+        for x, c in coords.items():
+            g = x * shift
             if g.finite != 0:
-                raise AssertionError(f"unexpected KL term {w!r} in P(omega)C_{{w_0 p_lam}}")
+                raise AssertionError(
+                    f"unexpected KL term C_{{{x!r} w_0}} in P(omega)C_{{w_0 p_lam}}")
             if not c.is_integer():
-                raise AssertionError(f"non-integer coefficient {c} at {w!r}")
+                raise AssertionError(f"non-integer coefficient {c} at C_{{{x!r} w_0}}")
             out[g.translation] = c.as_integer()
         if out.get(tuple(omega)) != 1:
             raise AssertionError(

@@ -13,10 +13,12 @@ support relabel, or else the first letter of the reduced word stripped).
 bar_t walks it on the bar cache with T_s^-1 = T_s - xi_s; right_mul(h2)
 walks it on a cache seeded with h2 that it owns, so T_x h2 costs one
 generator step for every x of a support closed under tails (KL elements,
-P-elements) over all its left factors; kl_basis walks it on the KL cache
-from C_e = T_e by the descent recursion (Lusztig, Hecke algebras with
-unequal parameters, Thm 6.6), with no bar_t and no solve.  A KL link that
-misses a lower element resumes its peel, so each link steps once.
+P-elements) over all its left factors, and the same loop acts on the X_0
+module of lowestcell with that module's generator step; kl_basis walks it
+on the KL cache from C_e = T_e by the descent recursion (Lusztig, Hecke
+algebras with unequal parameters, Thm 6.6), with no bar_t and no solve.  A
+KL link that misses a lower element resumes its peel, so each link steps
+once.
 
 The KL cache and the bar cache are the only shared mutable structures; a
 single lock makes get-or-compute linearizable so sweeps may run from
@@ -157,16 +159,23 @@ class Hecke:
         """h1 -> h1 h2, with T_x h2 for every x in the support of h1 built
         along x's chain from one cache {e: h2} that the returned function
         owns, so a sweep over left factors builds each T_x h2 once."""
-        cache = {self.weyl.identity: h2}
-        step = lambda i, h, _x: self.mul_gen(i, h)
+        return self._acting_on(h2, self.mul_gen)
 
-        def times_h2(h1: HeckeElt) -> HeckeElt:
+    def _acting_on(self, m: HeckeElt, gen_step):
+        """h -> h . m for the left action gen_step(i, m) of T_s on m's
+        module: the algebra itself with mul_gen, or the X_0 module of
+        lowestcell with its generator step; T_x m is built along x's chain
+        from one cache {e: m} that the returned function owns."""
+        cache = {self.weyl.identity: m}
+        step = lambda i, h, _x: gen_step(i, h)
+
+        def act(h: HeckeElt) -> HeckeElt:
             acc = {}
-            for x, c in h1.items():
+            for x, c in h.items():
                 add_scaled(acc, c, self._left_chain(x, cache, step).items())
-            return h2._new(acc)
+            return m._new(acc)
 
-        return times_h2
+        return act
 
     def mul(self, h1: HeckeElt, h2: HeckeElt) -> HeckeElt:
         """h1 h2 through a right multiplier that lives for this call only."""

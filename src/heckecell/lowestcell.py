@@ -3,8 +3,9 @@ relative Kazhdan-Lusztig polynomials and the P-elements.
 
 The cell consists of the elements factoring as z . p_tau . w_0 . z'^-1 with
 z, z' in the finite box B_0 and tau dominant, all lengths additive.  B_0 and
-X_0 are read off the integer root shifts in closed form: B_0 is one element
-(u, b . eps(u)) per u in W_0, eps_k(u) = [alpha_k . u^-1 < 0], and X_0 is
+X_0 are read off the integer root shifts in closed form: B_0 is
+Weyl.box_over, one element (u, b . eps(u)) per u in W_0 (Pi is its part of
+length zero), eps_k(u) = [alpha_k . u^-1 < 0], and X_0 is
 the set of x whose alcove lies in the dominant chamber, with no negative
 simple-root shift (Bremke 1997).  Factorization reads z off the finite part
 of x = z p_tau but runs over every z' in B_0, so uniqueness is observed
@@ -49,22 +50,14 @@ class LowestCell:
     def __init__(self, hecke: Hecke):
         self.hecke = hecke
         weyl = self.weyl = hecke.weyl
-        ws = self.ws = hecke.ws
-        # indexed by u in W_0; see box_elements
-        self._box_over = tuple(
-            weyl.element(u, tuple(
-                b * (sign < 0) for b, (_, sign) in zip(ws.b, ws.w0_root_action[ws.w0_inv[u]])))
-            for u in range(ws.w0_size)
-        )
-        self._box = tuple(sorted(self._box_over, key=weyl.sort_key))
+        self.ws = hecke.ws
+        self._box = tuple(sorted(weyl.box_over, key=weyl.sort_key))
         self._p_cache = {weyl.identity: hecke.unit()}
 
     # -- the box B_0 and the coset representatives X_0 --------------------------
 
     def box_elements(self):
-        """B_0, sorted by sort_key: one element per u in W_0.  The simple
-        shift lam_k - eps_k(u) lies in [0, b_k) and b_k divides lam_k, so
-        lam_k = b_k eps_k(u) is the only solution."""
+        """B_0, sorted by sort_key: Weyl.box_over, one element per u in W_0."""
         return self._box
 
     def in_box(self, z: GroupElement) -> bool:
@@ -99,7 +92,7 @@ class LowestCell:
             x = u * w0
             if x.length() != u.length() - lw0 or not self.is_in_x0(x):
                 continue
-            z = self._box_over[x.finite]
+            z = weyl.box_over[x.finite]
             mu = (weyl.inverse(z) * x).translation
             if not ws.in_lattice(mu) or not ws.is_dominant(mu):
                 continue

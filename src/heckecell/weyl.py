@@ -85,31 +85,32 @@ class Weyl:
         gens[ws.affine_gen] = self.element(ws.w0_index[hcr.reflection_matrix()], hcr.vector)
         self.gens = tuple(gens)
 
-        self._build_pi()
+        self._build_box()
         self._leq_cache = {}
 
     # -- raw construction helpers -------------------------------------------
 
-    def _build_pi(self):
-        """Length-zero elements: the stabilizer of A_0, isomorphic to P/Q.
+    def _build_box(self):
+        """The box B_0 and Pi, the length-zero elements: the stabilizer of
+        A_0, isomorphic to P/Q.
 
-        pi = (u, lam) has shift lam_k - [alpha_k . u^-1 < 0] at the simple
-        root alpha_k, so all simple shifts vanish exactly for the lam below.
+        (u, lam) has shift lam_k - eps_k(u) at the simple root alpha_k,
+        eps_k(u) = [alpha_k . u^-1 < 0].  B_0 holds one element per u in
+        W_0, with lam = b . eps(u): b_k divides lam_k and the shift lies in
+        [0, b_k), so this lam is the only one.  Pi is the part of B_0 of
+        length zero, sorted by translation.
         """
         ws = self.ws
-        candidates = []
-        for u in range(ws.w0_size):
-            signs = ws.w0_root_action[ws.w0_inv[u]]
-            lam = tuple(int(signs[k][1] < 0) for k in range(ws.rank))
-            if ws.in_lattice(lam):
-                g = self.element(u, lam)
-                if g.length() == 0:
-                    candidates.append(g)
-        candidates.sort(key=lambda g: g.translation)
-        if len(candidates) != ws.pi_order:
+        self.box_over = tuple(
+            self.element(u, tuple(
+                b * (sign < 0) for b, (_, sign) in zip(ws.b, ws.w0_root_action[ws.w0_inv[u]])))
+            for u in range(ws.w0_size)
+        )
+        pis = sorted((g for g in self.box_over if g.length() == 0), key=lambda g: g.translation)
+        if len(pis) != ws.pi_order:
             raise AssertionError(
-                f"{len(candidates)} length-zero elements, but |P/Q| = {ws.pi_order}")
-        self.pi_elements = tuple(candidates)
+                f"{len(pis)} length-zero elements, but |P/Q| = {ws.pi_order}")
+        self.pi_elements = tuple(pis)
         self._pi_by_class = {
             ws.coset_key(g.translation): i for i, g in enumerate(self.pi_elements)
         }

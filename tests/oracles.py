@@ -173,6 +173,23 @@ def kl_basis(hecke, w) -> HeckeElt:
     return HeckeElt(d)
 
 
+def decompose_P_omega(cs, omega, lam) -> dict:
+    """CellularStructure.decompose_P_omega in the whole algebra: the KL
+    expansion of P(omega) C_{w_0 p_lam}, each term C_w read as alpha with
+    w p_-lam w_0 = p_alpha."""
+    hecke, weyl = cs.hecke, cs.weyl
+    w0 = weyl.longest_finite
+    prod = hecke.mul(cs.lowest.p_element_omega(omega), hecke.kl_basis(w0 * weyl.translation(lam)))
+    shift = weyl.translation(tuple(-a for a in lam))
+    out = {}
+    for w, c in hecke.kl_expand(prod).items():
+        g = w * shift * w0
+        if g.finite != 0:
+            raise AssertionError(f"KL term {w!r} is not of the form C_(p_alpha w_0 p_lam)")
+        out[g.translation] = c.as_integer()
+    return out
+
+
 def relative_kl_right(lowest, x) -> dict:
     """The right-handed family x' -> p^r_{x',x} over x' in X_0^-1: the
     module C_{z w_0} T_x, whose bar involution is bar(T_y) with each term

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import oracles
 from heckecell.cellular import CellularElt, CellularStructure, MonoidAlgebraElt
 from heckecell.hecke import Hecke, HeckeElt
 from heckecell.laurent import LaurentPoly, add_scaled
@@ -301,6 +302,50 @@ def test_decompose_p_omega_integers():
                 fam = cs.decompose_P_omega(fw, lam)
                 assert all(isinstance(v, int) for v in fam.values())
                 assert fam[tuple(fw)] == 1
+
+
+# (config, bound): every antidominant lam with l(p_lam) <= bound, whole
+# shells, against the old route through the whole algebra
+DECOMPOSE_ORACLE_CASES = [
+    (("A", 1, (2, 1)), 12),
+    (("A", 2, (1, 1, 1)), 10),
+    (("A", 3, (1, 1, 1, 1)), 6),
+    (("C", 2, (2, 1, 1)), 12),
+    (("C", 2, (3, 2, 1)), 12),
+]
+
+
+@pytest.mark.parametrize(
+    "cfg,bound", DECOMPOSE_ORACLE_CASES,
+    ids=[f"{t}{n}-{','.join(map(str, p))}" for (t, n, p), _ in DECOMPOSE_ORACLE_CASES],
+)
+def test_decompose_p_omega_matches_the_whole_algebra(cfg, bound):
+    # the X_0 module route equals kl_expand(P(omega) C_{w_0 p_lam}) computed
+    # in the whole algebra, on a structure of its own so no cache is shared
+    cs, ref = make(cfg), make(cfg)
+    for tau in cs.dominant_weights_up_to(bound):
+        lam = tuple(-a for a in tau)
+        for fw in cs.ws.fundamental_weights:
+            assert cs.decompose_P_omega(fw, lam) == oracles.decompose_P_omega(ref, fw, lam), (fw, lam)
+
+
+@pytest.mark.parametrize("cfg", [("A", 2, (1, 1, 1)), ("C", 2, (2, 1, 1))])
+def test_decompose_makes_no_kl_basis_product_or_expansion(cfg):
+    # decompose_P_omega and decompose_P_tau stay on the X_0 module: no C_w
+    # of the whole algebra is built, multiplied or expanded
+    cs = make(cfg)
+    hecke = cs.hecke
+    calls = []
+    for name in ("kl_basis", "kl_expand", "mul"):
+        f = getattr(hecke, name)
+        setattr(hecke, name, lambda *args, _name=name, _f=f: calls.append(_name) or _f(*args))
+    taus = cs.dominant_weights_up_to(8)
+    assert len(taus) > 2
+    for tau in taus:
+        cs.decompose_P_tau(tau)
+        for fw in cs.ws.fundamental_weights:
+            cs.decompose_P_omega(fw, tuple(-a for a in tau))
+    assert calls == []
 
 
 def test_m_alpha():

@@ -140,6 +140,33 @@ def test_p_z_multiplies_to_kl():
         assert hecke.mul(LA2.p_element(z), hecke.kl_basis(w0)) == hecke.kl_basis(z * w0)
 
 
+# Every shipped weight system, with the length up to which P(x) C_{w_0} =
+# C_{x w_0} is checked on all of X_0.
+P_TIMES_C_W0_BOUNDS = [
+    (("A", 1, (1, 1)), 12),
+    (("A", 1, (2, 1)), 12),
+    (("A", 2, (1, 1, 1)), 7),
+    (("A", 3, (1, 1, 1, 1)), 4),
+    (("C", 2, (1, 1, 1)), 8),
+    (("C", 2, (2, 1, 1)), 8),
+    (("C", 2, (3, 2, 1)), 8),
+]
+
+
+def test_p_times_c_w0_is_the_kl_element_on_x0():
+    # the identity decompose_P_omega runs on: the X_0 module element P(x)
+    # stands for C_{x w_0}, for every x in X_0, not only the box
+    for cfg, bound in P_TIMES_C_W0_BOUNDS:
+        lowest = make(cfg)
+        hecke, weyl = lowest.hecke, lowest.weyl
+        w0 = weyl.longest_finite
+        times_c_w0 = hecke.right_mul(hecke.kl_basis(w0))
+        xs = [x for x in weyl.enumerate_elements(bound) if lowest.is_in_x0(x)]
+        assert len(xs) > len(lowest.box_elements()), cfg
+        for x in xs:
+            assert times_c_w0(lowest._p_from(x)) == hecke.kl_basis(x * w0), (cfg, x)
+
+
 def test_y_independence_in_the_algebra():
     # the same correction family makes T_x C_{w_0 y} bar-invariant for
     # every y in the inverse box

@@ -1,5 +1,6 @@
 import random
 import threading
+from itertools import product
 
 import pytest
 
@@ -316,6 +317,20 @@ def test_pi_elements_need_distinct_classes(monkeypatch):
     monkeypatch.setattr(ws, "coset_key", lambda lam: ())
     with pytest.raises(AssertionError, match="share a class"):
         Weyl(ws)
+
+
+def test_pi_is_the_length_zero_part_of_the_box():
+    # Pi, read off B_0, is every length-zero element: a scan of (u, lam)
+    # over small translations (Pi has lam in {0, 1}^rank) finds the same
+    # set, and Pi stays sorted by translation (pi indices appear in element
+    # text)
+    for cfg, _ in ORACLE_CONFIGS:
+        weyl = make(cfg)
+        ws = weyl.ws
+        scan = [weyl.element(u, lam) for u in range(ws.w0_size)
+                for lam in product(range(-2, 3), repeat=ws.rank)
+                if ws.in_lattice(lam) and weyl.element(u, lam).length() == 0]
+        assert weyl.pi_elements == tuple(sorted(scan, key=lambda g: g.translation)), cfg
 
 
 def test_pi_gen_permutation():
