@@ -175,7 +175,7 @@ class CellularStructure:
     def basis_triples(self, length_bound: int):
         """All (z, tau, z') whose reassembled element has length <= bound."""
         weyl, lowest = self.weyl, self.lowest
-        out = []
+        keyed = []
         w0len = weyl.longest_finite.length()
         b0 = lowest.box_elements()
         for z in b0:
@@ -186,9 +186,10 @@ class CellularStructure:
                 for tau in self.dominant_weights_up_to(rest):
                     w = lowest.assemble(z, tau, zp)
                     if w.length() <= length_bound:
-                        out.append((z, tau, zp))
-        out.sort(key=lambda t: (self.weyl.sort_key(self.lowest.assemble(*t))))
-        return out
+                        keyed.append((weyl.sort_key(w), (z, tau, zp)))
+        # sort_key is unique per element, so the triples never decide the order
+        keyed.sort(key=lambda kt: kt[0])
+        return [t for _, t in keyed]
 
     def dominant_weights_up_to(self, length_budget: int):
         """Dominant lattice weights tau with l(p_tau) <= budget."""

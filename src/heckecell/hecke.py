@@ -10,6 +10,9 @@ three-case rule for T_s T_w: the relabel w -> sw, a bijection, plus the
 xi_s T_w terms of the descents), and one chain walker, _left_chain, which
 builds a value at w from the value at its tail (w with the pi-part, a
 support relabel, or else the first letter of the reduced word stripped).
+Both tails are per-element cached group steps of weyl (pi_mul_left by the
+inverse Pi index, gen_mul_left), so a walk over elements already minted
+multiplies no group elements.
 bar_t walks it on the bar cache with T_s^-1 = T_s - xi_s; right_mul(h2)
 walks it on a cache seeded with h2 that it owns, so T_x h2 costs one
 generator step for every x of a support closed under tails (KL elements,
@@ -94,10 +97,12 @@ class Hecke:
 
         The value at x is built from the value at its tail (strip pi, then
         the first letter of the reduced word): a pi link is a relabel and a
-        letter s is step(s, value at the tail, x).  A step that raises
-        _Uncached(y) is retried once y is built; a KL link resumes its peel
-        there (see _kl_link).  Pending elements sit on an explicit stack,
-        never on the call stack.  Every value is stored.
+        letter s is step(s, value at the tail, x).  The tail is the cached
+        pi_mul_left(pi_inverse[k], x) or gen_mul_left(s, x), never a fresh
+        group multiply.  A step that raises _Uncached(y) is retried once y
+        is built; a KL link resumes its peel there (see _kl_link).  Pending
+        elements sit on an explicit stack, never on the call stack.  Every
+        value is stored.
         """
         weyl = self.weyl
         todo = [w]
@@ -108,7 +113,7 @@ class Hecke:
                 continue
             pi_idx, word = weyl.reduced_word(x)
             if pi_idx:
-                tail = weyl.pi_elements[pi_idx].inverse() * x
+                tail = weyl.pi_mul_left(weyl.pi_inverse[pi_idx], x)
             else:
                 tail = weyl.gen_mul_left(word[0], x)
             c = cache.get(tail)

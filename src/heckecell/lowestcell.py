@@ -9,7 +9,8 @@ length zero), eps_k(u) = [alpha_k . u^-1 < 0], and X_0 is
 the set of x whose alcove lies in the dominant chamber, with no negative
 simple-root shift (Bremke 1997).  Factorization reads z off the finite part
 of x = z p_tau but runs over every z' in B_0, so uniqueness is observed
-rather than assumed.
+rather than assumed; the scan runs once per element and its result is
+kept, so a repeated factorize or membership test makes no group multiply.
 
 Relative KL polynomials live on the module with basis m_x = T_x C_{w_0 y},
 x in the minimal coset representatives X_0.  T_s acts by three cases:
@@ -53,6 +54,7 @@ class LowestCell:
         self.ws = hecke.ws
         self._box = tuple(sorted(weyl.box_over, key=weyl.sort_key))
         self._p_cache = {weyl.identity: hecke.unit()}
+        self._factor_cache = {}
 
     # -- the box B_0 and the coset representatives X_0 --------------------------
 
@@ -76,6 +78,14 @@ class LowestCell:
         return self.is_in_x0(y.inverse())
 
     # -- membership and factorization ----------------------------------------------
+
+    def _factored(self, w: GroupElement) -> tuple:
+        """_factorizations(w), memoized per element (elements are interned),
+        so membership and factorize scan B_0 once per w."""
+        found = self._factor_cache.get(w)
+        if found is None:
+            found = self._factor_cache.setdefault(w, tuple(self._factorizations(w)))
+        return found
 
     def _factorizations(self, w: GroupElement):
         """Every (z, tau, z') for w.  z' runs over all of B_0, so uniqueness
@@ -102,11 +112,12 @@ class LowestCell:
         return out
 
     def membership(self, w: GroupElement) -> bool:
-        return bool(self._factorizations(w))
+        return bool(self._factored(w))
 
     def factorize(self, w: GroupElement) -> CellFactorization:
-        """The unique (z, tau, z') with w = z . p_tau . w_0 . z'^-1 additive."""
-        found = self._factorizations(w)
+        """The unique (z, tau, z') with w = z . p_tau . w_0 . z'^-1 additive;
+        the same object on every call for w."""
+        found = self._factored(w)
         if not found:
             raise NotInLowestCell(f"{w!r} is not in the lowest two-sided cell")
         if len(found) > 1:

@@ -98,7 +98,7 @@ class Weyl:
         eps_k(u) = [alpha_k . u^-1 < 0].  B_0 holds one element per u in
         W_0, with lam = b . eps(u): b_k divides lam_k and the shift lies in
         [0, b_k), so this lam is the only one.  Pi is the part of B_0 of
-        length zero, sorted by translation.
+        length zero, sorted by translation, and pi_k^-1 = pi_{pi_inverse[k]}.
         """
         ws = self.ws
         self.box_over = tuple(
@@ -116,6 +116,7 @@ class Weyl:
         }
         if len(self._pi_by_class) != ws.pi_order:
             raise AssertionError("two length-zero elements share a class modulo Q")
+        self.pi_inverse = tuple(self.pi_index(self.inverse(g)) for g in self.pi_elements)
 
     # -- group arithmetic ----------------------------------------------------
 
@@ -163,6 +164,8 @@ class Weyl:
         return g
 
     def pi_mul_left(self, pi_idx: int, w: GroupElement) -> GroupElement:
+        """pi_elements[pi_idx] * w, cached per element beside s_i * w; with
+        pi_idx = pi_inverse[k] it strips the Pi-part pi_k of w."""
         d = w._gl
         if d is None:
             d = w._gl = {}
@@ -230,16 +233,14 @@ class Weyl:
     def pi_index(self, w: GroupElement) -> int:
         return self._pi_by_class[self.ws.coset_key(w.translation)]
 
-    def pi_part(self, w: GroupElement) -> GroupElement:
-        return self.pi_elements[self.pi_index(w)]
-
     def reduced_word(self, w: GroupElement):
         """(pi index, word): w = pi * s_{i_1} ... s_{i_k}, lexicographically
-        smallest word, k = l(w)."""
+        smallest word, k = l(w).  The Pi-part is stripped by the cached
+        step pi_mul_left(pi_inverse[pi index], w), as in Hecke._left_chain."""
         if w._word is not None:
             return w._word
         pi_idx = self.pi_index(w)
-        cur = self.multiply(self.inverse(self.pi_elements[pi_idx]), w)
+        cur = self.pi_mul_left(self.pi_inverse[pi_idx], w) if pi_idx else w
         letters = []
         clen = cur.length()
         while clen > 0:
@@ -268,10 +269,11 @@ class Weyl:
 
     def bruhat_leq(self, x: GroupElement, y: GroupElement) -> bool:
         """Extended Bruhat order: Pi-parts must agree, W_a-parts compare."""
-        if self.pi_index(x) != self.pi_index(y):
+        pi_idx = self.pi_index(x)
+        if pi_idx != self.pi_index(y):
             return False
-        pi_inv = self.inverse(self.pi_part(x))
-        return self._leq(pi_inv * x, pi_inv * y)
+        k = self.pi_inverse[pi_idx]
+        return self._leq(self.pi_mul_left(k, x), self.pi_mul_left(k, y))
 
     def _leq(self, x: GroupElement, y: GroupElement) -> bool:
         """Walk down a right descent s of y (and of x, when x has it too)

@@ -16,6 +16,10 @@ GOLDEN_PATHS = json.loads(
 # before B_0 and X_0 were read off the root shifts
 GOLDEN_CELL_FACTOR = json.loads(
     (pathlib.Path(__file__).parent / "golden_cell_factor.json").read_text())
+# stdout of `kl ARGS --output json`, keyed by ARGS, as recorded before
+# reduced_word stripped the Pi-part by the cached step
+GOLDEN_KL = json.loads(
+    (pathlib.Path(__file__).parent / "golden_kl_cli.json").read_text())
 
 
 def run(capsys, *argv):
@@ -46,6 +50,16 @@ def test_kl_json_roundtrip(capsys):
     payload = json.loads(out)
     assert payload["w"]["pi"] == 1 and payload["w"]["word"] == [0]
     assert len(payload["C_w"]) == 2
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN_KL))
+def test_kl_golden(capsys, args):
+    # pins C_w and each element's JSON byte for byte; its word comes from
+    # reduced_word, here with Pi-parts of order 3, 4 and 2, and in
+    # C2 (3,2,1), whose Pi is trivial, so pi^1 reads as pi^0
+    code, out, _ = run(capsys, "kl", *args.split(), "--output", "json")
+    assert code == 0
+    assert out == GOLDEN_KL[args]
 
 
 # a generator or pi index out of range, a word that is not a list or a

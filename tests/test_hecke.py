@@ -180,6 +180,35 @@ def test_one_generator_step_per_link(monkeypatch):
     assert steps[0] == _new_letter_entries(W, L._p_cache, before) == 161
 
 
+# Pi of order 3, 4, 2 and 1: A2, A3, C2 equal and C2 (3,2,1)
+CACHED_WALK_CONFIGS = [
+    ("A", 2, (1, 1, 1)),
+    ("A", 3, (1, 1, 1, 1)),
+    ("C", 2, (1, 1, 1)),
+    ("C", 2, (3, 2, 1)),
+]
+
+
+@pytest.mark.parametrize("cfg", CACHED_WALK_CONFIGS,
+                         ids=[f"{t}{n}-{','.join(map(str, p))}" for t, n, p in CACHED_WALK_CONFIGS])
+def test_second_walk_multiplies_no_group_elements(monkeypatch, cfg):
+    # every chain link reads its tail from a per-element cache (pi_mul_left
+    # by the inverse Pi index, or gen_mul_left), so once a walk has minted
+    # its elements, a second right_mul walk over them and a mul make no
+    # group multiply at all, Pi links included
+    H = make(cfg)
+    W = H.weyl
+    els = list(W.enumerate_elements(3))
+    assert sum(1 for w in els if W.reduced_word(w)[0]) == len(els) - len(els) // W.ws.pi_order
+    h1 = HeckeElt({w: LaurentPoly.one() for w in els})
+    h2 = H.kl_basis(W.gens[1] * W.gens[0])
+    first = H.right_mul(h2)(h1)
+    calls = _count_calls(monkeypatch, Weyl, "multiply")
+    assert H.right_mul(h2)(h1) == first
+    assert H.mul(h1, h2) == first
+    assert calls[0] == 0
+
+
 def test_bar_examples():
     H, W = HA2, HA2.weyl
     assert H.bar(H.unit()) == H.unit()

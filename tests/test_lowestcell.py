@@ -100,6 +100,67 @@ def test_factorize_roundtrip_bounded():
                     + w0.length() + t[2].length()) == w.length(), (cfg, t)
 
 
+def _count_multiplies(monkeypatch):
+    calls = [0]
+    orig = Weyl.multiply
+
+    def counted(self, a, b):
+        calls[0] += 1
+        return orig(self, a, b)
+
+    monkeypatch.setattr(Weyl, "multiply", counted)
+    return calls
+
+
+@pytest.mark.parametrize("cfg", [("A", 2, (1, 1, 1)), ("A", 3, (1, 1, 1, 1)),
+                                 ("C", 2, (1, 1, 1)), ("C", 2, (3, 2, 1))],
+                         ids=["A2", "A3", "C2-1,1,1", "C2-3,2,1"])
+def test_factorization_is_memoized_per_element(monkeypatch, cfg):
+    # the first factorize or membership of w scans z' over all of B_0; every
+    # later call for w reads the kept result: no group multiply, the same
+    # CellFactorization object, and NotInLowestCell again for a non-member
+    lc = make(cfg)
+    weyl, w0 = lc.weyl, lc.weyl.longest_finite
+    members = [lc.assemble(z, (0,) * lc.ws.rank, zp)
+               for z in lc.box_elements()[:3] for zp in lc.box_elements()[-3:]]
+    outsiders = [weyl.identity, *weyl.gens, weyl.gens[1] * w0]
+    first = {w: lc.factorize(w) for w in members}
+    for w in outsiders:
+        with pytest.raises(NotInLowestCell):
+            lc.factorize(w)
+    calls = _count_multiplies(monkeypatch)
+    for _ in range(2):
+        for w in members:
+            assert lc.factorize(w) is first[w]
+            assert lc.membership(w)
+        for w in outsiders:
+            with pytest.raises(NotInLowestCell):
+                lc.factorize(w)
+            assert not lc.membership(w)
+    assert calls[0] == 0
+    scans = []
+    scan = LowestCell._factorizations
+    monkeypatch.setattr(LowestCell, "_factorizations",
+                        lambda self, w: scans.append(w) or scan(self, w))
+    omega = lc.ws.fundamental_weights[0]
+    fresh = weyl.translation(omega) * w0
+    assert lc.membership(fresh)
+    assert lc.factorize(fresh) is lc.factorize(fresh) == (weyl.identity, omega, weyl.identity)
+    assert scans == [fresh]
+
+
+def test_non_unique_factorization_raises_on_every_call(monkeypatch):
+    # the uniqueness check runs on the kept result too, so a second
+    # factorize of w raises as the first one did
+    lc = make(("A", 2, (1, 1, 1)))
+    w0 = lc.weyl.longest_finite
+    twice = LowestCell._factorizations
+    monkeypatch.setattr(LowestCell, "_factorizations", lambda self, w: twice(self, w) * 2)
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="not unique"):
+            lc.factorize(w0)
+
+
 def descend_to_lowest(lowest, z):
     """The longest element w_0 . y of the coset W_0 z (y minimal in it)."""
     return lowest.weyl.longest_finite * oracles.right_coset_part(lowest, z)[0]

@@ -24,7 +24,7 @@ WA1 = make(("A", 1, (1, 1)))
 def bfs_length_oracle(weyl, target, cap=12):
     """Word length of the W_a part by breadth-first search over generator
     words, started from the Pi-part of the target."""
-    start = weyl.pi_part(target)
+    start = weyl.pi_elements[weyl.pi_index(target)]
     frontier = {start}
     seen = {start}
     for depth in range(cap + 1):
@@ -179,11 +179,12 @@ def test_translation_elements():
 def test_pi_part_homomorphism():
     rng = random.Random(5)
     els = list(WA2.enumerate_elements(4))
+    pi_part = lambda w: WA2.pi_elements[WA2.pi_index(w)]
     for _ in range(60):
         x, y = rng.choice(els), rng.choice(els)
-        px = WA2.pi_part(x)
-        py = WA2.pi_part(y)
-        assert WA2.pi_part(x * y) == WA2.pi_part(px * py)
+        px = pi_part(x)
+        py = pi_part(y)
+        assert pi_part(x * y) == pi_part(px * py)
 
 
 def test_enumerate():
@@ -331,6 +332,19 @@ def test_pi_is_the_length_zero_part_of_the_box():
                 for lam in product(range(-2, 3), repeat=ws.rank)
                 if ws.in_lattice(lam) and weyl.element(u, lam).length() == 0]
         assert weyl.pi_elements == tuple(sorted(scan, key=lambda g: g.translation)), cfg
+
+
+def test_pi_inverse_table():
+    # pi_k^-1 = pi_{pi_inverse[k]}: the table is an involution fixing 0,
+    # and the cached step it feeds strips pi_k to the identity
+    for cfg, _ in ORACLE_CONFIGS:
+        weyl = make(cfg)
+        inv = weyl.pi_inverse
+        assert len(inv) == len(weyl.pi_elements) and inv[0] == 0, cfg
+        for k, pi in enumerate(weyl.pi_elements):
+            assert inv[inv[k]] == k, (cfg, k)
+            assert weyl.pi_elements[inv[k]] is pi.inverse(), (cfg, k)
+            assert weyl.pi_mul_left(inv[k], pi) is weyl.identity, (cfg, k)
 
 
 def test_pi_gen_permutation():
