@@ -57,6 +57,7 @@ class Hecke:
         self.weyl = weyl
         self.ws = weyl.ws
         self.xi = tuple(xi(p) for p in self.ws.params)
+        self._q_neg = tuple(LaurentPoly.q_power(-p) for p in self.ws.params)
         self._lock = threading.RLock()
         self._bar_cache = {weyl.identity: self.t(weyl.identity)}
         self._kl_cache = {weyl.identity: self.t(weyl.identity)}
@@ -136,7 +137,7 @@ class Hecke:
         which leaves x plus q^-1 Z[q^-1] terms: the KL element at x.  After a
         miss the retry resumes the peel on the partly peeled dict kept under
         x; the tops it already took hold q^-1 Z[q^-1] residuals it skips."""
-        q_neg = [LaurentPoly.q_power(-p) for p in self.ws.params]
+        q_neg = self._q_neg
         bar_invariant_part = LaurentPoly.bar_invariant_part
         pending = {}
 

@@ -5,12 +5,15 @@ The cell consists of the elements factoring as z . p_tau . w_0 . z'^-1 with
 z, z' in the finite box B_0 and tau dominant, all lengths additive.  B_0 and
 X_0 are read off the integer root shifts in closed form: B_0 is
 Weyl.box_over, one element (u, b . eps(u)) per u in W_0 (Pi is its part of
-length zero), eps_k(u) = [alpha_k . u^-1 < 0], and X_0 is
-the set of x whose alcove lies in the dominant chamber, with no negative
-simple-root shift (Bremke 1997).  Factorization reads z off the finite part
-of x = z p_tau but runs over every z' in B_0, so uniqueness is observed
-rather than assumed; the scan runs once per element and its result is
-kept, so a repeated factorize or membership test makes no group multiply.
+length zero), eps_k(u) = [alpha_k . u^-1 < 0], and X_0 is the set of x
+whose alcove lies in the dominant chamber, with no negative simple-root
+shift (Bremke 1997).  in_box and is_in_x0 read the simple-root prefix of
+the shifts each element keeps (Weyl.root_shifts), so a module step, a
+factorization or a P-element lookup makes no fresh pairing for an element
+seen before.  Factorization reads z off the finite part of x = z p_tau but
+runs over every z' in B_0, so uniqueness is observed rather than assumed;
+the scan runs once per element and its result is kept, so a repeated
+factorize or membership test makes no group multiply.
 
 Relative KL polynomials live on the module with basis m_x = T_x C_{w_0 y},
 x in the minimal coset representatives X_0.  T_s acts by three cases:
@@ -53,6 +56,7 @@ class LowestCell:
         weyl = self.weyl = hecke.weyl
         self.ws = hecke.ws
         self._box = tuple(sorted(weyl.box_over, key=weyl.sort_key))
+        self._q_params = tuple(LaurentPoly.q_power(p) for p in self.ws.params)
         self._p_cache = {weyl.identity: hecke.unit()}
         self._factor_cache = {}
 
@@ -64,15 +68,15 @@ class LowestCell:
 
     def in_box(self, z: GroupElement) -> bool:
         """The definition of B_0: 0 < <x, alpha_k^v> < b_k on the alcove of z,
-        per simple root k (simple roots come first among the root shifts)."""
-        shifts = self.weyl.root_shifts(z)
-        return all(0 <= shifts[k] < b for k, b in enumerate(self.ws.b))
+        per simple root k: 0 <= c_k < b_k on the simple-root prefix of the
+        cached root shifts (zip stops at the rank)."""
+        return all(0 <= c < b for c, b in zip(self.weyl.root_shifts(z), self.ws.b))
 
     def is_in_x0(self, x: GroupElement) -> bool:
         """Minimal-length representative of x W_0: the alcove of x lies in
-        the dominant chamber, so no simple-root shift is negative."""
-        shifts = self.weyl.root_shifts(x)
-        return all(shifts[k] >= 0 for k in range(self.ws.rank))
+        the dominant chamber, so no simple-root shift is negative.  Reads
+        the cached root shifts, so a repeated test makes no pairing."""
+        return min(self.weyl.root_shifts(x)[:self.ws.rank]) >= 0
 
     def is_in_x0_inv(self, y: GroupElement) -> bool:
         return self.is_in_x0(y.inverse())
@@ -153,7 +157,7 @@ class LowestCell:
         sx leaves X_0; no two terms meet, so this fills a plain dict, and
         the xi_s terms of the descents are then added to it."""
         gen_mul_left = self.weyl.gen_mul_left
-        q_s = LaurentPoly.q_power(self.ws.params[i])
+        q_s = self._q_params[i]
         d = {}
         down = []
         for x, c in h.items():

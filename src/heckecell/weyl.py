@@ -13,6 +13,8 @@ different Weyl objects never compare equal.
 Alcove position is integer throughout: root_shifts gives, per positive
 root, the strip between consecutive hyperplanes that holds the alcove of w,
 and length, weight, Pi and the separating hyperplanes are read from it.
+The shifts are computed once per element and kept on it, so every alcove
+predicate (here and in lowestcell) reads them without a fresh pairing.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ class GroupElement:
 
     __slots__ = (
         "weyl", "finite", "translation",
-        "_len", "_wlen", "_word", "_gl", "_gr",
+        "_len", "_wlen", "_shifts", "_word", "_gl", "_gr",
     )
 
     def __init__(self, weyl, finite, translation):
@@ -41,6 +43,7 @@ class GroupElement:
         self.translation = translation
         self._len = None
         self._wlen = None
+        self._shifts = None  # cache: Weyl.root_shifts
         self._word = None
         self._gl = None  # cache: generator/Pi products on the left
         self._gr = None  # cache: generator products on the right
@@ -190,18 +193,24 @@ class Weyl:
 
     def root_shifts(self, w: GroupElement) -> tuple:
         """Per positive root alpha, the integer c with <x, alpha^v> in
-        (c, c+1) for every x in the alcove of w: its position in closed form."""
-        ws = self.ws
-        signs = ws.w0_root_action[ws.w0_inv[w.finite]]
-        lam = w.translation
-        return tuple(
-            ws.pairing(lam, r) - (signs[r.index][1] < 0) for r in ws.positive_roots
-        )
+        (c, c+1) for every x in the alcove of w: its position in closed form.
+        The simple roots come first.  Computed once per element and kept in
+        w._shifts (elements are interned), so every later call returns the
+        same tuple and makes no pairing."""
+        shifts = w._shifts
+        if shifts is None:
+            ws = self.ws
+            signs = ws.w0_root_action[ws.w0_inv[w.finite]]
+            lam = w.translation
+            shifts = w._shifts = tuple(
+                ws.pairing(lam, r) - (signs[r.index][1] < 0) for r in ws.positive_roots
+            )
+        return shifts
 
     def length(self, w: GroupElement) -> int:
         """Number of hyperplanes between A_0 and the alcove of w: the sum of
-        |root_shifts(w)|.  GroupElement.length caches it, so it runs once
-        per element."""
+        |root_shifts(w)|, read from the element's cached shifts.
+        GroupElement.length caches the sum, so it runs once per element."""
         return sum(map(abs, self.root_shifts(w)))
 
     def weight_length(self, w: GroupElement) -> int:

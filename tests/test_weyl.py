@@ -251,6 +251,76 @@ def test_alcove_walk_oracle():
         assert boxed == set(lowest.box_elements()), cfg
 
 
+@pytest.mark.parametrize("cfg,bound", ORACLE_CONFIGS)
+def test_root_shifts_are_read_once_per_element(cfg, bound, monkeypatch):
+    # each element keeps its root shifts: once warm, root_shifts returns the
+    # same tuple and makes no pairing, and every alcove predicate read from
+    # it still agrees with its definition on the rational walked point
+    weyl = make(cfg)
+    ws = weyl.ws
+    lowest = LowestCell(Hecke(weyl))
+    els = list(weyl.enumerate_elements(bound - 2))
+    first = {w: weyl.root_shifts(w) for w in els}
+    for w in els:
+        lowest.is_in_x0(w), lowest.in_box(w), w.weight_length()
+    calls = []
+    pairing = ws.pairing
+    monkeypatch.setattr(ws, "pairing", lambda lam, r: calls.append(r) or pairing(lam, r))
+    warm = {}
+    for w in els:
+        assert weyl.root_shifts(w) is first[w], (cfg, w)
+        warm[w] = (weyl.length(w), w.length(), weyl.weight_length(w),
+                   lowest.is_in_x0(w), lowest.in_box(w))
+    assert calls == [], cfg
+    monkeypatch.undo()
+    for w in els:
+        point = oracles.alcove_walk(weyl, weyl.reduced_word(w)[1])
+        floors = oracles.alcove_floors(weyl, point)
+        assert first[w] == floors, (cfg, w)
+        # the walls crossed from A_0: levels 1..c above the root's origin
+        # hyperplane, c+1..0 below it
+        walls = [(r, k) for r, c in zip(ws.positive_roots, floors)
+                 for k in (range(1, c + 1) if c > 0 else range(c + 1, 1))]
+        simple = [oracles.point_pairing(point, r) for r in ws.simple_roots]
+        assert warm[w] == (
+            len(walls), len(walls), sum(r.level_weight(k) for r, k in walls),
+            all(p > 0 for p in simple),
+            all(0 < p < b for p, b in zip(simple, ws.b)),
+        ), (cfg, w)
+
+
+@pytest.mark.parametrize("cfg,bound", ORACLE_CONFIGS)
+def test_seeded_round_trips_on_warm_elements(cfg, bound):
+    # random words in every shipped weight system, with the per-element
+    # caches (root shifts, reduced word, left products) filled first: the
+    # group laws and the word round trip still hold on cached elements
+    weyl = make(cfg)
+    n = weyl.ws.num_gens
+    rng = random.Random(20)
+    els = []
+    for _ in range(40):
+        pi_idx = rng.randrange(len(weyl.pi_elements))
+        word = [rng.randrange(n) for _ in range(rng.randint(0, bound))]
+        els.append(weyl.from_word(pi_idx, word))
+    for w in els:
+        w.length(), weyl.reduced_word(w)
+        for i in range(n):
+            weyl.gen_mul_left(i, w)
+        assert None not in (w._shifts, w._word, w._gl), (cfg, w)
+    e = weyl.identity
+    for _ in range(120):
+        a, b, c = (rng.choice(els) for _ in range(3))
+        assert a * a.inverse() is e is a.inverse() * a, (cfg, a)
+        assert a.inverse().inverse() is a, (cfg, a)
+        assert (a * b) * c is a * (b * c), (cfg, a, b, c)
+        assert (a * b) * b.inverse() is a, (cfg, a, b)
+        assert (a * b).inverse() is b.inverse() * a.inverse(), (cfg, a, b)
+    for w in els:
+        pi_idx, word = weyl.reduced_word(w)
+        assert weyl.from_word(pi_idx, word) is w, (cfg, w)
+        assert len(word) == w.length() == sum(map(abs, weyl.root_shifts(w))), (cfg, w)
+
+
 def test_separating_hyperplanes():
     e = WA2.identity
     assert WA2.separating_hyperplanes(e, e) == set()
