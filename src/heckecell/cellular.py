@@ -2,16 +2,17 @@
 form phi, the isomorphism onto the lowest two-sided ideal, and the
 decomposition of the cellular basis in the Kazhdan-Lusztig basis.
 
-phi is read off the one expansion in the cellular basis, phi_inverse, which
-peels T-coordinates: each basis image is T_w plus strictly shorter terms,
-with w the reassembled triple.  The images P(tau) C_{w_0} of the triples
+phi_inverse, the one expansion in the cellular basis, peels T-coordinates:
+each basis image is T_w plus strictly shorter terms, with w the
+reassembled triple.  The images Q_tau = P(tau) C_{w_0} of the triples
 (e, tau, e) are the basis of M_+, and every other image is P(z) times one
 of them times flat P(z').  MonoidAlgebraElt holds elements of A[P+]; their
 product e^tau e^sigma = e^(tau + sigma) is taken inline in cellular_mul.
 
-The KL decompositions run on the X_0 coset module of lowestcell, about
-|W_0| times smaller than the algebra: C_{x w_0} = P(x) C_{w_0} for x in X_0
-(Deodhar 1987), and no C_w of the whole algebra is built.
+phi, the images and the KL decompositions run on the X_0 coset module of
+lowestcell, about |W_0| times smaller than the algebra: C_{x w_0} =
+P(x) C_{w_0} for x in X_0 (Deodhar 1987).  An image leaves the module only
+for its last factor, C_{w_0} P(z')^flat.
 
 All universally quantified claims are exposed as bounded sweeps; callers
 name the length bound and the sweep is exact within it.
@@ -64,10 +65,9 @@ class CellularStructure:
         self.length_bound = length_bound
         self._phi_cache = {}
         self._phi_image_cache = {}
-        # (z', h -> h C_{z' w_0}) for the last z' of phi_form: one slot, so a
-        # column z' of the phi matrix shares its chain cache and memory stays
-        # bounded by one right factor
-        self._phi_right = None
+        # Q_tau (on the X_0 module) by tau, and h -> h C_{w_0 z'^-1} by z'
+        self._q_cache = {(0,) * self.ws.rank: self.hecke.unit()}
+        self._right = {}
 
     def _check_bound(self, w) -> None:
         if self.length_bound is not None and w.length() > self.length_bound:
@@ -78,37 +78,51 @@ class CellularStructure:
 
     def phi_form(self, z: GroupElement, zprime: GroupElement) -> MonoidAlgebraElt:
         """phi(v_z, v_{z'}): coefficients of C_{w_0 z^-1} C_{z' w_0} in the
-        basis {P(tau) C_{w_0}} of M_+, read off phi_inverse at (e, tau, e).
-        Calls with the same z' in a row share one right multiplier.
-
-        Both subscripts are length-additive (z^-1 on the right of w_0, z'
-        on the left), which is what keeps the product inside M_+ and what
-        the isomorphism's composition law needs.
+        basis {Q_tau} of M_+.  On the X_0 module, P(z)^flat and then C_{w_0}
+        act on P(z') (C_{w_0 z^-1} = C_{w_0} P(z)^flat), and the result is
+        peeled against the Q_tau, whose tops are the p_tau.  Both subscripts
+        are length-additive (z^-1 on the right of w_0, z' on the left), which
+        keeps the product inside M_+, as the composition law needs.
         """
         key = (z, zprime)
         hit = self._phi_cache.get(key)
         if hit is not None:
             return hit
-        weyl, hecke = self.weyl, self.hecke
+        weyl, hecke, lowest = self.weyl, self.hecke, self.lowest
         w0 = weyl.longest_finite
         if self.length_bound is not None:
             total = (w0 * z.inverse()).length() + (zprime * w0).length()
             if total > self.length_bound:
                 raise BoundExceeded(
                     f"product support bound {total} exceeds {self.length_bound}")
-        if self._phi_right is None or self._phi_right[0] != zprime:
-            self._phi_right = (zprime, hecke.right_mul(hecke.kl_basis(zprime * w0)))
-        prod = self._phi_right[1](hecke.kl_basis(w0 * z.inverse()))
-        e = weyl.identity
-        d = {}
-        for (x, tau, xp), c in self.phi_inverse(prod).items():
-            if x != e or xp != e:
-                raise AssertionError(
-                    f"product left M_+ at {self.lowest.assemble(x, tau, xp)!r}")
-            d[tau] = c
-        result = MonoidAlgebraElt(d)
+        m = lowest.p_element(zprime)
+        for h in (hecke.flat(lowest.p_element(z)), hecke.kl_basis(w0)):
+            m = hecke._acting_on(m, lowest._module_gen)(h)
+
+        def q_top(x):
+            if x.finite != 0:
+                raise AssertionError(f"product left M_+ at C_{{{x!r} w_0}}")
+            return self._q_tau(x.translation)
+
+        result = MonoidAlgebraElt(
+            {x.translation: c for x, c in peel(dict(m.items()), q_top).items()})
         self._phi_cache[key] = result
         return result
+
+    def _q_tau(self, tau) -> HeckeElt:
+        """Q_tau on the X_0 module, cached: the factors P(omega_i) of
+        p_element_tau act on m_e, the last first, so Q_tau =
+        P(omega_i) Q_{tau - omega_i} for the first i in tau."""
+        hit = self._q_cache.get(tau)
+        if hit is None:
+            ws, lowest = self.ws, self.lowest
+            if not (ws.in_lattice(tau) and ws.is_dominant(tau)):
+                raise ValueError(f"{tau} is not a dominant L-weight")
+            fw = next(fw for fw, t in zip(ws.fundamental_weights, tau) if t)
+            rest = self._q_tau(tuple(a - b for a, b in zip(tau, fw)))
+            hit = self._q_cache[tau] = self.hecke._acting_on(
+                rest, lowest._module_gen)(lowest.p_element_omega(fw))
+        return hit
 
     # -- the twisted product and the isomorphism ------------------------------------
 
@@ -122,20 +136,20 @@ class CellularStructure:
         return CellularElt(d)
 
     def phi_image_basis(self, z: GroupElement, tau, zprime: GroupElement) -> HeckeElt:
-        """Phi(v_z (x) e^tau (x) v_{z'}) = P(z) P(tau) C_{w_0} P_R(z'^-1),
-        built on the cached image P(tau) C_{w_0} of (e, tau, e)."""
+        """Phi(v_z (x) e^tau (x) v_{z'}) = P(z) Q_tau P(z')^flat: u = P(z) Q_tau
+        on the X_0 module, then u C_{w_0 z'^-1} by the right multiplier of z'."""
         key = (z, tuple(tau), zprime)
         hit = self._phi_image_cache.get(key)
         if hit is None:
             hecke, lowest = self.hecke, self.lowest
-            e = self.weyl.identity
-            if z == e and zprime == e:
-                w0 = self.weyl.longest_finite
-                h = hecke.mul(lowest.p_element_tau(key[1]), hecke.kl_basis(w0))
-            else:
-                h = hecke.mul(lowest.p_element(z), self.phi_image_basis(e, tau, e))
-                h = hecke.mul(h, hecke.flat(lowest.p_element(zprime)))
-            self._phi_image_cache[key] = hit = h
+            u = hecke._acting_on(self._q_tau(key[1]), lowest._module_gen)(lowest.p_element(z))
+            times = self._right.get(zprime)
+            if times is None:
+                if not lowest.in_box(zprime):
+                    raise ValueError(f"{zprime!r} is not in the box B_0")
+                times = self._right[zprime] = hecke.right_mul(
+                    hecke.flat(hecke.kl_basis(zprime * self.weyl.longest_finite)))
+            self._phi_image_cache[key] = hit = times(u)
         return hit
 
     def phi_iso(self, a: CellularElt) -> HeckeElt:

@@ -1,23 +1,26 @@
 """Batch front door: subcommands over one configured weight system.
 
-Exit codes: 0 success / all checks pass, 1 verification failure,
-2 usage or parse error.
+Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
+or parse error, 3 BoundExceeded, 141 stdout closed early (128 + SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .cellular import CellularStructure
 from .hecke import Hecke
-from .lowestcell import LowestCell, NotInLowestCell
+from .lowestcell import BoundExceeded, LowestCell, NotInLowestCell
 from .rootdata import _TYPES, WeightSystem
 from .weyl import Weyl
 from . import paths, serialize, verification
 
 USAGE_ERROR = 2
+BOUND_EXCEEDED = 3
+CLOSED_STDOUT = 141
 
 
 def _add_weights(p):
@@ -122,16 +125,13 @@ def cmd_cellular_basis(args) -> int:
     lowest = LowestCell(Hecke(weyl))
     cs = CellularStructure(lowest)
     b0 = lowest.box_elements()
-    # column by column (phi_form keeps the right factor of the last z'),
-    # printed row by row
-    forms = {(z, zp): cs.phi_form(z, zp) for zp in b0 for z in b0}
     phi = {}
     for z in b0:
         for zp in b0:
             key = f"({serialize.element_text(weyl, z)},{serialize.element_text(weyl, zp)})"
             phi[key] = {
                 serialize.weight_text(t): str(c)
-                for t, c in sorted(forms[z, zp].items())
+                for t, c in sorted(cs.phi_form(z, zp).items())
             }
     budget = max(args.length_bound - weyl.longest_finite.length(), 0)
     decomps = {}
@@ -222,10 +222,16 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return USAGE_ERROR if e.code not in (0, None) else 0
     try:
-        return COMMANDS[args.command](args)
-    except (ValueError, KeyError) as e:
+        code = COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left (`| head`): end quietly, stdout on devnull for the last flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CLOSED_STDOUT
+    except (BoundExceeded, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return USAGE_ERROR
+        return BOUND_EXCEEDED if isinstance(e, BoundExceeded) else USAGE_ERROR
 
 
 if __name__ == "__main__":

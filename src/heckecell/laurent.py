@@ -170,20 +170,13 @@ class LaurentPoly:
     def __str__(self) -> str:
         if not self._n:
             return "0"
-        parts = []
+        text = ""
         for e, v in reversed(self._terms().items()):
-            sign = "-" if v < 0 else "+"
             mag = abs(v)
-            if e == 0:
-                body = str(mag)
-            else:
-                qp = "q" if e == 1 else f"q^{e}"
-                body = qp if mag == 1 else f"{mag}*{qp}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
+            qp = "q" if e == 1 else f"q^{e}"
+            body = str(mag) if e == 0 else qp if mag == 1 else f"{mag}*{qp}"
+            sign = "-" if v < 0 else "+"
+            text += (f" {sign} " if text else "-" * (v < 0)) + body
         return text
 
     def __repr__(self) -> str:

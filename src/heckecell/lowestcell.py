@@ -10,10 +10,11 @@ whose alcove lies in the dominant chamber, with no negative simple-root
 shift (Bremke 1997).  in_box and is_in_x0 read the simple-root prefix of
 the shifts each element keeps (Weyl.root_shifts), so a module step, a
 factorization or a P-element lookup makes no fresh pairing for an element
-seen before.  Factorization reads z off the finite part of x = z p_tau but
-runs over every z' in B_0, so uniqueness is observed rather than assumed;
-the scan runs once per element and its result is kept, so a repeated
-factorize or membership test makes no group multiply.
+seen before.  Factorization reads z' off the chamber that holds the alcove
+of w and z off the finite part of x = z p_tau, and checks that one
+candidate; that no other z' of B_0 factors w is checked by the oracle test.
+The result is kept, so a repeated factorize or membership test makes no
+group multiply.
 
 Relative KL polynomials live on the module with basis m_x = T_x C_{w_0 y},
 x in the minimal coset representatives X_0.  T_s acts by three cases:
@@ -59,6 +60,15 @@ class LowestCell:
         self._q_params = tuple(LaurentPoly.q_power(p) for p in self.ws.params)
         self._p_cache = {weyl.identity: hecke.unit()}
         self._factor_cache = {}
+        # the signs (c >= 0) of the root shifts of chamber v -> the z' of
+        # every w whose alcove lies in it, the box element over (w_0 v)^-1
+        ws = self.ws
+        by_w0 = ws.w0_mult[ws.longest_index]
+        self._zp_by_chamber = {
+            tuple(c >= 0 for c in weyl.root_shifts(weyl.finite_element(v))):
+                weyl.box_over[ws.w0_inv[by_w0[v]]]
+            for v in range(ws.w0_size)
+        }
 
     # -- the box B_0 and the coset representatives X_0 --------------------------
 
@@ -85,35 +95,27 @@ class LowestCell:
 
     def _factored(self, w: GroupElement) -> tuple:
         """_factorizations(w), memoized per element (elements are interned),
-        so membership and factorize scan B_0 once per w."""
+        so membership and factorize check w once."""
         found = self._factor_cache.get(w)
         if found is None:
             found = self._factor_cache.setdefault(w, tuple(self._factorizations(w)))
         return found
 
     def _factorizations(self, w: GroupElement):
-        """Every (z, tau, z') for w.  z' runs over all of B_0, so uniqueness
-        is observed; z is then the box element over the finite part of x."""
-        weyl = self.weyl
-        ws = self.ws
+        """The (z, tau, z') for w, none or one: z' is read off the chamber
+        that holds the alcove of w, and z off the finite part of x = w z' w_0.
+        Then w = z p_tau w_0 z'^-1, and it is the factorization when x is
+        in X_0, tau is dominant and the four lengths add up to l(w)."""
+        weyl, ws = self.weyl, self.ws
         w0 = weyl.longest_finite
-        lw, lw0 = w.length(), w0.length()
-        out = []
-        for zp in self._box:
-            u = w * zp
-            if u.length() != lw - zp.length():
-                continue
-            x = u * w0
-            if x.length() != u.length() - lw0 or not self.is_in_x0(x):
-                continue
-            z = weyl.box_over[x.finite]
-            mu = (weyl.inverse(z) * x).translation
-            if not ws.in_lattice(mu) or not ws.is_dominant(mu):
-                continue
-            if x.length() != z.length() + weyl.translation(mu).length():
-                continue
-            out.append(CellFactorization(z, mu, zp))
-        return out
+        zp = self._zp_by_chamber[tuple(c >= 0 for c in weyl.root_shifts(w))]
+        x = w * zp * w0
+        z = weyl.box_over[x.finite]
+        mu = (weyl.inverse(z) * x).translation
+        if self.is_in_x0(x) and ws.in_lattice(mu) and ws.is_dominant(mu) and w.length() == (
+                z.length() + weyl.translation(mu).length() + w0.length() + zp.length()):
+            return [CellFactorization(z, mu, zp)]
+        return []
 
     def membership(self, w: GroupElement) -> bool:
         return bool(self._factored(w))

@@ -30,10 +30,7 @@ class PathType:
     @staticmethod
     def for_tau(ws: WeightSystem, tau) -> "PathType":
         """The canonical type with tau_i / b_i steps of index i, ascending."""
-        steps = []
-        for i in range(ws.rank):
-            steps.extend([i + 1] * (tau[i] // ws.b[i]))
-        return PathType(steps)
+        return PathType([i + 1 for i in range(ws.rank) for _ in range(tau[i] // ws.b[i])])
 
     def __repr__(self):
         return f"PathType{self.steps}"

@@ -225,29 +225,16 @@ class WeightSystem:
         self.w0_mult = [
             [index[matmul(mats[a], mats[b])] for b in range(size)] for a in range(size)
         ]
-        inv = [0] * size
-        for a in range(size):
-            for b in range(size):
-                if self.w0_mult[a][b] == 0:
-                    inv[a] = b
-                    break
-        self.w0_inv = inv
+        self.w0_inv = [row.index(0) for row in self.w0_mult]
 
         # Signed action on positive roots: root_action[u][r] = (r', sign)
         # with (positive root r) * u = sign * (positive root r').
-        self.w0_root_action = []
-        lengths = []
-        for u in range(size):
-            row = []
-            neg = 0
-            for r in self.positive_roots:
-                img = self.act(r.vector, u)
-                tgt, sign = self._root_by_vector[img]
-                row.append((tgt.index, sign))
-                if sign < 0:
-                    neg += 1
-            self.w0_root_action.append(row)
-            lengths.append(neg)
+        self.w0_root_action = [
+            [(tgt.index, sign) for tgt, sign in
+             (self._root_by_vector[self.act(r.vector, u)] for r in self.positive_roots)]
+            for u in range(size)
+        ]
+        lengths = [sum(sign < 0 for _, sign in row) for row in self.w0_root_action]
         self.longest_index = max(range(size), key=lambda u: lengths[u])
         if lengths[self.longest_index] != len(self.positive_roots):
             raise AssertionError("the longest element of W_0 must negate every positive root")
@@ -311,8 +298,7 @@ class WeightSystem:
 
     def nu(self, lam) -> tuple:
         """nu(lam) = -(lam . w_0), the diagram involution on weights."""
-        img = self.act(lam, self.longest_index)
-        return tuple(-x for x in img)
+        return tuple(-x for x in self.act(lam, self.longest_index))
 
     # -- misc ----------------------------------------------------------------
 

@@ -90,11 +90,7 @@ def hecke_json(weyl: Weyl, h: HeckeElt) -> list:
 
 def hecke_text(weyl: Weyl, h: HeckeElt) -> str:
     items = sorted(h.items(), key=lambda wc: weyl.sort_key(wc[0]))
-    if not items:
-        return "0"
-    return "\n".join(
-        f"({c})  T_{element_text(weyl, w)}" for w, c in items
-    )
+    return "\n".join(f"({c})  T_{element_text(weyl, w)}" for w, c in items) or "0"
 
 
 def weight_text(lam) -> str:

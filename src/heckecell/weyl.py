@@ -34,7 +34,7 @@ class GroupElement:
 
     __slots__ = (
         "weyl", "finite", "translation",
-        "_len", "_wlen", "_shifts", "_word", "_gl", "_gr",
+        "_len", "_wlen", "_shifts", "_inv", "_word", "_gl", "_gr",
     )
 
     def __init__(self, weyl, finite, translation):
@@ -44,6 +44,7 @@ class GroupElement:
         self._len = None
         self._wlen = None
         self._shifts = None  # cache: Weyl.root_shifts
+        self._inv = None  # cache: Weyl.inverse
         self._word = None
         self._gl = None  # cache: generator/Pi products on the left
         self._gr = None  # cache: generator products on the right
@@ -142,10 +143,14 @@ class Weyl:
         return self.element(u, lam)
 
     def inverse(self, a: GroupElement) -> GroupElement:
-        ws = self.ws
-        ui = ws.w0_inv[a.finite]
-        lam = tuple(-x for x in ws.act(a.translation, ui))
-        return self.element(ui, lam)
+        """a^-1, kept on a and on a^-1 on first use (elements are interned)."""
+        inv = a._inv
+        if inv is None:
+            ws = self.ws
+            ui = ws.w0_inv[a.finite]
+            inv = a._inv = self.element(ui, tuple(-x for x in ws.act(a.translation, ui)))
+            inv._inv = a
+        return inv
 
     def gen_mul_left(self, i: int, w: GroupElement) -> GroupElement:
         """s_i * w through a per-element cache (elements are interned)."""

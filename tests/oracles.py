@@ -14,6 +14,10 @@ chain walk beyond bar_t and the group layer.
 The rational alcove walk (exact Fraction points) checks the integer root
 shifts and hyperplane weights of the group layer and rootdata, and the
 descent scan finite_descent checks the closed-form coset representatives.
+
+decompose_P_omega and phi_form are the whole-algebra routes that the X_0
+coset module replaced, and factorizations is the scan of z' over B_0 that
+the chamber of the alcove replaced; the tests compare both sides.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from heckecell.hecke import HeckeElt
-from heckecell.laurent import LaurentCombination, LaurentPoly, add_scaled
+from heckecell.laurent import LaurentCombination, LaurentPoly, add_scaled, peel
 
 _ZERO = LaurentPoly.zero()
 _ONE = LaurentPoly.one()
@@ -187,6 +191,50 @@ def decompose_P_omega(cs, omega, lam) -> dict:
         if g.finite != 0:
             raise AssertionError(f"KL term {w!r} is not of the form C_(p_alpha w_0 p_lam)")
         out[g.translation] = c.as_integer()
+    return out
+
+
+def phi_form(cs, z, zp) -> dict:
+    """CellularStructure.phi_form in the whole algebra: the product
+    C_{w_0 z^-1} C_{z' w_0} peeled against the P(tau) C_{w_0}, each built
+    as a product; every top must factor as (e, tau, e)."""
+    hecke, weyl, lowest = cs.hecke, cs.weyl, cs.lowest
+    w0 = weyl.longest_finite
+    e = weyl.identity
+    prod = hecke.mul(hecke.kl_basis(w0 * z.inverse()), hecke.kl_basis(zp * w0))
+    taus = {}
+
+    def expand(top):
+        [(z, tau, zp)] = factorizations(lowest, top)
+        if z != e or zp != e:
+            raise AssertionError(f"product left M_+ at {top!r}")
+        taus[top] = tau
+        return hecke.mul(lowest.p_element_tau(tau), hecke.kl_basis(w0))
+
+    return {taus[top]: c for top, c in peel(dict(prod.items()), expand).items()}
+
+
+def factorizations(lowest, w) -> list:
+    """Every (z, tau, z') with w = z p_tau w_0 z'^-1, all lengths additive,
+    by a scan of z' over all of B_0; z is the box element over the finite
+    part of x = w z' w_0."""
+    weyl, ws = lowest.weyl, lowest.ws
+    w0 = weyl.longest_finite
+    out = []
+    for zp in lowest.box_elements():
+        u = w * zp
+        if u.length() != w.length() - zp.length():
+            continue
+        x = u * w0
+        if x.length() != u.length() - w0.length() or not lowest.is_in_x0(x):
+            continue
+        z = weyl.box_over[x.finite]
+        mu = (z.inverse() * x).translation
+        if not ws.in_lattice(mu) or not ws.is_dominant(mu):
+            continue
+        if x.length() != z.length() + weyl.translation(mu).length():
+            continue
+        out.append((z, mu, zp))
     return out
 
 

@@ -73,22 +73,53 @@ def test_phi_reconstructs_product():
             assert HeckeElt(acc) == direct
 
 
-def test_phi_form_shares_one_right_factor_per_column():
-    # a column z' of the phi matrix builds one right multiplier by C_{z' w_0}
-    # (counted for z' != e: the images P(tau) C_{w_0} multiply by C_{w_0}
-    # too); the forms equal those of a fresh structure filled row by row
+def test_phi_form_runs_on_the_coset_module():
+    # phi_form stays on the X_0 module: no product in the whole algebra
+    # (Hecke.mul or a right multiplier) and no C_w built but C_{w_0}, which
+    # acts on the module; the forms, filled column by column, equal those
+    # of a fresh structure filled row by row
     cfg = ("C", 2, (3, 2, 1))
     cols, rows = make(cfg), make(cfg)
     hecke, weyl = cols.hecke, cols.weyl
     b0 = cols.lowest.box_elements()
-    factors = {id(hecke.kl_basis(zp * weyl.longest_finite)) for zp in b0 if zp != weyl.identity}
-    built = []
-    right_mul = hecke.right_mul
-    hecke.right_mul = lambda h2: built.append(id(h2) in factors) or right_mul(h2)
+    calls = []
+    for name in ("mul", "right_mul", "kl_basis"):
+        f = getattr(hecke, name)
+        setattr(hecke, name, lambda *args, _name=name, _f=f: calls.append((_name, args)) or _f(*args))
     by_column = {(z, zp): cols.phi_form(z, zp) for zp in b0 for z in b0}
-    assert sum(built) == len(b0) - 1
+    assert {name for name, _ in calls} == {"kl_basis"}
+    assert {args for _, args in calls} == {(weyl.longest_finite,)}
     pairs = list(zip(b0, rows.lowest.box_elements()))
     assert all(rows.phi_form(r, rp) == by_column[z, zp] for z, r in pairs for zp, rp in pairs)
+
+
+# every box pair (None), or a seeded sample of that many pairs
+PHI_ORACLE_CASES = [
+    (("A", 1, (1, 1)), None),
+    (("A", 1, (2, 1)), None),
+    (("A", 2, (1, 1, 1)), None),
+    (("C", 2, (1, 1, 1)), None),
+    (("C", 2, (2, 1, 1)), None),
+    (("C", 2, (3, 2, 1)), None),
+    (("A", 3, (1, 1, 1, 1)), 24),
+]
+
+
+@pytest.mark.parametrize(
+    "cfg,sample", PHI_ORACLE_CASES,
+    ids=[f"{t}{n}-{','.join(map(str, p))}" for (t, n, p), _ in PHI_ORACLE_CASES],
+)
+def test_phi_form_matches_the_whole_algebra(cfg, sample):
+    # the X_0 module route equals the product C_{w_0 z^-1} C_{z' w_0} of the
+    # whole algebra peeled against the products P(tau) C_{w_0}, on a
+    # structure of its own so no cache is shared
+    cs, ref = make(cfg), make(cfg)
+    b0, r0 = cs.lowest.box_elements(), ref.lowest.box_elements()
+    pairs = [(i, j) for i in range(len(b0)) for j in range(len(b0))]
+    if sample is not None:
+        pairs = random.Random(9).sample(pairs, sample)
+    for i, j in pairs:
+        assert dict(cs.phi_form(b0[i], b0[j]).items()) == oracles.phi_form(ref, r0[i], r0[j]), (i, j)
 
 
 def test_cellular_mul_support_shape():

@@ -1,14 +1,20 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import heckecell
 from heckecell.cli import main
 
 # stdout of `cellular-basis --type C --rank 2 --params P --length-bound 12
 # --output json`, keyed by P, as recorded before the sparse-algebra merge
 GOLDEN_C2 = json.loads(
     (pathlib.Path(__file__).parent / "golden_cellular_basis_c2.json").read_text())
+# stdout of `cellular-basis --type A --rank 3 --length-bound 6 --output json`
+GOLDEN_A3 = (pathlib.Path(__file__).parent / "golden_cellular_basis_a3.json").read_text()
 # stdout of `paths ARGS --witnesses --output json`, keyed by ARGS
 GOLDEN_PATHS = json.loads(
     (pathlib.Path(__file__).parent / "golden_paths.json").read_text())
@@ -178,6 +184,14 @@ def test_cellular_basis_c2_golden(capsys, params):
     assert out == json.dumps(GOLDEN_C2[params], indent=2, sort_keys=True) + "\n"
 
 
+def test_cellular_basis_a3_golden(capsys):
+    # phi on all 576 box pairs of A3 and the decompositions, byte for byte
+    code, out, _ = run(capsys, "cellular-basis", "--type", "A", "--rank", "3",
+                       "--length-bound", "6", "--output", "json")
+    assert code == 0
+    assert out == GOLDEN_A3
+
+
 @pytest.mark.parametrize("args", sorted(GOLDEN_PATHS))
 def test_paths_golden(capsys, args):
     # pins the orbit-driven profile and the witness listing, byte for byte
@@ -220,3 +234,54 @@ def test_verify_seed_rejected_for_unsampled_suites(capsys, suite):
     assert code == 2
     assert "--seed" in err and "degree-bounds" in err
     assert out == ""
+
+
+# the package's parent directory, so a child interpreter imports this tree
+SRC_ENV = {**os.environ, "PYTHONPATH": str(pathlib.Path(heckecell.__file__).parent.parent)}
+
+
+def test_closed_stdout_ends_quietly():
+    # `heckecell ... | head -1`: the reader goes away after one line, with
+    # most of the output unwritten; no traceback, and the exit code is the
+    # closed-stdout one, not 1 (a verification failure)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "heckecell.cli", "cellular-basis", "--type", "A", "--rank", "3",
+         "--length-bound", "6", "--output", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=SRC_ENV)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
+
+
+def test_stdout_closed_before_the_first_write():
+    # the reader is gone before the child starts, so even a short reply fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "heckecell.cli", "kl", "--w", "[1,2,1]"],
+            stdout=write_end, stderr=subprocess.PIPE, env=SRC_ENV, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def test_bound_exceeded_has_its_own_exit_code():
+    # no subcommand sets a bound yet, so the child makes one raise it
+    script = (
+        "import sys\n"
+        "from heckecell import cli\n"
+        "from heckecell.lowestcell import BoundExceeded\n"
+        "def over(args):\n"
+        "    raise BoundExceeded('element of length 9 exceeds bound 8')\n"
+        "cli.COMMANDS['kl'] = over\n"
+        "sys.exit(cli.main(['kl', '--w', '[]']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=SRC_ENV, timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr == b"error: element of length 9 exceeds bound 8\n"
+    assert proc.stdout == b""

@@ -116,9 +116,10 @@ def _count_multiplies(monkeypatch):
                                  ("C", 2, (1, 1, 1)), ("C", 2, (3, 2, 1))],
                          ids=["A2", "A3", "C2-1,1,1", "C2-3,2,1"])
 def test_factorization_is_memoized_per_element(monkeypatch, cfg):
-    # the first factorize or membership of w scans z' over all of B_0; every
-    # later call for w reads the kept result: no group multiply, the same
-    # CellFactorization object, and NotInLowestCell again for a non-member
+    # the first factorize or membership of w checks the one z' that the
+    # chamber of its alcove names; every later call for w reads the kept
+    # result: no group multiply, the same CellFactorization object, and
+    # NotInLowestCell again for a non-member
     lc = make(cfg)
     weyl, w0 = lc.weyl, lc.weyl.longest_finite
     members = [lc.assemble(z, (0,) * lc.ws.rank, zp)
@@ -147,6 +148,38 @@ def test_factorization_is_memoized_per_element(monkeypatch, cfg):
     assert lc.membership(fresh)
     assert lc.factorize(fresh) is lc.factorize(fresh) == (weyl.identity, omega, weyl.identity)
     assert scans == [fresh]
+
+
+# Every shipped weight system, with the length up to which the closed form
+# is compared with the scan of z' over B_0 on every element
+FACTOR_ORACLE_CASES = [
+    (("A", 1, (1, 1)), 16),
+    (("A", 1, (2, 1)), 16),
+    (("A", 2, (1, 1, 1)), 10),
+    (("A", 3, (1, 1, 1, 1)), 8),
+    (("C", 2, (1, 1, 1)), 12),
+    (("C", 2, (2, 1, 1)), 12),
+    (("C", 2, (3, 2, 1)), 12),
+]
+
+
+@pytest.mark.parametrize(
+    "cfg,bound", FACTOR_ORACLE_CASES,
+    ids=[f"{t}{n}-{','.join(map(str, p))}" for (t, n, p), _ in FACTOR_ORACLE_CASES],
+)
+def test_factorization_matches_the_b0_scan(cfg, bound):
+    # the z' read off the chamber of the alcove is the only one the scan
+    # over all of B_0 finds, members and non-members alike: the scan finds
+    # at most one, so the factorization is unique to this bound
+    lc = make(cfg)
+    els = list(lc.weyl.enumerate_elements(bound))
+    members = 0
+    for w in els:
+        scan = oracles.factorizations(lc, w)
+        assert len(scan) <= 1, (cfg, w, scan)
+        assert list(lc._factored(w)) == scan, (cfg, w)
+        members += bool(scan)
+    assert 0 < members < len(els), cfg
 
 
 def test_non_unique_factorization_raises_on_every_call(monkeypatch):

@@ -290,6 +290,32 @@ def test_root_shifts_are_read_once_per_element(cfg, bound, monkeypatch):
 
 
 @pytest.mark.parametrize("cfg,bound", ORACLE_CONFIGS)
+def test_inverse_is_kept_on_both_elements(cfg, bound, monkeypatch):
+    # the first inverse of w is kept on w and on w^-1: a second inverse, or
+    # the inverse of the inverse, acts on no weight and returns w itself.
+    # Only one element of each pair {w, w^-1} is asked first.
+    weyl = make(cfg)
+    ws = weyl.ws
+    els = list(weyl.enumerate_elements(bound - 2))
+    first = {}
+    for w in els:
+        if w not in first:
+            first[w] = weyl.inverse(w)
+            first.setdefault(first[w], w)
+    calls = []
+    act = ws.act
+    monkeypatch.setattr(ws, "act", lambda *args: calls.append(args) or act(*args))
+    for w in els:
+        assert w.inverse() is first[w] is weyl.inverse(w), (cfg, w)
+        assert w.inverse().inverse() is w, (cfg, w)
+    assert calls == [], cfg
+    monkeypatch.undo()
+    assert any(first[w] is not w for w in els), cfg
+    for w in els:
+        assert (w * first[w]) is weyl.identity is (first[w] * w), (cfg, w)
+
+
+@pytest.mark.parametrize("cfg,bound", ORACLE_CONFIGS)
 def test_seeded_round_trips_on_warm_elements(cfg, bound):
     # random words in every shipped weight system, with the per-element
     # caches (root shifts, reduced word, left products) filled first: the
