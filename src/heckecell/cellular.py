@@ -65,9 +65,11 @@ class CellularStructure:
         self.length_bound = length_bound
         self._phi_cache = {}
         self._phi_image_cache = {}
-        # Q_tau (on the X_0 module) by tau, and h -> h C_{w_0 z'^-1} by z'
+        # Q_tau (on the X_0 module) by tau, h -> h C_{w_0 z'^-1} by z', and
+        # C_{w_0} m_x by module basis element x
         self._q_cache = {(0,) * self.ws.rank: self.hecke.unit()}
         self._right = {}
+        self._w0_on = {}
 
     def _check_bound(self, w) -> None:
         if self.length_bound is not None and w.length() > self.length_bound:
@@ -80,7 +82,9 @@ class CellularStructure:
         """phi(v_z, v_{z'}): coefficients of C_{w_0 z^-1} C_{z' w_0} in the
         basis {Q_tau} of M_+.  On the X_0 module, P(z)^flat and then C_{w_0}
         act on P(z') (C_{w_0 z^-1} = C_{w_0} P(z)^flat), and the result is
-        peeled against the Q_tau, whose tops are the p_tau.  Both subscripts
+        peeled against the Q_tau, whose tops are the p_tau.  C_{w_0} acts
+        term by term, through C_{w_0} m_x kept per module basis element x
+        across all pairs.  Both subscripts
         are length-additive (z^-1 on the right of w_0, z' on the left), which
         keeps the product inside M_+, as the composition law needs.
         """
@@ -95,9 +99,15 @@ class CellularStructure:
             if total > self.length_bound:
                 raise BoundExceeded(
                     f"product support bound {total} exceeds {self.length_bound}")
-        m = lowest.p_element(zprime)
-        for h in (hecke.flat(lowest.p_element(z)), hecke.kl_basis(w0)):
-            m = hecke._acting_on(m, lowest._module_gen)(h)
+        m = hecke._acting_on(lowest.p_element(zprime), lowest._module_gen)(
+            hecke.flat(lowest.p_element(z)))
+        acc = {}
+        for x, c in m.items():
+            w0_m = self._w0_on.get(x)
+            if w0_m is None:
+                w0_m = self._w0_on[x] = hecke._acting_on(hecke.t(x), lowest._module_gen)(
+                    hecke.kl_basis(w0))
+            add_scaled(acc, c, w0_m.items())
 
         def q_top(x):
             if x.finite != 0:
@@ -105,7 +115,7 @@ class CellularStructure:
             return self._q_tau(x.translation)
 
         result = MonoidAlgebraElt(
-            {x.translation: c for x, c in peel(dict(m.items()), q_top).items()})
+            {x.translation: c for x, c in peel(acc, q_top).items()})
         self._phi_cache[key] = result
         return result
 

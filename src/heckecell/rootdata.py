@@ -189,7 +189,13 @@ class WeightSystem:
         )
 
     def _build_w0(self):
-        """Tabulate the finite Weyl group as integer matrices on P."""
+        """Tabulate the finite Weyl group as integer matrices on P.
+
+        The breadth-first search over words, which visits the elements in
+        index order, records each step u -> u s_i (one matrix product) and
+        the parent and last letter of each new element.  The multiplication
+        table is then filled from the steps, a b = (a parent(b)) s_last(b):
+        one lookup per entry, and no matrix product."""
         n = self.rank
         ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -203,17 +209,23 @@ class WeightSystem:
         mats = [ident]
         index = {ident: 0}
         words = {0: ()}
+        steps = []  # steps[u][i]: the index of u s_i
+        came = []  # (parent, last letter) of elements 1, 2, ...
         frontier = [0]
         while frontier:
             nxt = []
             for ui in frontier:
+                row = []
                 for i, sm in enumerate(simple_mats):
                     m = matmul(mats[ui], sm)
                     if m not in index:
                         index[m] = len(mats)
                         words[len(mats)] = words[ui] + (i,)
+                        came.append((ui, i))
                         nxt.append(len(mats))
                         mats.append(m)
+                    row.append(index[m])
+                steps.append(row)
             frontier = nxt
         size = len(mats)
 
@@ -221,10 +233,13 @@ class WeightSystem:
         self.w0_index = index
         self.w0_size = size
         self.w0_words = words  # a reduced word per element, in simple indices
-        self.w0_simple_index = tuple(index[m] for m in simple_mats)
-        self.w0_mult = [
-            [index[matmul(mats[a], mats[b])] for b in range(size)] for a in range(size)
-        ]
+        self.w0_simple_index = tuple(steps[0])
+        self.w0_mult = []
+        for a in range(size):
+            row = [a]
+            for p, i in came:
+                row.append(steps[row[p]][i])
+            self.w0_mult.append(row)
         self.w0_inv = [row.index(0) for row in self.w0_mult]
 
         # Signed action on positive roots: root_action[u][r] = (r', sign)

@@ -15,9 +15,19 @@ root, the strip between consecutive hyperplanes that holds the alcove of w,
 and length, weight, Pi and the separating hyperplanes are read from it.
 The shifts are computed once per element and kept on it, so every alcove
 predicate (here and in lowestcell) reads them without a fresh pairing.
+
+Left steps are closed form.  The alcove of s_i w lies next to that of w,
+across w's image of a wall of A_0, and pi w has the alcove of w.  One table
+per Weyl, indexed by (i, u in W_0), gives the finite part and translation
+offset of s_i w and the one root shift that moves, and by how much; a
+second gives pi w.  So gen_mul_left and pi_mul_left mint their products
+with shifts and length copied from w and no matrix-vector product, and
+the left descents of reduced_word and enumerate_elements are table reads.
 """
 
 from __future__ import annotations
+
+from operator import add
 
 from .rootdata import WeightSystem
 
@@ -34,7 +44,7 @@ class GroupElement:
 
     __slots__ = (
         "weyl", "finite", "translation",
-        "_len", "_wlen", "_shifts", "_inv", "_word", "_gl", "_gr",
+        "_len", "_wlen", "_shifts", "_inv", "_word", "_gl",
     )
 
     def __init__(self, weyl, finite, translation):
@@ -47,7 +57,6 @@ class GroupElement:
         self._inv = None  # cache: Weyl.inverse
         self._word = None
         self._gl = None  # cache: generator/Pi products on the left
-        self._gr = None  # cache: generator products on the right
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return self.weyl.multiply(self, other)
@@ -79,6 +88,7 @@ class Weyl:
         n = ws.rank
         zero = (0,) * n
         self.identity = GroupElement(self, 0, zero)
+        self.identity._word = (0, ())
         self._intern = {(0, zero): self.identity}
 
         # Generators indexed by the user labels 0..n.
@@ -89,8 +99,31 @@ class Weyl:
         gens[ws.affine_gen] = self.element(ws.w0_index[hcr.reflection_matrix()], hcr.vector)
         self.gens = tuple(gens)
 
+        # The left-step tables.  (i, u) -> (finite part of s_i w, act(t_i, u)
+        # or None for a finite generator, root r, delta): for w = (u, lam),
+        # s_i w = (finite, lam + offset) and its shifts are w's with entry r
+        # moved by delta; lam only moves the wall between them parallel to
+        # itself, so r and delta depend on u alone.  (pi index, u) ->
+        # (finite part of pi w, act(pi's translation, u)).
+        self._left = tuple(
+            tuple(self._left_entry(g, u) for u in range(ws.w0_size)) for g in self.gens)
         self._build_box()
+        self._pi_left = tuple(
+            tuple((ws.w0_mult[p.finite][u], ws.act(p.translation, u)) for u in range(ws.w0_size))
+            for p in self.pi_elements)
         self._leq_cache = {}
+
+    def _left_entry(self, g: GroupElement, u: int) -> tuple:
+        """The row of the left-step table for generator g at u, read off
+        w = (u, 0) and the generic product g w: the one root shift they do
+        not share."""
+        w = self.finite_element(u)
+        gw = self.multiply(g, w)
+        moved = [(r, b - a) for r, (a, b) in enumerate(
+            zip(self.root_shifts(w), self.root_shifts(gw))) if a != b]
+        if len(moved) != 1 or abs(moved[0][1]) != 1:
+            raise AssertionError(f"s w and w must lie across one wall, not {moved}")
+        return (gw.finite, gw.translation if any(g.translation) else None) + moved[0]
 
     # -- raw construction helpers -------------------------------------------
 
@@ -137,10 +170,7 @@ class Weyl:
             raise ValueError("elements belong to different weight systems")
         ws = self.ws
         u = ws.w0_mult[a.finite][b.finite]
-        lam = tuple(
-            x + y for x, y in zip(ws.act(a.translation, b.finite), b.translation)
-        )
-        return self.element(u, lam)
+        return self.element(u, tuple(map(add, ws.act(a.translation, b.finite), b.translation)))
 
     def inverse(self, a: GroupElement) -> GroupElement:
         """a^-1, kept on a and on a^-1 on first use (elements are interned)."""
@@ -153,34 +183,59 @@ class Weyl:
         return inv
 
     def gen_mul_left(self, i: int, w: GroupElement) -> GroupElement:
-        """s_i * w through a per-element cache (elements are interned)."""
+        """s_i * w through a per-element cache (elements are interned).  A
+        new product is read off the left-step table at w's finite part and
+        gets w's root shifts with entry r moved by delta, its length
+        l(w) +- 1, and the reverse link s_i (s_i w) = w."""
         d = w._gl
         if d is None:
             d = w._gl = {}
         g = d.get(i)
         if g is None:
-            g = d[i] = self.multiply(self.gens[i], w)
+            finite, offset, r, delta = self._left[i][w.finite]
+            lam = w.translation if offset is None else tuple(map(add, w.translation, offset))
+            shifts = self.root_shifts(w)
+            c = shifts[r]
+            g = d[i] = self._stepped(
+                w, i, finite, lam, shifts[:r] + (c + delta,) + shifts[r + 1:],
+                w.length() + abs(c + delta) - abs(c))
         return g
 
-    def gen_mul_right(self, w: GroupElement, i: int) -> GroupElement:
-        d = w._gr
-        if d is None:
-            d = w._gr = {}
-        g = d.get(i)
-        if g is None:
-            g = d[i] = self.multiply(w, self.gens[i])
+    def _stepped(self, w, back, finite, lam, shifts, length) -> GroupElement:
+        """(finite, lam), one left step from w, with its shifts, its length
+        and the link back to w, written with no lock: threads that race
+        store equal values."""
+        g = self.element(finite, lam)
+        if g._shifts is None:
+            g._shifts = shifts
+        g._len = length
+        if g._gl is None:
+            g._gl = {}
+        g._gl[back] = w
         return g
+
+    def is_left_descent(self, i: int, w: GroupElement) -> bool:
+        """l(s_i w) < l(w), read off the left-step table: the shift c that
+        s_i moves by delta shrinks, |c + delta| < |c|."""
+        _, _, r, delta = self._left[i][w.finite]
+        c = self.root_shifts(w)[r]
+        return abs(c + delta) < abs(c)
 
     def pi_mul_left(self, pi_idx: int, w: GroupElement) -> GroupElement:
         """pi_elements[pi_idx] * w, cached per element beside s_i * w; with
-        pi_idx = pi_inverse[k] it strips the Pi-part pi_k of w."""
+        pi_idx = pi_inverse[k] it strips the Pi-part pi_k of w.  A new
+        product is read off the Pi table and keeps w's root shifts and
+        length: pi fixes A_0, so pi w has the alcove of w."""
         d = w._gl
         if d is None:
             d = w._gl = {}
         key = -1 - pi_idx
         g = d.get(key)
         if g is None:
-            g = d[key] = self.multiply(self.pi_elements[pi_idx], w)
+            finite, offset = self._pi_left[pi_idx][w.finite]
+            g = d[key] = self._stepped(
+                w, -1 - self.pi_inverse[pi_idx], finite, tuple(map(add, w.translation, offset)),
+                self.root_shifts(w), w.length())
         return g
 
     def translation(self, lam) -> GroupElement:
@@ -250,30 +305,36 @@ class Weyl:
     def reduced_word(self, w: GroupElement):
         """(pi index, word): w = pi * s_{i_1} ... s_{i_k}, lexicographically
         smallest word, k = l(w).  The Pi-part is stripped by the cached
-        step pi_mul_left(pi_inverse[pi index], w), as in Hecke._left_chain."""
+        step pi_mul_left(pi_inverse[pi index], w), as in Hecke._left_chain.
+        Each letter is the first left descent, read off the left-step
+        table, so the only products are the steps along the word.  The walk
+        stops at the first element whose word is kept, and each element it
+        passed keeps the rest of the word, its own smallest word."""
         if w._word is not None:
             return w._word
         pi_idx = self.pi_index(w)
         cur = self.pi_mul_left(self.pi_inverse[pi_idx], w) if pi_idx else w
-        letters = []
-        clen = cur.length()
-        while clen > 0:
-            for i in range(self.ws.num_gens):
-                nxt = self.gen_mul_left(i, cur)
-                if nxt.length() < clen:
-                    letters.append(i)
-                    cur, clen = nxt, nxt.length()
-                    break
-            else:
+        gens = range(self.ws.num_gens)
+        path, letters = [], []
+        while cur._word is None:
+            i = next((i for i in gens if self.is_left_descent(i, cur)), None)
+            if i is None:
                 raise AssertionError("no descent found below nonzero length")
+            path.append(cur)
+            letters.append(i)
+            cur = self.gen_mul_left(i, cur)
+        letters += cur._word[1]
+        for j, x in enumerate(path):
+            x._word = (0, tuple(letters[j:]))
         w._word = (pi_idx, tuple(letters))
         return w._word
 
     def from_word(self, pi_idx: int, word) -> GroupElement:
-        g = self.pi_elements[pi_idx]
-        for i in word:
-            g = g * self.gens[i]
-        return g
+        """pi * s_{i_1} ... s_{i_k}, by left steps from the last letter."""
+        g = self.identity
+        for i in reversed(word):
+            g = self.gen_mul_left(i, g)
+        return self.pi_mul_left(pi_idx, g)
 
     def sort_key(self, w: GroupElement):
         pi_idx, word = self.reduced_word(w)
@@ -290,16 +351,15 @@ class Weyl:
         return self._leq(self.pi_mul_left(k, x), self.pi_mul_left(k, y))
 
     def _leq(self, x: GroupElement, y: GroupElement) -> bool:
-        """Walk down a right descent s of y (and of x, when x has it too)
-        until the pair is decided; every pair passed gets the verdict."""
+        """Walk down the first left descent s of y (and of x, when x has it
+        too) until the pair is decided; every pair passed gets the verdict."""
         cache = self._leq_cache
         passed = []
         while True:
             if x == y:
                 res = True
                 break
-            lx, ly = x.length(), y.length()
-            if lx >= ly:
+            if x.length() >= y.length():
                 res = False
                 break
             key = (x, y)
@@ -307,47 +367,44 @@ class Weyl:
             if res is not None:
                 break
             passed.append(key)
-            for i in range(self.ws.num_gens):
-                ys = self.gen_mul_right(y, i)
-                if ys.length() < ly:
-                    xs = self.gen_mul_right(x, i)
-                    if xs.length() < lx:
-                        x = xs
-                    y = ys
-                    break
-            else:
-                raise AssertionError("no right descent found below nonzero length")
+            i = self.reduced_word(y)[1][0]
+            if self.is_left_descent(i, x):
+                x = self.gen_mul_left(i, x)
+            y = self.gen_mul_left(i, y)
         for key in passed:
             cache[key] = res
         return res
 
     def bruhat_interval(self, w: GroupElement):
-        """All y <= w, via subword products of one reduced word of w."""
+        """All y <= w, via subword products of one reduced word of w, built
+        by left steps from its last letter."""
         pi_idx, word = self.reduced_word(w)
-        pi = self.pi_elements[pi_idx]
         layer = {self.identity}
-        for i in word:
-            layer |= {self.gen_mul_right(g, i) for g in layer}
-        return {pi * g for g in layer}
+        for i in reversed(word):
+            layer |= {self.gen_mul_left(i, g) for g in layer}
+        return {self.pi_mul_left(pi_idx, g) for g in layer}
 
     # -- enumeration ---------------------------------------------------------------
 
     def enumerate_elements(self, bound: int):
-        """All w with l(w) <= bound, each once, sorted by (length, word, Pi)."""
+        """All w with l(w) <= bound, each once, sorted by (length, word, Pi).
+        Only the ascents, read off the left-step table, are multiplied."""
         if bound < 0:
             raise ValueError("bound must be >= 0")
         seen = {self.identity}
         frontier = [self.identity]
-        for target in range(1, bound + 1):
+        gens = range(self.ws.num_gens)
+        for _ in range(bound):
             nxt = []
             for w in frontier:
-                for i in range(self.ws.num_gens):
-                    g = self.gen_mul_left(i, w)
-                    if g.length() == target and g not in seen:
-                        seen.add(g)
-                        nxt.append(g)
+                for i in gens:
+                    if not self.is_left_descent(i, w):
+                        g = self.gen_mul_left(i, w)
+                        if g not in seen:
+                            seen.add(g)
+                            nxt.append(g)
             frontier = nxt
-        out = [pi * w for w in seen for pi in self.pi_elements]
+        out = [self.pi_mul_left(k, w) for w in seen for k in range(len(self.pi_elements))]
         out.sort(key=self.sort_key)
         for w in out:
             yield w

@@ -268,7 +268,7 @@ def right_coset_part(lowest, w):
     v = weyl.identity
     while (i := finite_descent(weyl, w, "left")) is not None:
         w = weyl.gen_mul_left(i, w)
-        v = weyl.gen_mul_right(v, i)
+        v = v * weyl.gens[i]
     return w, v
 
 
@@ -277,7 +277,7 @@ def finite_descent(weyl, w, side):
     or l(ws) < l(w) (side "right"), or None: w is minimal in W_0 w, or in
     w W_0, exactly when there is none."""
     for i in weyl.ws.simple_to_gen:
-        g = weyl.gen_mul_left(i, w) if side == "left" else weyl.gen_mul_right(w, i)
+        g = weyl.gen_mul_left(i, w) if side == "left" else w * weyl.gens[i]
         if g.length() < w.length():
             return i
     return None

@@ -89,6 +89,8 @@ def test_phi_form_runs_on_the_coset_module():
     by_column = {(z, zp): cols.phi_form(z, zp) for zp in b0 for z in b0}
     assert {name for name, _ in calls} == {"kl_basis"}
     assert {args for _, args in calls} == {(weyl.longest_finite,)}
+    # C_{w_0} acts once per module basis element, however many pairs meet it
+    assert len(calls) == len(cols._w0_on) < len(by_column), (len(calls), len(by_column))
     pairs = list(zip(b0, rows.lowest.box_elements()))
     assert all(rows.phi_form(r, rp) == by_column[z, zp] for z, r in pairs for zp, rp in pairs)
 

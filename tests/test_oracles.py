@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import oracles
@@ -47,3 +49,34 @@ def test_chain_engine_matches_bar_solve(cfg, bound):
             assert hecke.flat(p) == oracles.p_element_right(lowest, w.inverse())
             reps += 1
     assert reps > 1
+
+
+# The verify sweep bounds, with A1 (2,1) at the A1 bound and A3 at the bound
+# to which test_a3 compares every element: the sweep below starts past them.
+SWEEP_BOUNDS = list(KL_AXIOM_CONFIGS) + [(("A", 1, (2, 1)), 8), (("A", 3, (1, 1, 1, 1)), 6)]
+
+
+@pytest.mark.parametrize(
+    "cfg,bound", SWEEP_BOUNDS,
+    ids=[f"{t}{n}-{','.join(map(str, p))}-l{b}" for (t, n, p), b in SWEEP_BOUNDS])
+def test_kl_axioms_past_the_sweep_bounds(cfg, bound):
+    # seeded random elements 1 to 6 lengths past the sweep bound, each
+    # reached from a random Pi by random left ascents: C_w is the bar
+    # solve's element, bar-invariant, T_w plus q^-1 Z[q^-1] terms, and
+    # flat(C_w) = C_{w^-1}
+    hecke = Hecke(Weyl(WeightSystem(*cfg)))
+    weyl = hecke.weyl
+    gens = range(weyl.ws.num_gens)
+    rng = random.Random(22)
+    for _ in range(6):
+        w = rng.choice(weyl.pi_elements)
+        for _ in range(bound + rng.randint(1, 6)):
+            ascents = [i for i in gens if not weyl.is_left_descent(i, w)]
+            w = weyl.gen_mul_left(rng.choice(ascents), w)
+        assert w.length() > bound
+        cw = hecke.kl_basis(w)
+        assert cw == oracles.kl_basis(hecke, w), (cfg, w)
+        assert hecke.bar(cw) == cw, (cfg, w)
+        assert cw.coeff(w) == LaurentPoly.one(), (cfg, w)
+        assert all(c.in_strictly_negative() for y, c in cw.items() if y is not w), (cfg, w)
+        assert hecke.flat(cw) == hecke.kl_basis(w.inverse()), (cfg, w)

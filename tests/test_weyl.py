@@ -1,4 +1,5 @@
 import random
+import sys
 import threading
 from itertools import product
 
@@ -347,6 +348,89 @@ def test_seeded_round_trips_on_warm_elements(cfg, bound):
         assert len(word) == w.length() == sum(map(abs, weyl.root_shifts(w))), (cfg, w)
 
 
+def _fresh_shifts(weyl, g):
+    # the definition by pairing, not the shifts kept on g
+    ws = weyl.ws
+    signs = ws.w0_root_action[ws.w0_inv[g.finite]]
+    return tuple(ws.pairing(g.translation, r) - (signs[r.index][1] < 0) for r in ws.positive_roots)
+
+
+@pytest.mark.parametrize("cfg,bound", ORACLE_CONFIGS)
+def test_left_steps_match_the_generic_product(cfg, bound):
+    # every left step read off the table is the generic product, with the
+    # shifts and length of a fresh pairing, and the table's descent flag is
+    # the length comparison
+    weyl = make(cfg)
+    els = list(weyl.enumerate_elements(bound))
+    fresh = {}
+
+    def shifts(g):
+        if g not in fresh:
+            fresh[g] = _fresh_shifts(weyl, g)
+        return fresh[g]
+
+    for w in els:
+        for i, s in enumerate(weyl.gens):
+            g = weyl.gen_mul_left(i, w)
+            assert g is weyl.multiply(s, w), (cfg, w, i)
+            assert g._shifts == shifts(g) and g._len == sum(map(abs, shifts(g))), (cfg, w, i)
+            assert weyl.gen_mul_left(i, g) is w, (cfg, w, i)
+            assert weyl.is_left_descent(i, w) == (
+                sum(map(abs, shifts(g))) < sum(map(abs, shifts(w)))), (cfg, w, i)
+        for k, pi in enumerate(weyl.pi_elements):
+            g = weyl.pi_mul_left(k, w)
+            assert g is weyl.multiply(pi, w), (cfg, w, k)
+            assert g._shifts == shifts(g) == shifts(w) and g._len == w.length(), (cfg, w, k)
+            assert weyl.pi_mul_left(weyl.pi_inverse[k], g) is w, (cfg, w, k)
+
+
+@pytest.mark.parametrize("cfg,bound", ORACLE_CONFIGS)
+def test_enumeration_makes_no_pairing_or_action(cfg, bound, monkeypatch):
+    # once the tables are built, enumeration and the reduced words of its
+    # sort read every step, shift and descent off them
+    weyl = make(cfg)
+    ws = weyl.ws
+    calls = []
+    for name in ("pairing", "act"):
+        f = getattr(ws, name)
+        monkeypatch.setattr(ws, name, lambda *args, _f=f, _n=name: calls.append(_n) or _f(*args))
+    els = list(weyl.enumerate_elements(bound))
+    assert calls == [], (cfg, len(calls))
+    monkeypatch.undo()
+    assert len(els) > len(weyl.pi_elements), cfg
+
+
+def _matmul(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+@pytest.mark.parametrize("cfg,bound", ORACLE_CONFIGS)
+def test_w0_tables_equal_the_matrix_products(cfg, bound):
+    # the W_0 tables filled from the search's steps are those of the
+    # matrix products: mult, inverse, reduced words and the longest element
+    ws = WeightSystem(*cfg)
+    mats, size = ws.w0_mats, ws.w0_size
+    ident = mats[0]
+    simple = [r.reflection_matrix() for r in ws.simple_roots]
+    assert ws.w0_simple_index == tuple(ws.w0_index[m] for m in simple), cfg
+    for a in range(size):
+        assert ws.w0_mult[a] == [ws.w0_index[_matmul(mats[a], mats[b])] for b in range(size)], cfg
+        assert _matmul(mats[a], mats[ws.w0_inv[a]]) == ident, cfg
+    lengths = []
+    for u in range(size):
+        prod = ident
+        for i in ws.w0_words[u]:
+            prod = _matmul(prod, simple[i])
+        assert prod == mats[u], (cfg, u)
+        negated = sum(ws.act(r.vector, u) not in {r2.vector for r2 in ws.positive_roots}
+                      for r in ws.positive_roots)
+        assert len(ws.w0_words[u]) == negated, (cfg, u)
+        lengths.append(negated)
+    assert sorted(ws.w0_words) == list(range(size)), cfg
+    assert lengths.count(len(ws.positive_roots)) == 1, cfg
+    assert lengths[ws.longest_index] == len(ws.positive_roots), cfg
+
+
 def test_separating_hyperplanes():
     e = WA2.identity
     assert WA2.separating_hyperplanes(e, e) == set()
@@ -482,7 +566,9 @@ def test_interning_is_atomic_across_threads():
     # two objects for one normal form would split one Hecke term into two
     # keys.  The intern table below holds every thread that misses until
     # all of them have missed the same key, so each new element is minted
-    # by all threads at once; they must still share one object.
+    # by all threads at once; they must still share one object.  The
+    # shifts, lengths and left-step links that the threads write with no
+    # lock must still be those of the generic product.
     nthreads = 8
     barrier = threading.Barrier(nthreads)
 
@@ -507,10 +593,15 @@ def test_interning_is_atomic_across_threads():
         results[t] = out
 
     threads = [threading.Thread(target=mint, args=(t,)) for t in range(nthreads)]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join(timeout=60)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     first = results[0]
     assert first is not None and len(weyl._intern) > 20
@@ -519,6 +610,10 @@ def test_interning_is_atomic_across_threads():
         assert all(a is b for a, b in zip(first, out))
     for g in first:
         assert weyl.element(g.finite, g.translation) is g
+        assert g._shifts in (None, _fresh_shifts(weyl, g))
+        assert g._len in (None, sum(map(abs, _fresh_shifts(weyl, g))))
+        for key, h in (g._gl or {}).items():
+            assert h is (weyl.gens[key] if key >= 0 else weyl.pi_elements[-1 - key]) * g
 
 
 @pytest.mark.parametrize("cfg", [("A", 2, (1, 1, 1)), ("C", 2, (2, 1, 1))])
