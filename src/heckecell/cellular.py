@@ -10,9 +10,10 @@ of them times flat P(z').  MonoidAlgebraElt holds elements of A[P+]; their
 product e^tau e^sigma = e^(tau + sigma) is taken inline in cellular_mul.
 
 phi, the images and the KL decompositions run on the X_0 coset module of
-lowestcell, about |W_0| times smaller than the algebra: C_{x w_0} =
-P(x) C_{w_0} for x in X_0 (Deodhar 1987).  An image leaves the module only
-for its last factor, C_{w_0} P(z')^flat.
+lowestcell (LowestCell.act), about |W_0| times smaller than the algebra:
+C_{x w_0} = P(x) C_{w_0} for x in X_0 (Deodhar 1987).  An image leaves the
+module only for its last factor, C_{w_0} P(z')^flat.  A KL decomposition is
+one peel of a module element against the P(x'): of Q_tau for P(tau).
 
 All universally quantified claims are exposed as bounded sweeps; callers
 name the length bound and the sweep is exact within it.
@@ -20,10 +21,10 @@ name the length bound and the sweep is exact within it.
 Index conventions.  The product P(tau) C_{w_0} decomposes over the
 Kazhdan-Lusztig elements C_{p_tau' w_0} with tau' dominant; profiles are
 keyed by -tau', which is what matches the antidominant path model in type
-A.  In the per-factor decomposition P(omega) C_{w_0 p_lam} the computed
-keys alpha (from terms C_{p_alpha w_0 p_lam}) satisfy lam - nu(alpha)
-antidominant; the involution nu enters because p_alpha w_0 p_lam =
-p_{alpha + lam.w_0} w_0.
+A.  In the per-factor decomposition P(omega) C_{w_0 p_lam} the keys alpha
+(from terms C_{p_alpha w_0 p_lam}) satisfy lam - nu(alpha) antidominant;
+the involution nu enters because p_alpha w_0 p_lam = p_{alpha - nu(lam)} w_0,
+so the term C_{p_tau' w_0} has alpha = tau' + nu(lam).
 """
 
 from __future__ import annotations
@@ -71,10 +72,10 @@ class CellularStructure:
         self._right = {}
         self._w0_on = {}
 
-    def _check_bound(self, w) -> None:
-        if self.length_bound is not None and w.length() > self.length_bound:
+    def _check_bound(self, length: int) -> None:
+        if self.length_bound is not None and length > self.length_bound:
             raise BoundExceeded(
-                f"element of length {w.length()} exceeds bound {self.length_bound}")
+                f"element of length {length} exceeds bound {self.length_bound}")
 
     # -- the bilinear form ------------------------------------------------------
 
@@ -99,14 +100,12 @@ class CellularStructure:
             if total > self.length_bound:
                 raise BoundExceeded(
                     f"product support bound {total} exceeds {self.length_bound}")
-        m = hecke._acting_on(lowest.p_element(zprime), lowest._module_gen)(
-            hecke.flat(lowest.p_element(z)))
+        m = lowest.act(hecke.flat(lowest.p_element(z)), lowest.p_element(zprime))
         acc = {}
         for x, c in m.items():
             w0_m = self._w0_on.get(x)
             if w0_m is None:
-                w0_m = self._w0_on[x] = hecke._acting_on(hecke.t(x), lowest._module_gen)(
-                    hecke.kl_basis(w0))
+                w0_m = self._w0_on[x] = lowest.act(hecke.kl_basis(w0), hecke.t(x))
             add_scaled(acc, c, w0_m.items())
 
         def q_top(x):
@@ -122,16 +121,19 @@ class CellularStructure:
     def _q_tau(self, tau) -> HeckeElt:
         """Q_tau on the X_0 module, cached: the factors P(omega_i) of
         p_element_tau act on m_e, the last first, so Q_tau =
-        P(omega_i) Q_{tau - omega_i} for the first i in tau."""
-        hit = self._q_cache.get(tau)
-        if hit is None:
-            ws, lowest = self.ws, self.lowest
-            if not (ws.in_lattice(tau) and ws.is_dominant(tau)):
-                raise ValueError(f"{tau} is not a dominant L-weight")
+        P(omega_i) Q_{tau - omega_i} for the first i in tau.  A loop walks
+        down to the longest cached suffix and builds up from there."""
+        cache, ws, lowest = self._q_cache, self.ws, self.lowest
+        if tau not in cache and not (ws.in_lattice(tau) and ws.is_dominant(tau)):
+            raise ValueError(f"{tau} is not a dominant L-weight")
+        todo = []
+        while tau not in cache:
             fw = next(fw for fw, t in zip(ws.fundamental_weights, tau) if t)
-            rest = self._q_tau(tuple(a - b for a, b in zip(tau, fw)))
-            hit = self._q_cache[tau] = self.hecke._acting_on(
-                rest, lowest._module_gen)(lowest.p_element_omega(fw))
+            todo.append((tau, fw))
+            tau = tuple(a - b for a, b in zip(tau, fw))
+        hit = cache[tau]
+        for tau, fw in reversed(todo):
+            hit = cache[tau] = lowest.act(lowest.p_element_omega(fw), hit)
         return hit
 
     # -- the twisted product and the isomorphism ------------------------------------
@@ -152,7 +154,7 @@ class CellularStructure:
         hit = self._phi_image_cache.get(key)
         if hit is None:
             hecke, lowest = self.hecke, self.lowest
-            u = hecke._acting_on(self._q_tau(key[1]), lowest._module_gen)(lowest.p_element(z))
+            u = lowest.act(lowest.p_element(z), self._q_tau(key[1]))
             times = self._right.get(zprime)
             if times is None:
                 if not lowest.in_box(zprime):
@@ -236,64 +238,54 @@ class CellularStructure:
 
     # -- decomposition in the KL basis -----------------------------------------------
 
+    def _kl_coordinates(self, m: HeckeElt, lead) -> dict:
+        """tau' -> a_tau' with m = sum a_tau' C_{p_tau' w_0}, for m on the
+        X_0 module: m is peeled against the P(x'), each standing for
+        C_{x' w_0}.  Every top must be a translation p_tau' and every
+        coefficient an integer, and the one at tau' = lead must be 1."""
+        out = {}
+        for x, c in peel(dict(m.items()), self.lowest._p_from).items():
+            if x.finite != 0:
+                raise AssertionError(f"unexpected KL term C_{{{x!r} w_0}}")
+            if not c.is_integer():
+                raise AssertionError(f"non-integer coefficient {c} at C_{{{x!r} w_0}}")
+            out[x.translation] = c.as_integer()
+        if out.get(lead) != 1:
+            raise AssertionError(
+                f"leading coefficient at C_{{p_{lead} w_0}} is {out.get(lead)}, not 1")
+        return out
+
     def decompose_P_omega(self, omega, lam) -> dict:
         """Coefficients a_alpha of P(omega) C_{w_0 p_lam} over the
         C_{p_alpha w_0 p_lam}; the leading alpha = omega has coefficient 1
         and every coefficient is an integer.
 
-        On the X_0 module: w_0 p_lam = x w_0 with x = w_0 p_lam w_0 in X_0,
-        P(omega) acts on P(x), and the product is peeled against the P(x'),
-        each standing for C_{x' w_0}."""
+        On the X_0 module: w_0 p_lam = x w_0 with x = w_0 p_lam w_0 =
+        p_{-nu(lam)} in X_0, and P(omega) acts on P(x).  Each term
+        C_{p_tau' w_0} of the product has alpha = tau' + nu(lam)."""
         ws, weyl, lowest = self.ws, self.weyl, self.lowest
         lam = ws.check_lattice(lam)
         if not ws.is_antidominant(lam):
             raise ValueError(f"{lam} is not antidominant")
-        w0 = weyl.longest_finite
-        base = w0 * weyl.translation(lam)
-        self._check_bound(weyl.translation(tuple(omega)) * base)
-        act = self.hecke._acting_on(lowest._p_from(base * w0), lowest._module_gen)
-        coords = peel(dict(act(lowest.p_element_omega(omega)).items()), lowest._p_from)
-        out = {}
-        shift = w0 * weyl.translation(tuple(-a for a in lam)) * w0
-        for x, c in coords.items():
-            g = x * shift
-            if g.finite != 0:
-                raise AssertionError(
-                    f"unexpected KL term C_{{{x!r} w_0}} in P(omega)C_{{w_0 p_lam}}")
-            if not c.is_integer():
-                raise AssertionError(f"non-integer coefficient {c} at C_{{{x!r} w_0}}")
-            out[g.translation] = c.as_integer()
-        if out.get(tuple(omega)) != 1:
-            raise AssertionError(
-                f"leading coefficient of P(omega)C_{{w_0 p_lam}} at alpha = omega is "
-                f"{out.get(tuple(omega))}, not 1")
-        return out
+        nu = ws.nu(lam)
+        lead = tuple(a - b for a, b in zip(omega, nu))
+        self._check_bound(weyl.translation(lead).length() + weyl.longest_finite.length())
+        m = lowest.act(lowest.p_element_omega(omega),
+                       lowest._p_from(weyl.translation(tuple(-a for a in nu))))
+        return {tuple(a + b for a, b in zip(tp, nu)): c
+                for tp, c in self._kl_coordinates(m, lead).items()}
 
     def decompose_P_tau(self, tau) -> dict:
-        """Integer profile of P(tau) C_{w_0} over the KL basis of M_+.
-
-        Keys are lam = -tau' for the terms C_{p_tau' w_0}; the iteration
-        applies decompose_P_omega factor by factor.
-        """
-        ws = self.ws
+        """Integer profile of P(tau) C_{w_0} over the KL basis of M_+: the KL
+        coordinates of Q_tau, keyed by lam = -tau' for the terms
+        C_{p_tau' w_0}; the leading lam = -tau has coefficient 1."""
+        ws, weyl = self.ws, self.weyl
         tau = ws.check_lattice(tau)
         if not ws.is_dominant(tau):
             raise ValueError(f"{tau} is not dominant")
-        self._check_bound(self.weyl.translation(tau) * self.weyl.longest_finite)
-        profile = {(0,) * ws.rank: 1}  # keyed by dominant tau' during iteration
-        for i, fw in enumerate(ws.fundamental_weights):
-            for _ in range(tau[i] // ws.b[i]):
-                nxt = {}
-                for tp, mult in profile.items():
-                    lam_lit = tuple(-x for x in ws.nu(tp))
-                    fam = self.decompose_P_omega(fw, lam_lit)
-                    for alpha, a in fam.items():
-                        key = tuple(x + y for x, y in zip(tp, alpha))
-                        if not ws.is_dominant(key):
-                            raise AssertionError(f"profile left the dominant cone at {key}")
-                        nxt[key] = nxt.get(key, 0) + mult * a
-                profile = {k: v for k, v in nxt.items() if v}
-        return {tuple(-x for x in k): v for k, v in profile.items()}
+        self._check_bound(weyl.translation(tau).length() + weyl.longest_finite.length())
+        return {tuple(-a for a in tp): c
+                for tp, c in self._kl_coordinates(self._q_tau(tau), tau).items()}
 
     # -- interval geometry for the reduction ------------------------------------------
 

@@ -1,7 +1,8 @@
 """Batch front door: subcommands over one configured weight system.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
-or parse error, 3 BoundExceeded, 141 stdout closed early (128 + SIGPIPE).
+or parse error, 3 BoundExceeded (a length bound, or `paths --witnesses` with
+more than MAX_WITNESSES paths), 141 stdout closed early (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from . import paths, serialize, verification
 USAGE_ERROR = 2
 BOUND_EXCEEDED = 3
 CLOSED_STDOUT = 141
+MAX_WITNESSES = 10 ** 5
 
 
 def _add_weights(p):
@@ -158,8 +160,9 @@ def cmd_paths(args) -> int:
     if ws.cartan_type != "A":
         raise ValueError("path profiles are a type-A feature")
     m = paths.PathType(args.m)
-    m.validate(ws)
     profile = paths.full_profile(ws, m)
+    if args.witnesses and sum(profile.values()) > MAX_WITNESSES:
+        raise BoundExceeded(f"more than {MAX_WITNESSES} paths to list")
     payload = {
         "m": list(m.steps),
         "profile": {

@@ -13,15 +13,16 @@ factorization or a P-element lookup makes no fresh pairing for an element
 seen before.  Factorization reads z' off the chamber that holds the alcove
 of w and z off the finite part of x = z p_tau, and checks that one
 candidate; that no other z' of B_0 factors w is checked by the oracle test.
-The result is kept, so a repeated factorize or membership test makes no
-group multiply.
+The result, a CellFactorization or None, is kept, so a repeated factorize
+or membership test makes no group multiply.
 
 Relative KL polynomials live on the module with basis m_x = T_x C_{w_0 y},
 x in the minimal coset representatives X_0.  T_s acts by three cases:
 m_{sx} + xi_s m_x when sx < x; m_{sx} when sx > x is in X_0; else sx = x t
 with t in W_0 and T_t C_{w_0 y} = q^{L(s)} C_{w_0 y}, so q^{L(s)} m_x.  The
 P(x) are built along x's chain from P(e) = m_e by the Hecke layer's KL link
-(the parabolic descent recursion, Deodhar 1987).  No C_{w_0 y} is expanded
+(the parabolic descent recursion, Deodhar 1987), and act(h, m) lets any h
+act on a module element m by the same chain walker.  No C_{w_0 y} is expanded
 and no y enters, which is what makes the y-independence meaningful to test.
 """
 
@@ -93,42 +94,36 @@ class LowestCell:
 
     # -- membership and factorization ----------------------------------------------
 
-    def _factored(self, w: GroupElement) -> tuple:
-        """_factorizations(w), memoized per element (elements are interned),
-        so membership and factorize check w once."""
-        found = self._factor_cache.get(w)
-        if found is None:
-            found = self._factor_cache.setdefault(w, tuple(self._factorizations(w)))
-        return found
-
-    def _factorizations(self, w: GroupElement):
-        """The (z, tau, z') for w, none or one: z' is read off the chamber
-        that holds the alcove of w, and z off the finite part of x = w z' w_0.
-        Then w = z p_tau w_0 z'^-1, and it is the factorization when x is
-        in X_0, tau is dominant and the four lengths add up to l(w)."""
+    def _factor(self, w: GroupElement):
+        """The CellFactorization of w, or None, kept per element (elements
+        are interned), so membership and factorize check w once.  z' is read
+        off the chamber that holds the alcove of w, and z off the finite part
+        of x = w z' w_0.  Then w = z p_tau w_0 z'^-1, and it is the
+        factorization when x is in X_0, tau is dominant and the four lengths
+        add up to l(w)."""
+        cache = self._factor_cache
+        if w in cache:
+            return cache[w]
         weyl, ws = self.weyl, self.ws
         w0 = weyl.longest_finite
         zp = self._zp_by_chamber[tuple(c >= 0 for c in weyl.root_shifts(w))]
         x = w * zp * w0
         z = weyl.box_over[x.finite]
         mu = (weyl.inverse(z) * x).translation
-        if self.is_in_x0(x) and ws.in_lattice(mu) and ws.is_dominant(mu) and w.length() == (
-                z.length() + weyl.translation(mu).length() + w0.length() + zp.length()):
-            return [CellFactorization(z, mu, zp)]
-        return []
+        ok = self.is_in_x0(x) and ws.in_lattice(mu) and ws.is_dominant(mu) and w.length() == (
+            z.length() + weyl.translation(mu).length() + w0.length() + zp.length())
+        return cache.setdefault(w, CellFactorization(z, mu, zp) if ok else None)
 
     def membership(self, w: GroupElement) -> bool:
-        return bool(self._factored(w))
+        return self._factor(w) is not None
 
     def factorize(self, w: GroupElement) -> CellFactorization:
         """The unique (z, tau, z') with w = z . p_tau . w_0 . z'^-1 additive;
         the same object on every call for w."""
-        found = self._factored(w)
-        if not found:
+        found = self._factor(w)
+        if found is None:
             raise NotInLowestCell(f"{w!r} is not in the lowest two-sided cell")
-        if len(found) > 1:
-            raise AssertionError(f"factorization of {w!r} is not unique: {found}")
-        return found[0]
+        return found
 
     def assemble(self, z: GroupElement, tau, zprime: GroupElement) -> GroupElement:
         weyl = self.weyl
@@ -173,6 +168,11 @@ class LowestCell:
                 d[x] = c * q_s
         add_scaled(d, self.hecke.xi[i], down)
         return h._new(d)
+
+    def act(self, h: HeckeElt, m: HeckeElt) -> HeckeElt:
+        """h . m for a module element m: T_x m is built along x's chain by
+        the generator step for every x in the support of h."""
+        return self.hecke._acting_on(m, self._module_gen)(h)
 
     # -- the P elements -------------------------------------------------------------
 

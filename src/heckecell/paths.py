@@ -59,25 +59,24 @@ def full_profile(ws: WeightSystem, m: PathType) -> dict:
 
 def enumerate_paths(ws: WeightSystem, m: PathType, gamma=None):
     """Explicit step sequences (brute force); the independent oracle for
-    the dynamic program, and the witness generator for listings."""
+    the dynamic program, and the witness generator for listings.  A
+    depth-first walk on an explicit stack, in orbit order at every step,
+    so a path type of any length stays off the call stack."""
     m.validate(ws)
     orbits = _orbits(ws)
     gamma = tuple(gamma) if gamma is not None else None
     out = []
-
-    def walk(pos, x, acc):
-        if pos == len(m.steps):
+    todo = [((0,) * ws.rank, ())]
+    while todo:
+        x, acc = todo.pop()
+        if len(acc) == len(m.steps):
             if gamma is None or x == gamma:
-                out.append(tuple(acc))
-            return
-        for rho in orbits[m.steps[pos] - 1]:
+                out.append(acc)
+            continue
+        for rho in reversed(orbits[m.steps[len(acc)] - 1]):
             y = tuple(a - b for a, b in zip(x, rho))
             if ws.is_antidominant(y):
-                acc.append(rho)
-                walk(pos + 1, y, acc)
-                acc.pop()
-
-    walk(0, (0,) * ws.rank, [])
+                todo.append((y, acc + (rho,)))
     return out
 
 

@@ -16,8 +16,9 @@ shifts and hyperplane weights of the group layer and rootdata, and the
 descent scan finite_descent checks the closed-form coset representatives.
 
 decompose_P_omega and phi_form are the whole-algebra routes that the X_0
-coset module replaced, and factorizations is the scan of z' over B_0 that
-the chamber of the alcove replaced; the tests compare both sides.
+coset module replaced, decompose_P_tau is the factor-by-factor route that
+the peel of Q_tau replaced, and factorizations is the scan of z' over B_0
+that the chamber of the alcove replaced; the tests compare both sides.
 """
 
 from __future__ import annotations
@@ -192,6 +193,26 @@ def decompose_P_omega(cs, omega, lam) -> dict:
             raise AssertionError(f"KL term {w!r} is not of the form C_(p_alpha w_0 p_lam)")
         out[g.translation] = c.as_integer()
     return out
+
+
+def decompose_P_tau(cs, tau) -> dict:
+    """CellularStructure.decompose_P_tau factor by factor: starting from
+    C_{w_0}, each factor P(omega) of P(tau) acts on every term C_{p_tau' w_0}
+    through the library's decompose_P_omega at lam = -nu(tau'), whose keys
+    alpha give the terms C_{p_{tau' + alpha} w_0}.  Keyed by -tau'."""
+    ws = cs.ws
+    profile = {(0,) * ws.rank: 1}  # keyed by dominant tau'
+    for i, fw in enumerate(ws.fundamental_weights):
+        for _ in range(tau[i] // ws.b[i]):
+            nxt = {}
+            for tp, mult in profile.items():
+                for alpha, a in cs.decompose_P_omega(fw, tuple(-x for x in ws.nu(tp))).items():
+                    key = tuple(x + y for x, y in zip(tp, alpha))
+                    if not ws.is_dominant(key):
+                        raise AssertionError(f"profile left the dominant cone at {key}")
+                    nxt[key] = nxt.get(key, 0) + mult * a
+            profile = {k: v for k, v in nxt.items() if v}
+    return {tuple(-x for x in k): v for k, v in profile.items()}
 
 
 def phi_form(cs, z, zp) -> dict:

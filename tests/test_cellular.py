@@ -491,6 +491,33 @@ def test_decompose_p_tau_direct_product_oracle(cfg, taus):
         assert prof[tuple(-x for x in tau)] == 1
 
 
+# (config, budget): every dominant tau with l(p_tau) <= budget
+P_TAU_FACTOR_CASES = [
+    (("A", 1, (1, 1)), 24),
+    (("A", 1, (2, 1)), 24),
+    (("A", 2, (1, 1, 1)), 16),
+    (("A", 3, (1, 1, 1, 1)), 10),
+    (("C", 2, (1, 1, 1)), 16),
+    (("C", 2, (2, 1, 1)), 16),
+    (("C", 2, (3, 2, 1)), 16),
+]
+
+
+@pytest.mark.parametrize(
+    "cfg,budget", P_TAU_FACTOR_CASES,
+    ids=[f"{t}{n}-{','.join(map(str, p))}" for (t, n, p), _ in P_TAU_FACTOR_CASES],
+)
+def test_decompose_p_tau_composes_the_per_factor_decompositions(cfg, budget):
+    # the one peel of Q_tau equals the profile built one factor P(omega) at
+    # a time from decompose_P_omega, on a structure of its own so no cache
+    # is shared
+    cs, ref = make(cfg), make(cfg)
+    taus = cs.dominant_weights_up_to(budget)
+    assert len(taus) > 3
+    for tau in taus:
+        assert cs.decompose_P_tau(tau) == oracles.decompose_P_tau(ref, tau), (cfg, tau)
+
+
 def test_bound_exceeded_guard():
     from heckecell.lowestcell import BoundExceeded
     guarded = CellularStructure(CA2.lowest, length_bound=6)

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import heckecell
-from heckecell.cli import main
+from heckecell.cli import MAX_WITNESSES, main
 
 # stdout of `cellular-basis --type C --rank 2 --params P --length-bound 12
 # --output json`, keyed by P, as recorded before the sparse-algebra merge
@@ -134,6 +134,16 @@ def test_paths_witnesses(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["witnesses"]["(-2)"] == [[[1], [1]]]
+
+
+def test_paths_witness_listing_is_bounded(capsys):
+    # 1,100 steps in A1 have far more paths than the listing bound: the
+    # listing is refused with exit 3 before a path is walked
+    steps = ",".join(["1"] * 1100)
+    code, out, err = run(capsys, "paths", "--type", "A", "--rank", "1", "--m", steps,
+                         "--witnesses")
+    assert (code, out) == (3, "")
+    assert err == f"error: more than {MAX_WITNESSES} paths to list\n"
 
 
 def test_cellular_basis_a1(capsys):

@@ -5,6 +5,8 @@ import sys
 import pytest
 
 import oracles
+from heckecell import paths
+from heckecell.cellular import CellularStructure
 from heckecell.hecke import Hecke, HeckeElt
 from heckecell.laurent import LaurentPoly, add_scaled, xi
 from heckecell.lowestcell import LowestCell
@@ -524,6 +526,19 @@ def test_long_elements_need_no_recursion():
         rel = L2.relative_kl(p2)
     finally:
         sys.setrecursionlimit(old)
+    # Q_tau = P(omega)^60 C_{w_0} in A1 is built factor by factor in a loop,
+    # once for its KL coordinates and once, on a structure of its own, for
+    # its image in the algebra
+    cs, cs2 = (CellularStructure(LowestCell(make(("A", 1, (1, 1))))) for _ in range(2))
+    e = cs2.weyl.identity
+    sys.setrecursionlimit(depth + 40)
+    try:
+        prof = cs.decompose_P_tau((60,))
+        img = cs2.phi_image_basis(e, (60,), e)
+    finally:
+        sys.setrecursionlimit(old)
+    assert prof == paths.full_profile(cs.ws, paths.PathType((1,) * 60))
+    assert img.coeff(cs2.weyl.translation((60,)) * cs2.weyl.longest_finite) == LaurentPoly.one()
     assert y.length() == 2000 and w.length() == 150
     assert w2.length() == 35 and p2.length() == 32
     # bar(T_w) is supported on [e, w] and leads with T_w

@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 
 import pytest
 
@@ -73,6 +75,20 @@ def test_dp_equals_brute_force():
                 end = tuple(-sum(step[i] for step in p) for i in range(ws.rank))
                 brute[end] = brute.get(end, 0) + 1
             assert profile == brute
+
+
+def test_enumeration_needs_no_recursion():
+    # the walk keeps its pending points on a stack of its own: 16 steps
+    # (12,870 paths) run within a few frames of the caller
+    m = paths.PathType((1,) * 16)
+    depth = len(inspect.stack(0))
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 15)
+    try:
+        found = paths.enumerate_paths(A1, m)
+    finally:
+        sys.setrecursionlimit(old)
+    assert len(found) == sum(paths.full_profile(A1, m).values()) == 12870
 
 
 def test_partial_sums_antidominant():
