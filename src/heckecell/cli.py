@@ -170,12 +170,13 @@ def cmd_paths(args) -> int:
         },
     }
     if args.witnesses:
-        payload["witnesses"] = {
-            serialize.weight_text(g): [
-                [list(step) for step in p] for p in paths.enumerate_paths(ws, m, g)
-            ]
-            for g in sorted(profile)
-        }
+        # one walk of every path, each put under its endpoint: minus the sum
+        # of its steps; a bucket keeps the walk's depth-first order
+        by_end = {g: [] for g in sorted(profile)}
+        zero = (0,) * ws.rank
+        for p in paths.enumerate_paths(ws, m):
+            by_end[tuple(-sum(c) for c in zip(zero, *p))].append([list(step) for step in p])
+        payload["witnesses"] = {serialize.weight_text(g): ps for g, ps in by_end.items()}
     if args.output == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

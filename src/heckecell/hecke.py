@@ -103,9 +103,13 @@ class Hecke:
         group multiply.  A step that raises _Uncached(y) is retried once y
         is built; a KL link resumes its peel there (see _kl_link).  Pending
         elements sit on an explicit stack, never on the call stack.  Every
-        value is stored.
+        value is stored.  w must be an element of this algebra's group (its
+        tails then are too); one of another Weyl raises ValueError before
+        the walk starts.
         """
         weyl = self.weyl
+        if w.weyl is not weyl:
+            raise ValueError("elements belong to different weight systems")
         todo = [w]
         while todo:
             x = todo[-1]
@@ -171,8 +175,12 @@ class Hecke:
         """h -> h . m for the left action gen_step(i, m) of T_s on m's
         module: the algebra itself with mul_gen, or the X_0 module of
         lowestcell with its generator step; T_x m is built along x's chain
-        from one cache {e: m} that the returned function owns."""
-        cache = {self.weyl.identity: m}
+        from one cache {e: m} that the returned function owns.  Every key
+        of m must be an element of this algebra's group (ValueError)."""
+        weyl = self.weyl
+        if any(x.weyl is not weyl for x, _ in m.items()):
+            raise ValueError("elements belong to different weight systems")
+        cache = {weyl.identity: m}
         step = lambda i, h, _x: gen_step(i, h)
 
         def act(h: HeckeElt) -> HeckeElt:

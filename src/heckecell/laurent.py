@@ -12,6 +12,12 @@ l1(a + b) <= l1(a) + l1(b) and max |c_i| <= l1, a result whose bound stays
 below 2^31 is exact in W = 32 bits.  Any other result is computed term by
 term, its bound set to the exact l1 norm, and packed in the least multiple
 of 32 bits that holds it, so coefficients of any size stay exact.
+A value with -_LIMIT < n < _LIMIT is one digit at every width (a second
+nonzero digit at width w puts |n| at 2^(w-1) >= _LIMIT or more), so it is
+the monomial n q^v; every one-digit value of 32-bit width is one.  Most KL
+coefficients are.  _terms, degree and to_json read such a value off
+(v, n), so every inspection (coeff, items, text, bar, the bar-invariant
+part, the filtration tests) skips the digit loop and _width for it.
 LaurentCombination is the one sparse linear-combination type (key ->
 nonzero LaurentPoly).  add_scaled is the one multiply-accumulate on such
 dicts (d[k] += a * c over many terms) and the only code that does
@@ -96,12 +102,13 @@ class LaurentPoly:
         return _pack({-e: c for e, c in self._terms().items()})
 
     def degree(self):
-        """Max exponent, or -inf for the zero polynomial.  With |c| below
-        2^(width-1), the top digit at index k puts |n| in
+        """Max exponent, or -inf for the zero polynomial.  One digit
+        (-_LIMIT < n < _LIMIT) is the monomial n q^v, of degree v.  Else,
+        with |c| below 2^(width-1), the top digit at index k puts |n| in
         (2^(width*k - 1), 2^(width*k + width - 1))."""
         n = self._n
-        if not n:
-            return NEG_INF
+        if -_LIMIT < n < _LIMIT:
+            return self._v if n else NEG_INF
         return self._v + abs(n).bit_length() // _width(self._m)
 
     def in_strictly_negative(self) -> bool:
@@ -122,8 +129,12 @@ class LaurentPoly:
     # -- inspection --------------------------------------------------------
 
     def _terms(self) -> dict:
-        """{exponent: nonzero coefficient} in ascending exponent order."""
+        """{exponent: nonzero coefficient} in ascending exponent order.  One
+        digit (-_LIMIT < n < _LIMIT) is {v: n}; else the digits are decoded
+        at the width of the bound, lowest first."""
         n, e = self._n, self._v
+        if -_LIMIT < n < _LIMIT:
+            return {e: n} if n else {}
         w = _width(self._m)
         mask, half = (1 << w) - 1, 1 << (w - 1)
         out = {}
@@ -183,7 +194,11 @@ class LaurentPoly:
         return f"LaurentPoly({self._terms()!r})"
 
     def to_json(self) -> dict:
-        """JSON object mapping exponent strings to integer coefficients."""
+        """JSON object mapping exponent strings to integer coefficients,
+        highest exponent first."""
+        n = self._n
+        if -_LIMIT < n < _LIMIT:
+            return {str(self._v): n} if n else {}
         return {str(e): v for e, v in reversed(self._terms().items())}
 
 

@@ -57,21 +57,19 @@ def full_profile(ws: WeightSystem, m: PathType) -> dict:
     return profile
 
 
-def enumerate_paths(ws: WeightSystem, m: PathType, gamma=None):
-    """Explicit step sequences (brute force); the independent oracle for
-    the dynamic program, and the witness generator for listings.  A
-    depth-first walk on an explicit stack, in orbit order at every step,
-    so a path type of any length stays off the call stack."""
+def enumerate_paths(ws: WeightSystem, m: PathType):
+    """Every path of type m as its step sequence (brute force); the
+    independent oracle for the dynamic program, and the witness generator
+    for listings.  A depth-first walk on an explicit stack, in orbit order
+    at every step, so a path type of any length stays off the call stack."""
     m.validate(ws)
     orbits = _orbits(ws)
-    gamma = tuple(gamma) if gamma is not None else None
     out = []
     todo = [((0,) * ws.rank, ())]
     while todo:
         x, acc = todo.pop()
         if len(acc) == len(m.steps):
-            if gamma is None or x == gamma:
-                out.append(acc)
+            out.append(acc)
             continue
         for rho in reversed(orbits[m.steps[len(acc)] - 1]):
             y = tuple(a - b for a, b in zip(x, rho))

@@ -4,6 +4,9 @@ Element text form: `pi^k * [i_1,...,i_m]` (the Pi exponent is omitted when
 trivial).  Element JSON carries the word form plus the redundant normal
 form {lambda, u} which is validated on ingest.  Hecke elements serialize
 as arrays sorted by (length, word, Pi index) so output is byte-stable.
+Words are read, not rebuilt: an element's own kept word, u's from the W_0
+table Weyl.finite_words; a Hecke element's keys are sorted once by
+Weyl.sort_key.  Every call returns fresh lists and dicts.
 """
 
 from __future__ import annotations
@@ -23,12 +26,11 @@ def element_text(weyl: Weyl, w: GroupElement) -> str:
 
 def element_json(weyl: Weyl, w: GroupElement) -> dict:
     pi, word = weyl.reduced_word(w)
-    _, fin_word = weyl.reduced_word(weyl.finite_element(w.finite))
     return {
         "pi": pi,
         "word": list(word),
         "lambda": list(w.translation),
-        "u": list(fin_word),
+        "u": list(weyl.finite_words()[w.finite]),
     }
 
 
@@ -82,15 +84,16 @@ def element_from_json(weyl: Weyl, obj: dict) -> GroupElement:
 
 
 def hecke_json(weyl: Weyl, h: HeckeElt) -> list:
-    items = sorted(h.items(), key=lambda wc: weyl.sort_key(wc[0]))
+    d = dict(h.items())
     return [
-        {"element": element_json(weyl, w), "coeff": c.to_json()} for w, c in items
+        {"element": element_json(weyl, w), "coeff": d[w].to_json()}
+        for w in sorted(d, key=weyl.sort_key)
     ]
 
 
 def hecke_text(weyl: Weyl, h: HeckeElt) -> str:
-    items = sorted(h.items(), key=lambda wc: weyl.sort_key(wc[0]))
-    return "\n".join(f"({c})  T_{element_text(weyl, w)}" for w, c in items) or "0"
+    d = dict(h.items())
+    return "\n".join(f"({d[w]})  T_{element_text(weyl, w)}" for w in sorted(d, key=weyl.sort_key)) or "0"
 
 
 def weight_text(lam) -> str:

@@ -112,6 +112,7 @@ class Weyl:
             tuple((ws.w0_mult[p.finite][u], ws.act(p.translation, u)) for u in range(ws.w0_size))
             for p in self.pi_elements)
         self._leq_cache = {}
+        self._finite_words = None  # cache: finite_words
 
     def _left_entry(self, g: GroupElement, u: int) -> tuple:
         """The row of the left-step table for generator g at u, read off
@@ -336,9 +337,20 @@ class Weyl:
             g = self.gen_mul_left(i, g)
         return self.pi_mul_left(pi_idx, g)
 
+    def finite_words(self) -> tuple:
+        """The reduced word of every u in W_0, indexed by u: the word of
+        finite_element(u).  Built on first use and kept."""
+        words = self._finite_words
+        if words is None:
+            words = self._finite_words = tuple(
+                self.reduced_word(self.finite_element(u))[1] for u in range(self.ws.w0_size))
+        return words
+
     def sort_key(self, w: GroupElement):
-        pi_idx, word = self.reduced_word(w)
-        return (w.length(), word, pi_idx)
+        """(length, word, Pi index), read off w's kept word: a reduced word
+        has l(w) letters."""
+        pi_idx, word = w._word or self.reduced_word(w)
+        return (len(word), word, pi_idx)
 
     # -- Bruhat order ------------------------------------------------------------
 

@@ -26,6 +26,10 @@ GOLDEN_CELL_FACTOR = json.loads(
 # reduced_word stripped the Pi-part by the cached step
 GOLDEN_KL = json.loads(
     (pathlib.Path(__file__).parent / "golden_kl_cli.json").read_text())
+# stdout of `kl ARGS` (the text form), keyed by the same ARGS, as recorded
+# before LaurentPoly read one-digit values off the packed int
+GOLDEN_KL_TEXT = json.loads(
+    (pathlib.Path(__file__).parent / "golden_kl_cli_text.json").read_text())
 
 
 def run(capsys, *argv):
@@ -66,6 +70,18 @@ def test_kl_golden(capsys, args):
     code, out, _ = run(capsys, "kl", *args.split(), "--output", "json")
     assert code == 0
     assert out == GOLDEN_KL[args]
+
+
+def test_kl_text_golden_has_the_json_golden_arguments():
+    assert sorted(GOLDEN_KL_TEXT) == sorted(GOLDEN_KL)
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN_KL_TEXT))
+def test_kl_text_golden(capsys, args):
+    # pins hecke_text, and so LaurentPoly.__str__ and element_text, byte for byte
+    code, out, _ = run(capsys, "kl", *args.split())
+    assert code == 0
+    assert out == GOLDEN_KL_TEXT[args]
 
 
 # a generator or pi index out of range, a word that is not a list or a
@@ -134,6 +150,27 @@ def test_paths_witnesses(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["witnesses"]["(-2)"] == [[[1], [1]]]
+
+
+def test_paths_witnesses_walk_once(capsys, monkeypatch):
+    # 12 steps in A1 end at 7 points: one walk of every path fills every
+    # listing, each in the walk's order and as long as its profile count
+    walks = []
+    enumerate_paths = heckecell.paths.enumerate_paths
+    monkeypatch.setattr(heckecell.paths, "enumerate_paths",
+                        lambda *a: walks.append(a) or enumerate_paths(*a))
+    code, out, _ = run(capsys, "paths", "--type", "A", "--rank", "1",
+                       "--m", ",".join(["1"] * 12), "--witnesses", "--output", "json")
+    assert code == 0 and len(walks) == 1
+    payload = json.loads(out)
+    assert len(payload["witnesses"]) == 7
+    assert {g: len(ps) for g, ps in payload["witnesses"].items()} == payload["profile"]
+    listed = [tuple(map(tuple, p)) for ps in payload["witnesses"].values() for p in ps]
+    order = {p: k for k, p in enumerate(enumerate_paths(*walks[0]))}
+    for ps in payload["witnesses"].values():
+        keys = [order[tuple(map(tuple, p))] for p in ps]
+        assert keys == sorted(keys)
+    assert sorted(listed) == sorted(order)
 
 
 def test_paths_witness_listing_is_bounded(capsys):

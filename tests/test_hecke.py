@@ -549,3 +549,33 @@ def test_long_elements_need_no_recursion():
     assert cw2.coeff(w2) == LaurentPoly.one()
     assert all(c.in_strictly_negative() for v, c in cw2.items() if v != w2)
     assert rel and all(c.in_strictly_negative() and L2.is_in_x0(v) for v, c in rel.items())
+
+
+def test_elements_of_another_group_raise():
+    # a second Weyl of the same type mints elements equal in normal form but
+    # foreign to the first algebra: every entry point refuses them by name,
+    # and the caches of the first algebra stay as they were
+    H = make(("A", 2, (1, 1, 1)))
+    W1, W2 = H.weyl, Weyl(WeightSystem("A", 2, (1, 1, 1)))
+    lowest = LowestCell(H)
+    cs = CellularStructure(lowest)
+    x = W2.from_word(0, [1, 2, 1])
+    before = (dict(H._kl_cache), dict(H._bar_cache))
+    calls = [
+        lambda: H.kl_basis(x),
+        lambda: H.kl_basis(W2.gens[0]),
+        lambda: H.bar_t(x),
+        lambda: H.mul(H.t(W1.gens[1]), H.t(W2.gens[1])),
+        lambda: H.mul(H.t(W2.gens[1]), H.t(W1.gens[1])),
+        lambda: lowest.act(H.t(W1.gens[1]), H.t(W2.identity)),
+        lambda: lowest.act(H.t(W2.gens[1]), H.t(W1.identity)),
+        lambda: cs.phi_image_basis(W2.identity, (0, 0), W1.identity),
+        lambda: cs.phi_image_basis(W1.identity, (0, 0), W2.identity),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="different weight systems"):
+            call()
+    assert (H._kl_cache, H._bar_cache) == before
+    assert all(w.weyl is W1 for w in H._kl_cache)
+    # elements of the algebra's own group still work
+    assert H.kl_basis(W1.from_word(0, [1, 2, 1])).coeff(W1.identity) == LaurentPoly.q_power(-3)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from heckecell.laurent import NEG_INF, LaurentPoly, _width, add_scaled, peel, xi
+from heckecell.laurent import _LIMIT, NEG_INF, LaurentPoly, _width, add_scaled, peel, xi
 from oracles import DictLaurent
 
 
@@ -332,6 +332,70 @@ def test_sum_cancels_to_zero_across_widths():
     q = LaurentPoly({0: 2**40, 1: 1}) - LaurentPoly({0: 2**40})
     assert q == LaurentPoly({1: 1}) and hash(q) == hash(LaurentPoly({1: 1}))
     agrees(q * q, DictLaurent({2: 1}))
+
+
+# -- the one-digit fast paths ----------------------------------------------------
+
+# one digit of 32 bits holds 2^31 - 1 at most; 2^31 and 2^31 + 1 need wider digits
+EDGE = (2**31 - 1, 2**31, 2**31 + 1)
+
+
+def agrees_in_order(p, o):
+    """agrees, and the text and JSON forms list the same terms in the same
+    order; bar and the bar-invariant part equal (and hash as) the values
+    packed afresh from the oracle's terms, carry a bound that holds, and
+    multiply like them."""
+    agrees(p, o)
+    assert list(p.to_json().items()) == list(o.to_json().items())
+    big, obig = P({0: 2**20, 1: -3}), DictLaurent({0: 2**20, 1: -3})
+    for got, want in ((p.bar(), o.bar()), (p.bar_invariant_part(), o.bar_invariant_part())):
+        fresh = LaurentPoly(dict(want.items()))
+        assert got == fresh and hash(got) == hash(fresh)
+        coeffs = [abs(c) for _, c in want.items()]
+        assert got._m >= sum(coeffs) and all(c < 2 ** (_width(got._m) - 1) for c in coeffs)
+        agrees(got * big, want * obig)
+
+
+def test_one_digit_values_match_the_dict_oracle():
+    values = [{e: sign * c} for c in EDGE + (1, 7, 2**30 - 1, 2**30) for sign in (1, -1)
+              for e in (-3, 0, 2)]
+    # two terms whose low digit borrows one from the next, at both widths
+    values += [{}, {0: -1, 1: 1}, {-2: -5, 0: 3}, {0: -(2**31 - 1), 1: 1}, {3: -1, 4: -1},
+               {0: 1, 1: -1}, {0: -(2**31), 1: 1}, {-1: -(2**31 + 1), 2: -1}]
+    for terms in values:
+        p, o = LaurentPoly(terms), DictLaurent(terms)
+        agrees_in_order(p, o)
+        assert (-_LIMIT < p._n < _LIMIT) == (len(terms) < 2 and all(abs(c) < 2**31 for c in terms.values()))
+    # a value that cancels to zero
+    agrees_in_order(P({2: 5, 3: 1}) - P({3: 1}) - P({2: 5}), DictLaurent())
+    # the largest one-digit value built by the packed add, with a bound just
+    # below the limit, and its bar-invariant part, which needs a wider digit
+    p = P({1: 2**30}) + P({1: 2**30 - 1})
+    assert p._m == 2**31 - 1 and p._n == 2**31 - 1
+    agrees_in_order(p, DictLaurent({1: 2**31 - 1}))
+    assert p.bar_invariant_part() == P({1: 2**31 - 1, -1: 2**31 - 1})
+
+
+def test_one_digit_values_with_wide_digits():
+    # a monomial whose bound reached 2^31 goes through the term-by-term
+    # fallback and is packed in 64-bit digits: outside the one-digit range,
+    # and every inspection still agrees with the oracle
+    wide = [
+        (P({2: 2**30}) * P({0: 3}), {2: 3 * 2**30}),
+        (P({0: 2**31 - 1}) + P({0: 1}), {0: 2**31}),
+        (P({-1: -(2**31 - 1)}) - P({-1: 2}), {-1: -(2**31 + 1)}),
+        (P({3: 2**16}) * P({-5: -(2**15)}), {-2: -(2**31)}),
+    ]
+    for p, terms in wide:
+        assert _width(p._m) > 32 and not -_LIMIT < p._n < _LIMIT
+        o = DictLaurent(terms)
+        agrees_in_order(p, o)
+        agrees_in_order(-p, -o)
+        assert p == LaurentPoly(terms) and hash(p) == hash(LaurentPoly(terms))
+    # the fallback packs a small result at its exact norm, back in one digit
+    p = P({0: 2**31 - 1, 1: 1}) + P({0: -(2**31 - 1)}) + P({1: 2})
+    assert p._m == 3 and p._n == 3
+    agrees_in_order(p, DictLaurent({1: 3}))
 
 
 # -- the multiply-accumulate kernel against the per-term operators and the oracle -

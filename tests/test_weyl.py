@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 import threading
@@ -6,6 +7,7 @@ from itertools import product
 import pytest
 
 import oracles
+from heckecell import serialize
 from heckecell.hecke import Hecke
 from heckecell.lowestcell import LowestCell
 from heckecell.rootdata import WeightSystem
@@ -631,3 +633,41 @@ def test_output_order_does_not_depend_on_object_addresses(cfg):
 
     one, two = make(cfg), make(cfg)  # both alive: their elements sit at other addresses
     assert texts(one) == texts(two)
+
+
+def test_finite_word_table():
+    # built on first use, not with the group; entry u is the smallest
+    # reduced word of u in W_0, in every shipped weight system
+    for cfg, _ in ORACLE_CONFIGS:
+        weyl = make(cfg)
+        assert weyl._finite_words is None
+        words = weyl.finite_words()
+        assert weyl.finite_words() is words and len(words) == weyl.ws.w0_size
+        for u, word in enumerate(words):
+            assert word == weyl.reduced_word(weyl.finite_element(u))[1]
+            assert weyl.from_word(0, word) is weyl.finite_element(u)
+
+
+def test_output_forms_are_fresh_objects():
+    # mutating a returned element or Hecke form leaves the next call alone
+    weyl = make(("A", 2, (1, 1, 1)))
+    hecke = Hecke(weyl)
+    w = weyl.from_word(1, [0, 2, 1])
+    want_el = serialize.element_json(weyl, w)
+    assert want_el == {"pi": 1, "word": [0, 2, 1], "lambda": list(w.translation),
+                       "u": list(weyl.finite_words()[w.finite])}
+    want_el = json.loads(json.dumps(want_el))
+    got = serialize.element_json(weyl, w)
+    for key in ("word", "lambda", "u"):
+        got[key].append(9)
+    got["pi"] = 2
+    assert serialize.element_json(weyl, w) == want_el
+    cw = hecke.kl_basis(w)
+    want = json.loads(json.dumps(serialize.hecke_json(weyl, cw)))
+    got = serialize.hecke_json(weyl, cw)
+    for term in got:
+        for key in ("word", "lambda", "u"):
+            term["element"][key].append(9)
+        term["coeff"]["7"] = 1
+    got.append(None)
+    assert serialize.hecke_json(weyl, cw) == want
