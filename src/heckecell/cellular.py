@@ -29,6 +29,8 @@ so the term C_{p_tau' w_0} has alpha = tau' + nu(lam).
 
 from __future__ import annotations
 
+from itertools import product
+
 from .hecke import HeckeElt
 from .laurent import LaurentCombination, LaurentPoly, add_scaled, peel
 from .lowestcell import BoundExceeded, LowestCell
@@ -218,23 +220,13 @@ class CellularStructure:
         return [t for _, t in keyed]
 
     def dominant_weights_up_to(self, length_budget: int):
-        """Dominant lattice weights tau with l(p_tau) <= budget."""
-        ws, weyl = self.ws, self.weyl
-        out = []
-        frontier = [(0,) * ws.rank]
-        seen = {(0,) * ws.rank}
-        while frontier:
-            nxt = []
-            for tau in frontier:
-                if weyl.translation(tau).length() <= length_budget:
-                    out.append(tau)
-                    for fw in ws.fundamental_weights:
-                        t2 = tuple(a + b for a, b in zip(tau, fw))
-                        if t2 not in seen:
-                            seen.add(t2)
-                            nxt.append(t2)
-            frontier = nxt
-        return sorted(out)
+        """Dominant lattice weights tau with l(p_tau) <= budget, sorted.  The
+        length is linear on the dominant cone: l(p_tau) = sum a_i l(p_{omega_i})
+        for tau = sum a_i omega_i, so the a_i run over a box, in lexicographic order."""
+        steps = [self.weyl.translation(fw).length() for fw in self.ws.fundamental_weights]
+        return [tuple(k * b for k, b in zip(a, self.ws.b))
+                for a in product(*(range(length_budget // s + 1) for s in steps))
+                if sum(k * s for k, s in zip(a, steps)) <= length_budget]
 
     # -- decomposition in the KL basis -----------------------------------------------
 

@@ -12,11 +12,8 @@ import json
 import os
 import sys
 
-from .cellular import CellularStructure
-from .hecke import Hecke
-from .lowestcell import BoundExceeded, LowestCell, NotInLowestCell
-from .rootdata import _TYPES, WeightSystem
-from .weyl import Weyl
+from .lowestcell import BoundExceeded, NotInLowestCell
+from .rootdata import _TYPES
 from . import paths, serialize, verification
 
 USAGE_ERROR = 2
@@ -34,9 +31,9 @@ def _add_weights(p):
     p.add_argument("--output", choices=["json", "text"], default="text")
 
 
-def _weight_system(args) -> WeightSystem:
+def _stack(args):
     params = args.params if args.params is not None else [1] * (args.rank + 1)
-    return WeightSystem(args.type, args.rank, params)
+    return verification.stack((args.type, args.rank, tuple(params)))
 
 
 def _int_list(text):
@@ -80,8 +77,7 @@ def build_parser():
 
 
 def cmd_kl(args) -> int:
-    weyl = Weyl(_weight_system(args))
-    hecke = Hecke(weyl)
+    _, weyl, hecke, _, _ = _stack(args)
     w = serialize.parse_element(weyl, args.w)
     cw = hecke.kl_basis(w)
     if args.output == "json":
@@ -96,8 +92,7 @@ def cmd_kl(args) -> int:
 
 
 def cmd_cell_factor(args) -> int:
-    weyl = Weyl(_weight_system(args))
-    lowest = LowestCell(Hecke(weyl))
+    _, weyl, _, lowest, _ = _stack(args)
     w = serialize.parse_element(weyl, args.w)
     try:
         f = lowest.factorize(w)
@@ -123,9 +118,7 @@ def cmd_cell_factor(args) -> int:
 
 
 def cmd_cellular_basis(args) -> int:
-    weyl = Weyl(_weight_system(args))
-    lowest = LowestCell(Hecke(weyl))
-    cs = CellularStructure(lowest)
+    _, weyl, _, lowest, cs = _stack(args)
     b0 = lowest.box_elements()
     phi = {}
     for z in b0:
@@ -137,7 +130,7 @@ def cmd_cellular_basis(args) -> int:
             }
     budget = max(args.length_bound - weyl.longest_finite.length(), 0)
     decomps = {}
-    for tau in sorted(cs.dominant_weights_up_to(budget)):
+    for tau in cs.dominant_weights_up_to(budget):
         prof = cs.decompose_P_tau(tau)
         decomps[serialize.weight_text(tau)] = {
             serialize.weight_text(lam): m for lam, m in sorted(prof.items())
@@ -156,7 +149,7 @@ def cmd_cellular_basis(args) -> int:
 
 
 def cmd_paths(args) -> int:
-    ws = _weight_system(args)
+    ws = _stack(args)[0]
     if ws.cartan_type != "A":
         raise ValueError("path profiles are a type-A feature")
     m = paths.PathType(args.m)

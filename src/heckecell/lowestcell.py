@@ -89,9 +89,6 @@ class LowestCell:
         the cached root shifts, so a repeated test makes no pairing."""
         return min(self.weyl.root_shifts(x)[:self.ws.rank]) >= 0
 
-    def is_in_x0_inv(self, y: GroupElement) -> bool:
-        return self.is_in_x0(y.inverse())
-
     # -- membership and factorization ----------------------------------------------
 
     def _factor(self, w: GroupElement):

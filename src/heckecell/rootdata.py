@@ -191,11 +191,11 @@ class WeightSystem:
     def _build_w0(self):
         """Tabulate the finite Weyl group as integer matrices on P.
 
-        The breadth-first search over words, which visits the elements in
-        index order, records each step u -> u s_i (one matrix product) and
-        the parent and last letter of each new element.  The multiplication
-        table is then filled from the steps, a b = (a parent(b)) s_last(b):
-        one lookup per entry, and no matrix product."""
+        The breadth-first search over words visits the elements in index
+        order and records each step u -> u s_i (one matrix product) and the
+        parent and last letter of each new element; Weyl.finite_words keeps
+        the words.  The multiplication table is filled from the steps,
+        a b = (a parent(b)) s_last(b): one lookup per entry, no matrix product."""
         n = self.rank
         ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -208,7 +208,6 @@ class WeightSystem:
         simple_mats = [r.reflection_matrix() for r in self.simple_roots]
         mats = [ident]
         index = {ident: 0}
-        words = {0: ()}
         steps = []  # steps[u][i]: the index of u s_i
         came = []  # (parent, last letter) of elements 1, 2, ...
         frontier = [0]
@@ -220,7 +219,6 @@ class WeightSystem:
                     m = matmul(mats[ui], sm)
                     if m not in index:
                         index[m] = len(mats)
-                        words[len(mats)] = words[ui] + (i,)
                         came.append((ui, i))
                         nxt.append(len(mats))
                         mats.append(m)
@@ -232,7 +230,6 @@ class WeightSystem:
         self.w0_mats = mats
         self.w0_index = index
         self.w0_size = size
-        self.w0_words = words  # a reduced word per element, in simple indices
         self.w0_simple_index = tuple(steps[0])
         self.w0_mult = []
         for a in range(size):
@@ -314,12 +311,6 @@ class WeightSystem:
     def nu(self, lam) -> tuple:
         """nu(lam) = -(lam . w_0), the diagram involution on weights."""
         return tuple(-x for x in self.act(lam, self.longest_index))
-
-    # -- misc ----------------------------------------------------------------
-
-    def finite_weight(self, u: int) -> int:
-        """L(u) for u in W_0, summed over any reduced word."""
-        return sum(self.params[self.simple_to_gen[i]] for i in self.w0_words[u])
 
 
 def _det(rows):

@@ -104,7 +104,7 @@ def degree_bounds_suite(seed: int = 0):
         w0 = weyl.longest_finite
         lw0 = w0.weight_length()
         strict_bad = []
-        x0_pool = [y for y in weyl.enumerate_elements(4) if lowest.is_in_x0_inv(y)]
+        x0_pool = [y for y in weyl.enumerate_elements(4) if lowest.is_in_x0(y.inverse())]
         for _ in range(DEGREE_PAIRS // 4):
             x = rng.choice(lowest.box_elements())
             v = weyl.finite_element(rng.randrange(ws.w0_size))
@@ -113,7 +113,7 @@ def degree_bounds_suite(seed: int = 0):
             if v == w0:
                 if c != 0 or hecke.degree_data(x, y).h_set:
                     strict_bad.append((x, y))
-            elif not c < lw0 - ws.finite_weight(v.finite):
+            elif not c < lw0 - v.weight_length():
                 strict_bad.append((x, y))
         out.append(Check(
             f"degree-bound strict c_(x,vy) < L(w_0)-L(v), x in B_0, v != w_0 {cfg}",

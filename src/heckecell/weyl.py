@@ -44,7 +44,7 @@ class GroupElement:
 
     __slots__ = (
         "weyl", "finite", "translation",
-        "_len", "_wlen", "_shifts", "_inv", "_word", "_gl",
+        "_len", "_shifts", "_inv", "_word", "_gl",
     )
 
     def __init__(self, weyl, finite, translation):
@@ -52,7 +52,6 @@ class GroupElement:
         self.finite = finite
         self.translation = translation
         self._len = None
-        self._wlen = None
         self._shifts = None  # cache: Weyl.root_shifts
         self._inv = None  # cache: Weyl.inverse
         self._word = None
@@ -70,9 +69,7 @@ class GroupElement:
         return self._len
 
     def weight_length(self) -> int:
-        if self._wlen is None:
-            self._wlen = self.weyl.weight_length(self)
-        return self._wlen
+        return self.weyl.weight_length(self)
 
     def __repr__(self):
         pi, word = self.weyl.reduced_word(self)
@@ -111,7 +108,6 @@ class Weyl:
         self._pi_left = tuple(
             tuple((ws.w0_mult[p.finite][u], ws.act(p.translation, u)) for u in range(ws.w0_size))
             for p in self.pi_elements)
-        self._leq_cache = {}
         self._finite_words = None  # cache: finite_words
 
     def _left_entry(self, g: GroupElement, u: int) -> tuple:
@@ -193,6 +189,8 @@ class Weyl:
             d = w._gl = {}
         g = d.get(i)
         if g is None:
+            if w.weyl is not self:
+                raise ValueError("elements belong to different weight systems")
             finite, offset, r, delta = self._left[i][w.finite]
             lam = w.translation if offset is None else tuple(map(add, w.translation, offset))
             shifts = self.root_shifts(w)
@@ -233,6 +231,8 @@ class Weyl:
         key = -1 - pi_idx
         g = d.get(key)
         if g is None:
+            if w.weyl is not self:
+                raise ValueError("elements belong to different weight systems")
             finite, offset = self._pi_left[pi_idx][w.finite]
             g = d[key] = self._stepped(
                 w, -1 - self.pi_inverse[pi_idx], finite, tuple(map(add, w.translation, offset)),
@@ -355,37 +355,24 @@ class Weyl:
     # -- Bruhat order ------------------------------------------------------------
 
     def bruhat_leq(self, x: GroupElement, y: GroupElement) -> bool:
-        """Extended Bruhat order: Pi-parts must agree, W_a-parts compare."""
+        """Extended Bruhat order: Pi-parts must agree, W_a-parts compare by
+        Deodhar's Z-property (1977): for a left descent s of y, x <= y iff
+        min(x, s x) <= s y.  So y steps down its first left descent, and x
+        with it when that is a descent of x, until x is y or l(x) >= l(y):
+        at most l(y) cached left steps."""
+        if x.weyl is not self or y.weyl is not self:
+            raise ValueError("elements belong to different weight systems")
         pi_idx = self.pi_index(x)
         if pi_idx != self.pi_index(y):
             return False
         k = self.pi_inverse[pi_idx]
-        return self._leq(self.pi_mul_left(k, x), self.pi_mul_left(k, y))
-
-    def _leq(self, x: GroupElement, y: GroupElement) -> bool:
-        """Walk down the first left descent s of y (and of x, when x has it
-        too) until the pair is decided; every pair passed gets the verdict."""
-        cache = self._leq_cache
-        passed = []
-        while True:
-            if x == y:
-                res = True
-                break
-            if x.length() >= y.length():
-                res = False
-                break
-            key = (x, y)
-            res = cache.get(key)
-            if res is not None:
-                break
-            passed.append(key)
+        x, y = self.pi_mul_left(k, x), self.pi_mul_left(k, y)
+        while x is not y and x.length() < y.length():
             i = self.reduced_word(y)[1][0]
             if self.is_left_descent(i, x):
                 x = self.gen_mul_left(i, x)
             y = self.gen_mul_left(i, y)
-        for key in passed:
-            cache[key] = res
-        return res
+        return x is y
 
     def bruhat_interval(self, w: GroupElement):
         """All y <= w, via subword products of one reduced word of w, built

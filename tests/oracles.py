@@ -17,8 +17,10 @@ descent scan finite_descent checks the closed-form coset representatives.
 
 decompose_P_omega and phi_form are the whole-algebra routes that the X_0
 coset module replaced, decompose_P_tau is the factor-by-factor route that
-the peel of Q_tau replaced, and factorizations is the scan of z' over B_0
-that the chamber of the alcove replaced; the tests compare both sides.
+the peel of Q_tau replaced, factorizations is the scan of z' over B_0
+that the chamber of the alcove replaced, and dominant_weights_up_to is the
+search over the dominant cone that the closed form replaced; the tests
+compare both sides.
 """
 
 from __future__ import annotations
@@ -215,6 +217,28 @@ def decompose_P_tau(cs, tau) -> dict:
     return {tuple(-x for x in k): v for k, v in profile.items()}
 
 
+def dominant_weights_up_to(cs, length_budget) -> list:
+    """CellularStructure.dominant_weights_up_to by breadth-first search from
+    0 along the fundamental L-weights, measuring l(p_tau) of every weight
+    reached and extending only those within the budget."""
+    ws, weyl = cs.ws, cs.weyl
+    out = []
+    frontier = [(0,) * ws.rank]
+    seen = set(frontier)
+    while frontier:
+        nxt = []
+        for tau in frontier:
+            if weyl.translation(tau).length() <= length_budget:
+                out.append(tau)
+                for fw in ws.fundamental_weights:
+                    t2 = tuple(a + b for a, b in zip(tau, fw))
+                    if t2 not in seen:
+                        seen.add(t2)
+                        nxt.append(t2)
+        frontier = nxt
+    return sorted(out)
+
+
 def phi_form(cs, z, zp) -> dict:
     """CellularStructure.phi_form in the whole algebra: the product
     C_{w_0 z^-1} C_{z' w_0} peeled against the P(tau) C_{w_0}, each built
@@ -263,17 +287,17 @@ def relative_kl_right(lowest, x) -> dict:
     """The right-handed family x' -> p^r_{x',x} over x' in X_0^-1: the
     module C_{z w_0} T_x, whose bar involution is bar(T_y) with each term
     T_{v y'} (v in W_0, y' minimal in W_0 y') pushed to q^{L(v)} T_{y'}."""
-    if not lowest.is_in_x0_inv(x):
+    if not lowest.is_in_x0(x.inverse()):
         raise ValueError(f"{x!r} is not a minimal coset representative")
-    weyl, ws = lowest.weyl, lowest.ws
-    basis = sorted((y for y in weyl.bruhat_interval(x) if lowest.is_in_x0_inv(y)),
+    weyl = lowest.weyl
+    basis = sorted((y for y in weyl.bruhat_interval(x) if lowest.is_in_x0(y.inverse())),
                    key=weyl.sort_key)
     rows = []
     for y in basis:
         row = {}
         for w, c in lowest.hecke.bar_t(y).items():
             rep, v = right_coset_part(lowest, w)
-            add_scaled(row, LaurentPoly.q_power(ws.finite_weight(v.finite)), [(rep, c)])
+            add_scaled(row, LaurentPoly.q_power(v.weight_length()), [(rep, c)])
         rows.append(LaurentCombination(row))
     return solve_unitriangular(x, basis, rows)
 

@@ -381,6 +381,24 @@ def test_decompose_makes_no_kl_basis_product_or_expansion(cfg):
     assert calls == []
 
 
+SHIPPED_CONFIGS = [
+    ("A", 1, (1, 1)), ("A", 1, (2, 1)), ("A", 2, (1, 1, 1)), ("A", 3, (1, 1, 1, 1)),
+    ("C", 2, (1, 1, 1)), ("C", 2, (2, 1, 1)), ("C", 2, (3, 2, 1)),
+]
+
+
+@pytest.mark.parametrize("cfg", SHIPPED_CONFIGS,
+                         ids=[f"{t}{n}-{','.join(map(str, p))}" for t, n, p in SHIPPED_CONFIGS])
+def test_dominant_weights_match_the_cone_search(cfg):
+    # the closed form (a box of fundamental-weight multiples, l(p_tau)
+    # linear on the dominant cone) lists the same sorted weights as the
+    # search that measures every weight, negative budgets included
+    cs = make(cfg)
+    for budget in range(-2, 17):
+        assert cs.dominant_weights_up_to(budget) == oracles.dominant_weights_up_to(cs, budget), (
+            cfg, budget)
+
+
 def test_m_alpha():
     # type A: always 1
     for fw in CA2.ws.fundamental_weights:

@@ -258,9 +258,9 @@ def test_kl_w0_closed_form():
     for H in (HA2, HC2):
         ws, W = H.ws, H.weyl
         w0 = W.longest_finite
-        lw0 = ws.finite_weight(ws.longest_index)
-        expected = HeckeElt({W.finite_element(u): LaurentPoly.q_power(ws.finite_weight(u) - lw0)
-                             for u in range(ws.w0_size)})
+        lw0 = w0.weight_length()
+        expected = HeckeElt({W.finite_element(u): LaurentPoly.q_power(
+            W.finite_element(u).weight_length() - lw0) for u in range(ws.w0_size)})
         assert H.kl_basis(w0) == expected
         assert H.bar(expected) == expected
 
@@ -332,7 +332,7 @@ def test_degree_strict_for_box():
     ws = H.ws
     lowest = LowestCell(H)
     rng = random.Random(10)
-    x0inv = [y for y in W.enumerate_elements(3) if lowest.is_in_x0_inv(y)]
+    x0inv = [y for y in W.enumerate_elements(3) if lowest.is_in_x0(y.inverse())]
     w0 = W.longest_finite
     for _ in range(60):
         x = rng.choice(lowest.box_elements())
@@ -342,7 +342,7 @@ def test_degree_strict_for_box():
         if W.finite_element(u) == w0:
             assert c == 0
         else:
-            assert c < w0.weight_length() - ws.finite_weight(u)
+            assert c < w0.weight_length() - W.finite_element(u).weight_length()
 
 
 def test_t_times_c_scalar_action():
@@ -561,7 +561,13 @@ def test_elements_of_another_group_raise():
     cs = CellularStructure(lowest)
     x = W2.from_word(0, [1, 2, 1])
     before = (dict(H._kl_cache), dict(H._bar_cache))
+    steps_before = {w: dict(w._gl or {}) for w in W2._intern.values()}
     calls = [
+        lambda: H.mul_gen(1, H.t(W2.gens[2])),
+        lambda: W1.gen_mul_left(1, W2.gens[2]),
+        lambda: W1.pi_mul_left(1, x),
+        lambda: W1.bruhat_leq(W2.identity, W1.gens[1]),
+        lambda: W1.bruhat_leq(W1.identity, W2.gens[1]),
         lambda: H.kl_basis(x),
         lambda: H.kl_basis(W2.gens[0]),
         lambda: H.bar_t(x),
@@ -577,5 +583,8 @@ def test_elements_of_another_group_raise():
             call()
     assert (H._kl_cache, H._bar_cache) == before
     assert all(w.weyl is W1 for w in H._kl_cache)
+    # no left step of the second group was minted or cached by the first
+    assert {w: dict(w._gl or {}) for w in W2._intern.values()} == steps_before
+    assert W2.gen_mul_left(1, W2.gens[2]).weyl is W2
     # elements of the algebra's own group still work
     assert H.kl_basis(W1.from_word(0, [1, 2, 1])).coeff(W1.identity) == LaurentPoly.q_power(-3)

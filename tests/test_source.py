@@ -59,8 +59,15 @@ def _definitions(tree):
 
 
 def _uses(tree):
-    """(name, line) of every name read, attribute read and string constant."""
+    """(name, line) of every name read, attribute read and string constant,
+    outside `__slots__` assignments: declaring a slot is not a use of it, so
+    a slot that is written but never read is found dead."""
+    slots = {id(n) for node in ast.walk(tree) if isinstance(node, ast.Assign)
+             and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets)
+             for n in ast.walk(node.value)}
     for node in ast.walk(tree):
+        if id(node) in slots:
+            continue
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             yield node.id, node.lineno
         elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
