@@ -291,7 +291,7 @@ class CellularStructure:
         best = [0] * len(ws.positive_roots)
         for x in weyl.bruhat_interval(weyl.translation(tuple(omega))):
             for u in range(ws.w0_size):
-                for k, c in enumerate(weyl.root_shifts(x * weyl.finite_element(u))):
+                for k, c in enumerate((x * weyl.finite_element(u)).shifts):
                     best[k] = max(best[k], c, -1 - c)
         return best
 

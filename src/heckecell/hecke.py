@@ -2,8 +2,8 @@
 
 T-basis arithmetic, the bar involution, the flat antiautomorphism, the
 Kazhdan-Lusztig basis with its polynomials, coordinates in that basis,
-T-basis structure constants, and the degree bookkeeping of the
-separating-hyperplane bound.
+T-basis structure constants, and the separating-hyperplane degree bound
+c_{x,y} in closed form, read per root off the shifts of y and xy.
 
 Every left T-action goes through one generator step, mul_gen (the
 three-case rule for T_s T_w: the relabel w -> sw, a bijection, plus the
@@ -32,7 +32,6 @@ local to their call and need no lock.
 from __future__ import annotations
 
 import threading
-from typing import NamedTuple
 
 from .laurent import LaurentCombination, LaurentPoly, add_scaled, peel, xi
 from .weyl import GroupElement, Weyl
@@ -247,27 +246,20 @@ class Hecke:
         """T_x T_y = sum f_{x,y,z} T_z."""
         return dict(self.mul(self.t(x), self.t(y)).items())
 
-    # -- degree data -------------------------------------------------------------------
+    # -- the degree bound --------------------------------------------------------------
 
-    def degree_data(self, x: GroupElement, y: GroupElement):
-        """The separating-hyperplane set H_{x,y}, the max weight per
-        direction (its keys are the directions I_{x,y}) and the degree
-        bound c_{x,y} = sum over directions of the max weight in H_{x,y}."""
-        weyl = self.weyl
-        h_set = (weyl.separating_hyperplanes(weyl.identity, y)
-                 & weyl.separating_hyperplanes(y, x * y))
-        c_per = {}
-        for r_idx, k in h_set:
-            root = self.ws.positive_roots[r_idx]
-            w = root.level_weight(k)
-            if c_per.get(r_idx, 0) < w:
-                c_per[r_idx] = w
-        return DegreeData(x, y, h_set, c_per, sum(c_per.values()))
-
-
-class DegreeData(NamedTuple):
-    x: GroupElement
-    y: GroupElement
-    h_set: set
-    c_per_alpha: dict
-    c: int
+    def degree_bound(self, x: GroupElement, y: GroupElement) -> int:
+        """c_{x,y}: over the directions of the hyperplanes that separate A_0
+        from y and y from xy (Bremke 1997), the sum of the largest weight of
+        each.  Per root, with a and b the shifts of y and xy, those are the
+        levels lo..hi computed below; two or more hold an even level, whose
+        weight is the largest (rootdata checks even_weight >= odd_weight)."""
+        c = 0
+        for root, a, b in zip(self.ws.positive_roots, y.shifts, self.weyl.multiply(x, y).shifts):
+            lo = max(min(a, 0), min(a, b)) + 1
+            hi = min(max(a, 0), max(a, b))
+            if lo < hi:
+                c += root.even_weight
+            elif lo == hi:
+                c += root.level_weight(lo)
+        return c

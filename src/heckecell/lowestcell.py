@@ -8,13 +8,14 @@ Weyl.box_over, one element (u, b . eps(u)) per u in W_0 (Pi is its part of
 length zero), eps_k(u) = [alpha_k . u^-1 < 0], and X_0 is the set of x
 whose alcove lies in the dominant chamber, with no negative simple-root
 shift (Bremke 1997).  in_box and is_in_x0 read the simple-root prefix of
-the shifts each element keeps (Weyl.root_shifts), so a module step, a
-factorization or a P-element lookup makes no fresh pairing for an element
-seen before.  Factorization reads z' off the chamber that holds the alcove
-of w and z off the finite part of x = z p_tau, and checks that one
-candidate; that no other z' of B_0 factors w is checked by the oracle test.
-The result, a CellFactorization or None, is kept, so a repeated factorize
-or membership test makes no group multiply.
+the shifts every element is minted with (GroupElement.shifts), so a module
+step, a factorization or a P-element lookup makes no pairing.
+Factorization reads z' off the chamber that holds the alcove of w and z off
+the finite part of x = z p_tau, and checks that one candidate; that no
+other z' of B_0 factors w is checked by the oracle test.  The result, a
+CellFactorization or None, is kept, so a repeated factorize or membership
+test makes no group multiply; an element of another group raises
+ValueError.
 
 Relative KL polynomials live on the module with basis m_x = T_x C_{w_0 y},
 x in the minimal coset representatives X_0.  T_s acts by three cases:
@@ -66,7 +67,7 @@ class LowestCell:
         ws = self.ws
         by_w0 = ws.w0_mult[ws.longest_index]
         self._zp_by_chamber = {
-            tuple(c >= 0 for c in weyl.root_shifts(weyl.finite_element(v))):
+            tuple(c >= 0 for c in weyl.finite_element(v).shifts):
                 weyl.box_over[ws.w0_inv[by_w0[v]]]
             for v in range(ws.w0_size)
         }
@@ -79,15 +80,14 @@ class LowestCell:
 
     def in_box(self, z: GroupElement) -> bool:
         """The definition of B_0: 0 < <x, alpha_k^v> < b_k on the alcove of z,
-        per simple root k: 0 <= c_k < b_k on the simple-root prefix of the
-        cached root shifts (zip stops at the rank)."""
-        return all(0 <= c < b for c, b in zip(self.weyl.root_shifts(z), self.ws.b))
+        per simple root k: 0 <= c_k < b_k on the simple-root prefix of z's
+        root shifts (zip stops at the rank)."""
+        return all(0 <= c < b for c, b in zip(z.shifts, self.ws.b))
 
     def is_in_x0(self, x: GroupElement) -> bool:
         """Minimal-length representative of x W_0: the alcove of x lies in
-        the dominant chamber, so no simple-root shift is negative.  Reads
-        the cached root shifts, so a repeated test makes no pairing."""
-        return min(self.weyl.root_shifts(x)[:self.ws.rank]) >= 0
+        the dominant chamber, so no simple-root shift is negative."""
+        return min(x.shifts[:self.ws.rank]) >= 0
 
     # -- membership and factorization ----------------------------------------------
 
@@ -97,13 +97,15 @@ class LowestCell:
         off the chamber that holds the alcove of w, and z off the finite part
         of x = w z' w_0.  Then w = z p_tau w_0 z'^-1, and it is the
         factorization when x is in X_0, tau is dominant and the four lengths
-        add up to l(w)."""
+        add up to l(w).  An element of another group raises ValueError."""
         cache = self._factor_cache
         if w in cache:
             return cache[w]
         weyl, ws = self.weyl, self.ws
+        if w.weyl is not weyl:
+            raise ValueError("elements belong to different weight systems")
         w0 = weyl.longest_finite
-        zp = self._zp_by_chamber[tuple(c >= 0 for c in weyl.root_shifts(w))]
+        zp = self._zp_by_chamber[tuple(c >= 0 for c in w.shifts)]
         x = w * zp * w0
         z = weyl.box_over[x.finite]
         mu = (weyl.inverse(z) * x).translation

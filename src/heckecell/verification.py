@@ -88,7 +88,7 @@ def degree_bounds_suite(seed: int = 0):
         bad = []
         for _ in range(DEGREE_PAIRS):
             x, y = rng.choice(pool), rng.choice(pool)
-            bound = hecke.degree_data(x, y).c
+            bound = hecke.degree_bound(x, y)
             for z, f in hecke.f_constants(x, y).items():
                 if f.degree() > bound:
                     bad.append((x, y, z))
@@ -109,9 +109,9 @@ def degree_bounds_suite(seed: int = 0):
             x = rng.choice(lowest.box_elements())
             v = weyl.finite_element(rng.randrange(ws.w0_size))
             y = v * rng.choice(x0_pool)
-            c = hecke.degree_data(x, y).c
+            c = hecke.degree_bound(x, y)
             if v == w0:
-                if c != 0 or hecke.degree_data(x, y).h_set:
+                if c != 0:
                     strict_bad.append((x, y))
             elif not c < lw0 - v.weight_length():
                 strict_bad.append((x, y))

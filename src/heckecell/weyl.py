@@ -10,19 +10,20 @@ Each Weyl interns its elements: one object per normal form, minted
 atomically, so elements compare and hash by identity and elements of two
 different Weyl objects never compare equal.
 
-Alcove position is integer throughout: root_shifts gives, per positive
-root, the strip between consecutive hyperplanes that holds the alcove of w,
-and length, weight, Pi and the separating hyperplanes are read from it.
-The shifts are computed once per element and kept on it, so every alcove
-predicate (here and in lowestcell) reads them without a fresh pairing.
+Alcove position is integer throughout and part of an element's identity:
+its shifts give, per positive root, the strip between consecutive
+hyperplanes that holds the alcove of w.  Weyl mints every element with its
+shifts and its length (the sum of their absolute values) before publishing
+it, so every alcove fact (length, L(w), the box B_0, X_0 and the degree
+bound of hecke) is read per root off w.shifts with no pairing.
 
 Left steps are closed form.  The alcove of s_i w lies next to that of w,
 across w's image of a wall of A_0, and pi w has the alcove of w.  One table
 per Weyl, indexed by (i, u in W_0), gives the finite part and translation
 offset of s_i w and the one root shift that moves, and by how much; a
 second gives pi w.  So gen_mul_left and pi_mul_left mint their products
-with shifts and length copied from w and no matrix-vector product, and
-the left descents of reduced_word and enumerate_elements are table reads.
+with shifts read off w's and no pairing or matrix-vector product, and the
+left descents of reduced_word and enumerate_elements are table reads.
 """
 
 from __future__ import annotations
@@ -37,25 +38,27 @@ class GroupElement:
 
     finite is the index of the W_0-part in the weight-system table and
     translation is the vector of the affine map x |-> x.finite + translation.
+    shifts holds, per positive root alpha (simple roots first), the integer
+    c with <x, alpha^v> in (c, c+1) for every x in the alcove of w.
     Build elements through Weyl.element (or the group operations), never
     directly: Weyl interns one object per normal form, so == and hash are
     the built-in identity ones.
     """
 
     __slots__ = (
-        "weyl", "finite", "translation",
-        "_len", "_shifts", "_inv", "_word", "_gl",
+        "weyl", "finite", "translation", "shifts",
+        "_len", "_inv", "_word", "_gl",
     )
 
-    def __init__(self, weyl, finite, translation):
+    def __init__(self, weyl, finite, translation, shifts):
         self.weyl = weyl
         self.finite = finite
         self.translation = translation
-        self._len = None
-        self._shifts = None  # cache: Weyl.root_shifts
+        self.shifts = shifts
+        self._len = sum(map(abs, shifts))
         self._inv = None  # cache: Weyl.inverse
         self._word = None
-        self._gl = None  # cache: generator/Pi products on the left
+        self._gl = {}  # cache: generator/Pi products on the left
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return self.weyl.multiply(self, other)
@@ -64,8 +67,7 @@ class GroupElement:
         return self.weyl.inverse(self)
 
     def length(self) -> int:
-        if self._len is None:
-            self._len = self.weyl.length(self)
+        """Number of hyperplanes between A_0 and the alcove of w."""
         return self._len
 
     def weight_length(self) -> int:
@@ -84,9 +86,9 @@ class Weyl:
         self.ws = ws
         n = ws.rank
         zero = (0,) * n
-        self.identity = GroupElement(self, 0, zero)
+        self._intern = {}
+        self.identity = self.element(0, zero)
         self.identity._word = (0, ())
-        self._intern = {(0, zero): self.identity}
 
         # Generators indexed by the user labels 0..n.
         gens = [None] * ws.num_gens
@@ -116,8 +118,7 @@ class Weyl:
         not share."""
         w = self.finite_element(u)
         gw = self.multiply(g, w)
-        moved = [(r, b - a) for r, (a, b) in enumerate(
-            zip(self.root_shifts(w), self.root_shifts(gw))) if a != b]
+        moved = [(r, b - a) for r, (a, b) in enumerate(zip(w.shifts, gw.shifts)) if a != b]
         if len(moved) != 1 or abs(moved[0][1]) != 1:
             raise AssertionError(f"s w and w must lie across one wall, not {moved}")
         return (gw.finite, gw.translation if any(g.translation) else None) + moved[0]
@@ -155,12 +156,22 @@ class Weyl:
     # -- group arithmetic ----------------------------------------------------
 
     def element(self, finite: int, translation) -> GroupElement:
+        """The element (finite, translation), interned; a new one is minted
+        with its root shifts paired off the normal form."""
         key = (finite, tuple(translation))
         g = self._intern.get(key)
         if g is None:
-            # setdefault is atomic: threads that miss together share one object
-            g = self._intern.setdefault(key, GroupElement(self, finite, key[1]))
+            ws = self.ws
+            signs = ws.w0_root_action[ws.w0_inv[finite]]
+            g = self._mint(key, tuple(
+                ws.pairing(key[1], r) - (signs[r.index][1] < 0) for r in ws.positive_roots))
         return g
+
+    def _mint(self, key: tuple, shifts: tuple) -> GroupElement:
+        """The element (finite, lam) = key with the given root shifts, made
+        complete before it is published; setdefault is atomic, so threads
+        that miss together share one object."""
+        return self._intern.setdefault(key, GroupElement(self, key[0], key[1], shifts))
 
     def multiply(self, a: GroupElement, b: GroupElement) -> GroupElement:
         if a.weyl is not b.weyl or a.weyl is not self:
@@ -182,61 +193,44 @@ class Weyl:
     def gen_mul_left(self, i: int, w: GroupElement) -> GroupElement:
         """s_i * w through a per-element cache (elements are interned).  A
         new product is read off the left-step table at w's finite part and
-        gets w's root shifts with entry r moved by delta, its length
-        l(w) +- 1, and the reverse link s_i (s_i w) = w."""
-        d = w._gl
-        if d is None:
-            d = w._gl = {}
-        g = d.get(i)
+        gets w's root shifts with entry r moved by delta, and the reverse
+        link s_i (s_i w) = w, written with no lock: threads that race store
+        equal values."""
+        g = w._gl.get(i)
         if g is None:
             if w.weyl is not self:
                 raise ValueError("elements belong to different weight systems")
             finite, offset, r, delta = self._left[i][w.finite]
-            lam = w.translation if offset is None else tuple(map(add, w.translation, offset))
-            shifts = self.root_shifts(w)
-            c = shifts[r]
-            g = d[i] = self._stepped(
-                w, i, finite, lam, shifts[:r] + (c + delta,) + shifts[r + 1:],
-                w.length() + abs(c + delta) - abs(c))
-        return g
-
-    def _stepped(self, w, back, finite, lam, shifts, length) -> GroupElement:
-        """(finite, lam), one left step from w, with its shifts, its length
-        and the link back to w, written with no lock: threads that race
-        store equal values."""
-        g = self.element(finite, lam)
-        if g._shifts is None:
-            g._shifts = shifts
-        g._len = length
-        if g._gl is None:
-            g._gl = {}
-        g._gl[back] = w
+            lam = w.translation
+            key = (finite, lam if offset is None else tuple(map(add, lam, offset)))
+            c = w.shifts
+            g = self._intern.get(key) or self._mint(key, c[:r] + (c[r] + delta,) + c[r + 1:])
+            g._gl[i] = w
+            w._gl[i] = g
         return g
 
     def is_left_descent(self, i: int, w: GroupElement) -> bool:
         """l(s_i w) < l(w), read off the left-step table: the shift c that
         s_i moves by delta shrinks, |c + delta| < |c|."""
         _, _, r, delta = self._left[i][w.finite]
-        c = self.root_shifts(w)[r]
+        c = w.shifts[r]
         return abs(c + delta) < abs(c)
 
     def pi_mul_left(self, pi_idx: int, w: GroupElement) -> GroupElement:
         """pi_elements[pi_idx] * w, cached per element beside s_i * w; with
         pi_idx = pi_inverse[k] it strips the Pi-part pi_k of w.  A new
-        product is read off the Pi table and keeps w's root shifts and
-        length: pi fixes A_0, so pi w has the alcove of w."""
-        d = w._gl
-        if d is None:
-            d = w._gl = {}
-        key = -1 - pi_idx
-        g = d.get(key)
+        product is read off the Pi table and keeps w's root shifts: pi fixes
+        A_0, so pi w has the alcove of w."""
+        slot = -1 - pi_idx
+        g = w._gl.get(slot)
         if g is None:
             if w.weyl is not self:
                 raise ValueError("elements belong to different weight systems")
             finite, offset = self._pi_left[pi_idx][w.finite]
-            g = d[key] = self._stepped(
-                w, -1 - self.pi_inverse[pi_idx], finite, tuple(map(add, w.translation, offset)),
-                self.root_shifts(w), w.length())
+            key = (finite, tuple(map(add, w.translation, offset)))
+            g = self._intern.get(key) or self._mint(key, w.shifts)
+            g._gl[-1 - self.pi_inverse[pi_idx]] = w
+            w._gl[slot] = g
         return g
 
     def translation(self, lam) -> GroupElement:
@@ -250,53 +244,18 @@ class Weyl:
     def longest_finite(self) -> GroupElement:
         return self.finite_element(self.ws.longest_index)
 
-    # -- alcove position: length, weight, separating hyperplanes ---------------
-
-    def root_shifts(self, w: GroupElement) -> tuple:
-        """Per positive root alpha, the integer c with <x, alpha^v> in
-        (c, c+1) for every x in the alcove of w: its position in closed form.
-        The simple roots come first.  Computed once per element and kept in
-        w._shifts (elements are interned), so every later call returns the
-        same tuple and makes no pairing."""
-        shifts = w._shifts
-        if shifts is None:
-            ws = self.ws
-            signs = ws.w0_root_action[ws.w0_inv[w.finite]]
-            lam = w.translation
-            shifts = w._shifts = tuple(
-                ws.pairing(lam, r) - (signs[r.index][1] < 0) for r in ws.positive_roots
-            )
-        return shifts
-
-    def length(self, w: GroupElement) -> int:
-        """Number of hyperplanes between A_0 and the alcove of w: the sum of
-        |root_shifts(w)|, read from the element's cached shifts.
-        GroupElement.length caches the sum, so it runs once per element."""
-        return sum(map(abs, self.root_shifts(w)))
+    # -- alcove position: weight ------------------------------------------------
 
     def weight_length(self, w: GroupElement) -> int:
-        """L(w): sum of hyperplane weights over all walls crossed."""
+        """L(w): sum of hyperplane weights over all walls crossed.  Per root
+        with shift c, the walls between A_0 and w are the levels
+        min(c, 0) + 1 .. max(c, 0)."""
         total = 0
-        for root, c in zip(self.ws.positive_roots, self.root_shifts(w)):
-            if c >= 1:
-                lo, hi = 1, c
-            elif c <= -1:
-                lo, hi = c + 1, 0
-            else:
-                continue
+        for root, c in zip(self.ws.positive_roots, w.shifts):
+            lo, hi = min(c, 0) + 1, max(c, 0)
             evens = hi // 2 - (lo - 1) // 2
             total += evens * root.even_weight + (hi - lo + 1 - evens) * root.odd_weight
         return total
-
-    def separating_hyperplanes(self, x: GroupElement, y: GroupElement):
-        """All (root index, level k) with H_{alpha,k} strictly between the
-        alcoves of x and y."""
-        out = set()
-        shifts = zip(self.ws.positive_roots, self.root_shifts(x), self.root_shifts(y))
-        for r, cx, cy in shifts:
-            lo, hi = (cx, cy) if cx < cy else (cy, cx)
-            out.update((r.index, k) for k in range(lo + 1, hi + 1))
-        return out
 
     # -- Pi parts and words ----------------------------------------------------
 

@@ -18,9 +18,10 @@ descent scan finite_descent checks the closed-form coset representatives.
 decompose_P_omega and phi_form are the whole-algebra routes that the X_0
 coset module replaced, decompose_P_tau is the factor-by-factor route that
 the peel of Q_tau replaced, factorizations is the scan of z' over B_0
-that the chamber of the alcove replaced, and dominant_weights_up_to is the
-search over the dominant cone that the closed form replaced; the tests
-compare both sides.
+that the chamber of the alcove replaced, dominant_weights_up_to is the
+search over the dominant cone that the closed form replaced, and
+degree_bound builds the hyperplane sets that the per-root interval of
+Hecke.degree_bound replaced; the tests compare both sides.
 """
 
 from __future__ import annotations
@@ -398,6 +399,27 @@ def wall_images(weyl, g):
         shift = sum(g.translation[i] * cov[i] for i in range(ws.rank))
         out.append(((tgt, sign * level + shift), gen_idx))
     return out
+
+
+def separating_hyperplanes(weyl, x, y) -> set:
+    """All (root index, level k) with H_{alpha,k} strictly between the
+    alcoves of x and y, level by level from their shifts."""
+    out = set()
+    for r, cx, cy in zip(weyl.ws.positive_roots, x.shifts, y.shifts):
+        lo, hi = sorted((cx, cy))
+        out.update((r.index, k) for k in range(lo + 1, hi + 1))
+    return out
+
+
+def degree_bound(hecke, x, y) -> int:
+    """c_{x,y} from the set H_{x,y} = H(e, y) & H(y, xy): the largest level
+    weight of each direction, summed."""
+    weyl, roots = hecke.weyl, hecke.ws.positive_roots
+    h_set = separating_hyperplanes(weyl, weyl.identity, y) & separating_hyperplanes(weyl, y, x * y)
+    best = {}
+    for r, k in h_set:
+        best[r] = max(best.get(r, 0), roots[r].level_weight(k))
+    return sum(best.values())
 
 
 def hyperplane_weight(weyl, root_index: int, k: int) -> int:

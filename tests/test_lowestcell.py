@@ -48,6 +48,24 @@ def test_x0_membership():
         assert LA2.is_in_x0(z)
 
 
+def test_elements_of_another_group_keep_their_alcoves():
+    # the box and X_0 tests read an element's own shifts and write nothing
+    # on it, so C2 translations keep their lengths after an A2 cell has
+    # looked at them; the entry points that need the A2 chamber table or
+    # chains refuse them with ValueError
+    lowest = make(("A", 2, (1, 1, 1)))
+    W2 = Weyl(WeightSystem("C", 2, (2, 1, 1)))
+    x, z, w = (W2.translation(lam) for lam in ((2, 2), (0, 1), (4, 2)))
+    lowest.in_box(x), lowest.is_in_x0(z)
+    for call in (lowest.membership, lowest.factorize):
+        with pytest.raises(ValueError, match="different weight systems"):
+            call(w)
+    with pytest.raises(ValueError):
+        lowest.p_element(w)
+    assert [g.length() for g in (x, z, w)] == [14, 4, 20]
+    assert lowest._factor_cache == {}
+
+
 def test_membership_examples():
     weyl = LA2.weyl
     w0 = weyl.longest_finite

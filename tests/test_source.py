@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import pathlib
 import sys
 
@@ -94,3 +95,16 @@ def test_every_library_definition_has_a_use():
             if not any(p != path or not first <= line <= last for p, line in uses.get(name, ())):
                 dead.append(f"{path.name}:{first} {name}")
     assert not dead, f"library definitions nothing in src/ or bench/ uses: {dead}"
+
+
+def test_every_traced_name_is_a_class_attribute():
+    # bench/spans.py wraps each (class, attribute) of LAYERS in place; a
+    # name deleted or moved off its class breaks traced runs, which only
+    # the benchmark's own tests would otherwise notice
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [f"{cls.__name__}.{attr}" for _, cls, attr, *_ in spans.LAYERS
+               if attr not in cls.__dict__]
+    assert spans.LAYERS and not missing, f"traced names not on their class: {missing}"
