@@ -167,9 +167,17 @@ class CellularStructure:
         return hit
 
     def phi_iso(self, a: CellularElt) -> HeckeElt:
+        """Phi(a) = sum c Phi(v_z (x) e^tau (x) v_{z'}) over the terms of a.
+        A basis element (one term, coefficient 1) gets the cached image
+        itself: HeckeElt is immutable, and add_scaled only ever writes into
+        a dict its own caller made."""
+        if len(a._d) == 1:
+            (key, c), = a._d.items()
+            if c == _ONE:
+                return self.phi_image_basis(*key)
         d = {}
-        for (z, tau, zp), c in a.items():
-            add_scaled(d, c, self.phi_image_basis(z, tau, zp).items())
+        for (z, tau, zp), c in a._d.items():
+            add_scaled(d, c, self.phi_image_basis(z, tau, zp)._d.items())
         return HeckeElt(d)
 
     def phi_inverse(self, h: HeckeElt) -> CellularElt:

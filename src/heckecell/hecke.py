@@ -12,7 +12,11 @@ builds a value at w from the value at its tail (w with the pi-part, a
 support relabel, or else the first letter of the reduced word stripped).
 Both tails are per-element cached group steps of weyl (pi_mul_left by the
 inverse Pi index, gen_mul_left), so a walk over elements already minted
-multiplies no group elements.
+multiplies no group elements.  The per-term loops (mul_gen, _pi_shift,
+flat, the action of _acting_on) read what each element was minted with or
+keeps: the cached step in w._gl, w._inv, w._len, w._word, and the chain
+cache itself, and call the group only on a miss, where its check for an
+element of another group runs.
 bar_t walks it on the bar cache with T_s^-1 = T_s - xi_s; right_mul(h2)
 walks it on a cache seeded with h2 that it owns, so T_x h2 costs one
 generator step for every x of a support closed under tails (KL elements,
@@ -79,18 +83,18 @@ class Hecke:
         gen_mul_left = self.weyl.gen_mul_left
         d = {}
         down = []
-        for w, c in h.items():
-            sw = gen_mul_left(i, w)
+        for w, c in h._d.items():
+            sw = w._gl.get(i) or gen_mul_left(i, w)
             d[sw] = c
-            if sw.length() < w.length():
+            if sw._len < w._len:
                 down.append((w, c))
         add_scaled(d, self.xi[i], down)
         return h._new(d)
 
     def _pi_shift(self, pi_idx: int, h: HeckeElt) -> HeckeElt:
         """T_pi h for the length-zero element pi_elements[pi_idx]: a relabel."""
-        pi_mul_left = self.weyl.pi_mul_left
-        return h._new({pi_mul_left(pi_idx, w): c for w, c in h.items()})
+        pi_mul_left, slot = self.weyl.pi_mul_left, -1 - pi_idx
+        return h._new({w._gl.get(slot) or pi_mul_left(pi_idx, w): c for w, c in h._d.items()})
 
     def _left_chain(self, w: GroupElement, cache: dict, step) -> HeckeElt:
         """cache[w] for a cache of left T-actions, filled along w's chain.
@@ -115,7 +119,7 @@ class Hecke:
             if x in cache:
                 todo.pop()
                 continue
-            pi_idx, word = weyl.reduced_word(x)
+            pi_idx, word = x._word or weyl.reduced_word(x)
             if pi_idx:
                 tail = weyl.pi_mul_left(weyl.pi_inverse[pi_idx], x)
             else:
@@ -184,8 +188,11 @@ class Hecke:
 
         def act(h: HeckeElt) -> HeckeElt:
             acc = {}
-            for x, c in h.items():
-                add_scaled(acc, c, self._left_chain(x, cache, step).items())
+            for x, c in h._d.items():
+                tx = cache.get(x)
+                if tx is None:  # not by truth: an empty HeckeElt is falsy
+                    tx = self._left_chain(x, cache, step)
+                add_scaled(acc, c, tx._d.items())
             return m._new(acc)
 
         return act
@@ -219,7 +226,7 @@ class Hecke:
 
     def flat(self, h: HeckeElt) -> HeckeElt:
         """The antiautomorphism T_w -> T_{w^-1} (coefficients untouched)."""
-        return HeckeElt({w.inverse(): c for w, c in h.items()})
+        return h._new({w._inv or w.inverse(): c for w, c in h._d.items()})
 
     # -- Kazhdan-Lusztig basis --------------------------------------------------------
 

@@ -15,9 +15,13 @@ of 32 bits that holds it, so coefficients of any size stay exact.
 A value with -_LIMIT < n < _LIMIT is one digit at every width (a second
 nonzero digit at width w puts |n| at 2^(w-1) >= _LIMIT or more), so it is
 the monomial n q^v; every one-digit value of 32-bit width is one.  Most KL
-coefficients are.  _terms, degree and to_json read such a value off
-(v, n), so every inspection (coeff, items, text, bar, the bar-invariant
-part, the filtration tests) skips the digit loop and _width for it.
+coefficients are.  _terms, degree, to_json, in_strictly_negative and
+bar_invariant_part read such a value off (v, n), so every inspection
+(coeff, items, text, bar, the filtration tests) skips decoding and _width
+for it.  A longer value of 32-bit width is decoded in one pass (_digits):
+with B_k = sum_{i<k} 2^31 2^(32 i), the native-order bytes of
+(n + B_k) ^ B_k, read as C ints, are its k signed digits, lowest first.
+Only wider values, whose l1 bound reached 2^31, take the digit loop.
 LaurentCombination is the one sparse linear-combination type (key ->
 nonzero LaurentPoly).  add_scaled is the one multiply-accumulate on such
 dicts (d[k] += a * c over many terms) and the only code that does
@@ -31,17 +35,39 @@ element into T_top + sum q^-1 Z[q^-1] T_y (the KL lift).
 
 from __future__ import annotations
 
+import sys
+
 NEG_INF = float("-inf")
 
 _W = 32  # digit width of every value whose l1 bound is below _LIMIT
 _LIMIT = 1 << (_W - 1)
 _MASK = (1 << _W) - 1
+# B_K = sum_{i<K} 2^31 2^(32 i), the digit bias of the one-pass decode
+_BIAS_DIGITS = 64
+_BIAS = int.from_bytes(_LIMIT.to_bytes(4, "little") * _BIAS_DIGITS, "little")
+_ORDER = sys.byteorder
 
 
 def _width(m: int) -> int:
     """The digit width of a value with l1 bound m: the least multiple of 32
     above the bit length of m, so 32 for m < 2^31 and |c| <= m < 2^(width-1)."""
     return _W * (m.bit_length() // _W + 1)
+
+
+def _digits(n: int, m: int):
+    """The signed digits of n, lowest first, as a memoryview of C ints, for
+    a value of 32-bit width (m < 2^31) and at most _BIAS_DIGITS digits;
+    None for any other.  One pass: adding B_k lifts each digit c into
+    c + 2^31 in [1, 2^32), so no digit carries into the next, and the XOR
+    with B_k leaves the 32-bit two's complement of each c, which the
+    native-order bytes read back as signed ints."""
+    if m >= _LIMIT:
+        return None
+    k = abs(n).bit_length() // _W + 1
+    if k > _BIAS_DIGITS:
+        return None
+    bias = _BIAS >> (_W * (_BIAS_DIGITS - k))
+    return memoryview(((n + bias) ^ bias).to_bytes(4 * k, _ORDER)).cast("i")
 
 
 def _encode(terms: dict) -> tuple:
@@ -112,12 +138,20 @@ class LaurentPoly:
         return self._v + abs(n).bit_length() // _width(self._m)
 
     def in_strictly_negative(self) -> bool:
-        """True iff the polynomial lies in q^-1 Z[q^-1]."""
+        """True iff the polynomial lies in q^-1 Z[q^-1].  One digit is the
+        monomial n q^v, as in degree."""
+        n = self._n
+        if -_LIMIT < n < _LIMIT:
+            return not n or self._v < 0
         return self.degree() < 0
 
     def bar_invariant_part(self) -> "LaurentPoly":
         """The bar-invariant mu with self - mu in q^-1 Z[q^-1]: the constant
-        term plus c_e (q^e + q^-e) for every term c_e q^e with e > 0."""
+        term plus c_e (q^e + q^-e) for every term c_e q^e with e > 0.  One
+        digit is the monomial n q^v, as in degree."""
+        n, v = self._n, self._v
+        if -_LIMIT < n < _LIMIT:
+            return _pack({v: n, -v: n}) if n and v >= 0 else _ZERO
         if self.degree() < 0:
             return _ZERO
         c = {}
@@ -130,14 +164,22 @@ class LaurentPoly:
 
     def _terms(self) -> dict:
         """{exponent: nonzero coefficient} in ascending exponent order.  One
-        digit (-_LIMIT < n < _LIMIT) is {v: n}; else the digits are decoded
-        at the width of the bound, lowest first."""
+        digit (-_LIMIT < n < _LIMIT) is {v: n}; else the digits are read in
+        one pass by _digits, or, at a wider width, decoded at the width of
+        the bound, lowest first."""
         n, e = self._n, self._v
         if -_LIMIT < n < _LIMIT:
             return {e: n} if n else {}
+        out = {}
+        digits = _digits(n, self._m)
+        if digits is not None:
+            for c in digits:
+                if c:
+                    out[e] = c
+                e += 1
+            return out
         w = _width(self._m)
         mask, half = (1 << w) - 1, 1 << (w - 1)
-        out = {}
         while n:
             c = n & mask
             n >>= w
@@ -199,7 +241,16 @@ class LaurentPoly:
         n = self._n
         if -_LIMIT < n < _LIMIT:
             return {str(self._v): n} if n else {}
-        return {str(e): v for e, v in reversed(self._terms().items())}
+        digits = _digits(n, self._m)
+        if digits is None:
+            return {str(e): v for e, v in reversed(self._terms().items())}
+        e = self._v + len(digits)
+        out = {}
+        for c in digits[::-1]:
+            e -= 1
+            if c:
+                out[str(e)] = c
+        return out
 
 
 _alloc = object.__new__

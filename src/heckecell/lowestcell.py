@@ -9,7 +9,9 @@ length zero), eps_k(u) = [alpha_k . u^-1 < 0], and X_0 is the set of x
 whose alcove lies in the dominant chamber, with no negative simple-root
 shift (Bremke 1997).  in_box and is_in_x0 read the simple-root prefix of
 the shifts every element is minted with (GroupElement.shifts), so a module
-step, a factorization or a P-element lookup makes no pairing.
+step, a factorization or a P-element lookup makes no pairing; both refuse
+an element of another group with ValueError.  The module step makes the
+X_0 test inline, on steps of its own group's elements.
 Factorization reads z' off the chamber that holds the alcove of w and z off
 the finite part of x = z p_tau, and checks that one candidate; that no
 other z' of B_0 factors w is checked by the oracle test.  The result, a
@@ -81,12 +83,18 @@ class LowestCell:
     def in_box(self, z: GroupElement) -> bool:
         """The definition of B_0: 0 < <x, alpha_k^v> < b_k on the alcove of z,
         per simple root k: 0 <= c_k < b_k on the simple-root prefix of z's
-        root shifts (zip stops at the rank)."""
+        root shifts (zip stops at the rank).  An element of another group
+        raises ValueError."""
+        if z.weyl is not self.weyl:
+            raise ValueError("elements belong to different weight systems")
         return all(0 <= c < b for c, b in zip(z.shifts, self.ws.b))
 
     def is_in_x0(self, x: GroupElement) -> bool:
         """Minimal-length representative of x W_0: the alcove of x lies in
-        the dominant chamber, so no simple-root shift is negative."""
+        the dominant chamber, so no simple-root shift is negative.  An
+        element of another group raises ValueError."""
+        if x.weyl is not self.weyl:
+            raise ValueError("elements belong to different weight systems")
         return min(x.shifts[:self.ws.rank]) >= 0
 
     # -- membership and factorization ----------------------------------------------
@@ -154,14 +162,15 @@ class LowestCell:
         the xi_s terms of the descents are then added to it."""
         gen_mul_left = self.weyl.gen_mul_left
         q_s = self._q_params[i]
+        rank = self.ws.rank
         d = {}
         down = []
-        for x, c in h.items():
-            sx = gen_mul_left(i, x)
-            if sx.length() < x.length():
+        for x, c in h._d.items():
+            sx = x._gl.get(i) or gen_mul_left(i, x)
+            if sx._len < x._len:
                 d[sx] = c
                 down.append((x, c))
-            elif self.is_in_x0(sx):
+            elif min(sx.shifts[:rank]) >= 0:  # sx in X_0
                 d[sx] = c
             else:
                 d[x] = c * q_s

@@ -5,8 +5,10 @@ trivial).  Element JSON carries the word form plus the redundant normal
 form {lambda, u} which is validated on ingest.  Hecke elements serialize
 as arrays sorted by (length, word, Pi index) so output is byte-stable.
 Words are read, not rebuilt: an element's own kept word, u's from the W_0
-table Weyl.finite_words; a Hecke element's keys are sorted once by
-Weyl.sort_key.  Every call returns fresh lists and dicts.
+table Weyl.finite_words.  A Hecke element's keys are sorted once by
+Weyl.sort_key, which keeps each key's word, and one loop reads that word,
+the translation and the coefficient of each term, with the W_0 table
+fetched once per call.  Every call returns fresh lists and dicts.
 """
 
 from __future__ import annotations
@@ -19,18 +21,26 @@ from .weyl import GroupElement, Weyl
 
 
 def element_text(weyl: Weyl, w: GroupElement) -> str:
-    pi, word = weyl.reduced_word(w)
-    body = "[" + ",".join(str(i) for i in word) + "]"
+    return _word_text(weyl.reduced_word(w))
+
+
+def _word_text(kept: tuple) -> str:
+    pi, word = kept
+    body = "[" + ",".join(map(str, word)) + "]"
     return f"pi^{pi}*{body}" if pi else body
 
 
 def element_json(weyl: Weyl, w: GroupElement) -> dict:
-    pi, word = weyl.reduced_word(w)
+    return _element_json(weyl.reduced_word(w), w, weyl.finite_words())
+
+
+def _element_json(kept: tuple, w: GroupElement, finite_words: tuple) -> dict:
+    pi, word = kept
     return {
         "pi": pi,
         "word": list(word),
         "lambda": list(w.translation),
-        "u": list(weyl.finite_words()[w.finite]),
+        "u": list(finite_words[w.finite]),
     }
 
 
@@ -84,16 +94,18 @@ def element_from_json(weyl: Weyl, obj: dict) -> GroupElement:
 
 
 def hecke_json(weyl: Weyl, h: HeckeElt) -> list:
-    d = dict(h.items())
+    """The terms sorted by sort_key, which keeps each element's word."""
+    d, finite_words = h._d, weyl.finite_words()
     return [
-        {"element": element_json(weyl, w), "coeff": d[w].to_json()}
+        {"element": _element_json(w._word, w, finite_words), "coeff": d[w].to_json()}
         for w in sorted(d, key=weyl.sort_key)
     ]
 
 
 def hecke_text(weyl: Weyl, h: HeckeElt) -> str:
-    d = dict(h.items())
-    return "\n".join(f"({d[w]})  T_{element_text(weyl, w)}" for w in sorted(d, key=weyl.sort_key)) or "0"
+    """The terms sorted by sort_key, which keeps each element's word."""
+    d = h._d
+    return "\n".join(f"({d[w]})  T_{_word_text(w._word)}" for w in sorted(d, key=weyl.sort_key)) or "0"
 
 
 def weight_text(lam) -> str:

@@ -42,12 +42,16 @@ class GroupElement:
     c with <x, alpha^v> in (c, c+1) for every x in the alcove of w.
     Build elements through Weyl.element (or the group operations), never
     directly: Weyl interns one object per normal form, so == and hash are
-    the built-in identity ones.
+    the built-in identity ones.  _key keeps the tuple Weyl.sort_key returns.
+    It is also the ninth slot: an object of 8 slots spans an even number of
+    16-byte allocator blocks, so the identity hashes (address >> 4) of
+    elements minted in a row step by an even number and half the slots of
+    a small dict keyed by elements go unused; 9 slots span an odd number.
     """
 
     __slots__ = (
         "weyl", "finite", "translation", "shifts",
-        "_len", "_inv", "_word", "_gl",
+        "_len", "_inv", "_word", "_key", "_gl",
     )
 
     def __init__(self, weyl, finite, translation, shifts):
@@ -58,6 +62,7 @@ class GroupElement:
         self._len = sum(map(abs, shifts))
         self._inv = None  # cache: Weyl.inverse
         self._word = None
+        self._key = None  # cache: Weyl.sort_key
         self._gl = {}  # cache: generator/Pi products on the left
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
@@ -306,10 +311,15 @@ class Weyl:
         return words
 
     def sort_key(self, w: GroupElement):
-        """(length, word, Pi index), read off w's kept word: a reduced word
-        has l(w) letters."""
-        pi_idx, word = w._word or self.reduced_word(w)
-        return (len(word), word, pi_idx)
+        """(length, word, Pi index), read off w's kept word (a reduced word
+        has l(w) letters) and kept on w after it, so an element with a key
+        has a word.  Like _word, written with no lock: racing threads store
+        equal values."""
+        key = w._key
+        if key is None:
+            pi_idx, word = w._word or self.reduced_word(w)
+            key = w._key = (len(word), word, pi_idx)
+        return key
 
     # -- Bruhat order ------------------------------------------------------------
 

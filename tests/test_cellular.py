@@ -3,6 +3,7 @@ import random
 import pytest
 
 import oracles
+from heckecell import serialize
 from heckecell.cellular import CellularElt, CellularStructure, MonoidAlgebraElt
 from heckecell.hecke import Hecke, HeckeElt
 from heckecell.laurent import LaurentPoly, add_scaled
@@ -209,6 +210,32 @@ def test_phi_iso_examples():
         for zp in CA2.lowest.box_elements()[:4]:
             img = CA2.phi_iso(CellularElt.basis(z, (0, 0), zp))
             assert img == hecke.kl_basis(z * w0 * zp.inverse())
+
+
+@pytest.mark.parametrize("cfg, bound", [(("A", 2, (1, 1, 1)), 7), (("C", 2, (3, 2, 1)), 12)],
+                         ids=["A2", "C2-321"])
+def test_phi_iso_of_a_basis_element_is_the_cached_image(cfg, bound):
+    # Phi(v_z (x) e^tau (x) v_z') is the very object phi_image_basis keeps,
+    # so no operation may write into what it reads: each image serializes
+    # the same after mul, cellular_mul, phi_iso, phi_inverse and
+    # involution_check have run on it
+    cs = make(cfg)
+    hecke, weyl = cs.hecke, cs.weyl
+    triples = cs.basis_triples(bound)
+    for t in triples:
+        assert cs.phi_iso(CellularElt.basis(*t)) is cs.phi_image_basis(*t)
+    before = {t: serialize.hecke_json(weyl, cs.phi_image_basis(*t)) for t in triples}
+    lens = {t: cs.lowest.assemble(*t).length() for t in triples}
+    pairs = [(a, b) for a in triples for b in triples if lens[a] + lens[b] <= bound]
+    for a, b in random.Random(28).sample(pairs, min(len(pairs), 40)):
+        ea, eb = CellularElt.basis(*a), CellularElt.basis(*b)
+        prod = hecke.mul(cs.phi_iso(ea), cs.phi_iso(eb))
+        cell = cs.cellular_mul(ea, eb)
+        assert cs.phi_iso(cell) == prod and cs.phi_inverse(prod) == cell
+    for t in triples:
+        a = CellularElt.basis(*t)
+        assert cs.phi_inverse(cs.phi_iso(a)) == a and cs.involution_check(a)
+    assert {t: serialize.hecke_json(weyl, cs.phi_image_basis(*t)) for t in triples} == before
 
 
 def test_phi_homomorphism_sampled():

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from heckecell.laurent import _LIMIT, NEG_INF, LaurentPoly, _width, add_scaled, peel, xi
+from heckecell.laurent import (
+    _BIAS_DIGITS, _LIMIT, NEG_INF, LaurentPoly, _digits, _width, add_scaled, peel, xi)
 from oracles import DictLaurent
 
 
@@ -396,6 +397,86 @@ def test_one_digit_values_with_wide_digits():
     p = P({0: 2**31 - 1, 1: 1}) + P({0: -(2**31 - 1)}) + P({1: 2})
     assert p._m == 3 and p._n == 3
     agrees_in_order(p, DictLaurent({1: 3}))
+
+
+# -- the one-pass decode of 32-bit digits ------------------------------------------
+
+
+def packed(digits, w=32) -> int:
+    return sum(c << (w * i) for i, c in enumerate(digits))
+
+
+def seeded_digits(rng, k: int) -> list:
+    """k digits, lowest first, with a nonzero bottom and top of either sign,
+    interior zeros, and sometimes one digit that fills the l1 norm up to
+    2^31 - 1, so the value keeps 32-bit digits."""
+    digits = [rng.choice((0, 0, rng.randint(-9, 9), rng.randint(-(2**20), 2**20)))
+              for _ in range(k)]
+    digits[0] = digits[0] or rng.choice((-1, 1))
+    digits[-1] = digits[-1] or rng.choice((-1, 1))
+    if rng.random() < 0.3:
+        i = rng.randrange(k)
+        rest = sum(abs(c) for j, c in enumerate(digits) if j != i)
+        digits[i] = rng.choice((-1, 1)) * (2**31 - 1 - rest)
+    return digits
+
+
+def decode_agrees(p, o, v: int, k: int) -> None:
+    """agrees_in_order, and coeff at every exponent of the k digits from
+    q^v and one past either end."""
+    agrees_in_order(p, o)
+    assert list(p.items()) == sorted(o.items())
+    assert all(p.coeff(e) == o.coeff(e) for e in range(v - 1, v + k + 1))
+
+
+def test_one_pass_decode_reads_every_digit():
+    # the digits come back lowest first, signed, at any count up to
+    # _BIAS_DIGITS: the extremes +-(2^31 - 1), interior zeros, a negative top
+    top = 2**31 - 1
+    rng = random.Random(28)
+    patterns = [[top] * 3, [-top] * 3, [top, -top] * 4, [-top, 0, 0, top, 0, -1],
+                [1, 0, 0, 0, -top], [-1, -1], [0, 0, 5]]
+    patterns += [[rng.randint(-top, top) for _ in range(k - 1)] + [rng.choice((-top, -1, 1, top))]
+                 for k in list(range(2, 41)) + [_BIAS_DIGITS]]
+    for digits in patterns:
+        n = packed(digits)
+        assert list(_digits(n, 0)) == digits
+        assert list(_digits(n, 2**31 - 1)) == digits
+        assert _digits(n, 2**31) is None  # a wider width decodes by the loop
+    assert _digits(packed([1] * (_BIAS_DIGITS + 1)), 0) is None
+
+
+def test_multi_digit_values_match_the_dict_oracle():
+    # seeded values of 1 to 40 digits of 32 bits, read by the one-pass
+    # decode; every inspection agrees with the oracle, terms in order
+    rng = random.Random(2028)
+    for k in range(1, 41):
+        for _ in range(5):
+            v = rng.randint(-20, 5)
+            digits = seeded_digits(rng, k)
+            terms = {v + i: c for i, c in enumerate(digits) if c}
+            p = LaurentPoly(terms)
+            assert _width(p._m) == 32 and abs(p._n).bit_length() // 32 + 1 == k
+            decode_agrees(p, DictLaurent(terms), v, k)
+            decode_agrees(-p, -DictLaurent(terms), v, k)
+    # past _BIAS_DIGITS digits, the loop decodes 32-bit digits as well
+    k = _BIAS_DIGITS + 6
+    digits = seeded_digits(rng, k)
+    terms = {i: c for i, c in enumerate(digits) if c}
+    decode_agrees(LaurentPoly(terms), DictLaurent(terms), 0, k)
+
+
+def test_multi_digit_values_at_and_past_the_limit_decode_by_the_loop():
+    # l1 norms of exactly 2^31 and past it pack in 64 or more bits
+    rng = random.Random(31)
+    for digits in ([2**31 - 1, 0, 1], [-1, 0, 0, 2**31 - 1], [2**31, -3, 0, 7],
+                   [5, -(2**31 + 1)], [0, 2**40, 0, -(2**63)]):
+        for k in (1, 7, 40):
+            digits = digits + [rng.choice((0, -4, 9)) for _ in range(k)] + [-1]
+            terms = {i - 3: c for i, c in enumerate(digits) if c}
+            p = LaurentPoly(terms)
+            assert _width(p._m) > 32 and _digits(p._n, p._m) is None
+            decode_agrees(p, DictLaurent(terms), -3, len(digits))
 
 
 # -- the multiply-accumulate kernel against the per-term operators and the oracle -

@@ -49,21 +49,32 @@ def test_x0_membership():
 
 
 def test_elements_of_another_group_keep_their_alcoves():
-    # the box and X_0 tests read an element's own shifts and write nothing
-    # on it, so C2 translations keep their lengths after an A2 cell has
-    # looked at them; the entry points that need the A2 chamber table or
-    # chains refuse them with ValueError
+    # every entry point refuses C2 translations with ValueError and writes
+    # nothing on them, so they keep their lengths after an A2 cell has
+    # been asked about them
     lowest = make(("A", 2, (1, 1, 1)))
     W2 = Weyl(WeightSystem("C", 2, (2, 1, 1)))
     x, z, w = (W2.translation(lam) for lam in ((2, 2), (0, 1), (4, 2)))
-    lowest.in_box(x), lowest.is_in_x0(z)
-    for call in (lowest.membership, lowest.factorize):
+    for call, g in ((lowest.in_box, x), (lowest.is_in_x0, z),
+                    (lowest.membership, w), (lowest.factorize, w)):
         with pytest.raises(ValueError, match="different weight systems"):
-            call(w)
+            call(g)
     with pytest.raises(ValueError):
         lowest.p_element(w)
     assert [g.length() for g in (x, z, w)] == [14, 4, 20]
     assert lowest._factor_cache == {}
+
+
+def test_box_and_x0_tests_refuse_elements_of_another_group():
+    # the shifts of a C2 element read against the A2 b and rank gave an
+    # answer (in_box(p_(2,2)) False, is_in_x0(p_(0,1)) True); every C2
+    # element now raises
+    lowest = make(("A", 2, (1, 1, 1)))
+    W2 = Weyl(WeightSystem("C", 2, (2, 1, 1)))
+    for g in W2.enumerate_elements(4):
+        for call in (lowest.in_box, lowest.is_in_x0):
+            with pytest.raises(ValueError, match="different weight systems"):
+                call(g)
 
 
 def test_membership_examples():

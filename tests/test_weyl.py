@@ -558,6 +558,18 @@ def test_equality_and_hash_are_identity():
     assert GroupElement.__hash__ is object.__hash__
 
 
+def test_elements_span_an_odd_number_of_allocator_blocks():
+    # identity hashes are addresses >> 4, and elements minted in a row sit
+    # one object size apart: an odd number of 16-byte blocks steps their
+    # hashes through every residue of a small dict's table, an even number
+    # through half of them.  The ninth slot, _key, keeps the sort key.
+    assert len(GroupElement.__slots__) == 9
+    assert (sys.getsizeof(WA2.identity) + 15) // 16 % 2 == 1
+    w = WA2.from_word(1, [0, 2, 1])
+    key = WA2.sort_key(w)
+    assert w._key is key == (3, (0, 2, 1), 1)
+
+
 def test_elements_of_two_groups_never_compare_equal():
     # both identities have normal form (0, (0, 0))
     assert (WA2.identity.finite, WA2.identity.translation) == (
