@@ -68,8 +68,9 @@ class CellularStructure:
         self.length_bound = length_bound
         self._phi_cache = {}
         self._phi_image_cache = {}
-        # Q_tau (on the X_0 module) by tau, h -> h C_{w_0 z'^-1} by z', and
-        # C_{w_0} m_x by module basis element x
+        # Q_tau (on the X_0 module) by tau, C_{w_0 z'^-1} = flat(C_{z' w_0})
+        # by z' (the right factor of every image, which keeps its own chain
+        # cache), and C_{w_0} m_x by module basis element x
         self._q_cache = {(0,) * self.ws.rank: self.hecke.unit()}
         self._right = {}
         self._w0_on = {}
@@ -147,23 +148,25 @@ class CellularStructure:
                 add_scaled(d, ca * cb, [
                     ((zi, tuple(x + y + z for x, y, z in zip(tau, sigma, tau2)), zl), cphi)
                     for sigma, cphi in self.phi_form(zj, zk).items()])
-        return CellularElt(d)
+        return CellularElt._new(d)
 
     def phi_image_basis(self, z: GroupElement, tau, zprime: GroupElement) -> HeckeElt:
         """Phi(v_z (x) e^tau (x) v_{z'}) = P(z) Q_tau P(z')^flat: u = P(z) Q_tau
-        on the X_0 module, then u C_{w_0 z'^-1} by the right multiplier of z'."""
+        on the X_0 module, then the product u C_{w_0 z'^-1} in the algebra,
+        with C_{w_0 z'^-1} = flat(C_{z' w_0}) kept per z', so every image with
+        that z' reuses the chain cache {x: T_x C_{w_0 z'^-1}} it keeps."""
         key = (z, tuple(tau), zprime)
         hit = self._phi_image_cache.get(key)
         if hit is None:
             hecke, lowest = self.hecke, self.lowest
             u = lowest.act(lowest.p_element(z), self._q_tau(key[1]))
-            times = self._right.get(zprime)
-            if times is None:
+            right = self._right.get(zprime)
+            if right is None:
                 if not lowest.in_box(zprime):
                     raise ValueError(f"{zprime!r} is not in the box B_0")
-                times = self._right[zprime] = hecke.right_mul(
-                    hecke.flat(hecke.kl_basis(zprime * self.weyl.longest_finite)))
-            self._phi_image_cache[key] = hit = times(u)
+                right = self._right[zprime] = hecke.flat(
+                    hecke.kl_basis(zprime * self.weyl.longest_finite))
+            self._phi_image_cache[key] = hit = hecke.mul(u, right)
         return hit
 
     def phi_iso(self, a: CellularElt) -> HeckeElt:
@@ -178,7 +181,7 @@ class CellularStructure:
         d = {}
         for (z, tau, zp), c in a._d.items():
             add_scaled(d, c, self.phi_image_basis(z, tau, zp)._d.items())
-        return HeckeElt(d)
+        return HeckeElt._new(d)
 
     def phi_inverse(self, h: HeckeElt) -> CellularElt:
         """Inverse of the isomorphism on elements of the lowest ideal.

@@ -13,24 +13,28 @@ support relabel, or else the first letter of the reduced word stripped).
 Both tails are per-element cached group steps of weyl (pi_mul_left by the
 inverse Pi index, gen_mul_left), so a walk over elements already minted
 multiplies no group elements.  The per-term loops (mul_gen, _pi_shift,
-flat, the action of _acting_on) read what each element was minted with or
-keeps: the cached step in w._gl, w._inv, w._len, w._word, and the chain
-cache itself, and call the group only on a miss, where its check for an
-element of another group runs.
-bar_t walks it on the bar cache with T_s^-1 = T_s - xi_s; right_mul(h2)
-walks it on a cache seeded with h2 that it owns, so T_x h2 costs one
-generator step for every x of a support closed under tails (KL elements,
-P-elements) over all its left factors, and the same loop acts on the X_0
-module of lowestcell with that module's generator step; kl_basis walks it
+flat, _act) read what each element was minted with or keeps: the cached
+step in w._gl, w._inv, w._len, w._word, and the chain cache itself, and
+call the group only on a miss, where its check for an element of another
+group runs.
+bar_t walks it on the bar cache with T_s^-1 = T_s - xi_s; mul(h1, h2)
+walks it on the chain cache {x: T_x h2} that h2 keeps in its one slot,
+made on first use and seeded with a twin of h2 that shares its dict (so
+the cache holds no reference back to h2, which reference counting alone
+frees), so T_x h2 costs one generator step for every x of a support closed
+under tails (KL elements, P-elements) over every left factor h2 ever
+meets; the same loop acts on the X_0 module of lowestcell with that
+module's generator step and a cache local to the call; kl_basis walks it
 on the KL cache from C_e = T_e by the descent recursion (Lusztig, Hecke
 algebras with unequal parameters, Thm 6.6), with no bar_t and no solve.  A
 KL link that misses a lower element resumes its peel, so each link steps
 once.
 
-The KL cache and the bar cache are the only shared mutable structures; a
-single lock makes get-or-compute linearizable so sweeps may run from
-threads.  A right_mul chain cache and a walk's partly peeled links are
-local to their call and need no lock.
+The KL cache and the bar cache are shared mutable structures under a
+single lock, which makes get-or-compute linearizable so sweeps may run from
+threads.  The chain cache an element keeps has no lock: it only memoizes
+T_x h2, which every thread computes alike, so threads that race on it store
+equal values.  A walk's partly peeled links are local to their call.
 """
 
 from __future__ import annotations
@@ -44,9 +48,12 @@ _ONE = LaurentPoly.one()
 
 
 class HeckeElt(LaurentCombination):
-    """Finitely supported map GroupElement -> LaurentPoly, no zero values."""
+    """Finitely supported map GroupElement -> LaurentPoly, no zero values.
 
-    __slots__ = ()
+    _tx, unset until the element is first a right factor of Hecke.mul, is
+    the chain cache {x: T_x h} of that product (read with a None default)."""
+
+    __slots__ = ("_tx",)
 
 
 class _Uncached(Exception):
@@ -168,38 +175,40 @@ class Hecke:
 
         return link
 
-    def right_mul(self, h2: HeckeElt):
-        """h1 -> h1 h2, with T_x h2 for every x in the support of h1 built
-        along x's chain from one cache {e: h2} that the returned function
-        owns, so a sweep over left factors builds each T_x h2 once."""
-        return self._acting_on(h2, self.mul_gen)
-
-    def _acting_on(self, m: HeckeElt, gen_step):
-        """h -> h . m for the left action gen_step(i, m) of T_s on m's
-        module: the algebra itself with mul_gen, or the X_0 module of
-        lowestcell with its generator step; T_x m is built along x's chain
-        from one cache {e: m} that the returned function owns.  Every key
-        of m must be an element of this algebra's group (ValueError)."""
+    def _chains(self, m: HeckeElt) -> dict:
+        """A fresh chain cache {e: m} of a left action on m.  The seed is a
+        twin of m that shares its dict, so a cache kept on m points nowhere
+        back at m.  Every key of m must be an element of this algebra's
+        group (ValueError)."""
         weyl = self.weyl
-        if any(x.weyl is not weyl for x, _ in m.items()):
+        if any(x.weyl is not weyl for x in m._d):
             raise ValueError("elements belong to different weight systems")
-        cache = {weyl.identity: m}
-        step = lambda i, h, _x: gen_step(i, h)
+        return {weyl.identity: m._new(m._d)}
 
-        def act(h: HeckeElt) -> HeckeElt:
-            acc = {}
-            for x, c in h._d.items():
-                tx = cache.get(x)
-                if tx is None:  # not by truth: an empty HeckeElt is falsy
-                    tx = self._left_chain(x, cache, step)
-                add_scaled(acc, c, tx._d.items())
-            return m._new(acc)
-
-        return act
+    def _act(self, h: HeckeElt, cache: dict, gen_step) -> HeckeElt:
+        """h . m for the chain cache {e: m, x: T_x m, ...} of the left action
+        gen_step(i, .) of T_s on m's module: the algebra itself with mul_gen,
+        or the X_0 module of lowestcell with its generator step.  T_x m is
+        built along x's chain for every x of h's support not yet cached."""
+        step = lambda i, v, _x: gen_step(i, v)
+        acc = {}
+        for x, c in h._d.items():
+            tx = cache.get(x)
+            if tx is None:  # not by truth: an empty HeckeElt is falsy
+                tx = self._left_chain(x, cache, step)
+            add_scaled(acc, c, tx._d.items())
+        return h._new(acc)
 
     def mul(self, h1: HeckeElt, h2: HeckeElt) -> HeckeElt:
-        """h1 h2 through a right multiplier that lives for this call only."""
-        return self.right_mul(h2)(h1)
+        """h1 h2 = sum c T_x h2 over the terms c T_x of h1, with T_x h2 read
+        from the chain cache h2 keeps (made on the first product with h2), so
+        a later product with h2 steps only for left support not seen yet.
+        Keys of another group raise ValueError on every call: h2's before a
+        cache is kept on it, h1's when the walk from a missing key starts."""
+        cache = getattr(h2, "_tx", None)
+        if cache is None:
+            cache = h2._tx = self._chains(h2)
+        return self._act(h1, cache, self.mul_gen)
 
     # -- involutions ---------------------------------------------------------------
 

@@ -208,9 +208,10 @@ class LaurentPoly:
 
     def __eq__(self, other) -> bool:
         # equal (v, n) decode alike only at equal widths; the width is a
-        # function of the polynomial, since every bound from 2^31 up is exact
+        # function of the polynomial, since every bound from 2^31 up is exact,
+        # and two bounds below 2^31 both mean 32-bit digits
         return (isinstance(other, LaurentPoly) and self._n == other._n and self._v == other._v
-                and (self._m == other._m or _width(self._m) == _width(other._m)))
+                and ((self._m | other._m) < _LIMIT or _width(self._m) == _width(other._m)))
 
     def __hash__(self):
         return hash((self._v, self._n))
@@ -357,8 +358,10 @@ class LaurentCombination:
     def __init__(self, d=None):
         self._d = {k: c for k, c in (d or {}).items() if c}
 
-    def _new(self, d: dict):
-        out = type(self).__new__(type(self))
+    @classmethod
+    def _new(cls, d: dict):
+        """An element holding d itself, which must be free of zero values."""
+        out = cls.__new__(cls)
         out._d = d
         return out
 

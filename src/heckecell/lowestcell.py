@@ -179,8 +179,10 @@ class LowestCell:
 
     def act(self, h: HeckeElt, m: HeckeElt) -> HeckeElt:
         """h . m for a module element m: T_x m is built along x's chain by
-        the generator step for every x in the support of h."""
-        return self.hecke._acting_on(m, self._module_gen)(h)
+        the generator step for every x in the support of h, on a chain cache
+        local to this call: the cache m keeps as a right factor of
+        Hecke.mul holds the algebra's action, not the module's."""
+        return self.hecke._act(h, self.hecke._chains(m), self._module_gen)
 
     # -- the P elements -------------------------------------------------------------
 
@@ -216,7 +218,7 @@ class LowestCell:
         for i, fw in enumerate(self.ws.fundamental_weights):
             count = tau[i] // self.ws.b[i]
             if count:
-                times_p = self.hecke.right_mul(self.p_element_omega(fw))
+                p = self.p_element_omega(fw)
                 for _ in range(count):
-                    out = times_p(out)
+                    out = self.hecke.mul(out, p)
         return out

@@ -183,12 +183,11 @@ def cellular_suite():
         hom_bad = 0
         pair_count = 0
         for b in triples:
-            times_b = hecke.right_mul(images[b])
             for a in triples:
                 if lens[a] + lens[b] > bound:
                     continue
                 pair_count += 1
-                prod = times_b(images[a])
+                prod = hecke.mul(images[a], images[b])
                 cell = cs.cellular_mul(CellularElt.basis(*a), CellularElt.basis(*b))
                 if prod != cs.phi_iso(cell):
                     hom_bad += 1

@@ -76,15 +76,15 @@ def test_phi_reconstructs_product():
 
 def test_phi_form_runs_on_the_coset_module():
     # phi_form stays on the X_0 module: no product in the whole algebra
-    # (Hecke.mul or a right multiplier) and no C_w built but C_{w_0}, which
-    # acts on the module; the forms, filled column by column, equal those
-    # of a fresh structure filled row by row
+    # (Hecke.mul) and no C_w built but C_{w_0}, which acts on the module;
+    # the forms, filled column by column, equal those of a fresh structure
+    # filled row by row
     cfg = ("C", 2, (3, 2, 1))
     cols, rows = make(cfg), make(cfg)
     hecke, weyl = cols.hecke, cols.weyl
     b0 = cols.lowest.box_elements()
     calls = []
-    for name in ("mul", "right_mul", "kl_basis"):
+    for name in ("mul", "kl_basis"):
         f = getattr(hecke, name)
         setattr(hecke, name, lambda *args, _name=name, _f=f: calls.append((_name, args)) or _f(*args))
     by_column = {(z, zp): cols.phi_form(z, zp) for zp in b0 for z in b0}
@@ -247,6 +247,30 @@ def test_phi_homomorphism_sampled():
         ea, eb = CellularElt.basis(*a), CellularElt.basis(*b)
         assert hecke.mul(CA2.phi_iso(ea), CA2.phi_iso(eb)) == CA2.phi_iso(
             CA2.cellular_mul(ea, eb))
+
+
+def test_phi_iso_and_cellular_mul_results_hold_no_zero_values():
+    # both results take the dict add_scaled filled, which holds no zero
+    # value, as it is: on every A2 pair they equal the filtering constructor
+    # form, and so does phi_iso of a difference, whose images share terms
+    # that cancel
+    cs = make(("A", 2, (1, 1, 1)))
+    triples = cs.basis_triples(7)
+    lens = {t: cs.lowest.assemble(*t).length() for t in triples}
+    q = LaurentPoly.q_power(1)
+    count = 0
+    for a in triples:
+        for b in triples:
+            if lens[a] + lens[b] > 7:
+                continue
+            ea, eb = CellularElt.basis(*a), CellularElt.basis(*b)
+            cell = cs.cellular_mul(ea, eb)
+            img = cs.phi_iso(cell)
+            mixed = cs.phi_iso(CellularElt({a: q, b: -q}) + ea - ea)
+            for r in (cell, img, mixed):
+                assert all(r._d.values()) and r == type(r)(dict(r.items()))
+            count += 1
+    assert count > 100
 
 
 def test_involution_identity_and_mutation():

@@ -1,6 +1,9 @@
+import gc
 import inspect
 import random
 import sys
+import threading
+import weakref
 
 import pytest
 
@@ -131,19 +134,19 @@ def test_mul_is_sum_of_term_products(cfg):
 
 @pytest.mark.parametrize("cfg", KL_CONFIGS, ids=KL_CONFIG_IDS)
 def test_right_mul_reused_agrees_with_mul(cfg):
-    # one right multiplier serves a whole sweep of left factors from its own
-    # chain cache; two multipliers applied in turn never see each other's
-    # cache, so each agrees with a fresh mul on every left factor
+    # a right factor keeps the chain cache of its products for a whole sweep
+    # of left factors; two right factors used in turn never see each other's
+    # cache, so each agrees with the product against a fresh copy, which
+    # holds no cache, on every left factor
     H = make(cfg)
     rng = random.Random(6)
     els = list(H.weyl.enumerate_elements(4))
     h2 = H.kl_basis(rng.choice(els))
     h3 = H.t(rng.choice(els)) + HeckeElt({rng.choice(els): LaurentPoly.q_power(-1)})
-    times_h2, times_h3 = H.right_mul(h2), H.right_mul(h3)
     for w in els:
         for h1 in (H.kl_basis(w), H.t(w)):
-            assert times_h2(h1) == H.mul(h1, h2)
-            assert times_h3(h1) == H.mul(h1, h3)
+            assert H.mul(h1, h2) == H.mul(h1, HeckeElt(dict(h2.items())))
+            assert H.mul(h1, h3) == H.mul(h1, HeckeElt(dict(h3.items())))
 
 
 def _count_calls(monkeypatch, cls, name):
@@ -196,7 +199,8 @@ CACHED_WALK_CONFIGS = [
 def test_second_walk_multiplies_no_group_elements(monkeypatch, cfg):
     # every chain link reads its tail from a per-element cache (pi_mul_left
     # by the inverse Pi index, or gen_mul_left), so once a walk has minted
-    # its elements, a second right_mul walk over them and a mul make no
+    # its elements, a second walk over them (on a fresh copy of the right
+    # factor, which keeps no cache) and a mul from the kept cache make no
     # group multiply at all, Pi links included
     H = make(cfg)
     W = H.weyl
@@ -204,11 +208,105 @@ def test_second_walk_multiplies_no_group_elements(monkeypatch, cfg):
     assert sum(1 for w in els if W.reduced_word(w)[0]) == len(els) - len(els) // W.ws.pi_order
     h1 = HeckeElt({w: LaurentPoly.one() for w in els})
     h2 = H.kl_basis(W.gens[1] * W.gens[0])
-    first = H.right_mul(h2)(h1)
+    first = H.mul(h1, h2)
     calls = _count_calls(monkeypatch, Weyl, "multiply")
-    assert H.right_mul(h2)(h1) == first
+    assert H.mul(h1, HeckeElt(dict(h2.items()))) == first
     assert H.mul(h1, h2) == first
     assert calls[0] == 0
+
+
+def test_a_repeat_mul_over_seen_left_factors_steps_no_generator(monkeypatch):
+    # the right factor keeps {x: T_x h2}, so a second product over left
+    # factors whose support it has seen makes no generator step, and a new
+    # left factor steps only for the support the cache does not hold yet;
+    # every product equals the one against a fresh copy, which keeps none
+    H = make(("C", 2, (2, 1, 1)))
+    W = H.weyl
+    els = list(W.enumerate_elements(4))
+    h2 = H.kl_basis(W.gens[1] * W.gens[0])
+    lefts = [H.kl_basis(w) for w in els[::3]]
+    first = [H.mul(h1, h2) for h1 in lefts]
+    kept = len(h2._tx)
+    steps = _count_calls(monkeypatch, Hecke, "mul_gen")
+    assert [H.mul(h1, h2) for h1 in lefts] == first
+    assert steps[0] == 0 and len(h2._tx) == kept
+    assert [H.mul(h1, HeckeElt(dict(h2.items()))) for h1 in lefts] == first
+    assert steps[0] > 0
+    new = H.kl_basis(list(W.enumerate_elements(6))[-1])
+    before = set(h2._tx)
+    steps[0] = 0
+    prod = H.mul(new, h2)
+    assert steps[0] == _new_letter_entries(W, h2._tx, before) > 0
+    assert prod == H.mul(new, HeckeElt(dict(h2.items())))
+
+
+def test_a_temporary_right_factor_is_freed_by_reference_counting():
+    # the chain cache kept on h2 is seeded with a twin sharing h2's dict,
+    # not with h2 itself, so it points nowhere back at h2: with the cycle
+    # collector off, the last reference to h2 going frees h2 and its cache
+    class Probe(HeckeElt):
+        __slots__ = ("__weakref__",)
+
+    H = make(("A", 2, (1, 1, 1)))
+    W = H.weyl
+    h1 = H.kl_basis(W.from_word(0, [1, 2, 1]))
+    c = H.kl_basis(W.gens[0] * W.gens[1])
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        h2 = Probe(dict(c.items()))
+        ref = weakref.ref(h2)
+        prod = H.mul(h1, h2)
+        assert len(h2._tx) > 1
+        del h2
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert prod == H.mul(h1, c)
+
+
+def _shared_right_products(H, lefts, right):
+    # 8 threads, each with its own seeded order of the left factors, all
+    # multiply against one right factor that holds no cache yet
+    barrier = threading.Barrier(8)
+    results = [None] * 8
+
+    def worker(k):
+        order = random.Random(k).sample(range(len(lefts)), len(lefts))
+        barrier.wait()
+        results[k] = {i: H.mul(lefts[i], right) for i in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    return results
+
+
+def test_threads_share_the_chain_cache_of_one_right_factor():
+    # threads that race on the chain cache a right factor keeps store equal
+    # values: every product equals the single-threaded one, for a cellular
+    # image and for a KL element as the shared right factor
+    cs = CellularStructure(LowestCell(make(("A", 2, (1, 1, 1)))))
+    H, W = cs.hecke, cs.weyl
+    images = [cs.phi_image_basis(*t) for t in cs.basis_triples(7)]
+    kls = [H.kl_basis(w) for w in W.enumerate_elements(5)]
+    cases = [(images, images[len(images) // 2]), (kls, H.kl_basis(W.from_word(0, [1, 2, 1, 0])))]
+    for lefts, right in cases:
+        assert getattr(right, "_tx", None) is None
+        copy = HeckeElt(dict(right.items()))
+        expected = {i: H.mul(h1, copy) for i, h1 in enumerate(lefts)}
+        for got in _shared_right_products(H, lefts, right):
+            assert got == expected
+        assert all(H.mul(h1, right) == expected[i] for i, h1 in enumerate(lefts))
 
 
 def test_bar_examples():
@@ -579,6 +677,11 @@ def test_elements_of_another_group_raise():
     lowest = LowestCell(H)
     cs = CellularStructure(lowest)
     x = W2.from_word(0, [1, 2, 1])
+    # a right factor that already keeps a chain cache, and a foreign one
+    kept = H.kl_basis(W1.gens[1])
+    H.mul(H.t(W1.gens[2]), kept)
+    kept_before = dict(kept._tx)
+    foreign = H.t(W2.gens[1])
     before = (dict(H._kl_cache), dict(H._bar_cache))
     steps_before = {w: dict(w._gl) for w in W2._intern.values()}
     calls = [
@@ -592,6 +695,10 @@ def test_elements_of_another_group_raise():
         lambda: H.bar_t(x),
         lambda: H.mul(H.t(W1.gens[1]), H.t(W2.gens[1])),
         lambda: H.mul(H.t(W2.gens[1]), H.t(W1.gens[1])),
+        lambda: H.mul(H.t(W2.gens[1]), kept),
+        lambda: H.mul(H.t(W1.gens[1]) + H.t(W2.gens[2]), kept),
+        lambda: H.mul(H.t(W1.gens[1]), foreign),
+        lambda: H.mul(H.t(W1.gens[1]), foreign),
         lambda: lowest.act(H.t(W1.gens[1]), H.t(W2.identity)),
         lambda: lowest.act(H.t(W2.gens[1]), H.t(W1.identity)),
         lambda: cs.phi_image_basis(W2.identity, (0, 0), W1.identity),
@@ -602,6 +709,9 @@ def test_elements_of_another_group_raise():
             call()
     assert (H._kl_cache, H._bar_cache) == before
     assert all(w.weyl is W1 for w in H._kl_cache)
+    # no foreign key entered the kept cache, and none was kept on `foreign`
+    assert all(w.weyl is W1 for w in kept._tx) and kept._tx.keys() >= kept_before.keys()
+    assert getattr(foreign, "_tx", None) is None
     # no left step of the second group was minted or cached by the first
     assert {w: dict(w._gl) for w in W2._intern.values()} == steps_before
     assert W2.gen_mul_left(1, W2.gens[2]).weyl is W2

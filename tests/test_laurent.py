@@ -335,6 +335,24 @@ def test_sum_cancels_to_zero_across_widths():
     agrees(q * q, DictLaurent({2: 1}))
 
 
+def test_equal_values_of_32_bit_width_compare_without_width(monkeypatch):
+    # two bounds below 2^31 both mean 32-bit digits, so equal (v, n) under
+    # different bounds compare equal with no _width call; a bound at 2^31 or
+    # past it still goes through _width
+    import heckecell.laurent as laurent
+    big = LaurentPoly({5: 2**15})
+    pairs = [(p, p + big - big)
+             for p in (P({0: 1}), P({-1: 1, 1: 1}), P({0: 3, 2: -7, 5: 2**20}))]
+    wide, narrow = laurent._new(1, 5, _LIMIT), laurent._new(1, 5, 3)
+    calls = []
+    monkeypatch.setattr(laurent, "_width", lambda m: calls.append(m) or _width(m))
+    for p, q in pairs:
+        assert (q._v, q._n) == (p._v, p._n) and q._m != p._m and q._m < _LIMIT
+        assert q == p and p == q and not q != p
+    assert calls == []
+    assert wide != narrow and calls == [_LIMIT, 3]
+
+
 # -- the one-digit fast paths ----------------------------------------------------
 
 # one digit of 32 bits holds 2^31 - 1 at most; 2^31 and 2^31 + 1 need wider digits

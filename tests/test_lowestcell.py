@@ -270,11 +270,11 @@ def test_p_times_c_w0_is_the_kl_element_on_x0():
         lowest = make(cfg)
         hecke, weyl = lowest.hecke, lowest.weyl
         w0 = weyl.longest_finite
-        times_c_w0 = hecke.right_mul(hecke.kl_basis(w0))
+        c_w0 = hecke.kl_basis(w0)
         xs = [x for x in weyl.enumerate_elements(bound) if lowest.is_in_x0(x)]
         assert len(xs) > len(lowest.box_elements()), cfg
         for x in xs:
-            assert times_c_w0(lowest._p_from(x)) == hecke.kl_basis(x * w0), (cfg, x)
+            assert hecke.mul(lowest._p_from(x), c_w0) == hecke.kl_basis(x * w0), (cfg, x)
 
 
 def test_y_independence_in_the_algebra():
