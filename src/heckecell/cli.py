@@ -40,6 +40,13 @@ def _int_list(text):
     return [int(t) for t in text.split(",") if t.strip()]
 
 
+def _non_negative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, not {value}")
+    return value
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="heckecell",
@@ -58,7 +65,7 @@ def build_parser():
 
     p = sub.add_parser("cellular-basis", help="phi matrix and KL decompositions")
     _add_weights(p)
-    p.add_argument("--length-bound", type=int, default=12,
+    p.add_argument("--length-bound", type=_non_negative_int, default=12,
                    help="decompose P(tau) for l(p_tau w_0) up to this length")
 
     p = sub.add_parser("paths", help="type-A path profile")

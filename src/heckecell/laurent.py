@@ -22,6 +22,14 @@ for it.  A longer value of 32-bit width is decoded in one pass (_digits):
 with B_k = sum_{i<k} 2^31 2^(32 i), the native-order bytes of
 (n + B_k) ^ B_k, read as C ints, are its k signed digits, lowest first.
 Only wider values, whose l1 bound reached 2^31, take the digit loop.
+to_json keeps the canonical form of each longer value of 32-bit width it
+decodes under its packed (v, n), which names one polynomial at that width,
+one str per exponent shared by all, and copies it on a later call: the
+coefficients of a canonical output repeat (467 distinct among the 13,256
+multi-digit ones of the cellular bench workload), so each is decoded once
+per process.  The kept forms have no bound: one entry per distinct value
+already serialized, no larger than that output.  Racing threads store
+equal entries, and every caller gets its own copy.
 LaurentCombination is the one sparse linear-combination type (key ->
 nonzero LaurentPoly).  add_scaled is the one multiply-accumulate on such
 dicts (d[k] += a * c over many terms) and the only code that does
@@ -238,20 +246,26 @@ class LaurentPoly:
 
     def to_json(self) -> dict:
         """JSON object mapping exponent strings to integer coefficients,
-        highest exponent first."""
+        highest exponent first, a fresh dict on every call.  A longer value
+        of 32-bit width is decoded once and kept in _KEPT_JSON; a wider one
+        is decoded on every call."""
         n = self._n
         if -_LIMIT < n < _LIMIT:
             return {str(self._v): n} if n else {}
-        digits = _digits(n, self._m)
-        if digits is None:
-            return {str(e): v for e, v in reversed(self._terms().items())}
-        e = self._v + len(digits)
-        out = {}
-        for c in digits[::-1]:
-            e -= 1
-            if c:
-                out[str(e)] = c
-        return out
+        if self._m >= _LIMIT:
+            return {str(e): c for e, c in reversed(self._terms().items())}
+        key = (self._v, n)
+        kept = _KEPT_JSON.get(key)
+        if kept is None:
+            text = _EXPONENT_TEXT
+            kept = {text.setdefault(e, str(e)): c for e, c in reversed(self._terms().items())}
+            _KEPT_JSON[key] = kept
+        return kept.copy()
+
+
+# to_json's kept forms, (v, n) -> canonical JSON, and their exponent strs
+_KEPT_JSON = {}
+_EXPONENT_TEXT = {}
 
 
 _alloc = object.__new__

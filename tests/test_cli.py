@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import heckecell
+from heckecell import laurent
 from heckecell.cli import MAX_WITNESSES, main
 
 # stdout of `cellular-basis --type C --rank 2 --params P --length-bound 12
@@ -70,6 +71,20 @@ def test_kl_golden(capsys, args):
     code, out, _ = run(capsys, "kl", *args.split(), "--output", "json")
     assert code == 0
     assert out == GOLDEN_KL[args]
+
+
+def test_kl_golden_from_a_cold_and_a_warm_kept_json(capsys):
+    # every other test sees the kept forms of LaurentPoly.to_json already
+    # filled: here each golden is printed from none, then again from its own
+    kept = []
+    for args in sorted(GOLDEN_KL):
+        laurent._KEPT_JSON.clear()
+        for _ in range(2):
+            code, out, _ = run(capsys, "kl", *args.split(), "--output", "json")
+            assert code == 0
+            assert out == GOLDEN_KL[args]
+        kept.append(len(laurent._KEPT_JSON))
+    assert any(kept)  # some golden coefficient has two digits or more
 
 
 def test_kl_text_golden_has_the_json_golden_arguments():
@@ -272,6 +287,22 @@ def test_unhonoured_flag_rejected(capsys, command, flag):
     assert code == 2
     assert "unrecognized arguments" in err and flag in err
     assert out == ""
+
+
+@pytest.mark.parametrize("bound", ["-5", "-1"])
+def test_cellular_basis_rejects_a_negative_length_bound(capsys, bound):
+    # a negative bound is refused, never clamped to 0
+    code, out, err = run(capsys, *MINIMAL["cellular-basis"], "--length-bound", bound)
+    assert code == 2
+    assert "--length-bound" in err and f"must be >= 0, not {bound}" in err
+    assert out == ""
+
+
+def test_cellular_basis_accepts_a_length_bound_of_zero(capsys):
+    code, out, _ = run(capsys, *MINIMAL["cellular-basis"], "--length-bound", "0",
+                       "--output", "json")
+    assert code == 0
+    assert json.loads(out)["decompositions"] == {"(0)": {"(0)": 1}}
 
 
 @pytest.mark.parametrize("suite", ["kl-axioms", "lowest-cell", "cellular", "type-a-paths"])

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from heckecell import laurent
 from heckecell.laurent import (
     _BIAS_DIGITS, _LIMIT, NEG_INF, LaurentPoly, _digits, _width, add_scaled, peel, xi)
 from oracles import DictLaurent
@@ -495,6 +496,96 @@ def test_multi_digit_values_at_and_past_the_limit_decode_by_the_loop():
             p = LaurentPoly(terms)
             assert _width(p._m) > 32 and _digits(p._n, p._m) is None
             decode_agrees(p, DictLaurent(terms), -3, len(digits))
+
+
+# -- the kept canonical JSON of multi-digit values --------------------------------
+
+
+@pytest.fixture
+def cold():
+    """Empties the kept JSON forms, so the next to_json decodes."""
+    laurent._KEPT_JSON.clear()
+    laurent._EXPONENT_TEXT.clear()
+
+
+def json_items(p) -> list:
+    return list(p.to_json().items())
+
+
+def test_kept_json_is_a_fresh_dict_on_every_call(cold):
+    p = P({-3: 2, 0: -1, 4: 5})
+    want = [("4", 5), ("0", -1), ("-3", 2)]
+    first = p.to_json()
+    assert list(first.items()) == want and (p._v, p._n) in laurent._KEPT_JSON
+    first["-3"] = 99
+    first["7"] = 1
+    del first["4"]
+    second = p.to_json()
+    assert list(second.items()) == want and second is not p.to_json()
+    second.clear()
+    assert json_items(p) == want
+    # every kept form names an exponent by one shared str
+    q = P({-3: 3, 4: -1})
+    assert json_items(q) == [("4", -1), ("-3", 3)]
+    assert list(q.to_json())[-1] is list(p.to_json())[-1]
+
+
+def test_equal_values_built_by_different_routes_give_identical_json(cold):
+    # (1 - 3 q^2)(2 q + q^4) = 2 q - 6 q^3 + q^4 - 3 q^6, with different bounds
+    # by each route; whichever route serializes first, every route reads alike
+    want = [("6", -3), ("4", 1), ("3", -6), ("1", 2)]
+    routes = [
+        lambda: P({0: 1, 2: -3}) * P({1: 2, 4: 1}),
+        lambda: P({1: 2}) + P({3: -6}) + P({4: 1, 6: -3}),
+        lambda: P({1: 5, 3: -6, 4: 1}) - P({1: 3, 6: 3}),
+        lambda: from_json({"1": 2, "3": -6, "4": 1, "6": -3}),
+        lambda: P({6: -3, 4: 1, 3: -6, 1: 2}),
+    ]
+    for first in range(len(routes)):
+        laurent._KEPT_JSON.clear()
+        values = [routes[first]()] + [route() for route in routes]
+        assert len({(p._v, p._n) for p in values}) == 1 and len({p._m for p in values}) > 1
+        assert all(json_items(p) == want for p in values)
+        assert len(laurent._KEPT_JSON) == 1
+
+
+def test_one_packed_int_at_two_valuations_gives_two_exponent_sets(cold):
+    low, high = P({0: 1, 1: 2}), P({5: 1, 6: 2})
+    assert low._n == high._n and low._v != high._v
+    for _ in range(2):
+        assert json_items(low) == [("1", 2), ("0", 1)]
+        assert json_items(high) == [("6", 2), ("5", 1)]
+        assert json_items(-low) == [("1", -2), ("0", -1)]
+
+
+def test_values_past_the_limit_decode_by_the_loop_and_are_not_kept(cold):
+    rng = random.Random(30)
+    for digits in ([2**31 - 1, 0, 1], [-1, 0, 0, 2**31 - 1], [2**30, 2**30], [5, -(2**31 + 1)],
+                   [0, 2**40, 0, -(2**63)]):
+        digits = digits + [rng.choice((0, -4, 9)) for _ in range(5)] + [-1]
+        terms = {i - 3: c for i, c in enumerate(digits) if c}
+        p, o = LaurentPoly(terms), DictLaurent(terms)
+        assert p._m >= _LIMIT
+        for _ in range(2):
+            assert json_items(p) == list(o.to_json().items())
+            assert json_items(-p) == list((-o).to_json().items())
+        assert not laurent._KEPT_JSON
+
+
+def test_seeded_values_read_alike_cold_and_warm(cold):
+    # 1 to 64 digits of 32 bits, and 6 past _BIAS_DIGITS (kept, decoded by
+    # the loop): the first call decodes, the second reads the kept form
+    rng = random.Random(3030)
+    for k in list(range(1, _BIAS_DIGITS + 1)) + [_BIAS_DIGITS + 6]:
+        for _ in range(3):
+            v = rng.randint(-20, 5)
+            terms = {v + i: c for i, c in enumerate(seeded_digits(rng, k)) if c}
+            p = LaurentPoly(terms)
+            want = list(DictLaurent(terms).to_json().items())
+            laurent._KEPT_JSON.clear()
+            assert json_items(p) == want
+            assert json_items(p) == want
+            assert len(laurent._KEPT_JSON) == (k > 1)
 
 
 # -- the multiply-accumulate kernel against the per-term operators and the oracle -
