@@ -24,12 +24,12 @@ with B_k = sum_{i<k} 2^31 2^(32 i), the native-order bytes of
 Only wider values, whose l1 bound reached 2^31, take the digit loop.
 to_json keeps the canonical form of each longer value of 32-bit width it
 decodes under its packed (v, n), which names one polynomial at that width,
-one str per exponent shared by all, and copies it on a later call: the
-coefficients of a canonical output repeat (467 distinct among the 13,256
-multi-digit ones of the cellular bench workload), so each is decoded once
-per process.  The kept forms have no bound: one entry per distinct value
-already serialized, no larger than that output.  Racing threads store
-equal entries, and every caller gets its own copy.
+and copies it on a later call: the coefficients of a canonical output
+repeat (467 distinct among the 13,256 multi-digit ones of the cellular
+bench workload), so each is decoded once per process.  The kept forms have
+no bound: they are held for the life of the process and grow by one entry
+per distinct value ever serialized.  Racing threads store equal entries,
+and every caller gets its own copy.
 LaurentCombination is the one sparse linear-combination type (key ->
 nonzero LaurentPoly).  add_scaled is the one multiply-accumulate on such
 dicts (d[k] += a * c over many terms) and the only code that does
@@ -247,25 +247,33 @@ class LaurentPoly:
     def to_json(self) -> dict:
         """JSON object mapping exponent strings to integer coefficients,
         highest exponent first, a fresh dict on every call.  A longer value
-        of 32-bit width is decoded once and kept in _KEPT_JSON; a wider one
-        is decoded on every call."""
+        of 32-bit width is decoded on its first call and kept in _KEPT_JSON;
+        a wider one is decoded on every call."""
         n = self._n
         if -_LIMIT < n < _LIMIT:
             return {str(self._v): n} if n else {}
-        if self._m >= _LIMIT:
-            return {str(e): c for e, c in reversed(self._terms().items())}
-        key = (self._v, n)
-        kept = _KEPT_JSON.get(key)
-        if kept is None:
-            text = _EXPONENT_TEXT
-            kept = {text.setdefault(e, str(e)): c for e, c in reversed(self._terms().items())}
-            _KEPT_JSON[key] = kept
-        return kept.copy()
+        key, narrow = (self._v, n), self._m < _LIMIT
+        kept = _KEPT_JSON.get(key) if narrow else None
+        if kept is not None:
+            return kept.copy()
+        digits = _digits(n, self._m)
+        if digits is None:
+            out = {str(e): v for e, v in reversed(self._terms().items())}
+        else:
+            e = self._v + len(digits)
+            out = {}
+            for c in digits[::-1]:
+                e -= 1
+                if c:
+                    out[str(e)] = c
+        if not narrow:
+            return out
+        _KEPT_JSON[key] = out
+        return out.copy()
 
 
-# to_json's kept forms, (v, n) -> canonical JSON, and their exponent strs
+# to_json's kept forms of longer values of 32-bit width, (v, n) -> canonical JSON
 _KEPT_JSON = {}
-_EXPONENT_TEXT = {}
 
 
 _alloc = object.__new__

@@ -6,11 +6,11 @@ form {lambda, u} which is validated on ingest.  Hecke elements serialize
 as arrays sorted by (length, word, Pi index) so output is byte-stable.
 Words are read, not rebuilt: an element's own kept word, u's from the W_0
 table Weyl.finite_words.  A Hecke element's keys are sorted once by
-Weyl.sort_key, which keeps each key's word, and one per-term loop builds
-each term's element JSON inline from that word, the translation and the
-W_0 table (fetched once per call), beside LaurentPoly.to_json of its
-coefficient, which decodes each multi-digit value once per process.  Every
-call returns fresh lists and dicts.
+Weyl.sort_key, which keeps each key's word, and one loop reads that word,
+the translation and the coefficient of each term, with the W_0 table
+fetched once per call.  Each coefficient is read by LaurentPoly.to_json,
+which decodes each multi-digit value once per process.  Every call returns
+fresh lists and dicts.
 """
 
 from __future__ import annotations
@@ -33,12 +33,16 @@ def _word_text(kept: tuple) -> str:
 
 
 def element_json(weyl: Weyl, w: GroupElement) -> dict:
-    pi, word = weyl.reduced_word(w)
+    return _element_json(weyl.reduced_word(w), w, weyl.finite_words())
+
+
+def _element_json(kept: tuple, w: GroupElement, finite_words: tuple) -> dict:
+    pi, word = kept
     return {
         "pi": pi,
         "word": list(word),
         "lambda": list(w.translation),
-        "u": list(weyl.finite_words()[w.finite]),
+        "u": list(finite_words[w.finite]),
     }
 
 
@@ -92,18 +96,12 @@ def element_from_json(weyl: Weyl, obj: dict) -> GroupElement:
 
 
 def hecke_json(weyl: Weyl, h: HeckeElt) -> list:
-    """The terms sorted by sort_key, which keeps each element's word; each
-    term's element_json is built inline from that word."""
+    """The terms sorted by sort_key, which keeps each element's word."""
     d, finite_words = h._d, weyl.finite_words()
-    out = []
-    for w in sorted(d, key=weyl.sort_key):
-        pi, word = w._word
-        out.append({
-            "element": {"pi": pi, "word": list(word), "lambda": list(w.translation),
-                        "u": list(finite_words[w.finite])},
-            "coeff": d[w].to_json(),
-        })
-    return out
+    return [
+        {"element": _element_json(w._word, w, finite_words), "coeff": d[w].to_json()}
+        for w in sorted(d, key=weyl.sort_key)
+    ]
 
 
 def hecke_text(weyl: Weyl, h: HeckeElt) -> str:
