@@ -12,8 +12,12 @@ product e^tau e^sigma = e^(tau + sigma) is taken inline in cellular_mul.
 phi, the images and the KL decompositions run on the X_0 coset module of
 lowestcell (LowestCell.act), about |W_0| times smaller than the algebra:
 C_{x w_0} = P(x) C_{w_0} for x in X_0 (Deodhar 1987).  An image leaves the
-module only for its last factor, C_{w_0} P(z')^flat.  A KL decomposition is
-one peel of a module element against the P(x'): of Q_tau for P(tau).
+module only for its last factor, C_{w_0} P(z')^flat, and records both
+factors (Hecke.mul_factored), so Hecke.mul takes a product with an image on
+the left as u (C_{w_0} P(z')^flat h).  The product is still generic T-basis
+multiplication, only re-associated: no check uses the theorem it tests.  A
+KL decomposition is one peel of a module element against the P(x'): of
+Q_tau for P(tau).
 
 All universally quantified claims are exposed as bounded sweeps; callers
 name the length bound and the sweep is exact within it.
@@ -70,7 +74,8 @@ class CellularStructure:
         self._phi_image_cache = {}
         # Q_tau (on the X_0 module) by tau, C_{w_0 z'^-1} = flat(C_{z' w_0})
         # by z' (the right factor of every image, which keeps its own chain
-        # cache), and C_{w_0} m_x by module basis element x
+        # cache; a right factor h of an image keeps C_{w_0 z'^-1} h per z'),
+        # and C_{w_0} m_x by module basis element x
         self._q_cache = {(0,) * self.ws.rank: self.hecke.unit()}
         self._right = {}
         self._w0_on = {}
@@ -109,7 +114,7 @@ class CellularStructure:
             w0_m = self._w0_on.get(x)
             if w0_m is None:
                 w0_m = self._w0_on[x] = lowest.act(hecke.kl_basis(w0), hecke.t(x))
-            add_scaled(acc, c, w0_m.items())
+            add_scaled(acc, c, w0_m.items(), owned=True)
 
         def q_top(x):
             if x.finite != 0:
@@ -147,14 +152,16 @@ class CellularStructure:
             for (zk, tau2, zl), cb in b.items():
                 add_scaled(d, ca * cb, [
                     ((zi, tuple(x + y + z for x, y, z in zip(tau, sigma, tau2)), zl), cphi)
-                    for sigma, cphi in self.phi_form(zj, zk).items()])
+                    for sigma, cphi in self.phi_form(zj, zk).items()], owned=True)
         return CellularElt._new(d)
 
     def phi_image_basis(self, z: GroupElement, tau, zprime: GroupElement) -> HeckeElt:
         """Phi(v_z (x) e^tau (x) v_{z'}) = P(z) Q_tau P(z')^flat: u = P(z) Q_tau
         on the X_0 module, then the product u C_{w_0 z'^-1} in the algebra,
         with C_{w_0 z'^-1} = flat(C_{z' w_0}) kept per z', so every image with
-        that z' reuses the chain cache {x: T_x C_{w_0 z'^-1}} it keeps."""
+        that z' reuses the chain cache {x: T_x C_{w_0 z'^-1}} it keeps.  The
+        image records (u, C_{w_0 z'^-1}), which Hecke.mul multiplies through
+        when the image is a left factor."""
         key = (z, tuple(tau), zprime)
         hit = self._phi_image_cache.get(key)
         if hit is None:
@@ -166,21 +173,22 @@ class CellularStructure:
                     raise ValueError(f"{zprime!r} is not in the box B_0")
                 right = self._right[zprime] = hecke.flat(
                     hecke.kl_basis(zprime * self.weyl.longest_finite))
-            self._phi_image_cache[key] = hit = hecke.mul(u, right)
+            self._phi_image_cache[key] = hit = hecke.mul_factored(u, right)
         return hit
 
     def phi_iso(self, a: CellularElt) -> HeckeElt:
         """Phi(a) = sum c Phi(v_z (x) e^tau (x) v_{z'}) over the terms of a.
         A basis element (one term, coefficient 1) gets the cached image
-        itself: HeckeElt is immutable, and add_scaled only ever writes into
-        a dict its own caller made."""
+        itself, with its recorded factors: HeckeElt is immutable, and
+        add_scaled only ever writes into a dict its own caller made.  A sum
+        is accumulated in place and records no factors."""
         if len(a._d) == 1:
             (key, c), = a._d.items()
             if c == _ONE:
                 return self.phi_image_basis(*key)
         d = {}
         for (z, tau, zp), c in a._d.items():
-            add_scaled(d, c, self.phi_image_basis(z, tau, zp)._d.items())
+            add_scaled(d, c, self.phi_image_basis(z, tau, zp)._d.items(), owned=True)
         return HeckeElt._new(d)
 
     def phi_inverse(self, h: HeckeElt) -> CellularElt:

@@ -37,7 +37,11 @@ def _stack(args):
 
 
 def _int_list(text):
-    return [int(t) for t in text.split(",") if t.strip()]
+    """Comma-separated integers; an empty field is refused, never dropped."""
+    fields = text.split(",")
+    if not all(t.strip() for t in fields):
+        raise argparse.ArgumentTypeError(f"empty field in {text!r}")
+    return [int(t) for t in fields]
 
 
 def _non_negative_int(text):

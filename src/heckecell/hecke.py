@@ -18,12 +18,17 @@ step in w._gl, w._inv, w._len, w._word, and the chain cache itself, and
 call the group only on a miss, where its check for an element of another
 group runs.
 bar_t walks it on the bar cache with T_s^-1 = T_s - xi_s; mul(h1, h2)
-walks it on the chain cache {x: T_x h2} that h2 keeps in its one slot,
+walks it on the chain cache {x: T_x h2} that h2 keeps in its _tx slot,
 made on first use and seeded with a twin of h2 that shares its dict (so
 the cache holds no reference back to h2, which reference counting alone
 frees), so T_x h2 costs one generator step for every x of a support closed
 under tails (KL elements, P-elements) over every left factor h2 ever
-meets; the same loop acts on the X_0 module of lowestcell with that
+meets.  A product made by mul_factored(u, r) records its factors, and mul
+takes a later product with it on the left as u (r h2), exact by
+associativity: r h2 is kept on h2, one entry per r (at most |B_0| for the
+cellular images of one structure), and u walks the chain cache of r h2 (a
+cellular image's u lives on the X_0 module, about |W_0| times smaller).
+The same loop acts on the X_0 module of lowestcell with that
 module's generator step and a cache local to the call; kl_basis walks it
 on the KL cache from C_e = T_e by the descent recursion (Lusztig, Hecke
 algebras with unequal parameters, Thm 6.6), with no bar_t and no solve.  A
@@ -32,9 +37,10 @@ once.
 
 The KL cache and the bar cache are shared mutable structures under a
 single lock, which makes get-or-compute linearizable so sweeps may run from
-threads.  The chain cache an element keeps has no lock: it only memoizes
-T_x h2, which every thread computes alike, so threads that race on it store
-equal values.  A walk's partly peeled links are local to their call.
+threads.  The chain cache and the r h2 entries an element keeps have no
+lock: they only memoize T_x h2 and r h2, which every thread computes alike,
+so threads that race on them store equal values.  A walk's partly peeled
+links are local to their call.
 """
 
 from __future__ import annotations
@@ -50,10 +56,15 @@ _ONE = LaurentPoly.one()
 class HeckeElt(LaurentCombination):
     """Finitely supported map GroupElement -> LaurentPoly, no zero values.
 
-    _tx, unset until the element is first a right factor of Hecke.mul, is
-    the chain cache {x: T_x h} of that product (read with a None default)."""
+    Three slots are unset until used, and read with a None default.  _tx,
+    set when the element is first a right factor of Hecke.mul, is the chain
+    cache {x: T_x h} of that product.  _factors is (u, r) on an element
+    made by Hecke.mul_factored(u, r), which equals u r.  _rh, set when the
+    element is first the right factor of such a product, is
+    {id(r): (r, r h)}: the entry keeps r, so its id names no other element
+    while the entry lives."""
 
-    __slots__ = ("_tx",)
+    __slots__ = ("_tx", "_factors", "_rh")
 
 
 class _Uncached(Exception):
@@ -189,26 +200,58 @@ class Hecke:
         """h . m for the chain cache {e: m, x: T_x m, ...} of the left action
         gen_step(i, .) of T_s on m's module: the algebra itself with mul_gen,
         or the X_0 module of lowestcell with its generator step.  T_x m is
-        built along x's chain for every x of h's support not yet cached."""
+        built along x's chain for every x of h's support not yet cached.
+        The sum is accumulated in place, in a dict only add_scaled writes."""
         step = lambda i, v, _x: gen_step(i, v)
         acc = {}
         for x, c in h._d.items():
             tx = cache.get(x)
             if tx is None:  # not by truth: an empty HeckeElt is falsy
                 tx = self._left_chain(x, cache, step)
-            add_scaled(acc, c, tx._d.items())
+            add_scaled(acc, c, tx._d.items(), owned=True)
         return h._new(acc)
+
+    def _right_act(self, h1: HeckeElt, h2: HeckeElt) -> HeckeElt:
+        """h1 h2 by the chain cache h2 keeps, made on the first product."""
+        cache = getattr(h2, "_tx", None)
+        if cache is None:
+            cache = h2._tx = self._chains(h2)
+        return self._act(h1, cache, self.mul_gen)
 
     def mul(self, h1: HeckeElt, h2: HeckeElt) -> HeckeElt:
         """h1 h2 = sum c T_x h2 over the terms c T_x of h1, with T_x h2 read
         from the chain cache h2 keeps (made on the first product with h2), so
         a later product with h2 steps only for left support not seen yet.
+
+        An h1 made by mul_factored(u, r) is multiplied through its factors,
+        as u (r h2), which is exact by associativity: r h2 is kept on h2 per
+        r, so h2 keeps at most one entry for each r it meets (|B_0| for the
+        cellular images of one CellularStructure, one r per z'), and u, on
+        the X_0 module about |W_0| times smaller than u r, walks the chain
+        cache r h2 keeps.  The entry is stored without a lock, as _tx is:
+        threads that race store equal values.
+
         Keys of another group raise ValueError on every call: h2's before a
         cache is kept on it, h1's when the walk from a missing key starts."""
-        cache = getattr(h2, "_tx", None)
-        if cache is None:
-            cache = h2._tx = self._chains(h2)
-        return self._act(h1, cache, self.mul_gen)
+        factors = getattr(h1, "_factors", None)
+        if factors is not None:
+            h1, r = factors
+            kept = getattr(h2, "_rh", None)
+            hit = kept.get(id(r)) if kept is not None else None
+            if hit is None:
+                hit = (r, self._right_act(r, h2))
+                if kept is None:
+                    kept = h2._rh = {}
+                kept[id(r)] = hit
+            h2 = hit[1]
+        return self._right_act(h1, h2)
+
+    def mul_factored(self, u: HeckeElt, r: HeckeElt) -> HeckeElt:
+        """u r, recording (u, r) on the product, so that a later product
+        with it on the left is taken as u (r h) by mul."""
+        out = self._right_act(u, r)
+        out._factors = (u, r)
+        return out
 
     # -- involutions ---------------------------------------------------------------
 
@@ -230,8 +273,8 @@ class Hecke:
     def bar(self, h: HeckeElt) -> HeckeElt:
         acc = {}
         for w, c in h.items():
-            add_scaled(acc, c.bar(), self.bar_t(w).items())
-        return HeckeElt(acc)
+            add_scaled(acc, c.bar(), self.bar_t(w).items(), owned=True)
+        return HeckeElt._new(acc)
 
     def flat(self, h: HeckeElt) -> HeckeElt:
         """The antiautomorphism T_w -> T_{w^-1} (coefficients untouched)."""

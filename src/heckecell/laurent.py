@@ -2,7 +2,8 @@
 and the sparse linear algebra over them that every layer shares.
 
 LaurentPoly is the scalar ring for everything else in this package.  Values
-are immutable; all operations return fresh objects.  A value is packed into
+are immutable once anything but add_scaled can see them; all operations
+return fresh objects.  A value is packed into
 one Python int: the coefficients c_0, c_1, ... of q^v, q^(v+1), ... are the
 balanced digits (|c_i| < 2^(W-1)) of n = sum c_i 2^(W i), where v is the
 lowest exponent with a nonzero coefficient.  A sum is a shift and an int
@@ -29,12 +30,16 @@ repeat (467 distinct among the 13,256 multi-digit ones of the cellular
 bench workload), so each is decoded once per process.  The kept forms have
 no bound: they are held for the life of the process and grow by one entry
 per distinct value ever serialized.  Racing threads store equal entries,
-and every caller gets its own copy.
+and every caller gets its own copy.  The text form (str) is read off the
+same canonical form.
 LaurentCombination is the one sparse linear-combination type (key ->
 nonzero LaurentPoly).  add_scaled is the one multiply-accumulate on such
 dicts (d[k] += a * c over many terms) and the only code that does
 arithmetic on the packed ints or falls back to terms: the +, - and * of
-LaurentPoly are calls of it.
+LaurentPoly are calls of it.  Into a dict that it alone has filled since
+the dict was made empty (the sums of Hecke.mul, LowestCell.act, bar,
+phi_iso, phi_form, cellular_mul), it merges in place: the old value, which
+no one else has seen, is rewritten rather than replaced.
 peel is the one elimination run on them, longest key first: the expansion
 of an element in a basis that is unitriangular over it, or, with
 part=LaurentPoly.bar_invariant_part, the step that pushes a bar-invariant
@@ -230,13 +235,15 @@ class LaurentPoly:
     # -- serialization -----------------------------------------------------
 
     def __str__(self) -> str:
+        """The text form, read off the canonical form of to_json, so a
+        longer value of 32-bit width is decoded once per process."""
         if not self._n:
             return "0"
         text = ""
-        for e, v in reversed(self._terms().items()):
+        for e, v in self.to_json().items():
             mag = abs(v)
-            qp = "q" if e == 1 else f"q^{e}"
-            body = str(mag) if e == 0 else qp if mag == 1 else f"{mag}*{qp}"
+            qp = "q" if e == "1" else f"q^{e}"
+            body = str(mag) if e == "0" else qp if mag == 1 else f"{mag}*{qp}"
             sign = "-" if v < 0 else "+"
             text += (f" {sign} " if text else "-" * (v < 0)) + body
         return text
@@ -305,7 +312,7 @@ def xi(weight: int) -> LaurentPoly:
     return LaurentPoly({weight: 1, -weight: -1})
 
 
-def add_scaled(d: dict, a: LaurentPoly, items) -> None:
+def add_scaled(d: dict, a: LaurentPoly, items, owned: bool = False) -> None:
     """d[k] += a * c for every (k, c) in items, in place, keeping d free of
     zero values (d must hold none to begin with).
 
@@ -316,6 +323,15 @@ def add_scaled(d: dict, a: LaurentPoly, items) -> None:
     product bound, or the bound of the sum, reaches 2^31, the new value is
     instead merged term by term from the decoded old, a and c and packed
     with its exact l1 norm: the package's only term-by-term fallback.
+
+    Every value add_scaled stores is a LaurentPoly it allocated itself.
+    owned, an internal flag, says that d was created empty, that only
+    add_scaled has written it since, and that none of its values has been
+    read out of it yet: then no other reference to them exists, and a merge
+    rewrites the old value's fields instead of allocating a new value.  A
+    dict that holds values put there any other way (a relabel, a copy of
+    another element's terms) must never be passed with owned set, nor a
+    dict after it has been handed out.
     """
     na = a._n
     if not na:
@@ -352,6 +368,9 @@ def add_scaled(d: dict, a: LaurentPoly, items) -> None:
                 else:
                     n = n2 + (n << (_W * (v - v2)))
                     v = v2
+                if owned:
+                    old._v, old._n, old._m = v, n, m
+                    continue
                 out = _alloc(LaurentPoly)
                 out._v, out._n, out._m = v, n, m
                 d[k] = out

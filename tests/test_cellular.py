@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -448,6 +450,190 @@ def test_dominant_weights_match_the_cone_search(cfg):
     for budget in range(-2, 17):
         assert cs.dominant_weights_up_to(budget) == oracles.dominant_weights_up_to(cs, budget), (
             cfg, budget)
+
+
+def _plain(h):
+    """A copy of h's terms that records no factors and keeps no cache."""
+    return HeckeElt(dict(h.items()))
+
+
+@pytest.mark.parametrize("cfg", SHIPPED_CONFIGS,
+                         ids=[f"{t}{n}-{','.join(map(str, p))}" for t, n, p in SHIPPED_CONFIGS])
+def test_a_product_of_images_equals_the_product_of_plain_copies(cfg):
+    # an image records (u, C_{w_0 z'^-1}) and mul takes it on the left as
+    # u (C_{w_0 z'^-1} h): on seeded pairs the product equals the one of a
+    # plain copy of the left image, which mul multiplies term by term, and
+    # the right image keeps r h under id(r)
+    cs = make(cfg)
+    hecke = cs.hecke
+    triples = cs.basis_triples(cs.weyl.longest_finite.length() + 3)
+    rng = random.Random(31)
+    for _ in range(8):
+        a, b = rng.choice(triples), rng.choice(triples)
+        ia, ib = cs.phi_image_basis(*a), cs.phi_image_basis(*b)
+        r = ia._factors[1]
+        assert r is cs._right[a[2]] and getattr(_plain(ia), "_factors", None) is None
+        want = hecke.mul(_plain(ia), _plain(ib))
+        assert hecke.mul(ia, ib) == want == hecke.mul(_plain(ia), ib)
+        assert ib._rh[id(r)][0] is r and ib._rh[id(r)][1] == hecke.mul(r, _plain(ib))
+
+
+def test_image_right_factors_keep_at_most_one_entry_per_box_element():
+    # every product of two A2 images up to length 6: a right factor keeps
+    # r h for exactly the r of the left images it met, at most |B_0| of them
+    cs = make(("A", 2, (1, 1, 1)))
+    hecke = cs.hecke
+    triples = cs.basis_triples(6)
+    images = {t: cs.phi_image_basis(*t) for t in triples}
+    met = {}
+    for a in triples:
+        for b in triples:
+            hecke.mul(images[a], images[b])
+            met.setdefault(b, set()).add(a[2])
+    box = cs.lowest.box_elements()
+    assert max(len(zs) for zs in met.values()) == len(box)
+    for b, zs in met.items():
+        kept = images[b]._rh
+        assert len(kept) <= len(box)
+        assert set(kept) == {id(cs._right[zp]) for zp in zs}
+        assert all(kept[id(cs._right[zp])][0] is cs._right[zp] for zp in zs)
+
+
+def test_a_repeated_right_factor_product_builds_no_new_product(monkeypatch):
+    # two images with the same z' share C_{w_0 z'^-1}: the second product
+    # with the same right factor reads r h from the entry the first kept,
+    # and multiplies only its own u against it
+    cs = make(("C", 2, (2, 1, 1)))
+    hecke = cs.hecke
+    triples = cs.basis_triples(cs.weyl.longest_finite.length() + 4)
+    a, a2 = next((s, t) for s in triples for t in triples if s != t and s[2] == t[2])
+    ia, ia2 = cs.phi_image_basis(*a), cs.phi_image_basis(*a2)
+    assert ia._factors[1] is ia2._factors[1]
+    h = hecke.kl_basis(cs.weyl.from_word(0, [1, 2, 1]))
+    first = hecke.mul(ia, h)
+    entry = h._rh[id(ia._factors[1])]
+    calls = []
+    orig = Hecke._right_act
+    monkeypatch.setattr(Hecke, "_right_act",
+                        lambda self, h1, h2: calls.append((h1, h2)) or orig(self, h1, h2))
+    second = hecke.mul(ia2, h)
+    assert len(h._rh) == 1 and h._rh[id(ia._factors[1])] is entry
+    assert len(calls) == 1 and calls[0][0] is ia2._factors[0] and calls[0][1] is entry[1]
+    assert (first, second) == (hecke.mul(_plain(ia), h), hecke.mul(_plain(ia2), h))
+
+
+def test_an_image_times_a_right_factor_of_another_group_raises():
+    # the product with r runs first, on the foreign right factor, whose
+    # keys _chains refuses: nothing is kept on it, and the image's factors
+    # and their caches hold only elements of the image's own group
+    cs = make(("A", 2, (1, 1, 1)))
+    hecke, W1 = cs.hecke, cs.weyl
+    W2 = Weyl(WeightSystem("A", 2, (1, 1, 1)))
+    image = cs.phi_image_basis(*cs.basis_triples(5)[-1])
+    foreign = HeckeElt({W2.gens[1]: LaurentPoly.one()})
+    for _ in range(2):
+        with pytest.raises(ValueError, match="different weight systems"):
+            hecke.mul(image, foreign)
+    assert getattr(foreign, "_rh", None) is None and getattr(foreign, "_tx", None) is None
+    u, r = image._factors
+    assert all(w.weyl is W1 for h in (u, r) for w in getattr(h, "_tx", None) or ())
+
+
+def test_a_temporary_right_factor_of_an_image_is_freed_by_reference_counting():
+    # the entry r h kept on h2 holds r and r h, neither of which points back
+    # at h2: with the cycle collector off, the last reference to h2 going
+    # frees h2, its chain cache and its entries
+    class Probe(HeckeElt):
+        __slots__ = ("__weakref__",)
+
+    cs = make(("A", 2, (1, 1, 1)))
+    hecke = cs.hecke
+    image = cs.phi_image_basis(*cs.basis_triples(6)[-1])
+    c = hecke.kl_basis(cs.weyl.gens[0] * cs.weyl.gens[1])
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        h2 = Probe(dict(c.items()))
+        ref = weakref.ref(h2)
+        prod = hecke.mul(image, h2)
+        assert len(h2._rh) == 1 and len(h2._tx) > 1
+        del h2
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert prod == hecke.mul(_plain(image), c)
+
+
+def _coefficient_objects(elements):
+    """id and canonical form of every coefficient of every element, in order."""
+    return [[(k, id(c), c.to_json()) for k, c in h.items()] for h in elements]
+
+
+def _kept_elements(cs):
+    """Every element the structure or its right factors keep: the images,
+    their factors, the right factors, Q_tau, C_{w_0} m_x, the P- and KL
+    elements, and every chain-cache value and r h entry kept on them."""
+    hecke, lowest = cs.hecke, cs.lowest
+    roots = (list(cs._phi_image_cache.values()) + list(cs._right.values())
+             + list(cs._q_cache.values()) + list(cs._w0_on.values())
+             + list(lowest._p_cache.values()) + list(hecke._kl_cache.values())
+             + list(hecke._bar_cache.values()))
+    roots += [f for h in list(roots) for f in getattr(h, "_factors", None) or ()]
+    out, seen = [], set()
+    while roots:
+        h = roots.pop()
+        if id(h) in seen:
+            continue
+        seen.add(id(h))
+        out.append(h)
+        roots += list((getattr(h, "_tx", None) or {}).values())
+        roots += [rh for _, rh in (getattr(h, "_rh", None) or {}).values()]
+    return out
+
+
+def test_in_place_sums_change_no_value_they_did_not_allocate():
+    # a seeded batch of image products, products of plain copies, module
+    # actions, phi_iso sums, cellular products, phi_form and bar, then
+    # phi_inverse and kl_expand of the first batch's products and new KL
+    # elements, run after a first batch has filled the caches: no
+    # coefficient object of an input, of a chain-cache value or of a kept
+    # image is replaced or rewritten by the second batch
+    cs = make(("C", 2, (2, 1, 1)))
+    hecke, lowest = cs.hecke, cs.lowest
+    triples = cs.basis_triples(cs.weyl.longest_finite.length() + 5)
+    box = lowest.box_elements()
+    longer = list(cs.weyl.enumerate_elements(9))
+    q = LaurentPoly({1: 1, -1: 2})
+    products = []
+
+    def batch(seed, earlier):
+        rng = random.Random(seed)
+        for _ in range(12):
+            a, b = rng.choice(triples), rng.choice(triples)
+            ia, ib = cs.phi_image_basis(*a), cs.phi_image_basis(*b)
+            products.append(hecke.mul(ia, ib))
+            hecke.mul(_plain(ia), ib)
+            hecke.mul(ib, hecke.kl_basis(lowest.assemble(*a)))
+            lowest.act(lowest.p_element(a[0]), cs._q_tau(b[1]))
+            ea, eb = CellularElt.basis(*a), CellularElt.basis(*b)
+            cs.phi_iso(CellularElt({a: q, b: -q}))
+            cs.phi_iso(cs.cellular_mul(ea + eb, eb))
+            cs.phi_form(rng.choice(box), rng.choice(box))
+            hecke.bar(ia)
+        for h in earlier:
+            cs.phi_inverse(h)
+            hecke.kl_expand(h)
+        for w in rng.sample(longer, 20 if earlier else 0):
+            hecke.kl_basis(w)
+
+    batch(1, [])
+    kept = _kept_elements(cs) + products
+    before = _coefficient_objects(kept)
+    assert sum(map(len, before)) > 10000
+    batch(2, list(products))
+    assert _coefficient_objects(kept) == before
+    assert len(_kept_elements(cs)) > len(kept)
 
 
 def test_m_alpha():

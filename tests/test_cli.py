@@ -289,6 +289,25 @@ def test_unhonoured_flag_rejected(capsys, command, flag):
     assert out == ""
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("kl", "--params", "1,,1,1"),
+    ("kl", "--params", "1,1,1,"),
+    ("kl", "--params", ""),
+    ("paths", "--m", "1,,2"),
+    ("paths", "--m", ",1,2"),
+    ("paths", "--m", "1, ,2"),
+], ids=["params-inner", "params-trailing", "params-empty", "m-inner", "m-leading", "m-blank"])
+def test_an_empty_list_field_is_rejected(capsys, command, flag, value):
+    # an empty field is a usage error, never dropped: kl --params 1,,1,1
+    # does not run as 1,1,1, nor paths --m 1,,2 as 1,2
+    base = {"kl": ("kl", "--type", "A", "--rank", "2", "--w", "[]"),
+            "paths": ("paths", "--type", "A", "--rank", "2", "--m", "1,2")}[command]
+    code, out, err = run(capsys, *base, flag, value)
+    assert code == 2
+    assert f"argument {flag}: empty field in {value!r}" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("bound", ["-5", "-1"])
 def test_cellular_basis_rejects_a_negative_length_bound(capsys, bound):
     # a negative bound is refused, never clamped to 0

@@ -309,6 +309,25 @@ def test_threads_share_the_chain_cache_of_one_right_factor():
         assert all(H.mul(h1, right) == expected[i] for i, h1 in enumerate(lefts))
 
 
+def test_threads_share_the_image_entries_of_one_right_factor():
+    # image left factors are multiplied through their factors: 8 threads
+    # race to keep r h on one fresh right factor, one entry per z', and
+    # every product and every kept r h equals the single-threaded one
+    cs = CellularStructure(LowestCell(make(("C", 2, (2, 1, 1)))))
+    H, W = cs.hecke, cs.weyl
+    lefts = [cs.phi_image_basis(*t) for t in cs.basis_triples(W.longest_finite.length() + 8)]
+    right = H.kl_basis(W.from_word(0, [1, 2, 1, 0]))
+    assert getattr(right, "_rh", None) is None
+    copy = HeckeElt(dict(right.items()))
+    expected = {i: H.mul(HeckeElt(dict(h1.items())), copy) for i, h1 in enumerate(lefts)}
+    for got in _shared_right_products(H, lefts, right):
+        assert got == expected
+    rights = {id(h1._factors[1]): h1._factors[1] for h1 in lefts}
+    assert right._rh.keys() == rights.keys() and len(rights) == len(cs.lowest.box_elements())
+    for key, (r, rh) in right._rh.items():
+        assert r is rights[key] and rh == H.mul(r, copy)
+
+
 def test_bar_examples():
     H, W = HA2, HA2.weyl
     assert H.bar(H.unit()) == H.unit()

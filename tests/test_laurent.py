@@ -669,6 +669,78 @@ def test_add_scaled_edge_cases():
     kernel_agrees({"x": inflated({2: 1}, half)}, one, [("x", inflated({2: 1, 3: 1}, 2**29))])
 
 
+def test_an_owned_merge_rewrites_its_own_value_and_no_input():
+    # into a dict only add_scaled has filled, a merge that stays below 2^31
+    # rewrites the value it allocated there; a and every c are untouched
+    a, c1, c2 = P({1: 2, 2: -1}), P({0: 3, 3: 1}), P({-1: 1, 1: 4})
+    inputs = [(p, p._v, p._n, p._m) for p in (a, c1, c2)]
+    d = {}
+    add_scaled(d, a, [("x", c1)], owned=True)
+    first = d["x"]
+    assert first is not c1 and first is not a
+    add_scaled(d, a, [("x", c2), ("y", c1)], owned=True)
+    assert d["x"] is first
+    agrees(d["x"], DictLaurent(dict(a.items())) * (DictLaurent(dict(c1.items())) + DictLaurent(dict(c2.items()))))
+    assert all((p._v, p._n, p._m) == (v, n, m) for p, v, n, m in inputs)
+    # cancelling to zero deletes the key, as without the flag
+    add_scaled(d, -a, [("x", c1 + c2)], owned=True)
+    assert "x" not in d and triples(d) == triples({"y": a * c1})
+
+
+@pytest.mark.parametrize("route", ["sum", "product"])
+def test_an_owned_merge_past_the_limit_falls_back_to_terms(route):
+    # an owned merge whose bound crosses 2^31, by the sum of the bounds or by
+    # the product bound alone, takes the term-by-term fallback: a new value,
+    # packed with its exact l1 norm, equal to the dict oracle's sum
+    if route == "sum":
+        a, c = LaurentPoly.one(), P({0: 2**30, 1: 1})
+    else:
+        a, c = inflated({0: 1, 1: 1}, 2**15), inflated({0: 1, 1: -1}, 2**15)
+    oa, oc = DictLaurent(dict(a.items())), DictLaurent(dict(c.items()))
+    d = {}
+    add_scaled(d, a, [("x", c)], owned=True)
+    first = d["x"]
+    kept = (first._v, first._n, first._m)
+    add_scaled(d, a, [("x", c)], owned=True)
+    assert first._m + a._m * c._m >= _LIMIT
+    assert d["x"] is not first and (first._v, first._n, first._m) == kept
+    agrees(d["x"], oa * oc + oa * oc)
+    assert d["x"]._m == sum(abs(v) for _, v in (oa * oc + oa * oc).items())
+
+
+def test_owned_sums_match_fresh_sums():
+    # seeded runs of add_scaled into one dict made empty, with and without
+    # the flag, give the same (v, n, m) at every step, agree with the dict
+    # oracle, and leave every scalar and item value as it was; values near
+    # the limit take the fallback on both sides
+    rng = random.Random(31)
+    keys = "abcd"
+
+    def rand_value():
+        terms = rand_terms(rng)
+        if rng.random() < 0.15:
+            return inflated(terms, rng.choice((2**14, 2**29, 2**30)))
+        return LaurentPoly(terms)
+
+    for _ in range(150):
+        owned, fresh, oracle, inputs = {}, {}, {}, []
+        for _ in range(rng.randint(1, 6)):
+            a = rand_value() if rng.random() < 0.7 else P({0: rng.choice((1, -1))})
+            items = [(rng.choice(keys), c) for _ in range(rng.randint(0, 5)) if (c := rand_value())]
+            inputs += [(p, p._v, p._n, p._m) for p in [a] + [c for _, c in items]]
+            add_scaled(owned, a, items, owned=True)
+            add_scaled(fresh, a, items)
+            assert triples(owned) == triples(fresh) and list(owned) == list(fresh)
+            oa = DictLaurent(dict(a.items()))
+            for k, c in items:
+                oracle[k] = oracle.get(k, DictLaurent()) + oa * DictLaurent(dict(c.items()))
+                if oracle[k].is_zero():
+                    del oracle[k]
+            assert {k: dict(p.items()) for k, p in owned.items()} == {
+                k: dict(o.items()) for k, o in oracle.items()}
+        assert all((p._v, p._n, p._m) == (v, n, m) for p, v, n, m in inputs)
+
+
 def test_add_scaled_matches_per_term_sums():
     rng = random.Random(12)
     keys = "abcdef"
