@@ -2,9 +2,9 @@
 form phi, the isomorphism onto the lowest two-sided ideal, and the
 decomposition of the cellular basis in the Kazhdan-Lusztig basis.
 
-phi_inverse, the one expansion in the cellular basis, peels T-coordinates:
-each basis image is T_w plus strictly shorter terms, with w the
-reassembled triple.  The images Q_tau = P(tau) C_{w_0} of the triples
+phi_inverse, the one expansion in the cellular basis, peels against the
+images: on the X_0 module for an element recorded as u C_{w_0 z'^-1}, else
+by T-coordinates.  The images Q_tau = P(tau) C_{w_0} of the triples
 (e, tau, e) are the basis of M_+, and every other image is P(z) times one
 of them times flat P(z').  MonoidAlgebraElt holds elements of A[P+]; their
 product e^tau e^sigma = e^(tau + sigma) is taken inline in cellular_mul.
@@ -12,10 +12,10 @@ product e^tau e^sigma = e^(tau + sigma) is taken inline in cellular_mul.
 phi, the images and the KL decompositions run on the X_0 coset module of
 lowestcell (LowestCell.act), about |W_0| times smaller than the algebra:
 C_{x w_0} = P(x) C_{w_0} for x in X_0 (Deodhar 1987).  An image leaves the
-module only for its last factor, C_{w_0} P(z')^flat, and records both
-factors (Hecke.mul_factored), so Hecke.mul takes a product with an image on
-the left as u (C_{w_0} P(z')^flat h).  The product is still generic T-basis
-multiplication, only re-associated: no check uses the theorem it tests.  A
+module only for its last factor, C_{w_0 z'^-1} = C_{w_0} P(z')^flat, and
+records both (Hecke.mul_factored), so h times an image is (h . u) C_{w_0
+z'^-1}: exact because T_t C_{w_0 z'^-1} = q^L(t) C_{w_0 z'^-1} for finite
+t, checked on each right factor, so no check uses the theorem it tests.  A
 KL decomposition is one peel of a module element against the P(x'): of
 Q_tau for P(tau).
 
@@ -37,7 +37,7 @@ from itertools import product
 
 from .hecke import HeckeElt
 from .laurent import LaurentCombination, LaurentPoly, add_scaled, peel
-from .lowestcell import BoundExceeded, LowestCell
+from .lowestcell import BoundExceeded, LowestCell, NotInLowestCell
 from .weyl import GroupElement
 
 _ONE = LaurentPoly.one()
@@ -72,11 +72,12 @@ class CellularStructure:
         self.length_bound = length_bound
         self._phi_cache = {}
         self._phi_image_cache = {}
-        # Q_tau (on the X_0 module) by tau, C_{w_0 z'^-1} = flat(C_{z' w_0})
-        # by z' (the right factor of every image, which keeps its own chain
-        # cache; a right factor h of an image keeps C_{w_0 z'^-1} h per z'),
-        # and C_{w_0} m_x by module basis element x
+        # Q_tau (on the X_0 module) by tau, u = P(z) Q_tau by (z, tau),
+        # C_{w_0 z'^-1} = flat(C_{z' w_0}) by z' (the right factor of every
+        # image, which keeps its own chain cache), and C_{w_0} m_x by module
+        # basis element x
         self._q_cache = {(0,) * self.ws.rank: self.hecke.unit()}
+        self._u_cache = {}
         self._right = {}
         self._w0_on = {}
 
@@ -93,10 +94,9 @@ class CellularStructure:
         act on P(z') (C_{w_0 z^-1} = C_{w_0} P(z)^flat), and the result is
         peeled against the Q_tau, whose tops are the p_tau.  C_{w_0} acts
         term by term, through C_{w_0} m_x kept per module basis element x
-        across all pairs.  Both subscripts
-        are length-additive (z^-1 on the right of w_0, z' on the left), which
-        keeps the product inside M_+, as the composition law needs.
-        """
+        across all pairs.  Both subscripts are length-additive (z^-1 on the
+        right of w_0, z' on the left), which keeps the product inside M_+, as
+        the composition law needs."""
         key = (z, zprime)
         hit = self._phi_cache.get(key)
         if hit is not None:
@@ -157,31 +157,41 @@ class CellularStructure:
 
     def phi_image_basis(self, z: GroupElement, tau, zprime: GroupElement) -> HeckeElt:
         """Phi(v_z (x) e^tau (x) v_{z'}) = P(z) Q_tau P(z')^flat: u = P(z) Q_tau
-        on the X_0 module, then the product u C_{w_0 z'^-1} in the algebra,
-        with C_{w_0 z'^-1} = flat(C_{z' w_0}) kept per z', so every image with
-        that z' reuses the chain cache {x: T_x C_{w_0 z'^-1}} it keeps.  The
-        image records (u, C_{w_0 z'^-1}), which Hecke.mul multiplies through
-        when the image is a left factor."""
+        on the X_0 module, times C_{w_0 z'^-1} = flat(C_{z' w_0}), kept per z'
+        with its chain cache; the image records both (Hecke.mul_factored).
+        A new right factor must satisfy T_t C_{w_0 z'^-1} = q^L(t) C_{w_0
+        z'^-1} for every finite generator t, or ValueError keeps nothing."""
         key = (z, tuple(tau), zprime)
         hit = self._phi_image_cache.get(key)
         if hit is None:
             hecke, lowest = self.hecke, self.lowest
-            u = lowest.act(lowest.p_element(z), self._q_tau(key[1]))
+            u = self._module_factor(z, key[1])
             right = self._right.get(zprime)
             if right is None:
                 if not lowest.in_box(zprime):
                     raise ValueError(f"{zprime!r} is not in the box B_0")
-                right = self._right[zprime] = hecke.flat(
-                    hecke.kl_basis(zprime * self.weyl.longest_finite))
-            self._phi_image_cache[key] = hit = hecke.mul_factored(u, right)
+                right = hecke.flat(hecke.kl_basis(zprime * self.weyl.longest_finite))
+                q = lowest._q_params
+                if any(hecke.mul_gen(i, right) != HeckeElt({w: c * q[i] for w, c in right.items()})
+                       for i in self.ws.simple_to_gen):
+                    raise ValueError(f"T_t r is not q^L(t) r for the right factor r of {zprime!r}")
+                self._right[zprime] = right
+            self._phi_image_cache[key] = hit = hecke.mul_factored(u, right, lowest)
+        return hit
+
+    def _module_factor(self, z: GroupElement, tau) -> HeckeElt:
+        """u = P(z) Q_tau on the X_0 module, kept per (z, tau) for every z'."""
+        hit = self._u_cache.get((z, tau))
+        if hit is None:
+            lowest = self.lowest
+            hit = self._u_cache[z, tau] = lowest.act(lowest.p_element(z), self._q_tau(tau))
         return hit
 
     def phi_iso(self, a: CellularElt) -> HeckeElt:
         """Phi(a) = sum c Phi(v_z (x) e^tau (x) v_{z'}) over the terms of a.
         A basis element (one term, coefficient 1) gets the cached image
-        itself, with its recorded factors: HeckeElt is immutable, and
-        add_scaled only ever writes into a dict its own caller made.  A sum
-        is accumulated in place and records no factors."""
+        itself, factors and all (HeckeElt is immutable); a sum is
+        accumulated in place and records no factors."""
         if len(a._d) == 1:
             (key, c), = a._d.items()
             if c == _ONE:
@@ -194,19 +204,29 @@ class CellularStructure:
     def phi_inverse(self, h: HeckeElt) -> CellularElt:
         """Inverse of the isomorphism on elements of the lowest ideal.
 
-        Peels h's T-coordinates: each image P(z) P(tau) C_{w_0} P(z')^flat
-        is T_top plus strictly shorter terms, with (z, tau, z') the cell
-        factorization of top, and the residual stays in the ideal, whose
-        longest T-terms are cell members.  Raises NotInLowestCell if h is
-        not in the span.
+        An h recorded as u C_{w_0 z'^-1}, for one of this structure's right
+        factors, peels u against the P(z) Q_tau, whose top x = z p_tau is
+        split by LowestCell._split.  Any other h peels its T-coordinates:
+        each image is T_top plus strictly shorter terms, with (z, tau, z')
+        the cell factorization of top, and the residual stays in the ideal,
+        whose longest T-terms are cell members.  Raises NotInLowestCell if h
+        is not in the span.
         """
+        factors = getattr(h, "_factors", None)
+        zp = next((zp for zp, r in list(self._right.items()) if factors and r is factors[1]), None)
         keys = {}
 
         def expand(top):
-            keys[top] = f = self.lowest.factorize(top)
-            return self.phi_image_basis(*f)
+            if zp is None:
+                keys[top] = f = self.lowest.factorize(top)
+                return self.phi_image_basis(*f)
+            zt = self.lowest._split(top)
+            if zt is None:
+                raise NotInLowestCell(f"{top!r} is not z p_tau")
+            keys[top] = (*zt, zp)
+            return self._module_factor(*zt)
 
-        coords = peel(dict(h.items()), expand)
+        coords = peel(dict((h if zp is None else factors[0]).items()), expand)
         return CellularElt({keys[top]: c for top, c in coords.items()})
 
     def cell_involution(self, a: CellularElt) -> CellularElt:

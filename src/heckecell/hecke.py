@@ -5,42 +5,24 @@ Kazhdan-Lusztig basis with its polynomials, coordinates in that basis,
 T-basis structure constants, and the separating-hyperplane degree bound
 c_{x,y} in closed form, read per root off the shifts of y and xy.
 
-Every left T-action goes through one generator step, mul_gen (the
-three-case rule for T_s T_w: the relabel w -> sw, a bijection, plus the
-xi_s T_w terms of the descents), and one chain walker, _left_chain, which
-builds a value at w from the value at its tail (w with the pi-part, a
-support relabel, or else the first letter of the reduced word stripped).
-Both tails are per-element cached group steps of weyl (pi_mul_left by the
-inverse Pi index, gen_mul_left), so a walk over elements already minted
-multiplies no group elements.  The per-term loops (mul_gen, _pi_shift,
-flat, _act) read what each element was minted with or keeps: the cached
-step in w._gl, w._inv, w._len, w._word, and the chain cache itself, and
-call the group only on a miss, where its check for an element of another
-group runs.
-bar_t walks it on the bar cache with T_s^-1 = T_s - xi_s; mul(h1, h2)
-walks it on the chain cache {x: T_x h2} that h2 keeps in its _tx slot,
-made on first use and seeded with a twin of h2 that shares its dict (so
-the cache holds no reference back to h2, which reference counting alone
-frees), so T_x h2 costs one generator step for every x of a support closed
-under tails (KL elements, P-elements) over every left factor h2 ever
-meets.  A product made by mul_factored(u, r) records its factors, and mul
-takes a later product with it on the left as u (r h2), exact by
-associativity: r h2 is kept on h2, one entry per r (at most |B_0| for the
-cellular images of one structure), and u walks the chain cache of r h2 (a
-cellular image's u lives on the X_0 module, about |W_0| times smaller).
-The same loop acts on the X_0 module of lowestcell with that
-module's generator step and a cache local to the call; kl_basis walks it
-on the KL cache from C_e = T_e by the descent recursion (Lusztig, Hecke
-algebras with unequal parameters, Thm 6.6), with no bar_t and no solve.  A
-KL link that misses a lower element resumes its peel, so each link steps
-once.
+Every left T-action goes through one generator step, mul_gen, and one
+chain walker, _left_chain, whose tails are cached group steps of weyl, so
+a walk over elements already minted multiplies no group elements.  bar_t
+walks the bar cache with T_s^-1 = T_s - xi_s, kl_basis the KL cache by the
+descent recursion (Lusztig, Hecke algebras with unequal parameters, Thm
+6.6), mul(h1, h2) the chain cache {x: T_x h2} kept on h2, and lowestcell
+the X_0 module with its own generator step.  A product made by
+mul_factored(u, r, lowest), u on the X_0 module and T_t r = q^L(t) r for
+finite t, records those factors, and mul takes h1 times it as (h1 . u) r,
+exact because m_x -> T_x r is then a module map: the module action, about
+|W_0| times smaller than the algebra, on the cache u keeps, then one walk
+of r's chain cache.
 
 The KL cache and the bar cache are shared mutable structures under a
 single lock, which makes get-or-compute linearizable so sweeps may run from
-threads.  The chain cache and the r h2 entries an element keeps have no
-lock: they only memoize T_x h2 and r h2, which every thread computes alike,
-so threads that race on them store equal values.  A walk's partly peeled
-links are local to their call.
+threads.  The chain caches an element keeps have no lock: they only memoize
+T_x h2 and T_x . u, which every thread computes alike, so racing threads
+store equal values.  A walk's partly peeled links are local to their call.
 """
 
 from __future__ import annotations
@@ -58,13 +40,12 @@ class HeckeElt(LaurentCombination):
 
     Three slots are unset until used, and read with a None default.  _tx,
     set when the element is first a right factor of Hecke.mul, is the chain
-    cache {x: T_x h} of that product.  _factors is (u, r) on an element
-    made by Hecke.mul_factored(u, r), which equals u r.  _rh, set when the
-    element is first the right factor of such a product, is
-    {id(r): (r, r h)}: the entry keeps r, so its id names no other element
-    while the entry lives."""
+    cache {x: T_x h} of that product.  _factors is (u, r, lowest) on an
+    element made by Hecke.mul_factored(u, r, lowest), which equals u r.
+    _mx, set when such a u first meets a left factor, is the chain cache
+    {x: T_x . u} of lowest's module action: every value has keys in X_0."""
 
-    __slots__ = ("_tx", "_factors", "_rh")
+    __slots__ = ("_tx", "_factors", "_mx")
 
 
 class _Uncached(Exception):
@@ -187,10 +168,9 @@ class Hecke:
         return link
 
     def _chains(self, m: HeckeElt) -> dict:
-        """A fresh chain cache {e: m} of a left action on m.  The seed is a
-        twin of m that shares its dict, so a cache kept on m points nowhere
-        back at m.  Every key of m must be an element of this algebra's
-        group (ValueError)."""
+        """A fresh chain cache {e: m} of a left action on m, seeded with a twin
+        of m that shares its dict, so a cache kept on m points nowhere back
+        at m.  A key of m of another group raises ValueError."""
         weyl = self.weyl
         if any(x.weyl is not weyl for x in m._d):
             raise ValueError("elements belong to different weight systems")
@@ -220,37 +200,24 @@ class Hecke:
 
     def mul(self, h1: HeckeElt, h2: HeckeElt) -> HeckeElt:
         """h1 h2 = sum c T_x h2 over the terms c T_x of h1, with T_x h2 read
-        from the chain cache h2 keeps (made on the first product with h2), so
-        a later product with h2 steps only for left support not seen yet.
+        from the chain cache h2 keeps, made on the first product with h2.
+        An h2 made by mul_factored(u, r, lowest) gives (h1 . u) r, recorded
+        as such: lowest's module action on the cache u keeps
+        (LowestCell.act_on_factor), then r's chain cache, so nothing of the
+        algebra's size is kept per pair.  Keys of another group raise
+        ValueError on every call, before any cache is kept on h2."""
+        factors = getattr(h2, "_factors", None)
+        if factors is None:
+            return self._right_act(h1, h2)
+        u, r, lowest = factors
+        return self.mul_factored(lowest.act_on_factor(h1, u), r, lowest)
 
-        An h1 made by mul_factored(u, r) is multiplied through its factors,
-        as u (r h2), which is exact by associativity: r h2 is kept on h2 per
-        r, so h2 keeps at most one entry for each r it meets (|B_0| for the
-        cellular images of one CellularStructure, one r per z'), and u, on
-        the X_0 module about |W_0| times smaller than u r, walks the chain
-        cache r h2 keeps.  The entry is stored without a lock, as _tx is:
-        threads that race store equal values.
-
-        Keys of another group raise ValueError on every call: h2's before a
-        cache is kept on it, h1's when the walk from a missing key starts."""
-        factors = getattr(h1, "_factors", None)
-        if factors is not None:
-            h1, r = factors
-            kept = getattr(h2, "_rh", None)
-            hit = kept.get(id(r)) if kept is not None else None
-            if hit is None:
-                hit = (r, self._right_act(r, h2))
-                if kept is None:
-                    kept = h2._rh = {}
-                kept[id(r)] = hit
-            h2 = hit[1]
-        return self._right_act(h1, h2)
-
-    def mul_factored(self, u: HeckeElt, r: HeckeElt) -> HeckeElt:
-        """u r, recording (u, r) on the product, so that a later product
-        with it on the left is taken as u (r h) by mul."""
+    def mul_factored(self, u: HeckeElt, r: HeckeElt, lowest) -> HeckeElt:
+        """u r, recording (u, r, lowest) on it, for u on the X_0 module of
+        the LowestCell lowest and T_t r = q^L(t) r for every finite t (the
+        caller's invariant), so that mul takes h times it as (h . u) r."""
         out = self._right_act(u, r)
-        out._factors = (u, r)
+        out._factors = (u, r, lowest)
         return out
 
     # -- involutions ---------------------------------------------------------------

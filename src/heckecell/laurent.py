@@ -3,35 +3,30 @@ and the sparse linear algebra over them that every layer shares.
 
 LaurentPoly is the scalar ring for everything else in this package.  Values
 are immutable once anything but add_scaled can see them; all operations
-return fresh objects.  A value is packed into
-one Python int: the coefficients c_0, c_1, ... of q^v, q^(v+1), ... are the
-balanced digits (|c_i| < 2^(W-1)) of n = sum c_i 2^(W i), where v is the
-lowest exponent with a nonzero coefficient.  A sum is a shift and an int
-add, a product is one int multiply.  Each value also carries m, an upper
-bound on its l1 norm sum |c_i|; since l1(ab) <= l1(a) l1(b),
-l1(a + b) <= l1(a) + l1(b) and max |c_i| <= l1, a result whose bound stays
-below 2^31 is exact in W = 32 bits.  Any other result is computed term by
-term, its bound set to the exact l1 norm, and packed in the least multiple
-of 32 bits that holds it, so coefficients of any size stay exact.
-A value with -_LIMIT < n < _LIMIT is one digit at every width (a second
-nonzero digit at width w puts |n| at 2^(w-1) >= _LIMIT or more), so it is
-the monomial n q^v; every one-digit value of 32-bit width is one.  Most KL
-coefficients are.  _terms, degree, to_json, in_strictly_negative and
-bar_invariant_part read such a value off (v, n), so every inspection
-(coeff, items, text, bar, the filtration tests) skips decoding and _width
-for it.  A longer value of 32-bit width is decoded in one pass (_digits):
+return fresh objects.  A value is packed into one Python int: the
+coefficients c_0, c_1, ... of q^v, q^(v+1), ... are the balanced digits
+(|c_i| < 2^(W-1)) of n = sum c_i 2^(W i), where v is the lowest exponent
+with a nonzero coefficient.  A sum is a shift and an int add, a product is
+one int multiply.  Each value also carries m, an upper bound on its l1
+norm sum |c_i|; since l1(ab) <= l1(a) l1(b), l1(a + b) <= l1(a) + l1(b)
+and max |c_i| <= l1, a result whose bound stays below 2^31 is exact in
+W = 32 bits.  Any other result is computed term by term, its bound set to
+the exact l1 norm, and packed in the least multiple of 32 bits that holds
+it, so coefficients of any size stay exact.
+A value with -_LIMIT < n < _LIMIT is one digit at every width, the
+monomial n q^v (most KL coefficients are); _terms, degree, to_json,
+in_strictly_negative and bar_invariant_part read it off (v, n) without
+decoding.  A longer value of 32-bit width is decoded in one pass (_digits):
 with B_k = sum_{i<k} 2^31 2^(32 i), the native-order bytes of
 (n + B_k) ^ B_k, read as C ints, are its k signed digits, lowest first.
 Only wider values, whose l1 bound reached 2^31, take the digit loop.
-to_json keeps the canonical form of each longer value of 32-bit width it
-decodes under its packed (v, n), which names one polynomial at that width,
-and copies it on a later call: the coefficients of a canonical output
-repeat (467 distinct among the 13,256 multi-digit ones of the cellular
-bench workload), so each is decoded once per process.  The kept forms have
-no bound: they are held for the life of the process and grow by one entry
-per distinct value ever serialized.  Racing threads store equal entries,
-and every caller gets its own copy.  The text form (str) is read off the
-same canonical form.
+to_json keeps the canonical form of each longer value of 32-bit width
+under its packed (v, n), which names one polynomial at that width, and
+hands out copies, so each is decoded once per process (467 distinct among
+the 13,256 multi-digit coefficients of the cellular bench workload).  The
+memo is emptied when it reaches _KEPT_JSON_CAP entries, far above the
+1,244 a kl-sweep bench pass keeps (about 0.6 kB each).  Racing threads
+store equal entries.  The text form (str) is read off the same form.
 LaurentCombination is the one sparse linear-combination type (key ->
 nonzero LaurentPoly).  add_scaled is the one multiply-accumulate on such
 dicts (d[k] += a * c over many terms) and the only code that does
@@ -275,12 +270,16 @@ class LaurentPoly:
                     out[str(e)] = c
         if not narrow:
             return out
+        if len(_KEPT_JSON) >= _KEPT_JSON_CAP:
+            _KEPT_JSON.clear()
         _KEPT_JSON[key] = out
         return out.copy()
 
 
-# to_json's kept forms of longer values of 32-bit width, (v, n) -> canonical JSON
+# to_json's kept forms of longer values of 32-bit width, (v, n) -> canonical
+# JSON, emptied when it holds _KEPT_JSON_CAP of them
 _KEPT_JSON = {}
+_KEPT_JSON_CAP = 1 << 14
 
 
 _alloc = object.__new__

@@ -2,31 +2,26 @@
 relative Kazhdan-Lusztig polynomials and the P-elements.
 
 The cell consists of the elements factoring as z . p_tau . w_0 . z'^-1 with
-z, z' in the finite box B_0 and tau dominant, all lengths additive.  B_0 and
-X_0 are read off the integer root shifts in closed form: B_0 is
+z, z' in the finite box B_0 and tau dominant, all lengths additive.  B_0 is
 Weyl.box_over, one element (u, b . eps(u)) per u in W_0 (Pi is its part of
 length zero), eps_k(u) = [alpha_k . u^-1 < 0], and X_0 is the set of x
-whose alcove lies in the dominant chamber, with no negative simple-root
-shift (Bremke 1997).  in_box and is_in_x0 read the simple-root prefix of
-the shifts every element is minted with (GroupElement.shifts), so a module
-step, a factorization or a P-element lookup makes no pairing; both refuse
-an element of another group with ValueError.  The module step makes the
-X_0 test inline, on steps of its own group's elements.
-Factorization reads z' off the chamber that holds the alcove of w and z off
-the finite part of x = z p_tau, and checks that one candidate; that no
-other z' of B_0 factors w is checked by the oracle test.  The result, a
-CellFactorization or None, is kept, so a repeated factorize or membership
-test makes no group multiply; an element of another group raises
-ValueError.
+whose alcove lies in the dominant chamber (Bremke 1997).  in_box and
+is_in_x0 read the simple-root prefix of the shifts every element is minted
+with, so no test makes a pairing; both refuse an element of another group
+with ValueError.  Factorization reads z' off the chamber that holds the
+alcove of w and splits x = w z' w_0 as z p_tau (_split, which
+CellularStructure.phi_inverse also uses), with z read off the finite part
+of x; that no other z' of B_0 factors w is checked by the oracle test.
+Both results are kept per element, so a repeat makes no group multiply.
 
 Relative KL polynomials live on the module with basis m_x = T_x C_{w_0 y},
 x in the minimal coset representatives X_0.  T_s acts by three cases:
 m_{sx} + xi_s m_x when sx < x; m_{sx} when sx > x is in X_0; else sx = x t
 with t in W_0 and T_t C_{w_0 y} = q^{L(s)} C_{w_0 y}, so q^{L(s)} m_x.  The
 P(x) are built along x's chain from P(e) = m_e by the Hecke layer's KL link
-(the parabolic descent recursion, Deodhar 1987), and act(h, m) lets any h
-act on a module element m by the same chain walker.  No C_{w_0 y} is expanded
-and no y enters, which is what makes the y-independence meaningful to test.
+(the parabolic descent recursion, Deodhar 1987); act and act_on_factor let
+any h act on a module element by the same chain walker.  No C_{w_0 y} is
+expanded and no y enters, which makes the y-independence meaningful to test.
 """
 
 from __future__ import annotations
@@ -64,6 +59,7 @@ class LowestCell:
         self._q_params = tuple(LaurentPoly.q_power(p) for p in self.ws.params)
         self._p_cache = {weyl.identity: hecke.unit()}
         self._factor_cache = {}
+        self._split_cache = {}
         # the signs (c >= 0) of the root shifts of chamber v -> the z' of
         # every w whose alcove lies in it, the box element over (w_0 v)^-1
         ws = self.ws
@@ -102,24 +98,34 @@ class LowestCell:
     def _factor(self, w: GroupElement):
         """The CellFactorization of w, or None, kept per element (elements
         are interned), so membership and factorize check w once.  z' is read
-        off the chamber that holds the alcove of w, and z off the finite part
-        of x = w z' w_0.  Then w = z p_tau w_0 z'^-1, and it is the
-        factorization when x is in X_0, tau is dominant and the four lengths
-        add up to l(w).  An element of another group raises ValueError."""
+        off the chamber that holds the alcove of w, and x = w z' w_0 is
+        split as z p_tau; it is the factorization when l(w) = l(x) +
+        l(w_0) + l(z').  An element of another group raises ValueError."""
         cache = self._factor_cache
         if w in cache:
             return cache[w]
-        weyl, ws = self.weyl, self.ws
-        if w.weyl is not weyl:
+        if w.weyl is not self.weyl:
             raise ValueError("elements belong to different weight systems")
-        w0 = weyl.longest_finite
+        w0 = self.weyl.longest_finite
         zp = self._zp_by_chamber[tuple(c >= 0 for c in w.shifts)]
         x = w * zp * w0
+        zt = self._split(x)
+        ok = zt is not None and w.length() == x.length() + w0.length() + zp.length()
+        return cache.setdefault(w, CellFactorization(*zt, zp) if ok else None)
+
+    def _split(self, x: GroupElement):
+        """(z, tau) with x = z p_tau length-additively, z in B_0 (read off
+        x's finite part) and tau a dominant lattice weight, or None if x is
+        not in X_0 or no such pair exists; kept per element."""
+        cache = self._split_cache
+        if x in cache:
+            return cache[x]
+        weyl, ws = self.weyl, self.ws
         z = weyl.box_over[x.finite]
         mu = (weyl.inverse(z) * x).translation
-        ok = self.is_in_x0(x) and ws.in_lattice(mu) and ws.is_dominant(mu) and w.length() == (
-            z.length() + weyl.translation(mu).length() + w0.length() + zp.length())
-        return cache.setdefault(w, CellFactorization(z, mu, zp) if ok else None)
+        ok = self.is_in_x0(x) and ws.in_lattice(mu) and ws.is_dominant(mu) and (
+            x.length() == z.length() + weyl.translation(mu).length())
+        return cache.setdefault(x, (z, mu) if ok else None)
 
     def membership(self, w: GroupElement) -> bool:
         return self._factor(w) is not None
@@ -146,12 +152,9 @@ class LowestCell:
 
     def relative_kl(self, x: GroupElement) -> dict:
         """The family x' -> p_{x',x} over x' in X_0 making
-        T_x C_{w_0 y} + sum p_{x',x} T_{x'} C_{w_0 y} bar-invariant.
-
-        Built on the X_0 module (see the module docstring), so no y enters
-        anywhere.  Strictly lower part only; the leading coefficient 1 is
-        implicit.
-        """
+        T_x C_{w_0 y} + sum p_{x',x} T_{x'} C_{w_0 y} bar-invariant, built on
+        the X_0 module, so no y enters.  Strictly lower part only; the
+        leading coefficient 1 is implicit."""
         p = self._p_from(x)
         return {y: c for y, c in p.items() if y != x}
 
@@ -180,9 +183,20 @@ class LowestCell:
     def act(self, h: HeckeElt, m: HeckeElt) -> HeckeElt:
         """h . m for a module element m: T_x m is built along x's chain by
         the generator step for every x in the support of h, on a chain cache
-        local to this call: the cache m keeps as a right factor of
-        Hecke.mul holds the algebra's action, not the module's."""
+        local to this call."""
         return self.hecke._act(h, self.hecke._chains(m), self._module_gen)
+
+    def act_on_factor(self, h: HeckeElt, u: HeckeElt) -> HeckeElt:
+        """h . u for the module factor u of a Hecke.mul_factored product, on
+        the chain cache u keeps in _mx (stored, without a lock, once an action
+        succeeds).  A factored h = u' r' acts as u' . (r' . u)."""
+        factors = getattr(h, "_factors", None)
+        if factors is not None:
+            return self.act(factors[0], self.act_on_factor(factors[1], u))
+        cache = getattr(u, "_mx", None) or self.hecke._chains(u)
+        out = self.hecke._act(h, cache, self._module_gen)
+        u._mx = cache
+        return out
 
     # -- the P elements -------------------------------------------------------------
 

@@ -460,109 +460,200 @@ def _plain(h):
 @pytest.mark.parametrize("cfg", SHIPPED_CONFIGS,
                          ids=[f"{t}{n}-{','.join(map(str, p))}" for t, n, p in SHIPPED_CONFIGS])
 def test_a_product_of_images_equals_the_product_of_plain_copies(cfg):
-    # an image records (u, C_{w_0 z'^-1}) and mul takes it on the left as
-    # u (C_{w_0 z'^-1} h): on seeded pairs the product equals the one of a
-    # plain copy of the left image, which mul multiplies term by term, and
-    # the right image keeps r h under id(r)
+    # an image records (u, C_{w_0 z'^-1}, lowest) and mul takes h times it
+    # as (h . u) C_{w_0 z'^-1}: on seeded pairs the product equals the one
+    # of plain copies, which mul multiplies term by term, and records the
+    # module action of the left image on u and the right image's own r
     cs = make(cfg)
-    hecke = cs.hecke
+    hecke, lowest = cs.hecke, cs.lowest
     triples = cs.basis_triples(cs.weyl.longest_finite.length() + 3)
     rng = random.Random(31)
     for _ in range(8):
         a, b = rng.choice(triples), rng.choice(triples)
         ia, ib = cs.phi_image_basis(*a), cs.phi_image_basis(*b)
-        r = ia._factors[1]
-        assert r is cs._right[a[2]] and getattr(_plain(ia), "_factors", None) is None
+        u, r, owner = ib._factors
+        assert r is cs._right[b[2]] and owner is lowest and u is cs._module_factor(b[0], b[1])
+        assert getattr(_plain(ib), "_factors", None) is None
         want = hecke.mul(_plain(ia), _plain(ib))
-        assert hecke.mul(ia, ib) == want == hecke.mul(_plain(ia), ib)
-        assert ib._rh[id(r)][0] is r and ib._rh[id(r)][1] == hecke.mul(r, _plain(ib))
+        prod = hecke.mul(ia, ib)
+        assert prod == want == hecke.mul(_plain(ia), ib) == hecke.mul(ia, _plain(ib))
+        assert prod._factors[1:] == (r, lowest)
+        assert prod._factors[0] == lowest.act(_plain(ia), u)
 
 
-def test_image_right_factors_keep_at_most_one_entry_per_box_element():
-    # every product of two A2 images up to length 6: a right factor keeps
-    # r h for exactly the r of the left images it met, at most |B_0| of them
-    cs = make(("A", 2, (1, 1, 1)))
-    hecke = cs.hecke
-    triples = cs.basis_triples(6)
+def _x0_keys(h, lowest):
+    return all(lowest.is_in_x0(x) for x in h._d)
+
+
+def test_image_products_keep_no_algebra_product_with_another_image():
+    # every image pair of C2 (3,2,1) to total length 12: no image keeps a
+    # chain cache of the algebra, every module factor keeps only module
+    # elements (keys in X_0) under the left support it met, and each right
+    # factor keeps its own chain {x: T_x r} and nothing else
+    cs = make(("C", 2, (3, 2, 1)))
+    hecke, lowest = cs.hecke, cs.lowest
+    triples = cs.basis_triples(12)
+    lens = {t: lowest.assemble(*t).length() for t in triples}
     images = {t: cs.phi_image_basis(*t) for t in triples}
-    met = {}
-    for a in triples:
-        for b in triples:
-            hecke.mul(images[a], images[b])
-            met.setdefault(b, set()).add(a[2])
-    box = cs.lowest.box_elements()
-    assert max(len(zs) for zs in met.values()) == len(box)
-    for b, zs in met.items():
-        kept = images[b]._rh
-        assert len(kept) <= len(box)
-        assert set(kept) == {id(cs._right[zp]) for zp in zs}
-        assert all(kept[id(cs._right[zp])][0] is cs._right[zp] for zp in zs)
+    pairs = [(a, b) for a in triples for b in triples if lens[a] + lens[b] <= 12]
+    for a, b in pairs:
+        assert hecke.mul(images[a], images[b]) == cs.phi_iso(
+            cs.cellular_mul(CellularElt.basis(*a), CellularElt.basis(*b)))
+    assert len(pairs) == 88
+    modules = {id(img._factors[0]): img._factors[0] for img in images.values()}
+    met = {id(images[b]._factors[0]) for _, b in pairs}
+    assert {k for k, u in modules.items() if getattr(u, "_mx", None) is not None} == met
+    for img in images.values():
+        assert getattr(img, "_tx", None) is None and getattr(img, "_mx", None) is None
+    for u in modules.values():
+        assert getattr(u, "_tx", None) is None and _x0_keys(u, lowest)
+        assert all(_x0_keys(tu, lowest) for tu in (getattr(u, "_mx", None) or {}).values())
+    for r in cs._right.values():
+        assert getattr(r, "_mx", None) is None
+        assert all(tx == hecke.mul(hecke.t(x), _plain(r)) for x, tx in list(r._tx.items())[::7])
 
 
-def test_a_repeated_right_factor_product_builds_no_new_product(monkeypatch):
-    # two images with the same z' share C_{w_0 z'^-1}: the second product
-    # with the same right factor reads r h from the entry the first kept,
-    # and multiplies only its own u against it
+def test_a_repeated_right_factor_product_builds_no_new_product():
+    # two images with the same z' share C_{w_0 z'^-1}: times a third image,
+    # the second reads C_{w_0 z'^-1} . u off the cache the first filled on
+    # that image's module factor, which gains no entry and keeps its values
     cs = make(("C", 2, (2, 1, 1)))
     hecke = cs.hecke
     triples = cs.basis_triples(cs.weyl.longest_finite.length() + 4)
     a, a2 = next((s, t) for s in triples for t in triples if s != t and s[2] == t[2])
     ia, ia2 = cs.phi_image_basis(*a), cs.phi_image_basis(*a2)
+    ib = cs.phi_image_basis(*triples[-1])
     assert ia._factors[1] is ia2._factors[1]
-    h = hecke.kl_basis(cs.weyl.from_word(0, [1, 2, 1]))
-    first = hecke.mul(ia, h)
-    entry = h._rh[id(ia._factors[1])]
-    calls = []
-    orig = Hecke._right_act
-    monkeypatch.setattr(Hecke, "_right_act",
-                        lambda self, h1, h2: calls.append((h1, h2)) or orig(self, h1, h2))
-    second = hecke.mul(ia2, h)
-    assert len(h._rh) == 1 and h._rh[id(ia._factors[1])] is entry
-    assert len(calls) == 1 and calls[0][0] is ia2._factors[0] and calls[0][1] is entry[1]
-    assert (first, second) == (hecke.mul(_plain(ia), h), hecke.mul(_plain(ia2), h))
+    first = hecke.mul(ia, ib)
+    u = ib._factors[0]
+    entries = dict(u._mx)
+    second = hecke.mul(ia2, ib)
+    assert u._mx.keys() == entries.keys() and all(u._mx[x] is v for x, v in entries.items())
+    assert (first, second) == (hecke.mul(_plain(ia), _plain(ib)), hecke.mul(_plain(ia2), _plain(ib)))
 
 
 def test_an_image_times_a_right_factor_of_another_group_raises():
-    # the product with r runs first, on the foreign right factor, whose
-    # keys _chains refuses: nothing is kept on it, and the image's factors
-    # and their caches hold only elements of the image's own group
+    # both orders raise ValueError before anything is kept: a foreign right
+    # factor's keys are refused by _chains, and a foreign left factor by the
+    # walk, after which the image's module factor keeps no cache and its
+    # right factor no foreign key
     cs = make(("A", 2, (1, 1, 1)))
     hecke, W1 = cs.hecke, cs.weyl
     W2 = Weyl(WeightSystem("A", 2, (1, 1, 1)))
     image = cs.phi_image_basis(*cs.basis_triples(5)[-1])
+    u, r, _ = image._factors
     foreign = HeckeElt({W2.gens[1]: LaurentPoly.one()})
     for _ in range(2):
         with pytest.raises(ValueError, match="different weight systems"):
             hecke.mul(image, foreign)
-    assert getattr(foreign, "_rh", None) is None and getattr(foreign, "_tx", None) is None
-    u, r = image._factors
+        with pytest.raises(ValueError, match="different weight systems"):
+            hecke.mul(foreign, image)
+    assert getattr(foreign, "_tx", None) is None and getattr(foreign, "_mx", None) is None
+    assert getattr(u, "_mx", None) is None
     assert all(w.weyl is W1 for h in (u, r) for w in getattr(h, "_tx", None) or ())
 
 
 def test_a_temporary_right_factor_of_an_image_is_freed_by_reference_counting():
-    # the entry r h kept on h2 holds r and r h, neither of which points back
-    # at h2: with the cycle collector off, the last reference to h2 going
-    # frees h2, its chain cache and its entries
+    # a temporary factored right factor, whose module factor keeps the chain
+    # cache of the module action seeded with a twin sharing its dict: with
+    # the cycle collector off, the last references going free the module
+    # factor, its cache and the product that recorded it
     class Probe(HeckeElt):
         __slots__ = ("__weakref__",)
 
     cs = make(("A", 2, (1, 1, 1)))
-    hecke = cs.hecke
+    hecke, lowest = cs.hecke, cs.lowest
     image = cs.phi_image_basis(*cs.basis_triples(6)[-1])
-    c = hecke.kl_basis(cs.weyl.gens[0] * cs.weyl.gens[1])
+    b = cs.basis_triples(5)[-1]
+    plain = _plain(cs.phi_image_basis(*b))
     enabled = gc.isenabled()
     gc.disable()
     try:
-        h2 = Probe(dict(c.items()))
-        ref = weakref.ref(h2)
+        u = Probe(dict(cs._module_factor(b[0], b[1]).items()))
+        ref = weakref.ref(u)
+        h2 = hecke.mul_factored(u, cs._right[b[2]], lowest)
         prod = hecke.mul(image, h2)
-        assert len(h2._rh) == 1 and len(h2._tx) > 1
-        del h2
+        assert len(u._mx) > 1 and prod._factors[0] is not u
+        del u, h2
         assert ref() is None
     finally:
         if enabled:
             gc.enable()
-    assert prod == hecke.mul(_plain(image), c)
+    assert prod == hecke.mul(_plain(image), plain)
+
+
+@pytest.mark.parametrize("cfg", SHIPPED_CONFIGS,
+                         ids=[f"{t}{n}-{','.join(map(str, p))}" for t, n, p in SHIPPED_CONFIGS])
+def test_both_phi_inverse_routes_agree(cfg):
+    # phi_inverse peels a factored element on the X_0 module and a plain
+    # copy by its T-coordinates: on seeded image products, multi-term sums
+    # times an image and phi_iso sums, both give the same coordinates (those
+    # of the cellular product, where there is one), and both refuse an
+    # element outside the ideal
+    cs = make(cfg)
+    hecke, weyl = cs.hecke, cs.weyl
+    triples = cs.basis_triples(weyl.longest_finite.length() + 3)
+    rng = random.Random(32)
+    q = LaurentPoly({1: 1, -1: 2})
+    module_route = 0
+    for _ in range(6):
+        a, b, c = (rng.choice(triples) for _ in range(3))
+        ea, eb, ec = (CellularElt.basis(*t) for t in (a, b, c))
+        cases = [(hecke.mul(cs.phi_iso(ea), cs.phi_iso(eb)), cs.cellular_mul(ea, eb)),
+                 (hecke.mul(cs.phi_iso(CellularElt({a: q, c: -q})), cs.phi_iso(eb)),
+                  cs.cellular_mul(CellularElt({a: q, c: -q}), eb)),
+                 (cs.phi_iso(CellularElt({a: q, b: -q, c: q})), None)]
+        for h, want in cases:
+            got = cs.phi_inverse(h)
+            assert got == cs.phi_inverse(HeckeElt(dict(h.items())))
+            assert want is None or got == want
+            module_route += getattr(h, "_factors", None) is not None
+    assert module_route == 12
+    prod = hecke.mul(cs.phi_iso(CellularElt.basis(*a)), cs.phi_iso(CellularElt.basis(*b)))
+    outsider = HeckeElt(dict(prod.items())) + hecke.t(weyl.identity)
+    for h in (outsider, hecke.mul_factored(outsider, hecke.unit(), cs.lowest)):
+        with pytest.raises(NotInLowestCell):
+            cs.phi_inverse(h)
+
+
+def test_phi_inverse_of_a_factored_product_peels_on_the_module(monkeypatch):
+    # the module route factorizes nothing and builds no image: each top is
+    # split as z p_tau by LowestCell._split and peeled against the kept
+    # P(z) Q_tau; an element whose right factor is not one of this
+    # structure's takes the T-coordinate route
+    cs = make(("C", 2, (2, 1, 1)))
+    hecke, lowest = cs.hecke, cs.lowest
+    triples = cs.basis_triples(cs.weyl.longest_finite.length() + 4)
+    a, b = triples[-1], triples[-2]
+    ea, eb = CellularElt.basis(*a), CellularElt.basis(*b)
+    prod = hecke.mul(cs.phi_iso(ea), cs.phi_iso(eb))
+    calls = []
+    monkeypatch.setattr(lowest, "factorize", lambda w: calls.append(w))
+    monkeypatch.setattr(cs, "phi_image_basis", lambda *t: calls.append(t))
+    assert cs.phi_inverse(prod) == cs.cellular_mul(ea, eb) and calls == []
+    other = make(("C", 2, (2, 1, 1)))
+    with pytest.raises(ValueError):
+        other.phi_inverse(prod)
+
+
+def test_a_right_factor_failing_the_finite_eigenvector_check_is_refused(monkeypatch):
+    # T_t C_{w_0 z'^-1} = q^L(t) C_{w_0 z'^-1} for every finite generator t
+    # is what makes an image product (h . u) r exact: a right factor that
+    # fails it, here T_e, raises ValueError and no right factor or image
+    # is kept; the true right factor then passes
+    cs = make(("A", 2, (1, 1, 1)))
+    hecke = cs.hecke
+    t = cs.basis_triples(5)[-1]
+    flat = hecke.flat
+    monkeypatch.setattr(hecke, "flat", lambda h: hecke.unit())
+    for _ in range(2):
+        with pytest.raises(ValueError, match="is not q\\^L"):
+            cs.phi_image_basis(*t)
+    assert cs._right == {} and cs._phi_image_cache == {}
+    monkeypatch.setattr(hecke, "flat", flat)
+    image = cs.phi_image_basis(*t)
+    assert cs._right[t[2]] == flat(hecke.kl_basis(t[2] * cs.weyl.longest_finite))
+    assert image == hecke.mul(_plain(image._factors[0]), _plain(cs._right[t[2]]))
 
 
 def _coefficient_objects(elements):
@@ -572,14 +663,16 @@ def _coefficient_objects(elements):
 
 def _kept_elements(cs):
     """Every element the structure or its right factors keep: the images,
-    their factors, the right factors, Q_tau, C_{w_0} m_x, the P- and KL
-    elements, and every chain-cache value and r h entry kept on them."""
+    their factors, the right factors, Q_tau, u = P(z) Q_tau, C_{w_0} m_x,
+    the P- and KL elements, and every chain-cache value of either action
+    kept on them."""
     hecke, lowest = cs.hecke, cs.lowest
     roots = (list(cs._phi_image_cache.values()) + list(cs._right.values())
+             + list(cs._u_cache.values())
              + list(cs._q_cache.values()) + list(cs._w0_on.values())
              + list(lowest._p_cache.values()) + list(hecke._kl_cache.values())
              + list(hecke._bar_cache.values()))
-    roots += [f for h in list(roots) for f in getattr(h, "_factors", None) or ()]
+    roots += [f for h in list(roots) for f in (getattr(h, "_factors", None) or ())[:2]]
     out, seen = [], set()
     while roots:
         h = roots.pop()
@@ -588,7 +681,7 @@ def _kept_elements(cs):
         seen.add(id(h))
         out.append(h)
         roots += list((getattr(h, "_tx", None) or {}).values())
-        roots += [rh for _, rh in (getattr(h, "_rh", None) or {}).values()]
+        roots += list((getattr(h, "_mx", None) or {}).values())
     return out
 
 

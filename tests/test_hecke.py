@@ -310,22 +310,24 @@ def test_threads_share_the_chain_cache_of_one_right_factor():
 
 
 def test_threads_share_the_image_entries_of_one_right_factor():
-    # image left factors are multiplied through their factors: 8 threads
-    # race to keep r h on one fresh right factor, one entry per z', and
-    # every product and every kept r h equals the single-threaded one
+    # a cellular image on the right is multiplied through its module factor
+    # u: 8 threads race to fill the chain cache u keeps, unlocked, with
+    # image and KL left factors; every product equals the single-threaded
+    # one of plain copies, and every kept entry is T_x . u on the module
     cs = CellularStructure(LowestCell(make(("C", 2, (2, 1, 1)))))
-    H, W = cs.hecke, cs.weyl
+    H, W, lowest = cs.hecke, cs.weyl, cs.lowest
     lefts = [cs.phi_image_basis(*t) for t in cs.basis_triples(W.longest_finite.length() + 8)]
-    right = H.kl_basis(W.from_word(0, [1, 2, 1, 0]))
-    assert getattr(right, "_rh", None) is None
+    lefts += [H.kl_basis(w) for w in W.enumerate_elements(4)]
+    right = cs.phi_image_basis(*cs.basis_triples(W.longest_finite.length() + 3)[-1])
+    u = right._factors[0]
+    assert getattr(u, "_mx", None) is None
     copy = HeckeElt(dict(right.items()))
     expected = {i: H.mul(HeckeElt(dict(h1.items())), copy) for i, h1 in enumerate(lefts)}
     for got in _shared_right_products(H, lefts, right):
         assert got == expected
-    rights = {id(h1._factors[1]): h1._factors[1] for h1 in lefts}
-    assert right._rh.keys() == rights.keys() and len(rights) == len(cs.lowest.box_elements())
-    for key, (r, rh) in right._rh.items():
-        assert r is rights[key] and rh == H.mul(r, copy)
+    plain_u = HeckeElt(dict(u.items()))
+    assert len(u._mx) > 10
+    assert all(tu == lowest.act(H.t(x), plain_u) for x, tu in u._mx.items())
 
 
 def test_bar_examples():

@@ -583,6 +583,23 @@ def test_seeded_values_read_alike_cold_and_warm(cold):
             assert len(laurent._KEPT_JSON) == (k > 1)
 
 
+def test_the_kept_json_memo_never_holds_more_than_its_cap(cold):
+    # more distinct two-digit values than the cap, each serialized twice:
+    # every form is canonical, cold or warm, and the memo is emptied when
+    # it is full instead of growing past the cap
+    cap = laurent._KEPT_JSON_CAP
+    assert cap >= 10 * 1244
+    rng = random.Random(3232)
+    sizes = set()
+    for k in range(cap + 500):
+        terms = {-k % 7: k + 1, 10: rng.choice((-2, 5))}
+        p = LaurentPoly(terms)
+        want = [(str(e), c) for e, c in sorted(terms.items(), reverse=True)]
+        assert json_items(p) == want and json_items(p) == want
+        sizes.add(len(laurent._KEPT_JSON))
+    assert max(sizes) == cap and min(sizes) == 1
+
+
 # -- the multiply-accumulate kernel against the per-term operators and the oracle -
 
 
