@@ -11,13 +11,15 @@ product e^tau e^sigma = e^(tau + sigma) is taken inline in cellular_mul.
 
 phi, the images and the KL decompositions run on the X_0 coset module of
 lowestcell (LowestCell.act), about |W_0| times smaller than the algebra:
-C_{x w_0} = P(x) C_{w_0} for x in X_0 (Deodhar 1987).  An image leaves the
-module only for its last factor, C_{w_0 z'^-1} = C_{w_0} P(z')^flat, and
-records both (Hecke.mul_factored), so h times an image is (h . u) C_{w_0
-z'^-1}: exact because T_t C_{w_0 z'^-1} = q^L(t) C_{w_0 z'^-1} for finite
-t, checked on each right factor, so no check uses the theorem it tests.  A
-KL decomposition is one peel of a module element against the P(x'): of
-Q_tau for P(tau).
+C_{x w_0} = P(x) C_{w_0} for x in X_0 (Deodhar 1987).  Every module element
+acted on (P(x), Q_tau, u = P(z) Q_tau) keeps the chain cache of that
+action, so a later action steps only for support it has not met.  An image
+leaves the module only for its last factor, C_{w_0 z'^-1} = C_{w_0}
+P(z')^flat, and records both (Hecke.mul_factored), so h times an image is
+(h . u) C_{w_0 z'^-1}, h acting by its T-coordinates: exact because T_t
+C_{w_0 z'^-1} = q^L(t) C_{w_0 z'^-1} for finite t, checked on each right
+factor, so no check uses the theorem it tests.  A KL decomposition is one
+peel of a module element against the P(x'): of Q_tau for P(tau).
 
 All universally quantified claims are exposed as bounded sweeps; callers
 name the length bound and the sweep is exact within it.

@@ -10,9 +10,10 @@ chain walker, _left_chain, whose tails are cached group steps of weyl, so
 a walk over elements already minted multiplies no group elements.  bar_t
 walks the bar cache with T_s^-1 = T_s - xi_s, kl_basis the KL cache by the
 descent recursion (Lusztig, Hecke algebras with unequal parameters, Thm
-6.6), mul(h1, h2) the chain cache {x: T_x h2} kept on h2, and lowestcell
-the X_0 module with its own generator step.  A product made by
-mul_factored(u, r, lowest), u on the X_0 module and T_t r = q^L(t) r for
+6.6).  One action, _act, takes h times m on the chain cache {x: T_x m}
+that m keeps, one slot per action: mul walks it with mul_gen (_tx), and
+lowestcell's X_0 module with its own generator step (_mx).  A product made
+by mul_factored(u, r, lowest), u on the X_0 module and T_t r = q^L(t) r for
 finite t, records those factors, and mul takes h1 times it as (h1 . u) r,
 exact because m_x -> T_x r is then a module map: the module action, about
 |W_0| times smaller than the algebra, on the cache u keeps, then one walk
@@ -21,8 +22,8 @@ of r's chain cache.
 The KL cache and the bar cache are shared mutable structures under a
 single lock, which makes get-or-compute linearizable so sweeps may run from
 threads.  The chain caches an element keeps have no lock: they only memoize
-T_x h2 and T_x . u, which every thread computes alike, so racing threads
-store equal values.  A walk's partly peeled links are local to their call.
+T_x m, which every thread computes alike, so racing threads store equal
+values.  A walk's partly peeled links are local to their call.
 """
 
 from __future__ import annotations
@@ -40,10 +41,11 @@ class HeckeElt(LaurentCombination):
 
     Three slots are unset until used, and read with a None default.  _tx,
     set when the element is first a right factor of Hecke.mul, is the chain
-    cache {x: T_x h} of that product.  _factors is (u, r, lowest) on an
-    element made by Hecke.mul_factored(u, r, lowest), which equals u r.
-    _mx, set when such a u first meets a left factor, is the chain cache
-    {x: T_x . u} of lowest's module action: every value has keys in X_0."""
+    cache {x: T_x h} of that product.  _mx, set when the element, a module
+    element of lowestcell, is first acted on by LowestCell.act, is the chain
+    cache {x: T_x . h} of the module action: every value has keys in X_0.
+    _factors is (u, r, lowest) on an element made by
+    Hecke.mul_factored(u, r, lowest), which equals u r."""
 
     __slots__ = ("_tx", "_factors", "_mx")
 
@@ -167,21 +169,22 @@ class Hecke:
 
         return link
 
-    def _chains(self, m: HeckeElt) -> dict:
-        """A fresh chain cache {e: m} of a left action on m, seeded with a twin
-        of m that shares its dict, so a cache kept on m points nowhere back
-        at m.  A key of m of another group raises ValueError."""
-        weyl = self.weyl
-        if any(x.weyl is not weyl for x in m._d):
-            raise ValueError("elements belong to different weight systems")
-        return {weyl.identity: m._new(m._d)}
-
-    def _act(self, h: HeckeElt, cache: dict, gen_step) -> HeckeElt:
-        """h . m for the chain cache {e: m, x: T_x m, ...} of the left action
-        gen_step(i, .) of T_s on m's module: the algebra itself with mul_gen,
-        or the X_0 module of lowestcell with its generator step.  T_x m is
-        built along x's chain for every x of h's support not yet cached.
-        The sum is accumulated in place, in a dict only add_scaled writes."""
+    def _act(self, h: HeckeElt, m: HeckeElt, gen_step, slot: str) -> HeckeElt:
+        """h . m for the left action gen_step(i, .) of T_s on m's module: the
+        algebra itself with mul_gen, or the X_0 module of lowestcell with its
+        generator step.  T_x m is read off the chain cache {e: m, x: T_x m}
+        that m keeps in slot, one slot per action, and built along x's chain
+        for every x of h's support not yet cached.  A new cache is seeded
+        with a twin of m that shares its dict, so it points nowhere back at
+        m, and is stored once the action succeeds; a key of m of another
+        group raises ValueError before it is made.  The sum is accumulated in
+        place, in a dict only add_scaled writes."""
+        cache = getattr(m, slot, None)
+        if cache is None:
+            weyl = self.weyl
+            if any(x.weyl is not weyl for x in m._d):
+                raise ValueError("elements belong to different weight systems")
+            cache = {weyl.identity: m._new(m._d)}
         step = lambda i, v, _x: gen_step(i, v)
         acc = {}
         for x, c in h._d.items():
@@ -189,34 +192,28 @@ class Hecke:
             if tx is None:  # not by truth: an empty HeckeElt is falsy
                 tx = self._left_chain(x, cache, step)
             add_scaled(acc, c, tx._d.items(), owned=True)
+        setattr(m, slot, cache)
         return h._new(acc)
-
-    def _right_act(self, h1: HeckeElt, h2: HeckeElt) -> HeckeElt:
-        """h1 h2 by the chain cache h2 keeps, made on the first product."""
-        cache = getattr(h2, "_tx", None)
-        if cache is None:
-            cache = h2._tx = self._chains(h2)
-        return self._act(h1, cache, self.mul_gen)
 
     def mul(self, h1: HeckeElt, h2: HeckeElt) -> HeckeElt:
         """h1 h2 = sum c T_x h2 over the terms c T_x of h1, with T_x h2 read
-        from the chain cache h2 keeps, made on the first product with h2.
-        An h2 made by mul_factored(u, r, lowest) gives (h1 . u) r, recorded
-        as such: lowest's module action on the cache u keeps
-        (LowestCell.act_on_factor), then r's chain cache, so nothing of the
-        algebra's size is kept per pair.  Keys of another group raise
-        ValueError on every call, before any cache is kept on h2."""
+        off the chain cache h2 keeps in _tx.  An h2 made by mul_factored(u,
+        r, lowest) gives (h1 . u) r, recorded as such: lowest's module action
+        on the cache u keeps, then r's chain cache, so nothing of the
+        algebra's size is kept per pair.  h1 acts by its T-coordinates,
+        factored or not.  Keys of another group raise ValueError on every
+        call, before any cache is kept on h2."""
         factors = getattr(h2, "_factors", None)
         if factors is None:
-            return self._right_act(h1, h2)
+            return self._act(h1, h2, self.mul_gen, "_tx")
         u, r, lowest = factors
-        return self.mul_factored(lowest.act_on_factor(h1, u), r, lowest)
+        return self.mul_factored(lowest.act(h1, u), r, lowest)
 
     def mul_factored(self, u: HeckeElt, r: HeckeElt, lowest) -> HeckeElt:
         """u r, recording (u, r, lowest) on it, for u on the X_0 module of
         the LowestCell lowest and T_t r = q^L(t) r for every finite t (the
         caller's invariant), so that mul takes h times it as (h . u) r."""
-        out = self._right_act(u, r)
+        out = self._act(u, r, self.mul_gen, "_tx")
         out._factors = (u, r, lowest)
         return out
 

@@ -19,8 +19,9 @@ x in the minimal coset representatives X_0.  T_s acts by three cases:
 m_{sx} + xi_s m_x when sx < x; m_{sx} when sx > x is in X_0; else sx = x t
 with t in W_0 and T_t C_{w_0 y} = q^{L(s)} C_{w_0 y}, so q^{L(s)} m_x.  The
 P(x) are built along x's chain from P(e) = m_e by the Hecke layer's KL link
-(the parabolic descent recursion, Deodhar 1987); act and act_on_factor let
-any h act on a module element by the same chain walker.  No C_{w_0 y} is
+(the parabolic descent recursion, Deodhar 1987); act lets any h act on a
+module element by the same chain walker, on the chain cache {x: T_x . m}
+every module element acted on keeps (Hecke._act).  No C_{w_0 y} is
 expanded and no y enters, which makes the y-independence meaningful to test.
 """
 
@@ -99,8 +100,12 @@ class LowestCell:
         """The CellFactorization of w, or None, kept per element (elements
         are interned), so membership and factorize check w once.  z' is read
         off the chamber that holds the alcove of w, and x = w z' w_0 is
-        split as z p_tau; it is the factorization when l(w) = l(x) +
-        l(w_0) + l(z').  An element of another group raises ValueError."""
+        split as z p_tau; if it splits, w = z p_tau w_0 z'^-1 is the
+        factorization.  No length of w needs checking: x in X_0 makes x w_0
+        length-additive, and z p_tau w_0 z'^-1 is length-additive for every
+        z, z' in B_0 and tau dominant (the description of the lowest cell,
+        Shi 1987, Bremke 1997), so l(w) = l(x) + l(w_0) + l(z') follows from
+        the split.  An element of another group raises ValueError."""
         cache = self._factor_cache
         if w in cache:
             return cache[w]
@@ -110,8 +115,7 @@ class LowestCell:
         zp = self._zp_by_chamber[tuple(c >= 0 for c in w.shifts)]
         x = w * zp * w0
         zt = self._split(x)
-        ok = zt is not None and w.length() == x.length() + w0.length() + zp.length()
-        return cache.setdefault(w, CellFactorization(*zt, zp) if ok else None)
+        return cache.setdefault(w, None if zt is None else CellFactorization(*zt, zp))
 
     def _split(self, x: GroupElement):
         """(z, tau) with x = z p_tau length-additively, z in B_0 (read off
@@ -181,22 +185,11 @@ class LowestCell:
         return h._new(d)
 
     def act(self, h: HeckeElt, m: HeckeElt) -> HeckeElt:
-        """h . m for a module element m: T_x m is built along x's chain by
-        the generator step for every x in the support of h, on a chain cache
-        local to this call."""
-        return self.hecke._act(h, self.hecke._chains(m), self._module_gen)
-
-    def act_on_factor(self, h: HeckeElt, u: HeckeElt) -> HeckeElt:
-        """h . u for the module factor u of a Hecke.mul_factored product, on
-        the chain cache u keeps in _mx (stored, without a lock, once an action
-        succeeds).  A factored h = u' r' acts as u' . (r' . u)."""
-        factors = getattr(h, "_factors", None)
-        if factors is not None:
-            return self.act(factors[0], self.act_on_factor(factors[1], u))
-        cache = getattr(u, "_mx", None) or self.hecke._chains(u)
-        out = self.hecke._act(h, cache, self._module_gen)
-        u._mx = cache
-        return out
+        """h . m for a module element m, h acting by its T-coordinates: T_x m
+        is read off the chain cache {x: T_x . m} m keeps in _mx (stored,
+        without a lock, once an action succeeds) and built along x's chain
+        by the generator step for every x of h's support not yet cached."""
+        return self.hecke._act(h, m, self._module_gen, "_mx")
 
     # -- the P elements -------------------------------------------------------------
 

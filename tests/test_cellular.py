@@ -57,9 +57,9 @@ def test_phi_coefficients_bar_invariant():
 def test_phi_reconstructs_product():
     # the phi coefficients reassemble C_{w_0 z^-1} C_{z' w_0} exactly, in
     # particular the (e, e) entry matches an independent expansion of
-    # C_{w_0}^2 in the T-basis; phi is read off phi_inverse, so the sum is
-    # rebuilt here from P(tau) C_{w_0} directly, at equal and unequal
-    # parameters
+    # C_{w_0}^2 in the T-basis; phi_form peels against the Q_tau on the X_0
+    # module, so the sum is rebuilt here from P(tau) C_{w_0} in the algebra,
+    # at equal and unequal parameters
     for cs in (CA2, CC2):
         hecke, weyl = cs.hecke, cs.weyl
         w0 = weyl.longest_finite
@@ -312,8 +312,9 @@ def test_phi_inverse_roundtrip():
 
 @pytest.mark.parametrize("cfg", [("A", 2, (1, 1, 1)), ("C", 2, (2, 1, 1))])
 def test_phi_inverse_and_phi_form_make_no_kl_expansion(cfg):
-    # phi_inverse peels the T-coordinates against the images directly, and
-    # phi_form reads phi off phi_inverse, so neither expands in the KL basis
+    # phi_inverse peels against the images (a factored element against the
+    # P(z) Q_tau on the X_0 module) and phi_form against the Q_tau, so
+    # neither expands in the KL basis
     cs = make(cfg)
     hecke, weyl = cs.hecke, cs.weyl
     calls = []
@@ -513,30 +514,45 @@ def test_image_products_keep_no_algebra_product_with_another_image():
         assert all(tx == hecke.mul(hecke.t(x), _plain(r)) for x, tx in list(r._tx.items())[::7])
 
 
-def test_a_repeated_right_factor_product_builds_no_new_product():
-    # two images with the same z' share C_{w_0 z'^-1}: times a third image,
-    # the second reads C_{w_0 z'^-1} . u off the cache the first filled on
-    # that image's module factor, which gains no entry and keeps its values
+def _count_module_steps(monkeypatch):
+    calls = [0]
+    module_gen = LowestCell._module_gen
+
+    def counted(self, *args):
+        calls[0] += 1
+        return module_gen(self, *args)
+
+    monkeypatch.setattr(LowestCell, "_module_gen", counted)
+    return calls
+
+
+def test_a_left_image_over_cached_support_steps_no_module_generator(monkeypatch):
+    # a left image acts on the right image's module factor u by its
+    # T-coordinates, on the chain cache {x: T_x . u} u keeps: after a first
+    # product, a second left image whose support the first covers makes no
+    # _module_gen call, and u's cache gains no entry and keeps its values
     cs = make(("C", 2, (2, 1, 1)))
     hecke = cs.hecke
     triples = cs.basis_triples(cs.weyl.longest_finite.length() + 4)
-    a, a2 = next((s, t) for s in triples for t in triples if s != t and s[2] == t[2])
-    ia, ia2 = cs.phi_image_basis(*a), cs.phi_image_basis(*a2)
-    ib = cs.phi_image_basis(*triples[-1])
-    assert ia._factors[1] is ia2._factors[1]
+    images = {t: cs.phi_image_basis(*t) for t in triples}
+    ia, ia2 = next((images[s], images[t]) for s in reversed(triples) for t in triples
+                   if s != t and images[t]._d.keys() <= images[s]._d.keys())
+    ib = images[triples[-1]]
     first = hecke.mul(ia, ib)
     u = ib._factors[0]
     entries = dict(u._mx)
+    calls = _count_module_steps(monkeypatch)
     second = hecke.mul(ia2, ib)
+    assert calls[0] == 0 and len(ia2) > 1
     assert u._mx.keys() == entries.keys() and all(u._mx[x] is v for x, v in entries.items())
     assert (first, second) == (hecke.mul(_plain(ia), _plain(ib)), hecke.mul(_plain(ia2), _plain(ib)))
 
 
 def test_an_image_times_a_right_factor_of_another_group_raises():
     # both orders raise ValueError before anything is kept: a foreign right
-    # factor's keys are refused by _chains, and a foreign left factor by the
-    # walk, after which the image's module factor keeps no cache and its
-    # right factor no foreign key
+    # factor's keys are refused before its chain cache is made, and a
+    # foreign left factor by the walk, after which the image's module
+    # factor keeps no cache and its right factor no foreign key
     cs = make(("A", 2, (1, 1, 1)))
     hecke, W1 = cs.hecke, cs.weyl
     W2 = Weyl(WeightSystem("A", 2, (1, 1, 1)))
@@ -580,6 +596,81 @@ def test_a_temporary_right_factor_of_an_image_is_freed_by_reference_counting():
         if enabled:
             gc.enable()
     assert prod == hecke.mul(_plain(image), plain)
+
+
+def test_every_module_factor_of_one_tau_shares_the_chain_cache_of_q_tau(monkeypatch):
+    # u = P(z) Q_tau is P(z) acting on Q_tau, which keeps one chain cache
+    # {x: T_x . Q_tau} for every z of B_0: each z steps once per new entry
+    # stored under a letter (Pi links are relabels), so a later z steps only
+    # for support no earlier z met, and fewer steps are made in all than on
+    # plain copies of Q_tau, which keep no cache; every u is the same
+    cs = make(("C", 2, (2, 1, 1)))
+    lowest, weyl = cs.lowest, cs.weyl
+    box = lowest.box_elements()
+    tau = next(t for t in cs.dominant_weights_up_to(12) if any(t))
+    q = cs._q_tau(tau)
+    for z in box:
+        lowest.p_element(z)
+    assert getattr(q, "_mx", None) is None
+    steps = _count_module_steps(monkeypatch)
+    shared = plain = 0
+    kept = None
+    for z in box:
+        before = set(getattr(q, "_mx", None) or (weyl.identity,))
+        steps[0] = 0
+        u = cs._module_factor(z, tau)
+        if kept is None:
+            kept = q._mx
+        assert q._mx is kept
+        assert steps[0] == sum(1 for x in kept if x not in before and not weyl.reduced_word(x)[0])
+        shared += steps[0]
+        steps[0] = 0
+        assert u == lowest.act(lowest.p_element(z), _plain(q))
+        plain += steps[0]
+    assert 0 < shared < plain
+
+
+def test_a_temporary_module_element_is_freed_by_reference_counting(monkeypatch):
+    # phi_form keeps C_{w_0} . m_x per module basis element x, acting on a
+    # temporary T_x, which keeps the chain cache of that action, seeded
+    # with a twin sharing its dict: with the cycle collector off, every
+    # temporary is freed by the time phi_form returns, and phi equals that
+    # of a fresh structure
+    class Probe(HeckeElt):
+        __slots__ = ("__weakref__",)
+
+    cfg = ("A", 2, (1, 1, 1))
+    cs, fresh = make(cfg), make(cfg)
+    lowest = cs.lowest
+    b0 = lowest.box_elements()
+    pairs = [(i, j) for i in (-2, -1) for j in (-2, -1)]
+    refs, sizes = [], []
+    act = lowest.act
+
+    def t(w):
+        h = Probe({w: LaurentPoly.one()})
+        refs.append(weakref.ref(h))
+        return h
+
+    def spy(h, m):
+        out = act(h, m)
+        if isinstance(m, Probe):
+            sizes.append(len(m._mx))
+        return out
+
+    monkeypatch.setattr(cs.hecke, "t", t)
+    monkeypatch.setattr(lowest, "act", spy)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        got = [cs.phi_form(b0[i], b0[j]) for i, j in pairs]
+        assert refs and all(ref() is None for ref in refs)
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(sizes) == len(refs) == len(cs._w0_on) and min(sizes) > 1
+    b0 = fresh.lowest.box_elements()
+    assert got == [fresh.phi_form(b0[i], b0[j]) for i, j in pairs]
 
 
 @pytest.mark.parametrize("cfg", SHIPPED_CONFIGS,

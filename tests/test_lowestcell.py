@@ -1,8 +1,11 @@
 import random
+import sys
+import threading
 
 import pytest
 
 import oracles
+from heckecell.cellular import CellularStructure
 from heckecell.hecke import Hecke, HeckeElt
 from heckecell.laurent import LaurentPoly, add_scaled
 from heckecell.lowestcell import LowestCell, NotInLowestCell
@@ -452,3 +455,49 @@ def test_ptau_unitriangular_over_kl():
         assert coords[top] == LaurentPoly.one()
         for w in coords:
             assert weyl.bruhat_leq(w, top)
+
+
+def _decompose(cs, call):
+    return cs.decompose_P_tau(call[1]) if call[0] == "tau" else cs.decompose_P_omega(*call[1:])
+
+
+def test_threads_share_the_module_caches_of_one_structure():
+    # decompose_P_omega and decompose_P_tau act on module elements the
+    # structure keeps (the P(x), the Q_tau), whose chain caches _mx are
+    # written without a lock: 8 threads run the same calls, each in its own
+    # seeded order, on one shared structure; every result equals that of a
+    # fresh stack, and every kept entry is T_x . m on the module
+    cfg = ("A", 2, (1, 1, 1))
+    shared = CellularStructure(make(cfg))
+    taus = shared.dominant_weights_up_to(8)
+    calls = [("tau", tau) for tau in taus] + [
+        ("omega", fw, tuple(-a for a in tau)) for tau in taus for fw in shared.ws.fundamental_weights]
+    fresh = CellularStructure(make(cfg))
+    expected = {i: _decompose(fresh, call) for i, call in enumerate(calls)}
+    barrier = threading.Barrier(8)
+    results = [None] * 8
+
+    def worker(k):
+        order = random.Random(k).sample(range(len(calls)), len(calls))
+        barrier.wait()
+        results[k] = {i: _decompose(shared, calls[i]) for i in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(got == expected for got in results)
+    lowest = shared.lowest
+    kept = [m for m in list(lowest._p_cache.values()) + list(shared._q_cache.values())
+            if getattr(m, "_mx", None) is not None]
+    assert len(kept) > 2
+    for m in kept:
+        plain = HeckeElt(dict(m.items()))
+        assert all(tx == lowest.act(lowest.hecke.t(x), plain) for x, tx in m._mx.items())
