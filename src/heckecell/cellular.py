@@ -116,7 +116,7 @@ class CellularStructure:
             w0_m = self._w0_on.get(x)
             if w0_m is None:
                 w0_m = self._w0_on[x] = lowest.act(hecke.kl_basis(w0), hecke.t(x))
-            add_scaled(acc, c, w0_m.items(), owned=True)
+            add_scaled(acc, c, w0_m.items())
 
         def q_top(x):
             if x.finite != 0:
@@ -154,7 +154,7 @@ class CellularStructure:
             for (zk, tau2, zl), cb in b.items():
                 add_scaled(d, ca * cb, [
                     ((zi, tuple(x + y + z for x, y, z in zip(tau, sigma, tau2)), zl), cphi)
-                    for sigma, cphi in self.phi_form(zj, zk).items()], owned=True)
+                    for sigma, cphi in self.phi_form(zj, zk).items()])
         return CellularElt._new(d)
 
     def phi_image_basis(self, z: GroupElement, tau, zprime: GroupElement) -> HeckeElt:
@@ -200,7 +200,7 @@ class CellularStructure:
                 return self.phi_image_basis(*key)
         d = {}
         for (z, tau, zp), c in a._d.items():
-            add_scaled(d, c, self.phi_image_basis(z, tau, zp)._d.items(), owned=True)
+            add_scaled(d, c, self.phi_image_basis(z, tau, zp)._d.items())
         return HeckeElt._new(d)
 
     def phi_inverse(self, h: HeckeElt) -> CellularElt:
@@ -215,7 +215,9 @@ class CellularStructure:
         is not in the span.
         """
         factors = getattr(h, "_factors", None)
-        zp = next((zp for zp, r in list(self._right.items()) if factors and r is factors[1]), None)
+        zp = None
+        if factors:
+            zp = next((zp for zp, r in list(self._right.items()) if r is factors[1]), None)
         keys = {}
 
         def expand(top):

@@ -191,7 +191,7 @@ class Hecke:
             tx = cache.get(x)
             if tx is None:  # not by truth: an empty HeckeElt is falsy
                 tx = self._left_chain(x, cache, step)
-            add_scaled(acc, c, tx._d.items(), owned=True)
+            add_scaled(acc, c, tx._d.items())
         setattr(m, slot, cache)
         return h._new(acc)
 
@@ -237,7 +237,7 @@ class Hecke:
     def bar(self, h: HeckeElt) -> HeckeElt:
         acc = {}
         for w, c in h.items():
-            add_scaled(acc, c.bar(), self.bar_t(w).items(), owned=True)
+            add_scaled(acc, c.bar(), self.bar_t(w).items())
         return HeckeElt._new(acc)
 
     def flat(self, h: HeckeElt) -> HeckeElt:

@@ -2,39 +2,33 @@
 and the sparse linear algebra over them that every layer shares.
 
 LaurentPoly is the scalar ring for everything else in this package.  Values
-are immutable once anything but add_scaled can see them; all operations
-return fresh objects.  A value is packed into one Python int: the
-coefficients c_0, c_1, ... of q^v, q^(v+1), ... are the balanced digits
-(|c_i| < 2^(W-1)) of n = sum c_i 2^(W i), where v is the lowest exponent
-with a nonzero coefficient.  A sum is a shift and an int add, a product is
-one int multiply.  Each value also carries m, an upper bound on its l1
-norm sum |c_i|; since l1(ab) <= l1(a) l1(b), l1(a + b) <= l1(a) + l1(b)
-and max |c_i| <= l1, a result whose bound stays below 2^31 is exact in
-W = 32 bits.  Any other result is computed term by term, its bound set to
-the exact l1 norm, and packed in the least multiple of 32 bits that holds
-it, so coefficients of any size stay exact.
+are immutable; all operations return fresh objects.  A value is packed
+into one Python int: the coefficients c_0, c_1, ... of q^v, q^(v+1), ...
+are the balanced digits (|c_i| < 2^(W-1)) of n = sum c_i 2^(W i), where v
+is the lowest exponent with a nonzero coefficient.  A sum is a shift and an
+int add, a product is one int multiply.  Each value also carries m, an
+upper bound on its l1 norm sum |c_i|; since l1(ab) <= l1(a) l1(b),
+l1(a + b) <= l1(a) + l1(b) and max |c_i| <= l1, a result whose bound stays
+below 2^31 is exact in W = 32 bits.  Any other result is computed term by
+term, its bound set to the exact l1 norm, and packed in the least multiple
+of 32 bits that holds it, so coefficients of any size stay exact.
 A value with -_LIMIT < n < _LIMIT is one digit at every width, the
 monomial n q^v (most KL coefficients are); _terms, degree, to_json,
 in_strictly_negative and bar_invariant_part read it off (v, n) without
-decoding.  A longer value of 32-bit width is decoded in one pass (_digits):
-with B_k = sum_{i<k} 2^31 2^(32 i), the native-order bytes of
-(n + B_k) ^ B_k, read as C ints, are its k signed digits, lowest first.
-Only wider values, whose l1 bound reached 2^31, take the digit loop.
-to_json keeps the canonical form of each longer value of 32-bit width
-under its packed (v, n), which names one polynomial at that width, and
-hands out copies, so each is decoded once per process (467 distinct among
-the 13,256 multi-digit coefficients of the cellular bench workload).  The
-memo is emptied when it reaches _KEPT_JSON_CAP entries, far above the
-1,244 a kl-sweep bench pass keeps (about 0.6 kB each).  Racing threads
-store equal entries.  The text form (str) is read off the same form.
+decoding.  A longer value is decoded by the one digit loop of _terms, at
+the width of its bound.  to_json keeps the canonical form of each longer
+value of 32-bit width under its packed (v, n), which names one polynomial
+at that width, and hands out copies, so each is decoded once per process
+(467 distinct among the 13,256 multi-digit coefficients of the cellular
+bench workload).  The memo is emptied when it reaches _KEPT_JSON_CAP
+entries, far above the 1,244 a kl-sweep bench pass keeps (about 0.6 kB
+each).  Racing threads store equal entries.  The text form (str) is read
+off the same form.
 LaurentCombination is the one sparse linear-combination type (key ->
 nonzero LaurentPoly).  add_scaled is the one multiply-accumulate on such
 dicts (d[k] += a * c over many terms) and the only code that does
 arithmetic on the packed ints or falls back to terms: the +, - and * of
-LaurentPoly are calls of it.  Into a dict that it alone has filled since
-the dict was made empty (the sums of Hecke.mul, LowestCell.act, bar,
-phi_iso, phi_form, cellular_mul), it merges in place: the old value, which
-no one else has seen, is rewritten rather than replaced.
+LaurentPoly are calls of it.
 peel is the one elimination run on them, longest key first: the expansion
 of an element in a basis that is unitriangular over it, or, with
 part=LaurentPoly.bar_invariant_part, the step that pushes a bar-invariant
@@ -43,39 +37,17 @@ element into T_top + sum q^-1 Z[q^-1] T_y (the KL lift).
 
 from __future__ import annotations
 
-import sys
-
 NEG_INF = float("-inf")
 
 _W = 32  # digit width of every value whose l1 bound is below _LIMIT
 _LIMIT = 1 << (_W - 1)
 _MASK = (1 << _W) - 1
-# B_K = sum_{i<K} 2^31 2^(32 i), the digit bias of the one-pass decode
-_BIAS_DIGITS = 64
-_BIAS = int.from_bytes(_LIMIT.to_bytes(4, "little") * _BIAS_DIGITS, "little")
-_ORDER = sys.byteorder
 
 
 def _width(m: int) -> int:
     """The digit width of a value with l1 bound m: the least multiple of 32
     above the bit length of m, so 32 for m < 2^31 and |c| <= m < 2^(width-1)."""
     return _W * (m.bit_length() // _W + 1)
-
-
-def _digits(n: int, m: int):
-    """The signed digits of n, lowest first, as a memoryview of C ints, for
-    a value of 32-bit width (m < 2^31) and at most _BIAS_DIGITS digits;
-    None for any other.  One pass: adding B_k lifts each digit c into
-    c + 2^31 in [1, 2^32), so no digit carries into the next, and the XOR
-    with B_k leaves the 32-bit two's complement of each c, which the
-    native-order bytes read back as signed ints."""
-    if m >= _LIMIT:
-        return None
-    k = abs(n).bit_length() // _W + 1
-    if k > _BIAS_DIGITS:
-        return None
-    bias = _BIAS >> (_W * (_BIAS_DIGITS - k))
-    return memoryview(((n + bias) ^ bias).to_bytes(4 * k, _ORDER)).cast("i")
 
 
 def _encode(terms: dict) -> tuple:
@@ -172,20 +144,12 @@ class LaurentPoly:
 
     def _terms(self) -> dict:
         """{exponent: nonzero coefficient} in ascending exponent order.  One
-        digit (-_LIMIT < n < _LIMIT) is {v: n}; else the digits are read in
-        one pass by _digits, or, at a wider width, decoded at the width of
-        the bound, lowest first."""
+        digit (-_LIMIT < n < _LIMIT) is {v: n}; else the digits are decoded
+        at the width of the bound, lowest first."""
         n, e = self._n, self._v
         if -_LIMIT < n < _LIMIT:
             return {e: n} if n else {}
         out = {}
-        digits = _digits(n, self._m)
-        if digits is not None:
-            for c in digits:
-                if c:
-                    out[e] = c
-                e += 1
-            return out
         w = _width(self._m)
         mask, half = (1 << w) - 1, 1 << (w - 1)
         while n:
@@ -249,8 +213,8 @@ class LaurentPoly:
     def to_json(self) -> dict:
         """JSON object mapping exponent strings to integer coefficients,
         highest exponent first, a fresh dict on every call.  A longer value
-        of 32-bit width is decoded on its first call and kept in _KEPT_JSON;
-        a wider one is decoded on every call."""
+        is read off _terms: one of 32-bit width on its first call, then kept
+        in _KEPT_JSON; a wider one on every call."""
         n = self._n
         if -_LIMIT < n < _LIMIT:
             return {str(self._v): n} if n else {}
@@ -258,16 +222,7 @@ class LaurentPoly:
         kept = _KEPT_JSON.get(key) if narrow else None
         if kept is not None:
             return kept.copy()
-        digits = _digits(n, self._m)
-        if digits is None:
-            out = {str(e): v for e, v in reversed(self._terms().items())}
-        else:
-            e = self._v + len(digits)
-            out = {}
-            for c in digits[::-1]:
-                e -= 1
-                if c:
-                    out[str(e)] = c
+        out = {str(e): v for e, v in reversed(self._terms().items())}
         if not narrow:
             return out
         if len(_KEPT_JSON) >= _KEPT_JSON_CAP:
@@ -311,7 +266,7 @@ def xi(weight: int) -> LaurentPoly:
     return LaurentPoly({weight: 1, -weight: -1})
 
 
-def add_scaled(d: dict, a: LaurentPoly, items, owned: bool = False) -> None:
+def add_scaled(d: dict, a: LaurentPoly, items) -> None:
     """d[k] += a * c for every (k, c) in items, in place, keeping d free of
     zero values (d must hold none to begin with).
 
@@ -322,15 +277,8 @@ def add_scaled(d: dict, a: LaurentPoly, items, owned: bool = False) -> None:
     product bound, or the bound of the sum, reaches 2^31, the new value is
     instead merged term by term from the decoded old, a and c and packed
     with its exact l1 norm: the package's only term-by-term fallback.
-
-    Every value add_scaled stores is a LaurentPoly it allocated itself.
-    owned, an internal flag, says that d was created empty, that only
-    add_scaled has written it since, and that none of its values has been
-    read out of it yet: then no other reference to them exists, and a merge
-    rewrites the old value's fields instead of allocating a new value.  A
-    dict that holds values put there any other way (a relabel, a copy of
-    another element's terms) must never be passed with owned set, nor a
-    dict after it has been handed out.
+    Every value add_scaled stores is a new LaurentPoly; no value already in
+    d, or anywhere else, is changed.
     """
     na = a._n
     if not na:
@@ -367,9 +315,6 @@ def add_scaled(d: dict, a: LaurentPoly, items, owned: bool = False) -> None:
                 else:
                     n = n2 + (n << (_W * (v - v2)))
                     v = v2
-                if owned:
-                    old._v, old._n, old._m = v, n, m
-                    continue
                 out = _alloc(LaurentPoly)
                 out._v, out._n, out._m = v, n, m
                 d[k] = out

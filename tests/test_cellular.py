@@ -782,7 +782,9 @@ def test_in_place_sums_change_no_value_they_did_not_allocate():
     # phi_inverse and kl_expand of the first batch's products and new KL
     # elements, run after a first batch has filled the caches: no
     # coefficient object of an input, of a chain-cache value or of a kept
-    # image is replaced or rewritten by the second batch
+    # image is replaced or rewritten by the second batch.  Every sum
+    # (add_scaled) stores new values, so this guards that LaurentPoly values
+    # and the elements that hold them stay immutable on every layer
     cs = make(("C", 2, (2, 1, 1)))
     hecke, lowest = cs.hecke, cs.lowest
     triples = cs.basis_triples(cs.weyl.longest_finite.length() + 5)

@@ -3,8 +3,7 @@ import random
 import pytest
 
 from heckecell import laurent
-from heckecell.laurent import (
-    _BIAS_DIGITS, _LIMIT, NEG_INF, LaurentPoly, _digits, _width, add_scaled, peel, xi)
+from heckecell.laurent import _LIMIT, NEG_INF, LaurentPoly, _width, add_scaled, peel, xi
 from oracles import DictLaurent
 
 
@@ -418,7 +417,7 @@ def test_one_digit_values_with_wide_digits():
     agrees_in_order(p, DictLaurent({1: 3}))
 
 
-# -- the one-pass decode of 32-bit digits ------------------------------------------
+# -- the digit loop --------------------------------------------------------------
 
 
 def packed(digits, w=32) -> int:
@@ -448,26 +447,33 @@ def decode_agrees(p, o, v: int, k: int) -> None:
     assert all(p.coeff(e) == o.coeff(e) for e in range(v - 1, v + k + 1))
 
 
-def test_one_pass_decode_reads_every_digit():
-    # the digits come back lowest first, signed, at any count up to
-    # _BIAS_DIGITS: the extremes +-(2^31 - 1), interior zeros, a negative top
+def test_the_digit_loop_reads_every_digit(cold):
+    # the digits come back signed, in exponent order, at 2 to 40 and 64
+    # digits: the extremes +-(2^31 - 1), interior zeros, a negative top.  The
+    # loop reads the width off the bound alone, so each pattern is packed
+    # under two bounds below 2^31 (32-bit digits; most patterns have a larger
+    # l1 norm, which the decode never reads) and under 2^31 (64-bit digits)
     top = 2**31 - 1
     rng = random.Random(28)
     patterns = [[top] * 3, [-top] * 3, [top, -top] * 4, [-top, 0, 0, top, 0, -1],
                 [1, 0, 0, 0, -top], [-1, -1], [0, 0, 5]]
     patterns += [[rng.randint(-top, top) for _ in range(k - 1)] + [rng.choice((-top, -1, 1, top))]
-                 for k in list(range(2, 41)) + [_BIAS_DIGITS]]
+                 for k in list(range(2, 41)) + [64]]
     for digits in patterns:
-        n = packed(digits)
-        assert list(_digits(n, 0)) == digits
-        assert list(_digits(n, 2**31 - 1)) == digits
-        assert _digits(n, 2**31) is None  # a wider width decodes by the loop
-    assert _digits(packed([1] * (_BIAS_DIGITS + 1)), 0) is None
+        v = rng.randint(-20, 5)
+        o = DictLaurent({v + i: c for i, c in enumerate(digits) if c})
+        for m, w in ((0, 32), (top, 32), (_LIMIT, 64)):
+            laurent._KEPT_JSON.clear()
+            p = laurent._new(v, packed(digits, w), m)
+            assert list(p.items()) == sorted(o.items())
+            assert all(p.coeff(e) == o.coeff(e) for e in range(v - 1, v + len(digits) + 1))
+            for _ in range(2):  # cold, then warm where the form is kept
+                assert list(p.to_json().items()) == list(o.to_json().items()) and str(p) == str(o)
 
 
 def test_multi_digit_values_match_the_dict_oracle():
-    # seeded values of 1 to 40 digits of 32 bits, read by the one-pass
-    # decode; every inspection agrees with the oracle, terms in order
+    # seeded values of 1 to 40 digits of 32 bits; every inspection agrees
+    # with the oracle, terms in order
     rng = random.Random(2028)
     for k in range(1, 41):
         for _ in range(5):
@@ -478,8 +484,8 @@ def test_multi_digit_values_match_the_dict_oracle():
             assert _width(p._m) == 32 and abs(p._n).bit_length() // 32 + 1 == k
             decode_agrees(p, DictLaurent(terms), v, k)
             decode_agrees(-p, -DictLaurent(terms), v, k)
-    # past _BIAS_DIGITS digits, the loop decodes 32-bit digits as well
-    k = _BIAS_DIGITS + 6
+    # and past 64 digits
+    k = 70
     digits = seeded_digits(rng, k)
     terms = {i: c for i, c in enumerate(digits) if c}
     decode_agrees(LaurentPoly(terms), DictLaurent(terms), 0, k)
@@ -494,7 +500,7 @@ def test_multi_digit_values_at_and_past_the_limit_decode_by_the_loop():
             digits = digits + [rng.choice((0, -4, 9)) for _ in range(k)] + [-1]
             terms = {i - 3: c for i, c in enumerate(digits) if c}
             p = LaurentPoly(terms)
-            assert _width(p._m) > 32 and _digits(p._n, p._m) is None
+            assert _width(p._m) > 32
             decode_agrees(p, DictLaurent(terms), -3, len(digits))
 
 
@@ -568,10 +574,10 @@ def test_values_past_the_limit_decode_by_the_loop_and_are_not_kept(cold):
 
 
 def test_seeded_values_read_alike_cold_and_warm(cold):
-    # 1 to 64 digits of 32 bits, and 6 past _BIAS_DIGITS (kept, decoded by
-    # the loop): the first call decodes, the second reads the kept form
+    # 1 to 64 digits of 32 bits, and 70: the first call decodes, the second
+    # reads the kept form
     rng = random.Random(3030)
-    for k in list(range(1, _BIAS_DIGITS + 1)) + [_BIAS_DIGITS + 6]:
+    for k in list(range(1, 65)) + [70]:
         for _ in range(3):
             v = rng.randint(-20, 5)
             terms = {v + i: c for i, c in enumerate(seeded_digits(rng, k)) if c}
@@ -621,10 +627,13 @@ def kernel_agrees(d: dict, a, items) -> None:
     """add_scaled leaves d with the very (v, n, m) of the per-term sums, and
     with the values of the term-by-term sums old + a * c of the dict oracle;
     each stored bound is at least the exact l1 norm, and its digit width
-    holds every coefficient."""
+    holds every coefficient.  a, every c and every value d held before keep
+    their (v, n, m): values are immutable."""
+    inputs = [(p, p._v, p._n, p._m) for p in [a, *d.values()] + [c for _, c in items]]
     want, got = dict(d), dict(d)
     add_scaled_per_term(want, a, items)
     add_scaled(got, a, items)
+    assert all((p._v, p._n, p._m) == (v, n, m) for p, v, n, m in inputs)
     assert triples(got) == triples(want) and list(got) == list(want)
     assert all(got.values())
     oracle = {k: DictLaurent(dict(p.items())) for k, p in d.items()}
@@ -684,81 +693,36 @@ def test_add_scaled_edge_cases():
     kernel_agrees({"x": P({0: half, 1: 1})}, P({0: -(2**15)}), [("x", P({0: 2**15}))])
     kernel_agrees({"x": P({0: half})}, P({0: -(2**15)}), [("x", P({0: 2**15}))])
     kernel_agrees({"x": inflated({2: 1}, half)}, one, [("x", inflated({2: 1, 3: 1}, 2**29))])
-
-
-def test_an_owned_merge_rewrites_its_own_value_and_no_input():
-    # into a dict only add_scaled has filled, a merge that stays below 2^31
-    # rewrites the value it allocated there; a and every c are untouched
+    # merges into a dict made empty store new values and change no earlier
+    # one, and cancelling to zero deletes the key
     a, c1, c2 = P({1: 2, 2: -1}), P({0: 3, 3: 1}), P({-1: 1, 1: 4})
-    inputs = [(p, p._v, p._n, p._m) for p in (a, c1, c2)]
     d = {}
-    add_scaled(d, a, [("x", c1)], owned=True)
-    first = d["x"]
-    assert first is not c1 and first is not a
-    add_scaled(d, a, [("x", c2), ("y", c1)], owned=True)
-    assert d["x"] is first
-    agrees(d["x"], DictLaurent(dict(a.items())) * (DictLaurent(dict(c1.items())) + DictLaurent(dict(c2.items()))))
-    assert all((p._v, p._n, p._m) == (v, n, m) for p, v, n, m in inputs)
-    # cancelling to zero deletes the key, as without the flag
-    add_scaled(d, -a, [("x", c1 + c2)], owned=True)
-    assert "x" not in d and triples(d) == triples({"y": a * c1})
-
-
-@pytest.mark.parametrize("route", ["sum", "product"])
-def test_an_owned_merge_past_the_limit_falls_back_to_terms(route):
-    # an owned merge whose bound crosses 2^31, by the sum of the bounds or by
-    # the product bound alone, takes the term-by-term fallback: a new value,
-    # packed with its exact l1 norm, equal to the dict oracle's sum
-    if route == "sum":
-        a, c = LaurentPoly.one(), P({0: 2**30, 1: 1})
-    else:
-        a, c = inflated({0: 1, 1: 1}, 2**15), inflated({0: 1, 1: -1}, 2**15)
-    oa, oc = DictLaurent(dict(a.items())), DictLaurent(dict(c.items()))
-    d = {}
-    add_scaled(d, a, [("x", c)], owned=True)
+    add_scaled(d, a, [("x", c1)])
     first = d["x"]
     kept = (first._v, first._n, first._m)
-    add_scaled(d, a, [("x", c)], owned=True)
-    assert first._m + a._m * c._m >= _LIMIT
+    kernel_agrees(d, a, [("x", c2), ("y", c1)])
+    add_scaled(d, a, [("x", c2), ("y", c1)])
     assert d["x"] is not first and (first._v, first._n, first._m) == kept
-    agrees(d["x"], oa * oc + oa * oc)
-    assert d["x"]._m == sum(abs(v) for _, v in (oa * oc + oa * oc).items())
-
-
-def test_owned_sums_match_fresh_sums():
-    # seeded runs of add_scaled into one dict made empty, with and without
-    # the flag, give the same (v, n, m) at every step, agree with the dict
-    # oracle, and leave every scalar and item value as it was; values near
-    # the limit take the fallback on both sides
-    rng = random.Random(31)
-    keys = "abcd"
-
-    def rand_value():
-        terms = rand_terms(rng)
-        if rng.random() < 0.15:
-            return inflated(terms, rng.choice((2**14, 2**29, 2**30)))
-        return LaurentPoly(terms)
-
-    for _ in range(150):
-        owned, fresh, oracle, inputs = {}, {}, {}, []
-        for _ in range(rng.randint(1, 6)):
-            a = rand_value() if rng.random() < 0.7 else P({0: rng.choice((1, -1))})
-            items = [(rng.choice(keys), c) for _ in range(rng.randint(0, 5)) if (c := rand_value())]
-            inputs += [(p, p._v, p._n, p._m) for p in [a] + [c for _, c in items]]
-            add_scaled(owned, a, items, owned=True)
-            add_scaled(fresh, a, items)
-            assert triples(owned) == triples(fresh) and list(owned) == list(fresh)
-            oa = DictLaurent(dict(a.items()))
-            for k, c in items:
-                oracle[k] = oracle.get(k, DictLaurent()) + oa * DictLaurent(dict(c.items()))
-                if oracle[k].is_zero():
-                    del oracle[k]
-            assert {k: dict(p.items()) for k, p in owned.items()} == {
-                k: dict(o.items()) for k, o in oracle.items()}
-        assert all((p._v, p._n, p._m) == (v, n, m) for p, v, n, m in inputs)
+    kernel_agrees(d, -a, [("x", c1 + c2)])
+    add_scaled(d, -a, [("x", c1 + c2)])
+    assert "x" not in d and triples(d) == triples({"y": a * c1})
+    # a merge whose bound crosses 2^31, by the sum of the bounds or by the
+    # product bound alone, takes the fallback and stores its exact l1 norm
+    for a, c in ((one, P({0: 2**30, 1: 1})),
+                 (inflated({0: 1, 1: 1}, 2**15), inflated({0: 1, 1: -1}, 2**15))):
+        d = {}
+        add_scaled(d, a, [("x", c)])
+        first = d["x"]
+        assert first._m + a._m * c._m >= _LIMIT
+        kernel_agrees(d, a, [("x", c)])
+        add_scaled(d, a, [("x", c)])
+        assert d["x"] is not first
+        assert d["x"]._m == sum(abs(v) for _, v in d["x"].items())
 
 
 def test_add_scaled_matches_per_term_sums():
+    # seeded calls on seeded dicts, with and without the fallback; kernel_agrees
+    # also checks that no input value changes
     rng = random.Random(12)
     keys = "abcdef"
 
