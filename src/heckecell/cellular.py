@@ -18,8 +18,13 @@ leaves the module only for its last factor, C_{w_0 z'^-1} = C_{w_0}
 P(z')^flat, and records both (Hecke.mul_factored), so h times an image is
 (h . u) C_{w_0 z'^-1}, h acting by its T-coordinates: exact because T_t
 C_{w_0 z'^-1} = q^L(t) C_{w_0 z'^-1} for finite t, checked on each right
-factor, so no check uses the theorem it tests.  A KL decomposition is one
-peel of a module element against the P(x'): of Q_tau for P(tau).
+factor, so no check uses the theorem it tests.  phi_iso of a sum whose
+terms share one z' (a cellular product of two basis elements) sums the
+P(z) Q_tau on the module and records it times C_{w_0 z'^-1} too, so
+Phi(a)Phi(b) = Phi(ab) is decided by two module elements whenever they are
+equal; only elements read for their T-coordinates are ever expanded.  A KL
+decomposition is one peel of a module element against the P(x'): of Q_tau
+for P(tau).
 
 All universally quantified claims are exposed as bounded sweeps; callers
 name the length bound and the sweep is exact within it.
@@ -159,26 +164,13 @@ class CellularStructure:
 
     def phi_image_basis(self, z: GroupElement, tau, zprime: GroupElement) -> HeckeElt:
         """Phi(v_z (x) e^tau (x) v_{z'}) = P(z) Q_tau P(z')^flat: u = P(z) Q_tau
-        on the X_0 module, times C_{w_0 z'^-1} = flat(C_{z' w_0}), kept per z'
-        with its chain cache; the image records both (Hecke.mul_factored).
-        A new right factor must satisfy T_t C_{w_0 z'^-1} = q^L(t) C_{w_0
-        z'^-1} for every finite generator t, or ValueError keeps nothing."""
+        on the X_0 module, times the right factor C_{w_0 z'^-1}; the image
+        records both (Hecke.mul_factored)."""
         key = (z, tuple(tau), zprime)
         hit = self._phi_image_cache.get(key)
         if hit is None:
-            hecke, lowest = self.hecke, self.lowest
-            u = self._module_factor(z, key[1])
-            right = self._right.get(zprime)
-            if right is None:
-                if not lowest.in_box(zprime):
-                    raise ValueError(f"{zprime!r} is not in the box B_0")
-                right = hecke.flat(hecke.kl_basis(zprime * self.weyl.longest_finite))
-                q = lowest._q_params
-                if any(hecke.mul_gen(i, right) != HeckeElt({w: c * q[i] for w, c in right.items()})
-                       for i in self.ws.simple_to_gen):
-                    raise ValueError(f"T_t r is not q^L(t) r for the right factor r of {zprime!r}")
-                self._right[zprime] = right
-            self._phi_image_cache[key] = hit = hecke.mul_factored(u, right, lowest)
+            hit = self._phi_image_cache[key] = self.hecke.mul_factored(
+                self._module_factor(z, key[1]), self._right_factor(zprime), self.lowest)
         return hit
 
     def _module_factor(self, z: GroupElement, tau) -> HeckeElt:
@@ -189,16 +181,41 @@ class CellularStructure:
             hit = self._u_cache[z, tau] = lowest.act(lowest.p_element(z), self._q_tau(tau))
         return hit
 
+    def _right_factor(self, zprime: GroupElement) -> HeckeElt:
+        """C_{w_0 z'^-1} = flat(C_{z' w_0}), kept per z' with its chain cache.
+        A new one must satisfy T_t C_{w_0 z'^-1} = q^L(t) C_{w_0 z'^-1} for
+        every finite generator t, or ValueError keeps nothing."""
+        right = self._right.get(zprime)
+        if right is None:
+            hecke = self.hecke
+            if not self.lowest.in_box(zprime):
+                raise ValueError(f"{zprime!r} is not in the box B_0")
+            right = hecke.flat(hecke.kl_basis(zprime * self.weyl.longest_finite))
+            q = self.lowest._q_params
+            if any(hecke.mul_gen(i, right) != HeckeElt({w: c * q[i] for w, c in right.items()})
+                   for i in self.ws.simple_to_gen):
+                raise ValueError(f"T_t r is not q^L(t) r for the right factor r of {zprime!r}")
+            self._right[zprime] = right
+        return right
+
     def phi_iso(self, a: CellularElt) -> HeckeElt:
         """Phi(a) = sum c Phi(v_z (x) e^tau (x) v_{z'}) over the terms of a.
         A basis element (one term, coefficient 1) gets the cached image
-        itself, factors and all (HeckeElt is immutable); a sum is
-        accumulated in place and records no factors."""
+        itself (HeckeElt is immutable).  When every term has one z', the sum
+        of the c P(z) Q_tau is taken on the X_0 module and recorded times
+        C_{w_0 z'^-1} (Hecke.mul_factored), as every cellular product of two
+        basis elements is; any other sum is accumulated in place and records
+        no factors."""
         if len(a._d) == 1:
             (key, c), = a._d.items()
             if c == _ONE:
                 return self.phi_image_basis(*key)
         d = {}
+        zps = {zp for _, _, zp in a._d}
+        if len(zps) == 1:
+            for (z, tau, _), c in a._d.items():
+                add_scaled(d, c, self._module_factor(z, tau)._d.items())
+            return self.hecke.mul_factored(HeckeElt._new(d), self._right_factor(*zps), self.lowest)
         for (z, tau, zp), c in a._d.items():
             add_scaled(d, c, self.phi_image_basis(z, tau, zp)._d.items())
         return HeckeElt._new(d)

@@ -1,8 +1,9 @@
 """Batch front door: subcommands over one configured weight system.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
-or parse error, 3 BoundExceeded (a length bound, or `paths --witnesses` with
-more than MAX_WITNESSES paths), 141 stdout closed early (128 + SIGPIPE).
+or parse error, 3 BoundExceeded (a length bound: `kl` on an element longer
+than MAX_KL_LENGTH, or `paths --witnesses` with more than MAX_WITNESSES
+paths), 141 stdout closed early (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ USAGE_ERROR = 2
 BOUND_EXCEEDED = 3
 CLOSED_STDOUT = 141
 MAX_WITNESSES = 10 ** 5
+# C_w in A3, the largest shipped group, at length 26: 2.4-3.5 s and at most
+# 142 MB for the whole `kl --output json` call (four seeded random reduced
+# words, Xeon, Python 3.11); length 28 takes 4.9-6.5 s and 250 MB
+MAX_KL_LENGTH = 26
 
 
 def _add_weights(p):
@@ -90,6 +95,8 @@ def build_parser():
 def cmd_kl(args) -> int:
     _, weyl, hecke, _, _ = _stack(args)
     w = serialize.parse_element(weyl, args.w)
+    if w.length() > MAX_KL_LENGTH:
+        raise BoundExceeded(f"element of length {w.length()} exceeds the kl bound {MAX_KL_LENGTH}")
     cw = hecke.kl_basis(w)
     if args.output == "json":
         print(json.dumps({

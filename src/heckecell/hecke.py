@@ -16,14 +16,17 @@ lowestcell's X_0 module with its own generator step (_mx).  A product made
 by mul_factored(u, r, lowest), u on the X_0 module and T_t r = q^L(t) r for
 finite t, records those factors, and mul takes h1 times it as (h1 . u) r,
 exact because m_x -> T_x r is then a module map: the module action, about
-|W_0| times smaller than the algebra, on the cache u keeps, then one walk
-of r's chain cache.
+|W_0| times smaller than the algebra, on the cache u keeps.  The product
+stays factored: its T-coordinates are one walk of r's chain cache, made
+when they are first read, and two products over the same r with equal
+module factors compare equal without them.
 
 The KL cache and the bar cache are shared mutable structures under a
 single lock, which makes get-or-compute linearizable so sweeps may run from
-threads.  The chain caches an element keeps have no lock: they only memoize
-T_x m, which every thread computes alike, so racing threads store equal
-values.  A walk's partly peeled links are local to their call.
+threads.  The chain caches an element keeps, and the T-coordinates a
+factored product fills in, have no lock: they only memoize values every
+thread computes alike, so racing threads store equal values.  A walk's
+partly peeled links are local to their call.
 """
 
 from __future__ import annotations
@@ -39,15 +42,52 @@ _ONE = LaurentPoly.one()
 class HeckeElt(LaurentCombination):
     """Finitely supported map GroupElement -> LaurentPoly, no zero values.
 
-    Three slots are unset until used, and read with a None default.  _tx,
+    Two slots are unset until used, and read with a None default.  _tx,
     set when the element is first a right factor of Hecke.mul, is the chain
     cache {x: T_x h} of that product.  _mx, set when the element, a module
     element of lowestcell, is first acted on by LowestCell.act, is the chain
     cache {x: T_x . h} of the module action: every value has keys in X_0.
-    _factors is (u, r, lowest) on an element made by
-    Hecke.mul_factored(u, r, lowest), which equals u r."""
 
-    __slots__ = ("_tx", "_factors", "_mx")
+    Equality is by value across subclasses.  Two products of
+    Hecke.mul_factored that record the same right factor r and equal module
+    factors are u r = u' r, equal without their T-coordinates read; any
+    other pair compares T-coordinates.  The hash is always of those."""
+
+    __slots__ = ("_tx", "_mx")
+
+    def __eq__(self, other):
+        if not isinstance(other, HeckeElt):
+            return False
+        mine, theirs = getattr(self, "_factors", None), getattr(other, "_factors", None)
+        if mine is not None and theirs is not None and mine[1] is theirs[1] and mine[0] == theirs[0]:
+            return True
+        return self._d == other._d
+
+    __hash__ = LaurentCombination.__hash__
+
+
+class _Product(HeckeElt):
+    """u r, made by Hecke.mul_factored(u, r, lowest), which sets _factors =
+    (u, r, lowest) and _hecke to the algebra.  Its T-coordinates, _d, are
+    filled on first read by one walk of the chain cache r keeps, without a
+    lock: racing threads fill equal terms.  Only this class has
+    __getattr__, so a miss of an unset slot of a plain HeckeElt stays a
+    C-level lookup.  Elements made from a product (_new: mul_gen, flat,
+    _pi_shift, sums) are plain and record no factors."""
+
+    __slots__ = ("_factors", "_hecke")
+
+    @staticmethod
+    def _new(d: dict) -> HeckeElt:
+        return HeckeElt._new(d)
+
+    def __getattr__(self, name):
+        if name != "_d":
+            raise AttributeError(name)
+        u, r, _ = self._factors
+        hecke = self._hecke
+        d = self._d = hecke._act(u, r, hecke.mul_gen, "_tx")._d
+        return d
 
 
 class _Uncached(Exception):
@@ -198,9 +238,9 @@ class Hecke:
     def mul(self, h1: HeckeElt, h2: HeckeElt) -> HeckeElt:
         """h1 h2 = sum c T_x h2 over the terms c T_x of h1, with T_x h2 read
         off the chain cache h2 keeps in _tx.  An h2 made by mul_factored(u,
-        r, lowest) gives (h1 . u) r, recorded as such: lowest's module action
-        on the cache u keeps, then r's chain cache, so nothing of the
-        algebra's size is kept per pair.  h1 acts by its T-coordinates,
+        r, lowest) gives (h1 . u) r, recorded as such (mul_factored): lowest's
+        module action on the cache u keeps, so nothing of the algebra's size
+        is kept or walked per pair.  h1 acts by its T-coordinates,
         factored or not.  Keys of another group raise ValueError on every
         call, before any cache is kept on h2."""
         factors = getattr(h2, "_factors", None)
@@ -212,9 +252,11 @@ class Hecke:
     def mul_factored(self, u: HeckeElt, r: HeckeElt, lowest) -> HeckeElt:
         """u r, recording (u, r, lowest) on it, for u on the X_0 module of
         the LowestCell lowest and T_t r = q^L(t) r for every finite t (the
-        caller's invariant), so that mul takes h times it as (h . u) r."""
-        out = self._act(u, r, self.mul_gen, "_tx")
-        out._factors = (u, r, lowest)
+        caller's invariant), so that mul takes h times it as (h . u) r.
+        Nothing is multiplied here: the T-coordinates of u r are walked
+        on r's chain cache when they are first read."""
+        out = _Product.__new__(_Product)
+        out._factors, out._hecke = (u, r, lowest), self
         return out
 
     # -- involutions ---------------------------------------------------------------

@@ -8,7 +8,7 @@ import oracles
 from heckecell import serialize
 from heckecell.cellular import CellularElt, CellularStructure, MonoidAlgebraElt
 from heckecell.hecke import Hecke, HeckeElt
-from heckecell.laurent import LaurentPoly, add_scaled
+from heckecell.laurent import LaurentCombination, LaurentPoly, add_scaled
 from heckecell.lowestcell import LowestCell, NotInLowestCell
 from heckecell.rootdata import WeightSystem
 from heckecell.weyl import Weyl
@@ -486,17 +486,45 @@ def _x0_keys(h, lowest):
     return all(lowest.is_in_x0(x) for x in h._d)
 
 
+def _terms_read(h):
+    """Whether h holds its T-coordinates: the slot read, not filled."""
+    try:
+        LaurentCombination._d.__get__(h)
+    except AttributeError:
+        return False
+    return True
+
+
+def _pairs(cs, bound):
+    triples = cs.basis_triples(bound)
+    lens = {t: cs.lowest.assemble(*t).length() for t in triples}
+    return [(a, b) for a in triples for b in triples if lens[a] + lens[b] <= bound]
+
+
+def _count_calls(monkeypatch, cls, name):
+    calls = [0]
+    fn = getattr(cls, name)
+
+    def counted(self, *args):
+        calls[0] += 1
+        return fn(self, *args)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
 def test_image_products_keep_no_algebra_product_with_another_image():
     # every image pair of C2 (3,2,1) to total length 12: no image keeps a
     # chain cache of the algebra, every module factor keeps only module
     # elements (keys in X_0) under the left support it met, and each right
-    # factor keeps its own chain {x: T_x r} and nothing else
+    # factor keeps its own chain {x: T_x r} and nothing else.  The terms of
+    # an image are read only as a left factor, so exactly the right factors
+    # of left images keep a chain cache: the products and Phi(a b) compare
+    # by their module factors and are never expanded
     cs = make(("C", 2, (3, 2, 1)))
     hecke, lowest = cs.hecke, cs.lowest
-    triples = cs.basis_triples(12)
-    lens = {t: lowest.assemble(*t).length() for t in triples}
-    images = {t: cs.phi_image_basis(*t) for t in triples}
-    pairs = [(a, b) for a in triples for b in triples if lens[a] + lens[b] <= 12]
+    images = {t: cs.phi_image_basis(*t) for t in cs.basis_triples(12)}
+    pairs = _pairs(cs, 12)
     for a, b in pairs:
         assert hecke.mul(images[a], images[b]) == cs.phi_iso(
             cs.cellular_mul(CellularElt.basis(*a), CellularElt.basis(*b)))
@@ -509,21 +537,86 @@ def test_image_products_keep_no_algebra_product_with_another_image():
     for u in modules.values():
         assert getattr(u, "_tx", None) is None and _x0_keys(u, lowest)
         assert all(_x0_keys(tu, lowest) for tu in (getattr(u, "_mx", None) or {}).values())
-    for r in cs._right.values():
+    assert {t for t, img in images.items() if _terms_read(img)} == {a for a, _ in pairs}
+    walked = {a[2] for a, _ in pairs}
+    assert {zp for zp, r in cs._right.items() if getattr(r, "_tx", None) is not None} == walked
+    assert len(walked) < len(cs._right)
+    for zp in walked:
+        r = cs._right[zp]
         assert getattr(r, "_mx", None) is None
         assert all(tx == hecke.mul(hecke.t(x), _plain(r)) for x, tx in list(r._tx.items())[::7])
 
 
-def _count_module_steps(monkeypatch):
-    calls = [0]
-    module_gen = LowestCell._module_gen
+@pytest.mark.parametrize("cfg, bound, count", [(("A", 2, (1, 1, 1)), 7, 405),
+                                               (("C", 2, (3, 2, 1)), 12, 88)])
+def test_phi_is_multiplicative_by_module_factors_alone(monkeypatch, cfg, bound, count):
+    # on every pair of the population Phi(a) Phi(b) and Phi(a b) record the
+    # same right factor C_{w_0 z'^-1} and equal module factors, so they
+    # compare equal with no mul_gen step and neither side's T-coordinates
+    # read; read afterwards, their T-coordinates are equal too
+    cs = make(cfg)
+    hecke = cs.hecke
+    sides = []
+    for a, b in _pairs(cs, bound):
+        ea, eb = CellularElt.basis(*a), CellularElt.basis(*b)
+        sides.append((hecke.mul(cs.phi_iso(ea), cs.phi_iso(eb)),
+                      cs.phi_iso(cs.cellular_mul(ea, eb))))
+    assert len(sides) == count
+    steps = _count_calls(monkeypatch, Hecke, "mul_gen")
+    for prod, image in sides:
+        assert prod._factors[1] is image._factors[1]
+        assert prod == image and not prod != image
+    assert steps[0] == 0 and not any(_terms_read(h) for side in sides for h in side)
+    monkeypatch.undo()
+    assert all(_plain(prod) == _plain(image) for prod, image in sides)
 
-    def counted(self, *args):
-        calls[0] += 1
-        return module_gen(self, *args)
 
-    monkeypatch.setattr(LowestCell, "_module_gen", counted)
-    return calls
+def test_unequal_elements_over_one_right_factor_compare_unequal():
+    # two elements over the same z' with unequal module factors compare by
+    # T-coordinates, as plain copies do: distinct images, and an image
+    # product against Phi of the cellular product plus another basis
+    # element of that z'
+    cs = make(("C", 2, (2, 1, 1)))
+    hecke = cs.hecke
+    bound = cs.weyl.longest_finite.length() + 6
+    triples, pairs = cs.basis_triples(bound), _pairs(cs, bound)
+    rng = random.Random(35)
+    checked = 0
+    for a, b in rng.sample(pairs, 12):
+        ea, eb = CellularElt.basis(*a), CellularElt.basis(*b)
+        prod = hecke.mul(cs.phi_iso(ea), cs.phi_iso(eb))
+        for c in (t for t in triples if t[2] == b[2] and t != b):
+            ib, ic = cs.phi_image_basis(*b), cs.phi_image_basis(*c)
+            wrong = cs.phi_iso(cs.cellular_mul(ea, eb) + CellularElt.basis(*c))
+            assert wrong._factors[1] is prod._factors[1] is ic._factors[1] is ib._factors[1]
+            assert ib != ic and _plain(ib) != _plain(ic)
+            assert prod != wrong and _plain(prod) != _plain(wrong)
+            checked += 1
+    assert checked > 12
+
+
+def test_equal_products_with_unequal_module_factors_compare_by_terms():
+    # module factors decide only equality: u1 r and u2 r with u1 != u2 may
+    # still be equal, here over r = 0, and then compare equal
+    cs = make(("A", 2, (1, 1, 1)))
+    hecke, lowest = cs.hecke, cs.lowest
+    t1, t2 = cs.basis_triples(6)[-2:]
+    u1, u2 = cs._module_factor(t1[0], t1[1]), cs._module_factor(t2[0], t2[1])
+    zero = HeckeElt()
+    assert u1 != u2
+    assert hecke.mul_factored(u1, zero, lowest) == hecke.mul_factored(u2, zero, lowest)
+    assert hecke.mul_factored(u1, zero, lowest) == zero
+
+
+@pytest.mark.parametrize("cfg", SHIPPED_CONFIGS,
+                         ids=[f"{t}{n}-{','.join(map(str, p))}" for t, n, p in SHIPPED_CONFIGS])
+def test_hash_agrees_with_equality_of_a_factored_element_and_its_plain_copy(cfg):
+    cs = make(cfg)
+    for t in cs.basis_triples(cs.weyl.longest_finite.length() + 3)[-4:]:
+        image = cs.phi_image_basis(*t)
+        plain = _plain(image)
+        assert image == plain and plain == image and hash(image) == hash(plain)
+        assert len({image, plain}) == 1
 
 
 def test_a_left_image_over_cached_support_steps_no_module_generator(monkeypatch):
@@ -541,7 +634,7 @@ def test_a_left_image_over_cached_support_steps_no_module_generator(monkeypatch)
     first = hecke.mul(ia, ib)
     u = ib._factors[0]
     entries = dict(u._mx)
-    calls = _count_module_steps(monkeypatch)
+    calls = _count_calls(monkeypatch, LowestCell, "_module_gen")
     second = hecke.mul(ia2, ib)
     assert calls[0] == 0 and len(ia2) > 1
     assert u._mx.keys() == entries.keys() and all(u._mx[x] is v for x, v in entries.items())
@@ -612,7 +705,7 @@ def test_every_module_factor_of_one_tau_shares_the_chain_cache_of_q_tau(monkeypa
     for z in box:
         lowest.p_element(z)
     assert getattr(q, "_mx", None) is None
-    steps = _count_module_steps(monkeypatch)
+    steps = _count_calls(monkeypatch, LowestCell, "_module_gen")
     shared = plain = 0
     kept = None
     for z in box:
@@ -680,15 +773,17 @@ def test_both_phi_inverse_routes_agree(cfg):
     # copy by its T-coordinates: on seeded image products, multi-term sums
     # times an image and phi_iso sums, both give the same coordinates (those
     # of the cellular product, where there is one), and both refuse an
-    # element outside the ideal
+    # element outside the ideal.  Every product with an image on the right
+    # is factored, and a phi_iso sum exactly when its terms share one z'
     cs = make(cfg)
     hecke, weyl = cs.hecke, cs.weyl
     triples = cs.basis_triples(weyl.longest_finite.length() + 3)
     rng = random.Random(32)
     q = LaurentPoly({1: 1, -1: 2})
-    module_route = 0
+    module_route = one_zprime = 0
     for _ in range(6):
         a, b, c = (rng.choice(triples) for _ in range(3))
+        one_zprime += a[2] == b[2] == c[2]
         ea, eb, ec = (CellularElt.basis(*t) for t in (a, b, c))
         cases = [(hecke.mul(cs.phi_iso(ea), cs.phi_iso(eb)), cs.cellular_mul(ea, eb)),
                  (hecke.mul(cs.phi_iso(CellularElt({a: q, c: -q})), cs.phi_iso(eb)),
@@ -699,7 +794,7 @@ def test_both_phi_inverse_routes_agree(cfg):
             assert got == cs.phi_inverse(HeckeElt(dict(h.items())))
             assert want is None or got == want
             module_route += getattr(h, "_factors", None) is not None
-    assert module_route == 12
+    assert module_route == 12 + one_zprime
     prod = hecke.mul(cs.phi_iso(CellularElt.basis(*a)), cs.phi_iso(CellularElt.basis(*b)))
     outsider = HeckeElt(dict(prod.items())) + hecke.t(weyl.identity)
     for h in (outsider, hecke.mul_factored(outsider, hecke.unit(), cs.lowest)):

@@ -8,7 +8,8 @@ import pytest
 
 import heckecell
 from heckecell import laurent
-from heckecell.cli import MAX_WITNESSES, main
+from heckecell.cli import MAX_KL_LENGTH, MAX_WITNESSES, main
+from heckecell.hecke import Hecke
 
 # stdout of `cellular-basis --type C --rank 2 --params P --length-bound 12
 # --output json`, keyed by P, as recorded before the sparse-algebra merge
@@ -198,6 +199,25 @@ def test_paths_witness_listing_is_bounded(capsys):
     assert err == f"error: more than {MAX_WITNESSES} paths to list\n"
 
 
+def _a1_word(length):
+    """An alternating word in A1, which is reduced: an element of that length."""
+    return "[" + ",".join(str(k % 2) for k in range(length)) + "]"
+
+
+def test_kl_refuses_an_element_past_its_length_budget(monkeypatch, capsys):
+    # an element longer than MAX_KL_LENGTH is refused with exit 3 before any
+    # KL element is asked for; one of exactly that length is computed
+    calls = []
+    kl_basis = Hecke.kl_basis
+    monkeypatch.setattr(Hecke, "kl_basis", lambda self, w: calls.append(w) or kl_basis(self, w))
+    code, out, err = run(capsys, "kl", "--type", "A", "--rank", "1",
+                         "--w", _a1_word(MAX_KL_LENGTH + 1))
+    assert (code, out, calls) == (3, "", [])
+    assert err == f"error: element of length {MAX_KL_LENGTH + 1} exceeds the kl bound {MAX_KL_LENGTH}\n"
+    code, out, _ = run(capsys, "kl", "--type", "A", "--rank", "1", "--w", _a1_word(MAX_KL_LENGTH))
+    assert code == 0 and len(calls) == 1 and out.startswith("C_w for w = ")
+
+
 def test_cellular_basis_a1(capsys):
     code, out, _ = run(capsys, "cellular-basis", "--type", "A", "--rank", "1",
                        "--length-bound", "5", "--output", "json")
@@ -367,7 +387,7 @@ def test_stdout_closed_before_the_first_write():
 
 
 def test_bound_exceeded_has_its_own_exit_code():
-    # no subcommand sets a bound yet, so the child makes one raise it
+    # the child makes kl raise BoundExceeded whatever its input
     script = (
         "import sys\n"
         "from heckecell import cli\n"
@@ -382,3 +402,13 @@ def test_bound_exceeded_has_its_own_exit_code():
     assert proc.returncode == 3
     assert proc.stderr == b"error: element of length 9 exceeds bound 8\n"
     assert proc.stdout == b""
+
+
+def test_kl_past_its_length_budget_exits_3():
+    proc = subprocess.run(
+        [sys.executable, "-m", "heckecell.cli", "kl", "--type", "A", "--rank", "1",
+         "--w", _a1_word(MAX_KL_LENGTH + 1), "--output", "json"],
+        capture_output=True, env=SRC_ENV, timeout=120)
+    assert (proc.returncode, proc.stdout) == (3, b"")
+    assert proc.stderr == (f"error: element of length {MAX_KL_LENGTH + 1} exceeds "
+                           f"the kl bound {MAX_KL_LENGTH}\n").encode()

@@ -8,10 +8,10 @@ import weakref
 import pytest
 
 import oracles
-from heckecell import paths
+from heckecell import paths, serialize
 from heckecell.cellular import CellularStructure
 from heckecell.hecke import Hecke, HeckeElt
-from heckecell.laurent import LaurentPoly, add_scaled, xi
+from heckecell.laurent import LaurentCombination, LaurentPoly, add_scaled, xi
 from heckecell.lowestcell import LowestCell
 from heckecell.rootdata import WeightSystem
 from heckecell.verification import KL_AXIOM_CONFIGS
@@ -328,6 +328,89 @@ def test_threads_share_the_image_entries_of_one_right_factor():
     plain_u = HeckeElt(dict(u.items()))
     assert len(u._mx) > 10
     assert all(tu == lowest.act(H.t(x), plain_u) for x, tu in u._mx.items())
+
+
+def _terms_read(h):
+    """Whether h holds its T-coordinates: the slot read, not filled."""
+    try:
+        LaurentCombination._d.__get__(h)
+    except AttributeError:
+        return False
+    return True
+
+
+def _image_factors(cfg, extra):
+    """A fresh structure, and the module and right factor of its last image
+    of length up to l(w_0) + extra."""
+    cs = CellularStructure(LowestCell(make(cfg)))
+    z, tau, zp = cs.basis_triples(cs.weyl.longest_finite.length() + extra)[-1]
+    return cs, cs._module_factor(z, tau), cs._right_factor(zp)
+
+
+def test_a_factored_product_steps_no_generator_until_its_terms_are_read(monkeypatch):
+    # mul_factored records (u, r, lowest) and multiplies nothing; the first
+    # read of its T-coordinates walks r's chain cache and gives the product
+    # of plain copies, and a second read steps nothing
+    cs, u, r = _image_factors(("C", 2, (2, 1, 1)), 4)
+    H = cs.hecke
+    steps = _count_calls(monkeypatch, Hecke, "mul_gen")
+    h = H.mul_factored(u, r, cs.lowest)
+    assert h._factors == (u, r, cs.lowest)
+    assert steps[0] == 0 and not _terms_read(h) and getattr(r, "_tx", None) is None
+    terms = h._d
+    first = steps[0]
+    assert first > 0 and _terms_read(h) and len(r._tx) > 1
+    assert h._d is terms and steps[0] == first
+    assert h == H.mul(HeckeElt(dict(u.items())), HeckeElt(dict(r.items())))
+
+
+def test_elements_made_from_a_factored_product_record_no_factors():
+    # a generator step, a Pi relabel, flat, bar, sums, a module action and a
+    # product with h on the left are plain elements: only mul_factored, and
+    # mul with a factored right factor, record factors
+    cs, u, r = _image_factors(("A", 2, (1, 1, 1)), 4)
+    H, W = cs.hecke, cs.weyl
+    h = H.mul_factored(u, r, cs.lowest)
+    derived = [H.mul_gen(1, h), H.flat(h), H.bar(h), h + h, h - h, H.mul(h, H.unit()),
+               cs.lowest.act(h, u)]
+    derived += [H._pi_shift(k, h) for k in range(1, W.ws.pi_order)]
+    assert len(derived) == 9
+    for x in derived:
+        assert type(x) is HeckeElt and getattr(x, "_factors", None) is None
+    assert H.mul(H.unit(), h)._factors[1] is r
+
+
+def test_threads_fill_the_terms_of_one_factored_product():
+    # 8 threads read the T-coordinates of one image that none has read:
+    # each fills them, unlocked, on the right factor's shared chain cache,
+    # and every thread sees the terms a fresh stack gives
+    cfg = ("C", 2, (2, 1, 1))
+    cs, fresh = (CellularStructure(LowestCell(make(cfg))) for _ in range(2))
+    t = cs.basis_triples(cs.weyl.longest_finite.length() + 6)[-1]
+    image = cs.phi_image_basis(*t)
+    assert not _terms_read(image)
+    z, zp = (serialize.element_from_json(fresh.weyl, serialize.element_json(cs.weyl, x))
+             for x in (t[0], t[2]))
+    want = serialize.hecke_json(fresh.weyl, fresh.phi_image_basis(z, t[1], zp))
+    barrier = threading.Barrier(8)
+    seen = [None] * 8
+
+    def worker(k):
+        barrier.wait()
+        seen[k] = dict(image.items())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert all(serialize.hecke_json(cs.weyl, HeckeElt(d)) == want for d in seen)
 
 
 def test_bar_examples():
