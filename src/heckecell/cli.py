@@ -23,7 +23,10 @@ CLOSED_STDOUT = 141
 MAX_WITNESSES = 10 ** 5
 # C_w in A3, the largest shipped group, at length 26: 2.4-3.5 s and at most
 # 142 MB for the whole `kl --output json` call (four seeded random reduced
-# words, Xeon, Python 3.11); length 28 takes 4.9-6.5 s and 250 MB
+# words, Xeon, Python 3.11); length 28 takes 4.9-6.5 s and 250 MB.  One
+# bound for every type: it also refuses A1, A2 and C2 elements that are
+# cheap (length 27 takes under 0.25 s there), since the cost in the smaller
+# types turns on the weights as much as on the length
 MAX_KL_LENGTH = 26
 
 

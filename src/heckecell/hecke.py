@@ -46,36 +46,27 @@ class HeckeElt(LaurentCombination):
     set when the element is first a right factor of Hecke.mul, is the chain
     cache {x: T_x h} of that product.  _mx, set when the element, a module
     element of lowestcell, is first acted on by LowestCell.act, is the chain
-    cache {x: T_x . h} of the module action: every value has keys in X_0.
-
-    Equality is by value across subclasses.  Two products of
-    Hecke.mul_factored that record the same right factor r and equal module
-    factors are u r = u' r, equal without their T-coordinates read; any
-    other pair compares T-coordinates.  The hash is always of those."""
+    cache {x: T_x . h} of the module action: every value has keys in X_0."""
 
     __slots__ = ("_tx", "_mx")
-
-    def __eq__(self, other):
-        if not isinstance(other, HeckeElt):
-            return False
-        mine, theirs = getattr(self, "_factors", None), getattr(other, "_factors", None)
-        if mine is not None and theirs is not None and mine[1] is theirs[1] and mine[0] == theirs[0]:
-            return True
-        return self._d == other._d
-
-    __hash__ = LaurentCombination.__hash__
 
 
 class _Product(HeckeElt):
     """u r, made by Hecke.mul_factored(u, r, lowest), which sets _factors =
-    (u, r, lowest) and _hecke to the algebra.  Its T-coordinates, _d, are
-    filled on first read by one walk of the chain cache r keeps, without a
-    lock: racing threads fill equal terms.  Only this class has
-    __getattr__, so a miss of an unset slot of a plain HeckeElt stays a
-    C-level lookup.  Elements made from a product (_new: mul_gen, flat,
-    _pi_shift, sums) are plain and record no factors."""
+    (u, r, lowest).  Its T-coordinates, _d, are filled on first read by one
+    walk of the chain cache r keeps, without a lock: racing threads fill
+    equal terms.  Only this class has __getattr__, so a miss of an unset
+    slot of a plain HeckeElt stays a C-level lookup.  Elements made from a
+    product (_new: mul_gen, flat, _pi_shift, sums) are plain and record no
+    factors.
 
-    __slots__ = ("_factors", "_hecke")
+    Equality is by value with every HeckeElt.  Two products that record the
+    same right factor r and equal module factors are u r = u' r, equal
+    without their T-coordinates read; any other pair compares T-coordinates
+    (a plain HeckeElt on the left reaches this __eq__ first, as it is the
+    subclass's).  The hash is always of the T-coordinates."""
+
+    __slots__ = ("_factors",)
 
     @staticmethod
     def _new(d: dict) -> HeckeElt:
@@ -84,10 +75,20 @@ class _Product(HeckeElt):
     def __getattr__(self, name):
         if name != "_d":
             raise AttributeError(name)
-        u, r, _ = self._factors
-        hecke = self._hecke
+        u, r, lowest = self._factors
+        hecke = lowest.hecke
         d = self._d = hecke._act(u, r, hecke.mul_gen, "_tx")._d
         return d
+
+    def __eq__(self, other):
+        if not isinstance(other, HeckeElt):
+            return False
+        theirs = getattr(other, "_factors", None)
+        if theirs is not None and self._factors[1] is theirs[1] and self._factors[0] == theirs[0]:
+            return True
+        return self._d == other._d
+
+    __hash__ = HeckeElt.__hash__
 
 
 class _Uncached(Exception):
@@ -256,7 +257,7 @@ class Hecke:
         Nothing is multiplied here: the T-coordinates of u r are walked
         on r's chain cache when they are first read."""
         out = _Product.__new__(_Product)
-        out._factors, out._hecke = (u, r, lowest), self
+        out._factors = (u, r, lowest)
         return out
 
     # -- involutions ---------------------------------------------------------------

@@ -22,6 +22,9 @@ that the chamber of the alcove replaced, dominant_weights_up_to is the
 search over the dominant cone that the closed form replaced, and
 degree_bound builds the hyperplane sets that the per-root interval of
 Hecke.degree_bound replaced; the tests compare both sides.
+
+Two probes are shared by the test files: count_calls counts the calls of
+a method, and terms_read tells whether an element holds its T-coordinates.
 """
 
 from __future__ import annotations
@@ -565,3 +568,25 @@ class PreorderGraph:
     def leq_two_sided(self, z, y) -> bool:
         both = {w: self.left.get(w, set()) | self.right.get(w, set()) for w in self.nodes}
         return z in self._reach(y, both)
+
+
+def count_calls(monkeypatch, cls, name) -> list:
+    """[n]: n counts the calls of cls.name made from now on."""
+    calls = [0]
+    orig = getattr(cls, name)
+
+    def counted(self, *args):
+        calls[0] += 1
+        return orig(self, *args)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def terms_read(h) -> bool:
+    """Whether h holds its T-coordinates: the slot read, not filled."""
+    try:
+        LaurentCombination._d.__get__(h)
+    except AttributeError:
+        return False
+    return True

@@ -11,7 +11,7 @@ import oracles
 from heckecell import paths, serialize
 from heckecell.cellular import CellularStructure
 from heckecell.hecke import Hecke, HeckeElt
-from heckecell.laurent import LaurentCombination, LaurentPoly, add_scaled, xi
+from heckecell.laurent import LaurentPoly, add_scaled, xi
 from heckecell.lowestcell import LowestCell
 from heckecell.rootdata import WeightSystem
 from heckecell.verification import KL_AXIOM_CONFIGS
@@ -149,18 +149,6 @@ def test_right_mul_reused_agrees_with_mul(cfg):
             assert H.mul(h1, h3) == H.mul(h1, HeckeElt(dict(h3.items())))
 
 
-def _count_calls(monkeypatch, cls, name):
-    calls = [0]
-    orig = getattr(cls, name)
-
-    def counted(self, *args):
-        calls[0] += 1
-        return orig(self, *args)
-
-    monkeypatch.setattr(cls, name, counted)
-    return calls
-
-
 def _new_letter_entries(W, cache, before):
     return sum(1 for x in cache if x not in before and not W.reduced_word(x)[0])
 
@@ -173,11 +161,11 @@ def test_one_generator_step_per_link(monkeypatch):
     H = make(("A", 2, (1, 1, 1)))
     L = LowestCell(H)
     W = H.weyl
-    steps = _count_calls(monkeypatch, Hecke, "mul_gen")
+    steps = oracles.count_calls(monkeypatch, Hecke, "mul_gen")
     before = set(H._kl_cache)
     H.kl_basis(W.longest_finite * W.translation((-8, -8)))
     assert steps[0] == _new_letter_entries(W, H._kl_cache, before) == 498
-    steps = _count_calls(monkeypatch, LowestCell, "_module_gen")
+    steps = oracles.count_calls(monkeypatch, LowestCell, "_module_gen")
     before = set(L._p_cache)
     for z in L.box_elements():
         L.p_element(z)
@@ -209,7 +197,7 @@ def test_second_walk_multiplies_no_group_elements(monkeypatch, cfg):
     h1 = HeckeElt({w: LaurentPoly.one() for w in els})
     h2 = H.kl_basis(W.gens[1] * W.gens[0])
     first = H.mul(h1, h2)
-    calls = _count_calls(monkeypatch, Weyl, "multiply")
+    calls = oracles.count_calls(monkeypatch, Weyl, "multiply")
     assert H.mul(h1, HeckeElt(dict(h2.items()))) == first
     assert H.mul(h1, h2) == first
     assert calls[0] == 0
@@ -227,7 +215,7 @@ def test_a_repeat_mul_over_seen_left_factors_steps_no_generator(monkeypatch):
     lefts = [H.kl_basis(w) for w in els[::3]]
     first = [H.mul(h1, h2) for h1 in lefts]
     kept = len(h2._tx)
-    steps = _count_calls(monkeypatch, Hecke, "mul_gen")
+    steps = oracles.count_calls(monkeypatch, Hecke, "mul_gen")
     assert [H.mul(h1, h2) for h1 in lefts] == first
     assert steps[0] == 0 and len(h2._tx) == kept
     assert [H.mul(h1, HeckeElt(dict(h2.items()))) for h1 in lefts] == first
@@ -330,15 +318,6 @@ def test_threads_share_the_image_entries_of_one_right_factor():
     assert all(tu == lowest.act(H.t(x), plain_u) for x, tu in u._mx.items())
 
 
-def _terms_read(h):
-    """Whether h holds its T-coordinates: the slot read, not filled."""
-    try:
-        LaurentCombination._d.__get__(h)
-    except AttributeError:
-        return False
-    return True
-
-
 def _image_factors(cfg, extra):
     """A fresh structure, and the module and right factor of its last image
     of length up to l(w_0) + extra."""
@@ -353,13 +332,13 @@ def test_a_factored_product_steps_no_generator_until_its_terms_are_read(monkeypa
     # of plain copies, and a second read steps nothing
     cs, u, r = _image_factors(("C", 2, (2, 1, 1)), 4)
     H = cs.hecke
-    steps = _count_calls(monkeypatch, Hecke, "mul_gen")
+    steps = oracles.count_calls(monkeypatch, Hecke, "mul_gen")
     h = H.mul_factored(u, r, cs.lowest)
     assert h._factors == (u, r, cs.lowest)
-    assert steps[0] == 0 and not _terms_read(h) and getattr(r, "_tx", None) is None
+    assert steps[0] == 0 and not oracles.terms_read(h) and getattr(r, "_tx", None) is None
     terms = h._d
     first = steps[0]
-    assert first > 0 and _terms_read(h) and len(r._tx) > 1
+    assert first > 0 and oracles.terms_read(h) and len(r._tx) > 1
     assert h._d is terms and steps[0] == first
     assert h == H.mul(HeckeElt(dict(u.items())), HeckeElt(dict(r.items())))
 
@@ -388,7 +367,7 @@ def test_threads_fill_the_terms_of_one_factored_product():
     cs, fresh = (CellularStructure(LowestCell(make(cfg))) for _ in range(2))
     t = cs.basis_triples(cs.weyl.longest_finite.length() + 6)[-1]
     image = cs.phi_image_basis(*t)
-    assert not _terms_read(image)
+    assert not oracles.terms_read(image)
     z, zp = (serialize.element_from_json(fresh.weyl, serialize.element_json(cs.weyl, x))
              for x in (t[0], t[2]))
     want = serialize.hecke_json(fresh.weyl, fresh.phi_image_basis(z, t[1], zp))
