@@ -2,29 +2,23 @@
 form phi, the isomorphism onto the lowest two-sided ideal, and the
 decomposition of the cellular basis in the Kazhdan-Lusztig basis.
 
-phi_inverse, the one expansion in the cellular basis, peels against the
-images: on the X_0 module for an element recorded as u C_{w_0 z'^-1}, else
-by T-coordinates.  The images Q_tau = P(tau) C_{w_0} of the triples
-(e, tau, e) are the basis of M_+, and every other image is P(z) times one
-of them times flat P(z').  MonoidAlgebraElt holds elements of A[P+]; their
-product e^tau e^sigma = e^(tau + sigma) is taken inline in cellular_mul.
+phi_inverse is the one expansion in the cellular basis.  The images
+Q_tau = P(tau) C_{w_0} of the triples (e, tau, e) are the basis of M_+, and
+every other image is P(z) times one of them times flat P(z').
+MonoidAlgebraElt holds elements of A[P+]; their product
+e^tau e^sigma = e^(tau + sigma) is taken inline in cellular_mul.
 
 phi, the images and the KL decompositions run on the X_0 coset module of
 lowestcell (LowestCell.act), about |W_0| times smaller than the algebra:
-C_{x w_0} = P(x) C_{w_0} for x in X_0 (Deodhar 1987).  Every module element
-acted on (P(x), Q_tau, u = P(z) Q_tau) keeps the chain cache of that
-action, so a later action steps only for support it has not met.  An image
-leaves the module only for its last factor, C_{w_0 z'^-1} = C_{w_0}
-P(z')^flat, and records both (Hecke.mul_factored), so h times an image is
-(h . u) C_{w_0 z'^-1}, h acting by its T-coordinates: exact because T_t
-C_{w_0 z'^-1} = q^L(t) C_{w_0 z'^-1} for finite t, checked on each right
-factor, so no check uses the theorem it tests.  phi_iso of a sum whose
-terms share one z' (a cellular product of two basis elements) sums the
-P(z) Q_tau on the module and records it times C_{w_0 z'^-1} too, so
-Phi(a)Phi(b) = Phi(ab) is decided by two module elements whenever they are
-equal; only elements read for their T-coordinates are ever expanded.  A KL
-decomposition is one peel of a module element against the P(x'): of Q_tau
-for P(tau).
+C_{x w_0} = P(x) C_{w_0} for x in X_0 (Deodhar 1987).  An image leaves the
+module only for its last factor, C_{w_0 z'^-1} = C_{w_0} P(z')^flat, and
+records both (Hecke.mul_factored).  That is exact because T_t C_{w_0 z'^-1}
+= q^L(t) C_{w_0 z'^-1} for finite t, checked on each right factor, so no
+check uses the theorem it tests.  Products of images and phi_iso sums over
+one z' stay on the module, so Phi(a)Phi(b) = Phi(ab) is decided by two
+module elements whenever they are equal; only elements read for their
+T-coordinates are ever expanded.  A KL decomposition is one peel of a
+module element against the P(x'): of Q_tau for P(tau).
 
 All universally quantified claims are exposed as bounded sweeps; callers
 name the length bound and the sweep is exact within it.
@@ -44,7 +38,7 @@ from itertools import product
 
 from .hecke import HeckeElt
 from .laurent import LaurentCombination, LaurentPoly, add_scaled, peel
-from .lowestcell import BoundExceeded, LowestCell, NotInLowestCell
+from .lowestcell import LowestCell, NotInLowestCell
 from .weyl import GroupElement
 
 _ONE = LaurentPoly.one()
@@ -68,15 +62,11 @@ class CellularElt(LaurentCombination):
 
 
 class CellularStructure:
-    """length_bound, when set, turns runaway inputs into BoundExceeded
-    errors instead of long computations; sweeps state their own bounds."""
-
-    def __init__(self, lowest: LowestCell, length_bound=None):
+    def __init__(self, lowest: LowestCell):
         self.lowest = lowest
         self.hecke = lowest.hecke
         self.weyl = lowest.weyl
         self.ws = lowest.ws
-        self.length_bound = length_bound
         self._phi_cache = {}
         self._phi_image_cache = {}
         # Q_tau (on the X_0 module) by tau, u = P(z) Q_tau by (z, tau),
@@ -87,11 +77,6 @@ class CellularStructure:
         self._u_cache = {}
         self._right = {}
         self._w0_on = {}
-
-    def _check_bound(self, length: int) -> None:
-        if self.length_bound is not None and length > self.length_bound:
-            raise BoundExceeded(
-                f"element of length {length} exceeds bound {self.length_bound}")
 
     # -- the bilinear form ------------------------------------------------------
 
@@ -108,13 +93,7 @@ class CellularStructure:
         hit = self._phi_cache.get(key)
         if hit is not None:
             return hit
-        weyl, hecke, lowest = self.weyl, self.hecke, self.lowest
-        w0 = weyl.longest_finite
-        if self.length_bound is not None:
-            total = (w0 * z.inverse()).length() + (zprime * w0).length()
-            if total > self.length_bound:
-                raise BoundExceeded(
-                    f"product support bound {total} exceeds {self.length_bound}")
+        hecke, lowest, w0 = self.hecke, self.lowest, self.weyl.longest_finite
         m = lowest.act(hecke.flat(lowest.p_element(z)), lowest.p_element(zprime))
         acc = {}
         for x, c in m.items():
@@ -261,7 +240,8 @@ class CellularStructure:
         return self.hecke.flat(self.phi_iso(a)) == self.phi_iso(self.cell_involution(a))
 
     def basis_triples(self, length_bound: int):
-        """All (z, tau, z') whose reassembled element has length <= bound."""
+        """All (z, tau, z') with z p_tau w_0 z'^-1 of length <= bound, in that
+        element's order; the product is length-additive (Shi 1987, Bremke 1997)."""
         weyl, lowest = self.weyl, self.lowest
         keyed = []
         w0len = weyl.longest_finite.length()
@@ -272,9 +252,7 @@ class CellularStructure:
                 if rest < 0:
                     continue
                 for tau in self.dominant_weights_up_to(rest):
-                    w = lowest.assemble(z, tau, zp)
-                    if w.length() <= length_bound:
-                        keyed.append((weyl.sort_key(w), (z, tau, zp)))
+                    keyed.append((weyl.sort_key(lowest.assemble(z, tau, zp)), (z, tau, zp)))
         # sort_key is unique per element, so the triples never decide the order
         keyed.sort(key=lambda kt: kt[0])
         return [t for _, t in keyed]
@@ -321,7 +299,6 @@ class CellularStructure:
             raise ValueError(f"{lam} is not antidominant")
         nu = ws.nu(lam)
         lead = tuple(a - b for a, b in zip(omega, nu))
-        self._check_bound(weyl.translation(lead).length() + weyl.longest_finite.length())
         m = lowest.act(lowest.p_element_omega(omega),
                        lowest._p_from(weyl.translation(tuple(-a for a in nu))))
         return {tuple(a + b for a, b in zip(tp, nu)): c
@@ -331,11 +308,10 @@ class CellularStructure:
         """Integer profile of P(tau) C_{w_0} over the KL basis of M_+: the KL
         coordinates of Q_tau, keyed by lam = -tau' for the terms
         C_{p_tau' w_0}; the leading lam = -tau has coefficient 1."""
-        ws, weyl = self.ws, self.weyl
+        ws = self.ws
         tau = ws.check_lattice(tau)
         if not ws.is_dominant(tau):
             raise ValueError(f"{tau} is not dominant")
-        self._check_bound(weyl.translation(tau).length() + weyl.longest_finite.length())
         return {tuple(-a for a in tp): c
                 for tp, c in self._kl_coordinates(self._q_tau(tau), tau).items()}
 

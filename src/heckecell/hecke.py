@@ -13,13 +13,8 @@ descent recursion (Lusztig, Hecke algebras with unequal parameters, Thm
 6.6).  One action, _act, takes h times m on the chain cache {x: T_x m}
 that m keeps, one slot per action: mul walks it with mul_gen (_tx), and
 lowestcell's X_0 module with its own generator step (_mx).  A product made
-by mul_factored(u, r, lowest), u on the X_0 module and T_t r = q^L(t) r for
-finite t, records those factors, and mul takes h1 times it as (h1 . u) r,
-exact because m_x -> T_x r is then a module map: the module action, about
-|W_0| times smaller than the algebra, on the cache u keeps.  The product
-stays factored: its T-coordinates are one walk of r's chain cache, made
-when they are first read, and two products over the same r with equal
-module factors compare equal without them.
+by mul_factored (a _Product) keeps its left factor on that module, so mul
+acts there on it.
 
 The KL cache and the bar cache are shared mutable structures under a
 single lock, which makes get-or-compute linearizable so sweeps may run from
@@ -239,11 +234,12 @@ class Hecke:
     def mul(self, h1: HeckeElt, h2: HeckeElt) -> HeckeElt:
         """h1 h2 = sum c T_x h2 over the terms c T_x of h1, with T_x h2 read
         off the chain cache h2 keeps in _tx.  An h2 made by mul_factored(u,
-        r, lowest) gives (h1 . u) r, recorded as such (mul_factored): lowest's
-        module action on the cache u keeps, so nothing of the algebra's size
-        is kept or walked per pair.  h1 acts by its T-coordinates,
-        factored or not.  Keys of another group raise ValueError on every
-        call, before any cache is kept on h2."""
+        r, lowest) gives (h1 . u) r, recorded as such (mul_factored), exact
+        because m_x -> T_x r is a module map: lowest's module action on the
+        cache u keeps, about |W_0| times smaller than the algebra, so nothing
+        of the algebra's size is kept or walked per pair.  h1 acts by its
+        T-coordinates, factored or not.  Keys of another group raise
+        ValueError on every call, before any cache is kept on h2."""
         factors = getattr(h2, "_factors", None)
         if factors is None:
             return self._act(h1, h2, self.mul_gen, "_tx")

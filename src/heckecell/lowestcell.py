@@ -48,7 +48,7 @@ class NotInLowestCell(ValueError):
 
 
 class BoundExceeded(RuntimeError):
-    """An operation hit support outside its stated length bound."""
+    """Refused by a constant CLI budget (MAX_KL_LENGTH, MAX_WITNESSES) before any work."""
 
 
 class LowestCell:

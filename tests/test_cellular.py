@@ -333,10 +333,31 @@ def test_phi_inverse_rejects_elements_outside_the_ideal(cs):
     hecke, weyl = cs.hecke, cs.weyl
     t = cs.basis_triples(weyl.longest_finite.length() + 2)[-1]
     image = cs.phi_iso(CellularElt.basis(*t))
+    # the last is recorded over the image's own right factor, so it takes
+    # the module route, where the top s_1 of its module factor is no z p_tau
+    u, r, lowest = image._factors
     for h in (hecke.t(weyl.identity), image + hecke.t(weyl.identity),
-              image + hecke.t(weyl.gens[1])):
+              image + hecke.t(weyl.gens[1]),
+              hecke.mul_factored(u + hecke.t(weyl.gens[1]), r, lowest)):
         with pytest.raises(NotInLowestCell):
             cs.phi_inverse(h)
+
+
+@pytest.mark.parametrize("cfg, triple, match", [
+    (("A", 2, (1, 1, 1)), ("e", (1, -1), "e"), "not a dominant L-weight"),
+    (("C", 2, (2, 1, 1)), ("e", (1, 0), "e"), "not a dominant L-weight"),
+    (("A", 2, (1, 1, 1)), ("w0", (0, 0), "e"), "not in the box B_0"),
+    (("A", 2, (1, 1, 1)), ("e", (0, 0), "w0"), "not in the box B_0"),
+], ids=["tau-not-dominant", "tau-off-lattice", "z-outside-B0", "zprime-outside-B0"])
+def test_phi_image_basis_refuses_a_triple_that_indexes_no_basis_element(cfg, triple, match):
+    # z and z' range over B_0 and tau over the dominant lattice weights;
+    # a triple outside raises ValueError and keeps no image
+    cs = make(cfg)
+    named = {"e": cs.weyl.identity, "w0": cs.weyl.longest_finite}
+    z, tau, zp = triple
+    with pytest.raises(ValueError, match=match):
+        cs.phi_image_basis(named[z], tau, named[zp])
+    assert cs._phi_image_cache == {}
 
 
 def test_bimodule_structure_within_span():
@@ -596,6 +617,8 @@ def test_hash_agrees_with_equality_of_a_factored_element_and_its_plain_copy(cfg)
         image = cs.phi_image_basis(*t)
         plain = _plain(image)
         assert image == plain and plain == image and hash(image) == hash(plain)
+        # against anything that is not a HeckeElt, the product is unequal
+        assert all(image != other for other in (dict(plain.items()), 0, None))
         assert len({image, plain}) == 1
 
 
@@ -1032,21 +1055,3 @@ def test_decompose_p_tau_composes_the_per_factor_decompositions(cfg, budget):
     assert len(taus) > 3
     for tau in taus:
         assert cs.decompose_P_tau(tau) == oracles.decompose_P_tau(ref, tau), (cfg, tau)
-
-
-def test_bound_exceeded_guard():
-    from heckecell.lowestcell import BoundExceeded
-    guarded = CellularStructure(CA2.lowest, length_bound=6)
-    with pytest.raises(BoundExceeded):
-        guarded.decompose_P_tau((2, 2))
-    with pytest.raises(BoundExceeded):
-        guarded.decompose_P_omega((1, 0), (-3, -3))
-    assert guarded.decompose_P_tau((1, 0)) == {(-1, 0): 1}
-    # phi_form's product C_{w_0 z^-1} C_{z' w_0} has support length
-    # l(w_0) + l(z) + l(z') = 3 + l(z) + l(z'): (e, e) fits the bound, any
-    # longer box element does not
-    e = CA2.weyl.identity
-    assert guarded.phi_form(e, e) == CA2.phi_form(e, e)
-    z = next(z for z in CA2.lowest.box_elements() if z.length() > 0)
-    with pytest.raises(BoundExceeded, match="product support bound"):
-        guarded.phi_form(z, e)

@@ -32,6 +32,10 @@ GOLDEN_KL = json.loads(
 # before LaurentPoly read one-digit values off the packed int
 GOLDEN_KL_TEXT = json.loads(
     (pathlib.Path(__file__).parent / "golden_kl_cli_text.json").read_text())
+# stdout of the text form (no --output) of `cellular-basis` and `paths
+# --witnesses`, keyed by the whole argument line
+GOLDEN_TEXT = json.loads(
+    (pathlib.Path(__file__).parent / "golden_cli_text.json").read_text())
 
 
 def run(capsys, *argv):
@@ -100,6 +104,15 @@ def test_kl_text_golden(capsys, args):
     assert out == GOLDEN_KL_TEXT[args]
 
 
+@pytest.mark.parametrize("args", sorted(GOLDEN_TEXT))
+def test_text_output_golden(capsys, args):
+    # pins the text branches of cellular-basis (phi matrix, decompositions)
+    # and of paths (profile, witness listing) byte for byte
+    code, out, _ = run(capsys, *args.split())
+    assert code == 0
+    assert out == GOLDEN_TEXT[args]
+
+
 # a generator or pi index out of range, a word that is not a list or a
 # lambda of the wrong rank is a parse error, never a wrapped index or a traceback
 @pytest.mark.parametrize("w", [
@@ -158,6 +171,12 @@ def test_paths_command(capsys):
     payload = json.loads(out)
     assert payload["profile"]["(-1,-1)"] == 4
     assert payload["profile"]["(0,0)"] == 2
+
+
+def test_paths_refuses_a_type_other_than_a(capsys):
+    code, out, err = run(capsys, "paths", "--type", "C", "--rank", "2", "--m", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: path profiles are a type-A feature\n"
 
 
 def test_paths_witnesses(capsys):

@@ -204,13 +204,22 @@ def test_factorization_matches_the_b0_scan(cfg, bound):
     # at most one, so the factorization is unique to this bound
     lc = make(cfg)
     els = list(lc.weyl.enumerate_elements(bound))
-    members = 0
+    members = []
     for w in els:
         scan = oracles.factorizations(lc, w)
         assert len(scan) <= 1, (cfg, w, scan)
         assert lc._factor(w) == (scan[0] if scan else None), (cfg, w)
-        members += bool(scan)
-    assert 0 < members < len(els), cfg
+        members += [w] if scan else []
+    assert 0 < len(members) < len(els), cfg
+    # z p_tau w_0 z'^-1 is length-additive on every triple within the
+    # budget of basis_triples, so it keeps them all, and they reassemble to
+    # exactly the members up to the bound, in the same order
+    w0len = lc.weyl.longest_finite.length()
+    triples = CellularStructure(lc).basis_triples(bound)
+    for z, tau, zp in triples:
+        assert lc.assemble(z, tau, zp).length() == (
+            z.length() + lc.weyl.translation(tau).length() + w0len + zp.length()), (cfg, z, tau, zp)
+    assert [lc.assemble(*t) for t in triples] == members, cfg
 
 
 def descend_to_lowest(lowest, z):

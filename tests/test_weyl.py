@@ -65,8 +65,9 @@ def test_braid_relation():
 
 def test_mismatched_weight_systems_rejected():
     other = make(("A", 2, (1, 1, 1)))
-    with pytest.raises(ValueError):
-        WA2.multiply(WA2.identity, other.identity)
+    for call in (WA2.multiply, WA2.bruhat_leq):
+        with pytest.raises(ValueError, match="different weight systems"):
+            call(WA2.identity, other.identity)
 
 
 def test_lengths():
@@ -210,6 +211,8 @@ def test_enumerate():
         seen |= frontier
     expected_count = len(seen) * len(WA2.pi_elements)
     assert len(list(WA2.enumerate_elements(4))) == expected_count
+    with pytest.raises(ValueError, match="bound must be >= 0"):
+        list(WA2.enumerate_elements(-1))
 
 
 def test_enumerate_sorted_and_unique():
@@ -689,3 +692,29 @@ def test_output_forms_are_fresh_objects():
         term["coeff"]["7"] = 1
     got.append(None)
     assert serialize.hecke_json(weyl, cw) == want
+
+
+@pytest.mark.parametrize("cfg,bound", ORACLE_CONFIGS)
+def test_the_normal_form_alone_is_read_back(cfg, bound):
+    # {"lambda": ..., "u": [...]}, the normal form that element_json writes
+    # beside the word form, is element input on its own: it names the same
+    # (interned) element as the word form it came with
+    weyl = make(cfg)
+    for w in weyl.enumerate_elements(bound):
+        obj = serialize.element_json(weyl, w)
+        normal = json.dumps({"lambda": obj["lambda"], "u": obj["u"]})
+        assert serialize.parse_element(weyl, normal) is w, (cfg, normal)
+
+
+@pytest.mark.parametrize("cfg, text, match", [
+    (("A", 2, (1, 1, 1)), '{"lambda":[0,0],"u":[0]}', "u is not a finite-part word"),
+    (("A", 2, (1, 1, 1)), '{"lambda":[0,0],"u":[1,0]}', "u is not a finite-part word"),
+    (("A", 2, (1, 1, 1)), '{"u":[1]}', "cannot interpret element object"),
+    (("A", 2, (1, 1, 1)), '{"lambda":[0,0]}', "cannot interpret element object"),
+    (("C", 2, (2, 1, 1)), '{"lambda":[1,0],"u":[]}', "not in the L-weight lattice"),
+    (("A", 2, (1, 1, 1)), '{"word":[1],"lambda":[1,0]}', "does not match the word form"),
+], ids=["u-with-s0", "u-ending-in-s0", "u-alone", "lambda-alone", "lambda-off-lattice",
+        "lambda-against-word"])
+def test_the_normal_form_refuses_what_names_no_element(cfg, text, match):
+    with pytest.raises(ValueError, match=match):
+        serialize.parse_element(make(cfg), text)
