@@ -130,8 +130,8 @@ class Hecke:
 
     def _pi_shift(self, pi_idx: int, h: HeckeElt) -> HeckeElt:
         """T_pi h for the length-zero element pi_elements[pi_idx]: a relabel."""
-        pi_mul_left, slot = self.weyl.pi_mul_left, -1 - pi_idx
-        return h._new({w._gl.get(slot) or pi_mul_left(pi_idx, w): c for w, c in h._d.items()})
+        gen_mul_left, key = self.weyl.gen_mul_left, ~pi_idx
+        return h._new({w._gl.get(key) or gen_mul_left(key, w): c for w, c in h._d.items()})
 
     def _left_chain(self, w: GroupElement, cache: dict, step) -> HeckeElt:
         """cache[w] for a cache of left T-actions, filled along w's chain.
@@ -139,7 +139,7 @@ class Hecke:
         The value at x is built from the value at its tail (strip pi, then
         the first letter of the reduced word): a pi link is a relabel and a
         letter s is step(s, value at the tail, x).  The tail is the cached
-        pi_mul_left(pi_inverse[k], x) or gen_mul_left(s, x), never a fresh
+        gen_mul_left(~pi_inverse[k], x) or gen_mul_left(s, x), never a fresh
         group multiply.  A step that raises _Uncached(y) is retried once y
         is built; a KL link resumes its peel there (see _kl_link).  Pending
         elements sit on an explicit stack, never on the call stack.  Every
@@ -157,10 +157,7 @@ class Hecke:
                 todo.pop()
                 continue
             pi_idx, word = x._word or weyl.reduced_word(x)
-            if pi_idx:
-                tail = weyl.pi_mul_left(weyl.pi_inverse[pi_idx], x)
-            else:
-                tail = weyl.gen_mul_left(word[0], x)
+            tail = weyl.gen_mul_left(~weyl.pi_inverse[pi_idx] if pi_idx else word[0], x)
             c = cache.get(tail)
             if c is None:
                 todo.append(tail)

@@ -72,16 +72,12 @@ class LaurentPoly:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero() -> "LaurentPoly":
-        return _ZERO
-
-    @staticmethod
     def one() -> "LaurentPoly":
         return _ONE
 
     @staticmethod
-    def q_power(e: int, coeff: int = 1) -> "LaurentPoly":
-        return LaurentPoly({e: coeff})
+    def q_power(e: int) -> "LaurentPoly":
+        return LaurentPoly({e: 1})
 
     # -- ring structure ----------------------------------------------------
 

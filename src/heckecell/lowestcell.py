@@ -27,6 +27,7 @@ expanded and no y enters, which makes the y-independence meaningful to test.
 
 from __future__ import annotations
 
+from operator import sub
 from typing import NamedTuple
 
 from .hecke import Hecke, HeckeElt
@@ -120,13 +121,15 @@ class LowestCell:
     def _split(self, x: GroupElement):
         """(z, tau) with x = z p_tau length-additively, z in B_0 (read off
         x's finite part) and tau a dominant lattice weight, or None if x is
-        not in X_0 or no such pair exists; kept per element."""
+        not in X_0 or no such pair exists; kept per element.  z p_mu has
+        z's finite part and translation z's plus mu, so mu is read off the
+        normal forms with no group multiply."""
         cache = self._split_cache
         if x in cache:
             return cache[x]
         weyl, ws = self.weyl, self.ws
         z = weyl.box_over[x.finite]
-        mu = (weyl.inverse(z) * x).translation
+        mu = tuple(map(sub, x.translation, z.translation))
         ok = self.is_in_x0(x) and ws.in_lattice(mu) and ws.is_dominant(mu) and (
             x.length() == z.length() + weyl.translation(mu).length())
         return cache.setdefault(x, (z, mu) if ok else None)

@@ -17,13 +17,13 @@ shifts and its length (the sum of their absolute values) before publishing
 it, so every alcove fact (length, L(w), the box B_0, X_0 and the degree
 bound of hecke) is read per root off w.shifts with no pairing.
 
-Left steps are closed form.  The alcove of s_i w lies next to that of w,
-across w's image of a wall of A_0, and pi w has the alcove of w.  One table
-per Weyl, indexed by (i, u in W_0), gives the finite part and translation
-offset of s_i w and the one root shift that moves, and by how much; a
-second gives pi w.  So gen_mul_left and pi_mul_left mint their products
-with shifts read off w's and no pairing or matrix-vector product, and the
-left descents of reduced_word and enumerate_elements are table reads.
+Left steps are closed form.  The s_i and the length-zero pi generate the
+group; the alcove of s_i w lies next to that of w, across w's image of a
+wall of A_0, and pi w has the alcove of w.  One table per Weyl, indexed by
+(generator or pi, u in W_0), gives the finite part and translation offset
+of g w and the root shift that moves, if any.  So gen_mul_left mints every
+left step with shifts read off w's and no pairing or matrix-vector product,
+and the left descents of reduced_word and enumerate_elements are reads.
 """
 
 from __future__ import annotations
@@ -103,30 +103,29 @@ class Weyl:
         gens[ws.affine_gen] = self.element(ws.w0_index[hcr.reflection_matrix()], hcr.vector)
         self.gens = tuple(gens)
 
-        # The left-step tables.  (i, u) -> (finite part of s_i w, act(t_i, u)
-        # or None for a finite generator, root r, delta): for w = (u, lam),
-        # s_i w = (finite, lam + offset) and its shifts are w's with entry r
-        # moved by delta; lam only moves the wall between them parallel to
-        # itself, so r and delta depend on u alone.  (pi index, u) ->
-        # (finite part of pi w, act(pi's translation, u)).
-        self._left = tuple(
-            tuple(self._left_entry(g, u) for u in range(ws.w0_size)) for g in self.gens)
         self._build_box()
-        self._pi_left = tuple(
-            tuple((ws.w0_mult[p.finite][u], ws.act(p.translation, u)) for u in range(ws.w0_size))
-            for p in self.pi_elements)
+        # The left-step table, keyed like the _gl caches: i for s_i, ~k for
+        # pi_k.  (key, u) -> (finite part of g w, act(g's translation, u) or
+        # None for a finite g, root r or None for pi, delta): for w = (u, lam),
+        # g w = (finite, lam + offset) and its shifts are w's with entry r
+        # moved by delta; lam only moves the wall between them parallel to
+        # itself, so r and delta depend on u alone.
+        keyed = [*enumerate(self.gens), *((~k, p) for k, p in enumerate(self.pi_elements))]
+        self._left = {key: tuple(self._left_entry(g, u) for u in range(ws.w0_size))
+                      for key, g in keyed}
         self._finite_words = None  # cache: finite_words
 
     def _left_entry(self, g: GroupElement, u: int) -> tuple:
-        """The row of the left-step table for generator g at u, read off
-        w = (u, 0) and the generic product g w: the one root shift they do
-        not share."""
+        """The row of the left-step table for g at u, read off w = (u, 0)
+        and the generic product g w: the root shifts they do not share, one
+        moved by 1 for a generator and none for pi."""
         w = self.finite_element(u)
         gw = self.multiply(g, w)
         moved = [(r, b - a) for r, (a, b) in enumerate(zip(w.shifts, gw.shifts)) if a != b]
-        if len(moved) != 1 or abs(moved[0][1]) != 1:
-            raise AssertionError(f"s w and w must lie across one wall, not {moved}")
-        return (gw.finite, gw.translation if any(g.translation) else None) + moved[0]
+        if len(moved) != g.length() or any(abs(delta) != 1 for _, delta in moved):
+            raise AssertionError(f"g w and w must lie across {g.length()} walls, not {moved}")
+        r, delta = moved[0] if moved else (None, 0)
+        return gw.finite, gw.translation if any(g.translation) else None, r, delta
 
     # -- raw construction helpers -------------------------------------------
 
@@ -195,23 +194,25 @@ class Weyl:
             inv._inv = a
         return inv
 
-    def gen_mul_left(self, i: int, w: GroupElement) -> GroupElement:
-        """s_i * w through a per-element cache (elements are interned).  A
-        new product is read off the left-step table at w's finite part and
-        gets w's root shifts with entry r moved by delta, and the reverse
-        link s_i (s_i w) = w, written with no lock: threads that race store
-        equal values."""
-        g = w._gl.get(i)
+    def gen_mul_left(self, key: int, w: GroupElement) -> GroupElement:
+        """g * w for key i (g = s_i) or ~k (g = pi_elements[k]), through a
+        per-element cache (elements are interned).  A new product is read
+        off the left-step table at w's finite part and gets w's root shifts,
+        entry r moved by delta for s_i, and the reverse link g^-1 (g w) = w,
+        written with no lock: threads that race store equal values.  A key
+        outside the table raises KeyError."""
+        g = w._gl.get(key)
         if g is None:
             if w.weyl is not self:
                 raise ValueError("elements belong to different weight systems")
-            finite, offset, r, delta = self._left[i][w.finite]
+            finite, offset, r, delta = self._left[key][w.finite]
             lam = w.translation
-            key = (finite, lam if offset is None else tuple(map(add, lam, offset)))
+            nf = (finite, lam if offset is None else tuple(map(add, lam, offset)))
             c = w.shifts
-            g = self._intern.get(key) or self._mint(key, c[:r] + (c[r] + delta,) + c[r + 1:])
-            g._gl[i] = w
-            w._gl[i] = g
+            g = self._intern.get(nf) or self._mint(
+                nf, c if r is None else c[:r] + (c[r] + delta,) + c[r + 1:])
+            g._gl[key if key >= 0 else ~self.pi_inverse[~key]] = w
+            w._gl[key] = g
         return g
 
     def is_left_descent(self, i: int, w: GroupElement) -> bool:
@@ -220,23 +221,6 @@ class Weyl:
         _, _, r, delta = self._left[i][w.finite]
         c = w.shifts[r]
         return abs(c + delta) < abs(c)
-
-    def pi_mul_left(self, pi_idx: int, w: GroupElement) -> GroupElement:
-        """pi_elements[pi_idx] * w, cached per element beside s_i * w; with
-        pi_idx = pi_inverse[k] it strips the Pi-part pi_k of w.  A new
-        product is read off the Pi table and keeps w's root shifts: pi fixes
-        A_0, so pi w has the alcove of w."""
-        slot = -1 - pi_idx
-        g = w._gl.get(slot)
-        if g is None:
-            if w.weyl is not self:
-                raise ValueError("elements belong to different weight systems")
-            finite, offset = self._pi_left[pi_idx][w.finite]
-            key = (finite, tuple(map(add, w.translation, offset)))
-            g = self._intern.get(key) or self._mint(key, w.shifts)
-            g._gl[-1 - self.pi_inverse[pi_idx]] = w
-            w._gl[slot] = g
-        return g
 
     def translation(self, lam) -> GroupElement:
         """The element p_lam, for lam in the L-weight lattice."""
@@ -270,7 +254,7 @@ class Weyl:
     def reduced_word(self, w: GroupElement):
         """(pi index, word): w = pi * s_{i_1} ... s_{i_k}, lexicographically
         smallest word, k = l(w).  The Pi-part is stripped by the cached
-        step pi_mul_left(pi_inverse[pi index], w), as in Hecke._left_chain.
+        step gen_mul_left(~pi_inverse[pi index], w), as in Hecke._left_chain.
         Each letter is the first left descent, read off the left-step
         table, so the only products are the steps along the word.  The walk
         stops at the first element whose word is kept, and each element it
@@ -278,7 +262,7 @@ class Weyl:
         if w._word is not None:
             return w._word
         pi_idx = self.pi_index(w)
-        cur = self.pi_mul_left(self.pi_inverse[pi_idx], w) if pi_idx else w
+        cur = self.gen_mul_left(~self.pi_inverse[pi_idx], w) if pi_idx else w
         gens = range(self.ws.num_gens)
         path, letters = [], []
         while cur._word is None:
@@ -299,7 +283,7 @@ class Weyl:
         g = self.identity
         for i in reversed(word):
             g = self.gen_mul_left(i, g)
-        return self.pi_mul_left(pi_idx, g)
+        return self.gen_mul_left(~pi_idx, g)
 
     def finite_words(self) -> tuple:
         """The reduced word of every u in W_0, indexed by u: the word of
@@ -334,8 +318,8 @@ class Weyl:
         pi_idx = self.pi_index(x)
         if pi_idx != self.pi_index(y):
             return False
-        k = self.pi_inverse[pi_idx]
-        x, y = self.pi_mul_left(k, x), self.pi_mul_left(k, y)
+        k = ~self.pi_inverse[pi_idx]
+        x, y = self.gen_mul_left(k, x), self.gen_mul_left(k, y)
         while x is not y and x.length() < y.length():
             i = self.reduced_word(y)[1][0]
             if self.is_left_descent(i, x):
@@ -350,7 +334,7 @@ class Weyl:
         layer = {self.identity}
         for i in reversed(word):
             layer |= {self.gen_mul_left(i, g) for g in layer}
-        return {self.pi_mul_left(pi_idx, g) for g in layer}
+        return {self.gen_mul_left(~pi_idx, g) for g in layer}
 
     # -- enumeration ---------------------------------------------------------------
 
@@ -372,7 +356,7 @@ class Weyl:
                             seen.add(g)
                             nxt.append(g)
             frontier = nxt
-        out = [self.pi_mul_left(k, w) for w in seen for k in range(len(self.pi_elements))]
+        out = [self.gen_mul_left(~k, w) for w in seen for k in range(len(self.pi_elements))]
         out.sort(key=self.sort_key)
         for w in out:
             yield w

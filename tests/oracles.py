@@ -35,7 +35,7 @@ from itertools import combinations
 from heckecell.hecke import HeckeElt
 from heckecell.laurent import LaurentCombination, LaurentPoly, add_scaled, peel
 
-_ZERO = LaurentPoly.zero()
+_ZERO = LaurentPoly()
 _ONE = LaurentPoly.one()
 
 

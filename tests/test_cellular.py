@@ -845,6 +845,38 @@ def test_a_right_factor_failing_the_finite_eigenvector_check_is_refused(monkeypa
     assert image == hecke.mul(_plain(image._factors[0]), _plain(cs._right[t[2]]))
 
 
+def test_a_phi_product_that_leaves_m_plus_is_refused(monkeypatch):
+    # C_{w_0 z^-1} C_{z' w_0} lies in M_+, so every top of its peel is a
+    # translation; a product that leads with w_0, whose finite part is not
+    # e, raises and no form is kept
+    cs = make(("A", 2, (1, 1, 1)))
+    w0 = cs.weyl.longest_finite
+    monkeypatch.setattr(cs.lowest, "act", lambda h, m: cs.hecke.t(w0))
+    e = cs.weyl.identity
+    with pytest.raises(AssertionError, match="product left M_\\+"):
+        cs.phi_form(e, e)
+    assert cs._phi_cache == {}
+
+
+@pytest.mark.parametrize("change,match", [
+    # the KL element of s_0, in X_0 but not a translation
+    (lambda cs, q: cs.lowest._p_from(cs.weyl.gens[cs.ws.affine_gen]), "unexpected KL term"),
+    # every coefficient times q
+    (lambda cs, q: HeckeElt({x: LaurentPoly.q_power(1) * c for x, c in q.items()}),
+     "non-integer coefficient q"),
+    # Q_tau twice
+    (lambda cs, q: q + q, r"leading coefficient at C_\{p_\(1, 1\) w_0\} is 2, not 1"),
+], ids=["non-translation-top", "non-integer", "leading-2"])
+def test_kl_coordinates_refuse_what_is_no_integer_profile(monkeypatch, change, match):
+    # the KL coordinates of Q_tau are integers at translations p_tau', 1 at
+    # tau; an element that breaks any of the three raises
+    cs = make(("A", 2, (1, 1, 1)))
+    q_tau = cs._q_tau
+    monkeypatch.setattr(cs, "_q_tau", lambda tau: change(cs, q_tau(tau)))
+    with pytest.raises(AssertionError, match=match):
+        cs.decompose_P_tau((1, 1))
+
+
 def _coefficient_objects(elements):
     """id and canonical form of every coefficient of every element, in order."""
     return [[(k, id(c), c.to_json()) for k, c in h.items()] for h in elements]

@@ -80,7 +80,7 @@ def test_mul_associative():
     def rand_elt():
         out = HeckeElt()
         for _ in range(3):
-            out = out + HeckeElt({rng.choice(els): LaurentPoly.q_power(rng.randint(-1, 1), rng.randint(-2, 2))})
+            out = out + HeckeElt({rng.choice(els): LaurentPoly({rng.randint(-1, 1): rng.randint(-2, 2)})})
         return out
 
     for _ in range(30):
@@ -182,11 +182,22 @@ CACHED_WALK_CONFIGS = [
 ]
 
 
+def test_a_kl_link_that_loses_its_top_is_refused(monkeypatch):
+    # C_s times the KL element below x leads with x; a T_s that acts as the
+    # identity loses that top, and no KL element is kept for x
+    H = make(("A", 2, (1, 1, 1)))
+    monkeypatch.setattr(H, "mul_gen", lambda i, h: HeckeElt(dict(h.items())))
+    s = H.weyl.gens[1]
+    with pytest.raises(AssertionError, match="does not lead with it"):
+        H.kl_basis(s)
+    assert s not in H._kl_cache
+
+
 @pytest.mark.parametrize("cfg", CACHED_WALK_CONFIGS,
                          ids=[f"{t}{n}-{','.join(map(str, p))}" for t, n, p in CACHED_WALK_CONFIGS])
 def test_second_walk_multiplies_no_group_elements(monkeypatch, cfg):
-    # every chain link reads its tail from a per-element cache (pi_mul_left
-    # by the inverse Pi index, or gen_mul_left), so once a walk has minted
+    # every chain link reads its tail from a per-element cache (gen_mul_left
+    # by a generator, or by the inverse Pi key), so once a walk has minted
     # its elements, a second walk over them (on a fresh copy of the right
     # factor, which keeps no cache) and a mul from the kept cache make no
     # group multiply at all, Pi links included
@@ -770,7 +781,7 @@ def test_elements_of_another_group_raise():
     calls = [
         lambda: H.mul_gen(1, H.t(W2.gens[2])),
         lambda: W1.gen_mul_left(1, W2.gens[2]),
-        lambda: W1.pi_mul_left(1, x),
+        lambda: W1.gen_mul_left(~1, x),
         lambda: W1.bruhat_leq(W2.identity, W1.gens[1]),
         lambda: W1.bruhat_leq(W1.identity, W2.gens[1]),
         lambda: H.kl_basis(x),

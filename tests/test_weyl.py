@@ -383,10 +383,10 @@ def test_left_steps_match_the_generic_product(cfg, bound):
             assert weyl.is_left_descent(i, w) == (
                 sum(map(abs, shifts(g))) < sum(map(abs, shifts(w)))), (cfg, w, i)
         for k, pi in enumerate(weyl.pi_elements):
-            g = weyl.pi_mul_left(k, w)
+            g = weyl.gen_mul_left(~k, w)
             assert g is weyl.multiply(pi, w), (cfg, w, k)
             assert g.shifts == shifts(g) == shifts(w) and g._len == w.length(), (cfg, w, k)
-            assert weyl.pi_mul_left(weyl.pi_inverse[k], g) is w, (cfg, w, k)
+            assert weyl.gen_mul_left(~weyl.pi_inverse[k], g) is w, (cfg, w, k)
 
 
 @pytest.mark.parametrize("cfg,bound", ORACLE_CONFIGS)
@@ -508,6 +508,50 @@ def test_pi_elements_need_distinct_classes(monkeypatch):
         Weyl(ws)
 
 
+_MULTIPLY = Weyl.multiply
+_BUILD_LATTICES = WeightSystem._build_lattices
+
+
+def _one_class_too_many(ws):
+    _BUILD_LATTICES(ws)
+    ws.pi_order += 1
+
+
+def _pi_across_a_wall(weyl, g, w):
+    return _MULTIPLY(weyl, weyl.gens[0] if g.length() == 0 and any(g.translation) else g, w)
+
+
+@pytest.mark.parametrize("owner,name,value,match", [
+    # a W_0 that fixes every root has no element negating them all
+    (WeightSystem, "act", lambda ws, lam, u: tuple(lam), "negate every positive root"),
+    # |P/Q| one too large: B_0 has one length-zero element too few
+    (WeightSystem, "_build_lattices", _one_class_too_many,
+     r"3 length-zero elements, but \|P/Q\| = 4"),
+    # s_i w on the alcove of w: a generator row crosses no wall
+    (Weyl, "multiply", lambda weyl, g, w: w, r"across 1 walls, not \[\]"),
+    # pi w one wall from the alcove of w: a Pi row crosses one
+    (Weyl, "multiply", _pi_across_a_wall, "across 0 walls, not"),
+], ids=["w0-negates-no-root", "pi-count", "generator-row", "pi-row"])
+def test_tables_that_break_the_alcove_geometry_are_refused(monkeypatch, owner, name, value, match):
+    # each table is checked against the alcove geometry as it is built:
+    # the longest element of W_0, the length-zero part of B_0 and each row
+    # of the left-step table, where g w and w lie l(g) walls apart
+    monkeypatch.setattr(owner, name, value)
+    with pytest.raises(AssertionError, match=match):
+        make(("A", 2, (1, 1, 1)))
+
+
+def test_reduced_word_needs_a_left_descent(monkeypatch):
+    # an element of nonzero length has a left descent; a table that shows
+    # none raises, and the walk keeps no word
+    weyl = make(("A", 2, (1, 1, 1)))
+    monkeypatch.setattr(weyl, "is_left_descent", lambda i, w: False)
+    w = weyl.pi_elements[1] * weyl.gens[1]
+    with pytest.raises(AssertionError, match="no descent found"):
+        weyl.reduced_word(w)
+    assert w._word is None and weyl.gens[1]._word is None
+
+
 def test_pi_is_the_length_zero_part_of_the_box():
     # Pi, read off B_0, is every length-zero element: a scan of (u, lam)
     # over small translations (Pi has lam in {0, 1}^rank) finds the same
@@ -532,7 +576,19 @@ def test_pi_inverse_table():
         for k, pi in enumerate(weyl.pi_elements):
             assert inv[inv[k]] == k, (cfg, k)
             assert weyl.pi_elements[inv[k]] is pi.inverse(), (cfg, k)
-            assert weyl.pi_mul_left(inv[k], pi) is weyl.identity, (cfg, k)
+            assert weyl.gen_mul_left(~inv[k], pi) is weyl.identity, (cfg, k)
+
+
+def test_a_left_step_key_outside_the_table_raises():
+    # keys 0..n name the s_i and ~0..~(|Pi| - 1) the pi; any other key
+    # raises instead of reading another key's row, and caches nothing
+    for cfg, _ in ORACLE_CONFIGS:
+        weyl = make(cfg)
+        w = weyl.gens[0]
+        for key in (weyl.ws.num_gens, ~len(weyl.pi_elements), 10**6, -10**6):
+            with pytest.raises(KeyError):
+                weyl.gen_mul_left(key, w)
+            assert key not in w._gl, (cfg, key)
 
 
 def test_pi_gen_permutation():
@@ -587,8 +643,8 @@ def test_interning_is_atomic_across_threads():
     # keys.  The intern table below holds every thread that misses until
     # all of them have missed the same key, so each new element is minted
     # by all threads at once; they must still share one object.  The
-    # shifts, lengths and left-step links that the threads write with no
-    # lock must still be those of the generic product.
+    # shifts, lengths and left-step links (Pi links included) that the
+    # threads write with no lock must still be those of the generic product.
     nthreads = 8
     barrier = threading.Barrier(nthreads)
 
@@ -608,8 +664,9 @@ def test_interning_is_atomic_across_threads():
     def mint(t):
         out = []
         for word in words:
-            g = weyl.from_word(0, word)
-            out += [g, g.inverse()]
+            for k in range(len(weyl.pi_elements)):
+                g = weyl.from_word(k, word)
+                out += [g, g.inverse()]
         results[t] = out
 
     threads = [threading.Thread(target=mint, args=(t,)) for t in range(nthreads)]
@@ -634,6 +691,7 @@ def test_interning_is_atomic_across_threads():
         assert g._len == sum(map(abs, _fresh_shifts(weyl, g)))
         for key, h in g._gl.items():
             assert h is (weyl.gens[key] if key >= 0 else weyl.pi_elements[-1 - key]) * g
+    assert any(key < ~0 for g in first for key in g._gl)
 
 
 @pytest.mark.parametrize("cfg", [("A", 2, (1, 1, 1)), ("C", 2, (2, 1, 1))])
