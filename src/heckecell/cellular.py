@@ -2,9 +2,10 @@
 form phi, the isomorphism onto the lowest two-sided ideal, and the
 decomposition of the cellular basis in the Kazhdan-Lusztig basis.
 
-phi_inverse is the one expansion in the cellular basis.  The images
-Q_tau = P(tau) C_{w_0} of the triples (e, tau, e) are the basis of M_+, and
-every other image is P(z) times one of them times flat P(z').
+phi_inverse expands an element of the lowest ideal in the cellular basis,
+and phi_form a product in M_+ in the part of it that spans M_+: the images
+Q_tau = P(tau) C_{w_0} of the triples (e, tau, e).  Every other image is
+P(z) times one of them times flat P(z').
 MonoidAlgebraElt holds elements of A[P+]; their product
 e^tau e^sigma = e^(tau + sigma) is taken inline in cellular_mul.
 

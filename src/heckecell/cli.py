@@ -215,13 +215,8 @@ def cmd_verify(args) -> int:
               f"suite {args.suite!r} samples nothing", file=sys.stderr)
         return USAGE_ERROR
     checks = verification.run_suite(args.suite, seed=args.seed)
-    failed = 0
-    for c in checks:
-        status = "PASS" if c.passed else "FAIL"
-        print(f"{status}  {c.name}  [{c.detail}]")
-        failed += 0 if c.passed else 1
-    print(f"{len(checks) - failed}/{len(checks)} checks passed")
-    return 0 if failed == 0 else 1
+    print(verification.report(checks))
+    return 0 if all(c.passed for c in checks) else 1
 
 
 COMMANDS = {

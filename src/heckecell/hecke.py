@@ -5,12 +5,12 @@ Kazhdan-Lusztig basis with its polynomials, coordinates in that basis,
 T-basis structure constants, and the separating-hyperplane degree bound
 c_{x,y} in closed form, read per root off the shifts of y and xy.
 
-Every left T-action goes through one generator step, mul_gen, and one
-chain walker, _left_chain, whose tails are cached group steps of weyl, so
-a walk over elements already minted multiplies no group elements.  bar_t
-walks the bar cache with T_s^-1 = T_s - xi_s, kl_basis the KL cache by the
-descent recursion (Lusztig, Hecke algebras with unequal parameters, Thm
-6.6).  One action, _act, takes h times m on the chain cache {x: T_x m}
+Every left T-action goes through one generator step, mul_gen, for s_i and
+pi alike, and one chain walker, _left_chain, whose tails are cached group
+steps of weyl, so a walk over elements already minted multiplies no group
+elements.  bar_t walks the bar cache with T_s^-1 = T_s - xi_s, kl_basis
+the KL cache by the descent recursion (Lusztig, Hecke algebras with
+unequal parameters, Thm 6.6).  One action, _act, takes h times m on the chain cache {x: T_x m}
 that m keeps, one slot per action: mul walks it with mul_gen (_tx), and
 lowestcell's X_0 module with its own generator step (_mx).  A product made
 by mul_factored (a _Product) keeps its left factor on that module, so mul
@@ -48,12 +48,12 @@ class HeckeElt(LaurentCombination):
 
 class _Product(HeckeElt):
     """u r, made by Hecke.mul_factored(u, r, lowest), which sets _factors =
-    (u, r, lowest).  Its T-coordinates, _d, are filled on first read by one
-    walk of the chain cache r keeps, without a lock: racing threads fill
-    equal terms.  Only this class has __getattr__, so a miss of an unset
-    slot of a plain HeckeElt stays a C-level lookup.  Elements made from a
-    product (_new: mul_gen, flat, _pi_shift, sums) are plain and record no
-    factors.
+    (u, r, lowest).  Its T-coordinates, _d, are filled on first read by
+    Hecke.mul(u, r), one walk of the chain cache r keeps, without a lock:
+    racing threads fill equal terms.  Only this class has __getattr__, so a
+    miss of an unset slot of a plain HeckeElt stays a C-level lookup.
+    Elements made from a product (_new: mul_gen, flat, sums) are plain and
+    record no factors.
 
     Equality is by value with every HeckeElt.  Two products that record the
     same right factor r and equal module factors are u r = u' r, equal
@@ -71,8 +71,7 @@ class _Product(HeckeElt):
         if name != "_d":
             raise AttributeError(name)
         u, r, lowest = self._factors
-        hecke = lowest.hecke
-        d = self._d = hecke._act(u, r, hecke.mul_gen, "_tx")._d
+        d = self._d = lowest.hecke.mul(u, r)._d
         return d
 
     def __eq__(self, other):
@@ -113,10 +112,10 @@ class Hecke:
     # -- multiplication ---------------------------------------------------------
 
     def mul_gen(self, i: int, h: HeckeElt) -> HeckeElt:
-        """T_{s_i} h by the three-case rule: T_s T_w = T_{sw} when sw > w,
-        and T_{sw} + xi_s T_w when sw < w.  The relabel w -> sw is a
-        bijection, so it fills a plain dict; the xi_s terms of the descents
-        are then added to it."""
+        """T_g h for a left-step key of weyl (i for s_i, ~k for pi_k): T_g T_w
+        = T_{gw}, plus xi_s T_w when gw < w (only for s: pi keeps lengths).
+        The relabel w -> gw is a bijection, so it fills a plain dict; the
+        xi_s terms of the descents, if any, are then added to it."""
         gen_mul_left = self.weyl.gen_mul_left
         d = {}
         down = []
@@ -125,27 +124,23 @@ class Hecke:
             d[sw] = c
             if sw._len < w._len:
                 down.append((w, c))
-        add_scaled(d, self.xi[i], down)
+        if down:
+            add_scaled(d, self.xi[i], down)
         return h._new(d)
-
-    def _pi_shift(self, pi_idx: int, h: HeckeElt) -> HeckeElt:
-        """T_pi h for the length-zero element pi_elements[pi_idx]: a relabel."""
-        gen_mul_left, key = self.weyl.gen_mul_left, ~pi_idx
-        return h._new({w._gl.get(key) or gen_mul_left(key, w): c for w, c in h._d.items()})
 
     def _left_chain(self, w: GroupElement, cache: dict, step) -> HeckeElt:
         """cache[w] for a cache of left T-actions, filled along w's chain.
 
         The value at x is built from the value at its tail (strip pi, then
-        the first letter of the reduced word): a pi link is a relabel and a
-        letter s is step(s, value at the tail, x).  The tail is the cached
-        gen_mul_left(~pi_inverse[k], x) or gen_mul_left(s, x), never a fresh
-        group multiply.  A step that raises _Uncached(y) is retried once y
-        is built; a KL link resumes its peel there (see _kl_link).  Pending
-        elements sit on an explicit stack, never on the call stack.  Every
-        value is stored.  w must be an element of this algebra's group (its
-        tails then are too); one of another Weyl raises ValueError before
-        the walk starts.
+        the first letter of the reduced word): a link pi_k is mul_gen(~k, .)
+        and a letter s is step(s, ., x) of the value at the tail.  The tail
+        is the cached gen_mul_left(~pi_inverse[k], x) or gen_mul_left(s, x),
+        never a fresh group multiply.  A step that raises _Uncached(y) is
+        retried once y is built; a KL link resumes its peel there (see
+        _kl_link).  Pending elements sit on an explicit stack, never on the
+        call stack.  Every value is stored.  w must be an element of this
+        algebra's group (its tails then are too); one of another Weyl raises
+        ValueError before the walk starts.
         """
         weyl = self.weyl
         if w.weyl is not weyl:
@@ -163,7 +158,7 @@ class Hecke:
                 todo.append(tail)
                 continue
             try:
-                cache[x] = self._pi_shift(pi_idx, c) if pi_idx else step(word[0], c, x)
+                cache[x] = self.mul_gen(~pi_idx, c) if pi_idx else step(word[0], c, x)
             except _Uncached as miss:
                 todo.append(miss.args[0])
                 continue

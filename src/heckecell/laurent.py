@@ -101,7 +101,7 @@ class LaurentPoly:
 
     def bar(self) -> "LaurentPoly":
         """The ring involution q -> q^-1."""
-        return _pack({-e: c for e, c in self._terms().items()})
+        return LaurentPoly({-e: c for e, c in self._terms().items()})
 
     def degree(self):
         """Max exponent, or -inf for the zero polynomial.  One digit
@@ -127,14 +127,14 @@ class LaurentPoly:
         digit is the monomial n q^v, as in degree."""
         n, v = self._n, self._v
         if -_LIMIT < n < _LIMIT:
-            return _pack({v: n, -v: n}) if n and v >= 0 else _ZERO
+            return LaurentPoly({v: n, -v: n}) if n and v >= 0 else _ZERO
         if self.degree() < 0:
             return _ZERO
         c = {}
         for e, v in self._terms().items():
             if e >= 0:
                 c[e] = c[-e] = v
-        return _pack(c)
+        return LaurentPoly(c)
 
     # -- inspection --------------------------------------------------------
 
@@ -242,10 +242,6 @@ def _new(v: int, n: int, m: int) -> LaurentPoly:
     return out
 
 
-def _pack(terms: dict) -> LaurentPoly:
-    return _new(*_encode(terms))
-
-
 _ZERO = LaurentPoly()
 _ONE = LaurentPoly({0: 1})
 _MINUS_ONE = LaurentPoly({0: -1})
@@ -320,7 +316,7 @@ def add_scaled(d: dict, a: LaurentPoly, items) -> None:
         for e1, c1 in a._terms().items():
             for e2, c2 in tc:
                 terms[e1 + e2] = terms.get(e1 + e2, 0) + c1 * c2
-        total = _pack(terms)
+        total = LaurentPoly(terms)
         if total:
             d[k] = total
         elif k in d:

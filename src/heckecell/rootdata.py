@@ -131,7 +131,6 @@ class WeightSystem:
 
         self.cartan_type = cartan_type
         self.rank = rank
-        self.key = key
         self.params = params
         self.num_gens = rank + 1
         self.cartan, self.affine_gen = _TYPES[key]

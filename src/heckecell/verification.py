@@ -1,8 +1,9 @@
 """Acceptance sweep drivers.
 
 Each suite returns an ordered list of Check records; the CLI `verify`
-subcommand and the acceptance test module both run these, so there is one
-definition of every bound and tolerance.  All comparisons are exact.
+subcommand and the acceptance test module both run these and print report,
+so there is one definition of every bound, tolerance and report line.  All
+comparisons are exact.
 """
 
 from __future__ import annotations
@@ -323,3 +324,10 @@ SEEDED_SUITES = {"degree-bounds"}
 def run_suite(name: str, seed=None):
     """Run a suite, passing seed on when given: only SEEDED_SUITES take one."""
     return SUITES[name]() if seed is None else SUITES[name](seed=seed)
+
+
+def report(checks) -> str:
+    """The text `heckecell verify` prints: one PASS/FAIL line per check,
+    then the count of checks passed."""
+    lines = [f"{'PASS' if c.passed else 'FAIL'}  {c.name}  [{c.detail}]" for c in checks]
+    return "\n".join(lines + [f"{sum(c.passed for c in checks)}/{len(checks)} checks passed"])

@@ -113,6 +113,7 @@ class Weyl:
         keyed = [*enumerate(self.gens), *((~k, p) for k, p in enumerate(self.pi_elements))]
         self._left = {key: tuple(self._left_entry(g, u) for u in range(ws.w0_size))
                       for key, g in keyed}
+        self.longest_finite = self.finite_element(ws.longest_index)
         self._finite_words = None  # cache: finite_words
 
     def _left_entry(self, g: GroupElement, u: int) -> tuple:
@@ -215,12 +216,12 @@ class Weyl:
             w._gl[key] = g
         return g
 
-    def is_left_descent(self, i: int, w: GroupElement) -> bool:
-        """l(s_i w) < l(w), read off the left-step table: the shift c that
-        s_i moves by delta shrinks, |c + delta| < |c|."""
-        _, _, r, delta = self._left[i][w.finite]
-        c = w.shifts[r]
-        return abs(c + delta) < abs(c)
+    def is_left_descent(self, key: int, w: GroupElement) -> bool:
+        """l(g w) < l(w) for a left-step key (i for s_i, ~k for pi_k), read
+        off its row: the shift s_i moves by delta shrinks; pi moves none (it
+        has length 0).  A key outside the table raises KeyError."""
+        _, _, r, delta = self._left[key][w.finite]
+        return r is not None and abs(w.shifts[r] + delta) < abs(w.shifts[r])
 
     def translation(self, lam) -> GroupElement:
         """The element p_lam, for lam in the L-weight lattice."""
@@ -228,10 +229,6 @@ class Weyl:
 
     def finite_element(self, u: int) -> GroupElement:
         return self.element(u, (0,) * self.ws.rank)
-
-    @property
-    def longest_finite(self) -> GroupElement:
-        return self.finite_element(self.ws.longest_index)
 
     # -- alcove position: weight ------------------------------------------------
 

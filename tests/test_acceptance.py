@@ -1,9 +1,10 @@
 """Acceptance criteria, one test per criterion, exact tolerances.
 
-Each test prints one PASS/FAIL line per named check (run pytest -s to see
-them); the same drivers back the `heckecell verify` subcommand.  Each suite
-runs once per module, and its report is compared byte for byte with the
-`heckecell verify` golden in tests/golden_verify.
+Each test prints the `heckecell verify` report of its checks, one PASS/FAIL
+line per named check (run pytest -s to see them); the same drivers and the
+same report back the `heckecell verify` subcommand.  Each suite runs once
+per module, and its report is compared byte for byte with the `heckecell
+verify` golden in tests/golden_verify.
 """
 
 import pathlib
@@ -15,13 +16,9 @@ from heckecell import verification
 GOLDEN_VERIFY = pathlib.Path(__file__).with_name("golden_verify")
 
 
-def lines(checks):
-    return [f"{'PASS' if c.passed else 'FAIL'}  {c.name}  [{c.detail}]" for c in checks]
-
-
 def report(checks):
     failed = [c for c in checks if not c.passed]
-    print("\n".join(lines(checks)))
+    print(verification.report(checks))
     assert not failed, f"{len(failed)} checks failed: {[c.name for c in failed]}"
 
 
@@ -114,9 +111,9 @@ def test_criterion_8_bounded_substitutes_documented(lowest_cell_checks):
     ("cellular", "cellular_checks"),
 ])
 def test_report_matches_the_verify_golden(suite, fixture, request):
-    # the report `heckecell verify --suite <suite>` prints: one line per
-    # check, then the count of checks passed
+    # the report `heckecell verify --suite <suite>` prints (verification.report
+    # and the newline print adds): one line per check, then the count of
+    # checks passed
     checks = request.getfixturevalue(fixture)
-    passed = sum(c.passed for c in checks)
-    text = "\n".join(lines(checks) + [f"{passed}/{len(checks)} checks passed"]) + "\n"
+    text = verification.report(checks) + "\n"
     assert text == (GOLDEN_VERIFY / f"{suite}.txt").read_text()

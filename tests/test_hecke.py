@@ -149,6 +149,29 @@ def test_right_mul_reused_agrees_with_mul(cfg):
             assert H.mul(h1, h3) == H.mul(h1, HeckeElt(dict(h3.items())))
 
 
+@pytest.mark.parametrize("cfg", KL_CONFIGS, ids=KL_CONFIG_IDS)
+def test_mul_gen_at_a_pi_key_is_the_product_by_t_pi(cfg):
+    # T_pi h is mul_gen at the key ~k: the relabel by the generic product
+    # pi w, equal to mul by t(pi), on seeded KL elements and on module
+    # elements P(x), whose relabel stays in X_0 and equals the module action
+    H = make(cfg)
+    W, lowest = H.weyl, LowestCell(H)
+    rng = random.Random(38)
+    els = list(W.enumerate_elements(5))
+    x0 = [x for x in W.enumerate_elements(W.longest_finite.length() + 3) if lowest.is_in_x0(x)]
+    for k, pi in enumerate(W.pi_elements):
+        kl = [H.kl_basis(w) for w in rng.sample(els, 10)]
+        ps = [lowest._p_from(x) for x in rng.sample(x0, 5)]
+        for h in kl + ps:
+            out = H.mul_gen(~k, h)
+            assert out == HeckeElt({W.multiply(pi, w): c for w, c in h.items()}), (cfg, k)
+            assert out == H.mul(H.t(pi), h), (cfg, k)
+        for p in ps:
+            out = H.mul_gen(~k, p)
+            assert all(lowest.is_in_x0(y) for y in out._d), (cfg, k)
+            assert out == lowest.act(H.t(pi), p), (cfg, k)
+
+
 def _new_letter_entries(W, cache, before):
     return sum(1 for x in cache if x not in before and not W.reduced_word(x)[0])
 
@@ -363,7 +386,7 @@ def test_elements_made_from_a_factored_product_record_no_factors():
     h = H.mul_factored(u, r, cs.lowest)
     derived = [H.mul_gen(1, h), H.flat(h), H.bar(h), h + h, h - h, H.mul(h, H.unit()),
                cs.lowest.act(h, u)]
-    derived += [H._pi_shift(k, h) for k in range(1, W.ws.pi_order)]
+    derived += [H.mul_gen(~k, h) for k in range(1, W.ws.pi_order)]
     assert len(derived) == 9
     for x in derived:
         assert type(x) is HeckeElt and getattr(x, "_factors", None) is None

@@ -99,14 +99,14 @@ def expected_roots(ws):
     """(vector, covector, even_weight, odd_weight) per root from the hand
     tables: C-family split roots carry L(s_0) on even and L(s_n) on odd
     levels, its other roots L(s_1); in type A_n every root carries L(s_0)."""
-    n, params = ws.rank, ws.params
-    c_family = ws.key in PARITY_SPLIT_ROOTS
+    n, params, key = ws.rank, ws.params, f"{ws.cartan_type}{ws.rank}"
+    c_family = key in PARITY_SPLIT_ROOTS
     out = []
-    for idx, (cov, rc) in enumerate(zip(POSROOT_COVECTORS[ws.key], POSROOT_ROOTCOEFFS[ws.key])):
+    for idx, (cov, rc) in enumerate(zip(POSROOT_COVECTORS[key], POSROOT_ROOTCOEFFS[key])):
         vec = tuple(sum(rc[j] * ws.cartan[i][j] for j in range(n)) for i in range(n))
         if not c_family:
             weights = (params[0], params[0])
-        elif idx in PARITY_SPLIT_ROOTS[ws.key]:
+        elif idx in PARITY_SPLIT_ROOTS[key]:
             weights = (params[0], params[n])
         else:
             weights = (params[1], params[1])
@@ -120,8 +120,9 @@ def test_derived_root_data_matches_hand_tables(cfg):
     derived = [(r.vector, r.covector, r.even_weight, r.odd_weight) for r in ws.positive_roots]
     assert derived == expected_roots(ws)
     assert [r.index for r in ws.positive_roots] == list(range(len(derived)))
-    assert ws.highest_coroot_root.index == HIGHEST_COROOT_ROOT[ws.key]
-    c_family = ws.key in PARITY_SPLIT_ROOTS
+    key = f"{ws.cartan_type}{ws.rank}"
+    assert ws.highest_coroot_root.index == HIGHEST_COROOT_ROOT[key]
+    c_family = key in PARITY_SPLIT_ROOTS
     assert ws.affine_gen == (ws.rank if c_family else 0)
     assert ws.simple_to_gen == (tuple(range(ws.rank)) if c_family else tuple(range(1, ws.rank + 1)))
 

@@ -364,7 +364,7 @@ def _fresh_shifts(weyl, g):
 def test_left_steps_match_the_generic_product(cfg, bound):
     # every left step read off the table is the generic product, with the
     # shifts and length of a fresh pairing, and the table's descent flag is
-    # the length comparison
+    # the length comparison: never a descent for a pi key (length 0)
     weyl = make(cfg)
     els = list(weyl.enumerate_elements(bound))
     fresh = {}
@@ -387,6 +387,7 @@ def test_left_steps_match_the_generic_product(cfg, bound):
             assert g is weyl.multiply(pi, w), (cfg, w, k)
             assert g.shifts == shifts(g) == shifts(w) and g._len == w.length(), (cfg, w, k)
             assert weyl.gen_mul_left(~weyl.pi_inverse[k], g) is w, (cfg, w, k)
+            assert weyl.is_left_descent(~k, w) is False, (cfg, w, k)
 
 
 @pytest.mark.parametrize("cfg,bound", ORACLE_CONFIGS)
@@ -581,13 +582,16 @@ def test_pi_inverse_table():
 
 def test_a_left_step_key_outside_the_table_raises():
     # keys 0..n name the s_i and ~0..~(|Pi| - 1) the pi; any other key
-    # raises instead of reading another key's row, and caches nothing
+    # raises, in a step or a descent query, instead of reading another key's
+    # row, and caches nothing
     for cfg, _ in ORACLE_CONFIGS:
         weyl = make(cfg)
         w = weyl.gens[0]
         for key in (weyl.ws.num_gens, ~len(weyl.pi_elements), 10**6, -10**6):
             with pytest.raises(KeyError):
                 weyl.gen_mul_left(key, w)
+            with pytest.raises(KeyError):
+                weyl.is_left_descent(key, w)
             assert key not in w._gl, (cfg, key)
 
 
