@@ -171,8 +171,9 @@ class CellularStructure:
             if not self.lowest.in_box(zprime):
                 raise ValueError(f"{zprime!r} is not in the box B_0")
             right = hecke.flat(hecke.kl_basis(zprime * self.weyl.longest_finite))
-            q = self.lowest._q_params
-            if any(hecke.mul_gen(i, right) != HeckeElt({w: c * q[i] for w, c in right.items()})
+            params = self.ws.params
+            if any(hecke.mul_gen(i, right)
+                   != HeckeElt({w: c.shifted(params[i]) for w, c in right.items()})
                    for i in self.ws.simple_to_gen):
                 raise ValueError(f"T_t r is not q^L(t) r for the right factor r of {zprime!r}")
             self._right[zprime] = right

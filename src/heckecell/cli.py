@@ -2,7 +2,8 @@
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
 or parse error, 3 BoundExceeded (a length bound: `kl` on an element longer
-than MAX_KL_LENGTH, or `paths --witnesses` with more than MAX_WITNESSES
+than MAX_KL_LENGTH, `cellular-basis` with a --length-bound above
+MAX_CELLULAR_LENGTH, or `paths --witnesses` with more than MAX_WITNESSES
 paths), 141 stdout closed early (128 + SIGPIPE).
 """
 
@@ -28,6 +29,11 @@ MAX_WITNESSES = 10 ** 5
 # cheap (length 27 takes under 0.25 s there), since the cost in the smaller
 # types turns on the weights as much as on the length
 MAX_KL_LENGTH = 26
+# `cellular-basis` in A3 with --length-bound 34: 2.1-2.6 s and 62 MB for the
+# whole call (Xeon, Python 3.11); 36 takes 4.4 s and 81 MB.  The phi matrix
+# is fixed by B_0, the decompositions grow with the bound; at 34 the smaller
+# shipped types take 1.2 s (A2) or less, A1 (2,1) reaches 21 s only at 200
+MAX_CELLULAR_LENGTH = 34
 
 
 def _add_weights(p):
@@ -139,6 +145,9 @@ def cmd_cell_factor(args) -> int:
 
 
 def cmd_cellular_basis(args) -> int:
+    if args.length_bound > MAX_CELLULAR_LENGTH:
+        raise BoundExceeded(f"length bound {args.length_bound} exceeds the cellular-basis "
+                            f"bound {MAX_CELLULAR_LENGTH}")
     _, weyl, _, lowest, cs = _stack(args)
     b0 = lowest.box_elements()
     phi = {}

@@ -168,13 +168,15 @@ class Hecke:
     def _kl_link(self, gen_step, cache: dict):
         """The link of a KL chain over the left action gen_step(i, h) of T_s:
         C_s c = gen_step(s, c) + q^-L(s) c for the cached value c at the tail
-        is bar-invariant and leads with x; the rest is peeled against the
-        cached lower elements by the bar-invariant part of each coefficient,
-        which leaves x plus q^-1 Z[q^-1] terms: the KL element at x.  After a
-        miss the retry resumes the peel on the partly peeled dict kept under
-        x; the tops it already took hold q^-1 Z[q^-1] residuals it skips."""
+        is bar-invariant and leads with x; the rest is peeled in lift mode
+        against the cached lower elements: each coefficient of degree >= 0
+        gives up its bar-invariant part (LaurentPoly.bar_invariant_part,
+        packed from the digits at exponents >= 0), and one in q^-1 Z[q^-1]
+        is skipped on its packed degree, which leaves x plus q^-1 Z[q^-1]
+        terms: the KL element at x.  After a miss the retry resumes the peel
+        on the partly peeled dict kept under x; the tops it already took
+        hold q^-1 Z[q^-1] residuals it skips."""
         q_neg = self._q_neg
-        bar_invariant_part = LaurentPoly.bar_invariant_part
         pending = {}
 
         def expand(y):
@@ -190,7 +192,7 @@ class Hecke:
                 add_scaled(d, q_neg[i], c.items())
                 if d.pop(x, None) != _ONE:
                     raise AssertionError(f"C_s times the element below {x!r} does not lead with it")
-            peel(d, expand, part=bar_invariant_part)
+            peel(d, expand, lift=True)
             del pending[x]
             d[x] = _ONE
             return c._new(d)

@@ -26,13 +26,15 @@ each).  Racing threads store equal entries.  The text form (str) is read
 off the same form.
 LaurentCombination is the one sparse linear-combination type (key ->
 nonzero LaurentPoly).  add_scaled is the one multiply-accumulate on such
-dicts (d[k] += a * c over many terms) and the only code that does
-arithmetic on the packed ints or falls back to terms: the +, - and * of
-LaurentPoly are calls of it.
+dicts (d[k] += a * c over many terms): it does the ring arithmetic on the
+packed ints and holds the term-by-term fallback, and the +, - and * of
+LaurentPoly are calls of it.  Two methods pack fields without it:
+bar_invariant_part packs its mirror from the decoded digits, and shifted
+(c q^e) moves the lowest exponent.
 peel is the one elimination run on them, longest key first: the expansion
-of an element in a basis that is unitriangular over it, or, with
-part=LaurentPoly.bar_invariant_part, the step that pushes a bar-invariant
-element into T_top + sum q^-1 Z[q^-1] T_y (the KL lift).
+of an element in a basis that is unitriangular over it, or, with lift, the
+step that pushes a bar-invariant element into T_top + sum q^-1 Z[q^-1] T_y
+(the KL lift), which skips the tops in q^-1 Z[q^-1] by their packed degree.
 """
 
 from __future__ import annotations
@@ -123,18 +125,39 @@ class LaurentPoly:
 
     def bar_invariant_part(self) -> "LaurentPoly":
         """The bar-invariant mu with self - mu in q^-1 Z[q^-1]: the constant
-        term plus c_e (q^e + q^-e) for every term c_e q^e with e > 0.  One
-        digit is the monomial n q^v, as in degree."""
-        n, v = self._n, self._v
-        if -_LIMIT < n < _LIMIT:
-            return LaurentPoly({v: n, -v: n}) if n and v >= 0 else _ZERO
-        if self.degree() < 0:
+        term plus c_e (q^e + q^-e) for every term c_e q^e with e > 0.  At
+        32-bit width the digits at exponents >= 0 are split off n by one
+        balanced shift (the balanced digits below them sum to less than half
+        its unit) and decoded by the digit loop of _terms; the mirror is
+        packed directly, lowest exponent -deg, with its exact l1 norm as its
+        bound.  A result whose norm reaches 2^31, and a wider input, are
+        packed from their terms."""
+        deg = self.degree()
+        if deg < 0:
             return _ZERO
+        n, v, m = self._n, self._v, self._m
+        if m < _LIMIT:
+            if v < 0:
+                s = _W * -v
+                n, v = (n + (1 << (s - 1))) >> s, 0
+            terms = _new(v, n, m)._terms()
+            c0 = terms.get(0, 0)
+            m = 2 * sum(map(abs, terms.values())) - abs(c0)
+            if m < _LIMIT:
+                low = sum(c << (_W * (deg - e)) for e, c in terms.items())
+                return _new(-deg, low + ((n - c0) << (_W * (deg + v))), m)
+        else:
+            terms = self._terms()
         c = {}
-        for e, v in self._terms().items():
+        for e, x in terms.items():
             if e >= 0:
-                c[e] = c[-e] = v
+                c[e] = c[-e] = x
         return LaurentPoly(c)
+
+    def shifted(self, e: int) -> "LaurentPoly":
+        """self * q^e: the lowest exponent moves by e, the digits and the
+        bound stay, exact at every width."""
+        return _new(self._v + e, self._n, self._m) if self._n else self
 
     # -- inspection --------------------------------------------------------
 
@@ -371,20 +394,22 @@ class LaurentCombination:
         return f"{type(self).__name__}({len(self._d)} terms)"
 
 
-def peel(coords: dict, expand, part=None) -> dict:
+def peel(coords: dict, expand, lift: bool = False) -> dict:
     """Coordinates of `coords` in a basis unitriangular over its keys.
 
     Takes the keys longest first (key.length(); the order within one length
     does not matter), records the coefficient c of each top and subtracts
     c * expand(top); expand(top) must carry coefficient 1 on top and only
     strictly shorter keys besides, as a Bruhat-triangular basis does.
-    With part, only part(c) is recorded and subtracted (nothing when it is
-    zero), and c - part(c) stays in `coords` at top.  `coords` is consumed
-    in place: on return it holds the residual, empty unless part was given.
-    expand(top) runs and is checked before `coords` changes, so an
-    exception from it, or an AssertionError on it, leaves `coords` as it
-    was before that top.  Returns top -> recorded coefficient, longest
-    first.
+    With lift (the KL lift), only the bar-invariant part of c is recorded
+    and subtracted, and c minus it stays in `coords` at top; a c in
+    q^-1 Z[q^-1], whose part is 0, is skipped before any call, its degree
+    read off (v, n) at 32-bit width.  `coords` must hold no zero value and
+    is consumed in place: on return it holds the residual, empty unless
+    lift is set.  expand(top) runs and is checked before `coords` changes,
+    so an exception from it, or an AssertionError on it, leaves `coords`
+    as it was before that top.  Returns top -> recorded coefficient,
+    longest first.
     """
     by_length = {}
     for w in coords:
@@ -396,9 +421,10 @@ def peel(coords: dict, expand, part=None) -> dict:
             c = coords.get(top)
             if c is None:
                 continue  # the term cancelled after it was queued
-            mu = c if part is None else part(c)
-            if not mu:
-                continue
+            if lift:
+                if (c._v + abs(c._n).bit_length() // _W if c._m < _LIMIT else c.degree()) < 0:
+                    continue
+                c = c.bar_invariant_part()
             basis = expand(top)
             monic = False
             for w, pc in basis.items():
@@ -412,7 +438,7 @@ def peel(coords: dict, expand, part=None) -> dict:
                     by_length.setdefault(m, []).append(w)
             if not monic:
                 raise AssertionError(f"expansion of {top!r} does not carry coefficient 1 on it")
-            out[top] = mu
-            # the 1 on top takes mu off it: all of c, or part(c)
-            add_scaled(coords, -mu, basis.items())
+            out[top] = c
+            # the 1 on top takes c off it: all of it, or its bar-invariant part
+            add_scaled(coords, -c, basis.items())
     return out

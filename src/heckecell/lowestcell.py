@@ -31,7 +31,7 @@ from operator import sub
 from typing import NamedTuple
 
 from .hecke import Hecke, HeckeElt
-from .laurent import LaurentPoly, add_scaled
+from .laurent import add_scaled
 from .weyl import GroupElement
 
 
@@ -58,7 +58,6 @@ class LowestCell:
         weyl = self.weyl = hecke.weyl
         self.ws = hecke.ws
         self._box = tuple(sorted(weyl.box_over, key=weyl.sort_key))
-        self._q_params = tuple(LaurentPoly.q_power(p) for p in self.ws.params)
         self._p_cache = {weyl.identity: hecke.unit()}
         self._factor_cache = {}
         self._split_cache = {}
@@ -168,10 +167,11 @@ class LowestCell:
     def _module_gen(self, i: int, h: HeckeElt) -> HeckeElt:
         """T_{s_i} h on the X_0 module, h a combination of the m_x.  As in
         Hecke.mul_gen, m_x goes to m_{sx}, or stays at m_x times q^L(s) when
-        sx leaves X_0; no two terms meet, so this fills a plain dict, and
-        the xi_s terms of the descents are then added to it."""
+        sx leaves X_0, its coefficient shifted by L(s) (LaurentPoly.shifted);
+        no two terms meet, so this fills a plain dict, and the xi_s terms of
+        the descents, if any, are then added to it by add_scaled."""
         gen_mul_left = self.weyl.gen_mul_left
-        q_s = self._q_params[i]
+        weight = self.ws.params[i]
         rank = self.ws.rank
         d = {}
         down = []
@@ -183,8 +183,9 @@ class LowestCell:
             elif min(sx.shifts[:rank]) >= 0:  # sx in X_0
                 d[sx] = c
             else:
-                d[x] = c * q_s
-        add_scaled(d, self.hecke.xi[i], down)
+                d[x] = c.shifted(weight)
+        if down:
+            add_scaled(d, self.hecke.xi[i], down)
         return h._new(d)
 
     def act(self, h: HeckeElt, m: HeckeElt) -> HeckeElt:

@@ -7,8 +7,8 @@ import sys
 import pytest
 
 import heckecell
-from heckecell import laurent
-from heckecell.cli import MAX_KL_LENGTH, MAX_WITNESSES, main
+from heckecell import laurent, verification
+from heckecell.cli import MAX_CELLULAR_LENGTH, MAX_KL_LENGTH, MAX_WITNESSES, main
 from heckecell.hecke import Hecke
 
 # stdout of `cellular-basis --type C --rank 2 --params P --length-bound 12
@@ -237,6 +237,23 @@ def test_kl_refuses_an_element_past_its_length_budget(monkeypatch, capsys):
     assert code == 0 and len(calls) == 1 and out.startswith("C_w for w = ")
 
 
+def test_cellular_basis_refuses_a_length_bound_past_its_budget(monkeypatch, capsys):
+    # a --length-bound above MAX_CELLULAR_LENGTH is refused with exit 3
+    # before the stack is built; the budget itself runs (in A1, where it is
+    # cheap)
+    calls = []
+    stack = verification.stack
+    monkeypatch.setattr(verification, "stack", lambda key: calls.append(key) or stack(key))
+    code, out, err = run(capsys, "cellular-basis", "--type", "A", "--rank", "1",
+                         "--length-bound", str(MAX_CELLULAR_LENGTH + 1))
+    assert (code, out, calls) == (3, "", [])
+    assert err == (f"error: length bound {MAX_CELLULAR_LENGTH + 1} exceeds the cellular-basis "
+                   f"bound {MAX_CELLULAR_LENGTH}\n")
+    code, out, _ = run(capsys, "cellular-basis", "--type", "A", "--rank", "1",
+                       "--length-bound", str(MAX_CELLULAR_LENGTH), "--output", "json")
+    assert code == 0 and len(calls) == 1 and set(json.loads(out)) == {"phi", "decompositions"}
+
+
 def test_cellular_basis_a1(capsys):
     code, out, _ = run(capsys, "cellular-basis", "--type", "A", "--rank", "1",
                        "--length-bound", "5", "--output", "json")
@@ -421,6 +438,16 @@ def test_bound_exceeded_has_its_own_exit_code():
     assert proc.returncode == 3
     assert proc.stderr == b"error: element of length 9 exceeds bound 8\n"
     assert proc.stdout == b""
+
+
+def test_cellular_basis_past_its_length_budget_exits_3():
+    proc = subprocess.run(
+        [sys.executable, "-m", "heckecell.cli", "cellular-basis", "--type", "A", "--rank", "3",
+         "--length-bound", str(MAX_CELLULAR_LENGTH + 1), "--output", "json"],
+        capture_output=True, env=SRC_ENV, timeout=120)
+    assert (proc.returncode, proc.stdout) == (3, b"")
+    assert proc.stderr == (f"error: length bound {MAX_CELLULAR_LENGTH + 1} exceeds the "
+                           f"cellular-basis bound {MAX_CELLULAR_LENGTH}\n").encode()
 
 
 def test_kl_past_its_length_budget_exits_3():

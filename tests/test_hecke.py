@@ -196,6 +196,70 @@ def test_one_generator_step_per_link(monkeypatch):
     assert steps[0] == _new_letter_entries(W, L._p_cache, before) == 161
 
 
+def _spy_lift_tops(monkeypatch):
+    """(visited, parted): the coefficient of every top a lift peel of hecke
+    reads, and every argument of bar_invariant_part, in call order.  The
+    peel runs on a dict subclass whose get records the one-argument reads,
+    peel's reads of a top (add_scaled reads with a default)."""
+    import heckecell.hecke as hecke_module
+    from heckecell import laurent
+    visited, parted = [], []
+
+    class Spy(dict):
+        def get(self, key, default=None):
+            value = dict.get(self, key, default)
+            if default is None and value is not None:
+                visited.append(value)
+            return value
+
+    def spy_peel(coords, expand, lift=False):
+        if not lift:
+            return laurent.peel(coords, expand)
+        spy = Spy(coords)
+        try:
+            return laurent.peel(spy, expand, lift)
+        finally:
+            coords.clear()
+            coords.update(spy)
+
+    part = LaurentPoly.bar_invariant_part
+    monkeypatch.setattr(hecke_module, "peel", spy_peel)
+    monkeypatch.setattr(LaurentPoly, "bar_invariant_part", lambda c: parted.append(c) or part(c))
+    return visited, parted
+
+
+def test_the_kl_lift_takes_the_part_of_exactly_the_tops_of_nonnegative_degree(monkeypatch):
+    # a KL link peels in lift mode: bar_invariant_part runs on every top of
+    # degree >= 0 (the degree read here off the dict oracle) and on nothing
+    # else, over a KL sweep and the P-elements of a decompose run; every C_w
+    # and P(x) so built is still the bar solve's (P(x) on the mirrored module
+    # at x^-1, as in test_oracles)
+    visited, parted = _spy_lift_tops(monkeypatch)
+    sweeps = []
+    for cfg, bound in ((("A", 2, (1, 1, 1)), 8), (("C", 2, (3, 2, 1)), 10)):
+        H = make(cfg)
+        sweeps.append((H, [(w, H.kl_basis(w)) for w in H.weyl.enumerate_elements(bound)]))
+    modules = []
+    for cfg, lams in ((("A", 2, (1, 1, 1)), [(0, -4), (-2, -2), (-4, 0)]),
+                      (("C", 2, (2, 1, 1)), [(0, -2), (-2, 0)])):
+        cs = CellularStructure(LowestCell(make(cfg)))
+        for fw in cs.ws.fundamental_weights:
+            for lam in lams:
+                cs.decompose_P_omega(fw, lam)
+        modules.append(cs.lowest)
+    monkeypatch.undo()
+    nonnegative = [c for c in visited if oracles.DictLaurent(dict(c.items())).degree() >= 0]
+    assert len(parted) == len(nonnegative) and all(a is b for a, b in zip(parted, nonnegative))
+    assert 0 < len(parted) < len(visited)
+    for H, cws in sweeps:
+        for w, cw in cws:
+            assert cw == oracles.kl_basis(H, w), w
+    for lowest in modules:
+        assert len(lowest._p_cache) > 10
+        for x, p in lowest._p_cache.items():
+            assert lowest.hecke.flat(p) == oracles.p_element_right(lowest, x.inverse()), x
+
+
 # Pi of order 3, 4, 2 and 1: A2, A3, C2 equal and C2 (3,2,1)
 CACHED_WALK_CONFIGS = [
     ("A", 2, (1, 1, 1)),

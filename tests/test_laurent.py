@@ -146,7 +146,7 @@ def test_peel_rejects_non_monic_expansion():
     assert coords == {A: P({0: 2})}
     coords = {A: one}
     with pytest.raises(AssertionError, match="coefficient 1"):
-        peel(coords, {A: {C: one}}.get, part=LaurentPoly.bar_invariant_part)
+        peel(coords, {A: {C: one}}.get, lift=True)
     assert coords == {A: one}
 
 
@@ -191,13 +191,13 @@ def test_peel_leaves_coords_untouched_by_a_failed_expand():
 
 def test_peel_part_subtracts_only_the_bar_invariant_part():
     # over the basis b = b + q^-1 a + c, a = a + c, c = c, d = d (b > a > c > d)
-    # the peel with part takes off the bar-invariant part of each coefficient
+    # the peel with lift takes off the bar-invariant part of each coefficient
     # and leaves the q^-1 Z[q^-1] rest in place; d has nothing to take off
     one = LaurentPoly.one()
     basis = {B: {B: one, A: P({-1: 1}), C: one}, A: {A: one, C: one},
              C: {C: one}, D: {D: one}}
     coords = {B: P({1: 1}), A: P({1: 1, 0: 2, -1: 1}), C: P({-2: 1}), D: P({-3: -1})}
-    out = peel(coords, basis.get, part=LaurentPoly.bar_invariant_part)
+    out = peel(coords, basis.get, lift=True)
     assert list(out.items()) == [
         ("b", P({1: 1, -1: 1})), ("a", P({1: 1, 0: 1, -1: 1})), ("c", P({1: -2, 0: -1, -1: -2})),
     ]
@@ -502,6 +502,62 @@ def test_multi_digit_values_at_and_past_the_limit_decode_by_the_loop():
             p = LaurentPoly(terms)
             assert _width(p._m) > 32
             decode_agrees(p, DictLaurent(terms), -3, len(digits))
+
+
+# -- the packed bar-invariant part and the shift ---------------------------------
+
+
+def part_agrees(p) -> None:
+    """The bar-invariant part of p against the term-by-term definition on
+    the dict oracle: the same value, packed as (v, n, m) exactly as from
+    the oracle's terms, so at the same width, with the exact l1 norm as m."""
+    want = DictLaurent(dict(p.items())).bar_invariant_part()
+    got, fresh = p.bar_invariant_part(), LaurentPoly(dict(want.items()))
+    assert dict(got.items()) == dict(want.items())
+    assert (got._v, got._n, got._m) == (fresh._v, fresh._n, fresh._m)
+    assert got._m == sum(abs(c) for _, c in want.items())
+    assert _width(got._m) == _width(fresh._m) and got == fresh and hash(got) == hash(fresh)
+
+
+def test_bar_invariant_part_matches_the_term_by_term_definition():
+    values = [
+        {-3: 5, -1: -2, 0: 4, 2: 7}, {-2: 1, 1: 3}, {-5: -9, 4: 2},  # v < 0, top digits >= 0
+        {0: 1, 1: -3, 4: 9}, {2: 1, 3: 5, 6: -2}, {1: -1, 2: 2**20},  # v >= 0, several digits
+        # a negative digit right at the split borrows one from the digits above it
+        {-1: -1, 0: 1}, {-1: -5, 0: 3, 1: 2}, {-1: -1, 2: 1}, {-2: 7, -1: -(2**31 - 1), 0: -1, 1: 1},
+        {0: 7}, {0: -(2**31 - 1)}, {-4: 3, 0: -2}, {-1: -1, 0: -1},  # c_0 alone
+        # parts whose l1 norm reaches 2^31, and one just below it
+        {0: 2**30, 1: 2**30}, {-1: 1, 2: 2**30}, {0: 2, 1: 2**30 - 1}, {0: 1, 1: 2**30 - 1},
+        {0: 2**31, 1: 1}, {-2: 2**40, 3: -1}, {-1: -(2**63), 0: 3}, {2: -(2**31)},  # wide inputs
+        {}, {-3: 1, -1: 2}, {-1: 2**31},  # no part
+    ]
+    for terms in values:
+        for p in (P(terms), -P(terms)):
+            part_agrees(p)
+            if p._m < _LIMIT:  # the same digits under an inflated bound of the same width
+                part_agrees(laurent._new(p._v, p._n, _LIMIT - 1))
+    rng = random.Random(40)
+    for k in range(1, 13):
+        for _ in range(20):
+            v = rng.randint(-k - 2, 3)
+            terms = {v + i: c for i, c in enumerate(seeded_digits(rng, k)) if c}
+            part_agrees(P(terms))
+            part_agrees(laurent._new(v, P(terms)._n, _LIMIT - 1))
+            part_agrees(P(rand_terms(rng)))
+
+
+def test_shifted_is_the_product_by_a_power_of_q():
+    rng = random.Random(41)
+    big = P({5: 2**15})
+    values = [LaurentPoly(), P({0: 1}), P({-2: 3, 5: -1}), P({0: 2**31}), P({1: 2**100, 2: -1}),
+              P({0: 1, 1: 1}) + big - big]  # the last with an inflated bound
+    values += [P(rand_terms(rng)) for _ in range(200)]
+    for p in values:
+        for e in (-7, -1, 0, 1, 3, 40):
+            got, want = p.shifted(e), p * LaurentPoly.q_power(e)
+            assert got == want and hash(got) == hash(want) and _width(got._m) == _width(want._m)
+            agrees(got, DictLaurent({k + e: c for k, c in p.items()}))
+    assert LaurentPoly().shifted(3)._v == 0
 
 
 # -- the kept canonical JSON of multi-digit values --------------------------------
